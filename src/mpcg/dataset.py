@@ -16,13 +16,12 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-import networkx as nx
 import numpy as np
 
 from .errors import GraphFullError, InvalidSpecError
 from .features import FeatureVector, extract_features
 from .solver import SolveConfig, cg, no_stagnation, pcg_jacobi, two_stage_solve
-from .sparse import SparseSymMatrix, from_coordinates
+from .sparse import SparseSymMatrix, _from_arrays
 
 __all__ = [
     "EpsilonGrid",
@@ -145,6 +144,30 @@ def _grid_shape(n: int) -> tuple[int, int]:
     return r, n // r
 
 
+def _pair_offset(i, n: int):
+    """Code of the pair (i, i + 1): upper-triangle pairs (i, j), i < j,
+    numbered row by row from 0, the order of ``np.triu_indices(n, 1)``."""
+    return i * (2 * n - i - 1) // 2
+
+
+def _encode_pairs(edges: np.ndarray, n: int) -> np.ndarray:
+    """Codes of the upper-triangle pairs in the (E, 2) array ``edges``."""
+    return _pair_offset(edges[:, 0], n) + edges[:, 1] - edges[:, 0] - 1
+
+
+def _decode_pairs(codes: np.ndarray, n: int) -> np.ndarray:
+    """(E, 2) array of the pairs with the given codes, O(E) memory.
+
+    The row is the smaller root of i^2 - (2n - 1) i + 2 code = 0, rounded
+    down and then corrected by one where floating point missed a row end.
+    """
+    b = 2 * n - 1
+    i = ((b - np.sqrt(b * b - 8.0 * codes)) // 2).astype(np.int64)
+    i -= _pair_offset(i, n) > codes
+    i += _pair_offset(i + 1, n) <= codes
+    return np.stack([i, codes - _pair_offset(i, n) + i + 1], axis=1)
+
+
 def _family_edges(spec: GraphSpec, rng: np.random.Generator) -> np.ndarray:
     """Undirected edge list (E, 2) with i < j, no duplicates."""
     n = spec.n
@@ -171,15 +194,16 @@ def _family_edges(spec: GraphSpec, rng: np.random.Generator) -> np.ndarray:
         leaf = np.arange(1, n)
         return np.stack([np.zeros(n - 1, dtype=np.int64), leaf], axis=1)
     if spec.family == "random_regular":
+        import networkx as nx  # its only use; keeps it off the import path
+
         seed = int(rng.integers(0, 2**31 - 1))
         g = nx.random_regular_graph(spec.degree, n, seed=seed)
         edges = np.array(sorted(tuple(sorted(e)) for e in g.edges()), dtype=np.int64)
         return edges.reshape(-1, 2)
     if spec.family == "random_gnm":
-        iu, ju = np.triu_indices(n, k=1)
-        pick = rng.choice(iu.size, size=spec.m_target, replace=False)
+        pick = rng.choice(n * (n - 1) // 2, size=spec.m_target, replace=False)
         pick.sort()
-        return np.stack([iu[pick], ju[pick]], axis=1)
+        return _decode_pairs(pick, n)
     raise InvalidSpecError(f"unknown family '{spec.family}'")
 
 
@@ -201,9 +225,14 @@ def _dominant_diagonal(
 
 
 def _assemble(n: int, edges: np.ndarray, diag: np.ndarray) -> SparseSymMatrix:
-    triplets = [(int(i), int(j), 1.0) for i, j in edges]
-    triplets.extend((v, v, float(diag[v])) for v in range(n))
-    return from_coordinates(triplets, n, mirror=True)
+    vertices = np.arange(n)
+    return _from_arrays(
+        np.concatenate([edges[:, 0], vertices]),
+        np.concatenate([edges[:, 1], vertices]),
+        np.concatenate([np.ones(edges.shape[0]), diag]),
+        n,
+        mirror=True,
+    )
 
 
 def generate(spec: GraphSpec) -> SparseSymMatrix:
@@ -248,27 +277,23 @@ def perturb(
         edges_to_add = max(1, base_edges.shape[0] // 100)
     if edges_to_add < 1:
         raise ValueError("edges_to_add must be at least 1")
-    offsets = np.arange(n) * n - np.arange(n) * (np.arange(n) + 1) // 2
-    taken = np.zeros(n * (n - 1) // 2, dtype=bool)
-    if base_edges.size:
-        codes = (
-            offsets[base_edges[:, 0]] + base_edges[:, 1] - base_edges[:, 0] - 1
-        )
-        taken[codes] = True
-    free = np.nonzero(~taken)[0]
-    if free.size < edges_to_add:
+    # CSR order lists the base edges by increasing pair code.  The k-th
+    # pair code not taken by the base graph is k plus the number of taken
+    # codes that have at most k free codes below them.
+    taken = _encode_pairs(base_edges, n)
+    gaps = taken - np.arange(taken.size)
+    n_free = n * (n - 1) // 2 - taken.size
+    if n_free < edges_to_add:
         raise GraphFullError(
-            f"need {edges_to_add} new edges, only {free.size} non-edges remain"
+            f"need {edges_to_add} new edges, only {n_free} non-edges remain"
         )
 
     out = []
     for child in np.random.SeedSequence(seed).spawn(variants):
         rng = np.random.default_rng(child)
-        pick = rng.choice(free.size, size=edges_to_add, replace=False)
-        codes = np.sort(free[pick])
-        i = np.searchsorted(offsets, codes, side="right") - 1
-        j = codes - offsets[i] + i + 1
-        edges = np.concatenate([base_edges, np.stack([i, j], axis=1)])
+        k = np.sort(rng.choice(n_free, size=edges_to_add, replace=False))
+        codes = k + np.searchsorted(gaps, k, side="right")
+        edges = np.concatenate([base_edges, _decode_pairs(codes, n)])
         degrees = np.zeros(n, dtype=np.int64)
         np.add.at(degrees, edges[:, 0], 1)
         np.add.at(degrees, edges[:, 1], 1)

@@ -2,17 +2,19 @@
 
 The feature vector of a matrix is (n, nnz, pseudo-diameter, eigenvalue
 spread estimate, maximum-eigenvalue estimate).  The pseudo-diameter comes
-from a double breadth-first sweep over the off-diagonal structure; the two
-eigenvalue estimates come from Gershgorin discs of the matrix itself and
-of two diagonal rescalings of it.  None of these touch an eigensolver.
+from a double sweep of scipy's compiled unweighted shortest paths over the
+off-diagonal structure, every component at once; the two eigenvalue
+estimates come from Gershgorin discs of the matrix itself and of two
+diagonal rescalings of it.  None of these touch an eigensolver.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse import csgraph
 
 from .errors import (
     DegenerateIntervalError,
@@ -70,21 +72,28 @@ class FeatureVector:
         )
 
 
-def _bfs_distances(A: SparseSymMatrix, start: int) -> np.ndarray:
-    """BFS over the off-diagonal structure; -1 marks unreachable vertices."""
-    rs, cols = A.row_starts, A.col_indices
-    dist = np.full(A.n, -1, dtype=np.int64)
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        dv = dist[v] + 1
-        for k in range(rs[v], rs[v + 1]):
-            j = cols[k]
-            if j != v and dist[j] < 0:
-                dist[j] = dv
-                queue.append(j)
-    return dist
+def _unit_graph(A: SparseSymMatrix) -> scipy.sparse.csr_matrix:
+    """A's structure with unit weights, for csgraph.
+
+    It shares A's index arrays; explicit zeros stay edges, signed values
+    do not act as weights, and the diagonal loops change no distance.
+    """
+    csr = A._csr
+    return scipy.sparse.csr_matrix(
+        (np.ones(csr.nnz), csr.indices, csr.indptr), shape=csr.shape
+    )
+
+
+def _hop_distances(graph, sources) -> np.ndarray:
+    """Hop count from each vertex to the nearest of ``sources``; inf where
+    none of them is reachable."""
+    return csgraph.dijkstra(graph, indices=sources, unweighted=True, min_only=True)
+
+
+def _first_per_component(labels: np.ndarray, count: int, key: np.ndarray) -> np.ndarray:
+    """For each component, the vertex of smallest ``key``, smallest index on ties."""
+    order = np.lexsort((np.arange(labels.size), key, labels))
+    return order[np.searchsorted(labels[order], np.arange(count))]
 
 
 def bfs_farthest(A: SparseSymMatrix, start: int) -> tuple[int, int]:
@@ -95,36 +104,28 @@ def bfs_farthest(A: SparseSymMatrix, start: int) -> tuple[int, int]:
     """
     if not 0 <= start < A.n:
         raise IndexError(f"start vertex {start} out of range")
-    dist = _bfs_distances(A, start)
-    far = int(dist.max())
-    vertex = int(np.nonzero(dist == far)[0][0])
-    return vertex, far
+    dist = _hop_distances(_unit_graph(A), start)
+    far = dist[np.isfinite(dist)].max()
+    return int(np.argmax(dist == far)), int(far)
 
 
 def pseudo_diameter(A: SparseSymMatrix) -> int:
-    """Double-BFS estimate of the graph diameter, never exceeding it.
+    """Double-sweep estimate of the graph diameter, never exceeding it.
 
-    The sweep starts from the minimum-degree vertex (smallest index on
-    ties), finds a farthest vertex u, then returns the distance from u to
-    its own farthest vertex.  Exact on trees.  Disconnected graphs are
-    swept component by component and the largest value is returned; a
-    matrix with no off-diagonal entries has pseudo-diameter 0.
+    In every connected component the sweep starts from the minimum-degree
+    vertex (smallest index on ties), finds a farthest vertex u (smallest
+    index on ties), then measures the distance from u to its own farthest
+    vertex.  Both sweeps run over all components at once, as multi-source
+    unweighted shortest paths in scipy's csgraph.  Exact on trees.  The
+    largest value over the components is returned; a matrix with no
+    off-diagonal entries has pseudo-diameter 0.
     """
+    graph = _unit_graph(A)
+    count, labels = csgraph.connected_components(graph, directed=False)
     degrees = A.row_lengths() - 1  # diagonal entry is always present
-    unseen = np.ones(A.n, dtype=bool)
-    best = 0
-    while True:
-        remaining = np.nonzero(unseen)[0]
-        if remaining.size == 0:
-            return best
-        component = _bfs_distances(A, int(remaining[0])) >= 0
-        component &= unseen  # defensive; components never overlap
-        members = np.nonzero(component)[0]
-        unseen[members] = False
-        start = int(members[np.argmin(degrees[members])])
-        u, _ = bfs_farthest(A, start)
-        _, sweep = bfs_farthest(A, u)
-        best = max(best, sweep)
+    start = _first_per_component(labels, count, degrees)
+    far = _first_per_component(labels, count, -_hop_distances(graph, start))
+    return int(_hop_distances(graph, far).max())
 
 
 def _offdiag_rowsums(A: SparseSymMatrix, weights: np.ndarray) -> np.ndarray:

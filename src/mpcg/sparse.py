@@ -10,6 +10,7 @@ treated as immutable after construction, so they are safe to share.
 
 from __future__ import annotations
 
+import warnings
 from typing import Iterable
 
 import numpy as np
@@ -41,6 +42,11 @@ _VALUE_DTYPES = (np.float32, np.float64)
 
 class SparseSymMatrix:
     """Square symmetric matrix stored in CSR with full (two-sided) structure.
+
+    Build one from (row, col, value) triplets with ``from_coordinates``,
+    from a file with ``read_matrix_market``, or from CSR arrays with this
+    constructor.  A scipy ``csr_matrix`` over the same arrays (``_csr``)
+    runs the products and the csgraph passes of ``features``.
 
     Attributes
     ----------
@@ -153,14 +159,23 @@ def from_coordinates(
 
     The input must contain both symmetric halves of each off-diagonal entry,
     or ``mirror=True`` to add the missing (col, row, value) copies.
-    Duplicated positions are an error rather than being summed.
+    Duplicated positions are an error rather than being summed.  The
+    triplets are unpacked into arrays and assembled by ``_from_arrays``,
+    which code that already holds arrays calls directly.
     """
     triplets = list(triplets)
-    if not triplets:
-        raise ValueError("at least one triplet is required")
     rows = np.fromiter((t[0] for t in triplets), dtype=np.int64, count=len(triplets))
     cols = np.fromiter((t[1] for t in triplets), dtype=np.int64, count=len(triplets))
     vals = np.fromiter((t[2] for t in triplets), dtype=dtype, count=len(triplets))
+    return _from_arrays(rows, cols, vals, n, mirror)
+
+
+def _from_arrays(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int, mirror: bool
+) -> SparseSymMatrix:
+    """Vectorised CSR assembly of coordinate arrays, as ``from_coordinates``."""
+    if rows.size == 0:
+        raise ValueError("at least one triplet is required")
     if rows.min() < 0 or cols.min() < 0 or rows.max() >= n or cols.max() >= n:
         raise IndexError(f"triplet index out of range for n={n}")
     if mirror:
@@ -242,66 +257,129 @@ def write_matrix_market(A: SparseSymMatrix, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
+
+
+def _parse_entries(lines) -> np.ndarray:
+    """Parse 'row col value' lines, an open file or a list of strings.
+
+    The one parser for every entry line: an index such as ``1.0`` or a
+    line with other than three fields raises ValueError.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1)
+
+
+def _entry_errors(entries: np.ndarray, n: int) -> list[tuple[int, int, str]]:
+    """(index, rank, message) of the first out-of-range and the first
+    non-finite entry; rank orders two errors on the same line."""
+    rows, cols = entries["row"], entries["col"]
+    checks = (
+        ((rows < 1) | (rows > n) | (cols < 1) | (cols > n), 2, "index out of range"),
+        (~np.isfinite(entries["value"]), 3, "value is not finite"),
+    )
+    return [(int(bad.argmax()), rank, msg) for bad, rank, msg in checks if bad.any()]
+
+
+def _entries_by_line(fh, lineno: int, n_entries: int, n: int) -> np.ndarray:
+    """Parse the lines after the size line ``lineno`` with their line numbers.
+
+    The slow path behind ``read_matrix_market``, taken when the single
+    parse of the whole body failed or its checks did not pass.  It skips
+    comment lines among the entries and otherwise raises at the first
+    offending line.  Lines are parsed one at a time only up to the first
+    line that does not parse.
+    """
+    linenos, lines = [], []
+    for lineno, line in enumerate(fh, start=lineno + 1):
+        if line.strip() and not line.lstrip().startswith("%"):
+            linenos.append(lineno)
+            lines.append(line)
+    try:
+        entries, stop = _parse_entries(lines), len(lines)
+    except ValueError:
+        stop = 0
+        while _parses(lines[stop]):
+            stop += 1
+        entries = _parse_entries(lines[:stop])
+    errors = _entry_errors(entries, n)
+    if len(lines) > n_entries:
+        errors.append((n_entries, 0, "more entries than the size line declares"))
+    if stop < len(lines):
+        columns = len(lines[stop].split()) == 3
+        errors.append((stop, 1, "malformed entry" if columns else "entry needs 'row col value'"))
+    if errors:
+        k, _, message = min(errors)
+        raise MatrixMarketParseError(message, linenos[k])
+    if len(lines) != n_entries:
+        raise MatrixMarketParseError(
+            f"expected {n_entries} entries, found {len(lines)}", lineno + 1
+        )
+    return entries
+
+
+def _parses(line: str) -> bool:
+    try:
+        _parse_entries([line])
+    except ValueError:
+        return False
+    return True
+
+
 def read_matrix_market(path) -> SparseSymMatrix:
     """Read a coordinate-format file with a symmetric or general header.
 
     Symmetric files are mirrored; general files must already contain both
-    halves and are validated for symmetry.
+    halves and are validated for symmetry.  Entry values must be finite.
+    The entries are parsed by one ``np.loadtxt`` call; a file that fails
+    it, or the checks after it, is parsed again line by line, which
+    accepts comment lines among the entries and otherwise raises
+    MatrixMarketParseError at the first offending line.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise MatrixMarketParseError("empty file", 1)
-    header = lines[0].split()
-    if (
-        len(header) != 5
-        or header[0].lower() != "%%matrixmarket"
-        or [w.lower() for w in header[1:4]] != ["matrix", "coordinate", "real"]
-        or header[4].lower() not in ("symmetric", "general")
-    ):
-        raise MatrixMarketParseError(
-            "expected '%%MatrixMarket matrix coordinate real "
-            "{symmetric|general}' header",
-            1,
-        )
-    symmetric = header[4].lower() == "symmetric"
+        first = fh.readline()
+        if not first:
+            raise MatrixMarketParseError("empty file", 1)
+        header = first.split()
+        if (
+            len(header) != 5
+            or header[0].lower() != "%%matrixmarket"
+            or [w.lower() for w in header[1:4]] != ["matrix", "coordinate", "real"]
+            or header[4].lower() not in ("symmetric", "general")
+        ):
+            raise MatrixMarketParseError(
+                "expected '%%MatrixMarket matrix coordinate real "
+                "{symmetric|general}' header",
+                1,
+            )
+        symmetric = header[4].lower() == "symmetric"
 
-    body = (
-        (lineno, line)
-        for lineno, line in enumerate(lines[1:], start=2)
-        if line.strip() and not line.lstrip().startswith("%")
-    )
-    try:
-        lineno, size_line = next(body)
-    except StopIteration:
-        raise MatrixMarketParseError("missing size line", len(lines) + 1) from None
-    parts = size_line.split()
-    if len(parts) != 3:
-        raise MatrixMarketParseError("size line needs 'rows cols entries'", lineno)
-    try:
-        n_rows, n_cols, n_entries = (int(p) for p in parts)
-    except ValueError:
-        raise MatrixMarketParseError("size line is not integral", lineno) from None
-    if n_rows != n_cols or n_rows < 1 or n_entries < 0:
-        raise MatrixMarketParseError("matrix must be square and nonempty", lineno)
-
-    triplets = []
-    for lineno, line in body:
-        if len(triplets) == n_entries:
-            raise MatrixMarketParseError("more entries than the size line declares", lineno)
-        parts = line.split()
+        lineno = 1
+        for size_line in iter(fh.readline, ""):
+            lineno += 1
+            if size_line.strip() and not size_line.lstrip().startswith("%"):
+                break
+        else:
+            raise MatrixMarketParseError("missing size line", lineno + 1)
+        parts = size_line.split()
         if len(parts) != 3:
-            raise MatrixMarketParseError("entry needs 'row col value'", lineno)
+            raise MatrixMarketParseError("size line needs 'rows cols entries'", lineno)
         try:
-            i, j = int(parts[0]), int(parts[1])
-            v = float(parts[2])
+            n_rows, n_cols, n_entries = (int(p) for p in parts)
         except ValueError:
-            raise MatrixMarketParseError("malformed entry", lineno) from None
-        if not (1 <= i <= n_rows and 1 <= j <= n_cols):
-            raise MatrixMarketParseError("index out of range", lineno)
-        triplets.append((i - 1, j - 1, v))
-    if len(triplets) != n_entries:
-        raise MatrixMarketParseError(
-            f"expected {n_entries} entries, found {len(triplets)}", len(lines) + 1
-        )
-    return from_coordinates(triplets, n_rows, mirror=symmetric)
+            raise MatrixMarketParseError("size line is not integral", lineno) from None
+        if n_rows != n_cols or n_rows < 1 or n_entries < 0:
+            raise MatrixMarketParseError("matrix must be square and nonempty", lineno)
+
+        body = fh.tell()
+        try:
+            entries = _parse_entries(fh)
+        except ValueError:
+            entries = None
+        if entries is None or entries.size != n_entries or _entry_errors(entries, n_rows):
+            fh.seek(body)
+            entries = _entries_by_line(fh, lineno, n_entries, n_rows)
+    return _from_arrays(
+        entries["row"] - 1, entries["col"] - 1, entries["value"], n_rows, symmetric
+    )

@@ -1,9 +1,11 @@
 """Independent reference computations used only by the test suite.
 
 Every oracle here deliberately avoids the library's own code paths:
-matvecs run over raw triplets, distances come from scipy's csgraph, and
-eigenvalues come from LAPACK on a dense copy.
+matvecs run over raw triplets, distances come from scipy's csgraph or a
+plain-Python BFS, and eigenvalues come from LAPACK on a dense copy.
 """
+
+from collections import deque
 
 import numpy as np
 import scipy.sparse
@@ -51,6 +53,43 @@ def true_diameter(A) -> int:
     d = allpairs_distances(A)
     finite = d[np.isfinite(d)]
     return int(finite.max()) if finite.size else 0
+
+
+def bfs_distances(A, start) -> np.ndarray:
+    """Plain-Python BFS hop counts over the off-diagonal structure; -1
+    where ``start`` does not reach."""
+    rs, cols = A.row_starts, A.col_indices
+    dist = np.full(A.n, -1)
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for j in cols[rs[v] : rs[v + 1]]:
+            if dist[j] < 0:
+                dist[j] = dist[v] + 1
+                queue.append(j)
+    return dist
+
+
+def double_sweep_diameter(A) -> int:
+    """Pseudo-diameter by its definition, one component at a time.
+
+    Start at the component's minimum-degree vertex, sweep to its farthest
+    vertex u, and take the largest distance from u; ties go to the
+    smallest index.  The largest value over the components is returned.
+    """
+    degrees = np.diff(A.row_starts) - 1
+    seen = np.zeros(A.n, dtype=bool)
+    best = 0
+    for root in range(A.n):
+        if seen[root]:
+            continue
+        members = np.nonzero(bfs_distances(A, root) >= 0)[0]
+        seen[members] = True
+        start = members[np.argmin(degrees[members])]
+        u = int(np.argmax(bfs_distances(A, start)))
+        best = max(best, int(bfs_distances(A, u).max()))
+    return best
 
 
 def dd_spd_triplets(n, rng, density=0.1, delta=(0.1, 2.0), signed=False):

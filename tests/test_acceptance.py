@@ -5,6 +5,7 @@ live).  The desk-scale pipeline is built once per session and shared by the
 criteria that score it.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -29,6 +30,10 @@ from oracles import dd_spd_triplets, dense_of, eigenvalues_of, true_diameter
 DESK_SEED = 42
 SPLIT_SEED = 3
 K = 5
+# sha256 of the desk sample.jsonl.  A deliberate change to what labelling
+# records (such as the fix for the lucky-breakdown records on the roadmap)
+# re-baselines this constant.
+DESK_SAMPLE_SHA256 = "064ea97f707cf7349ce5976dfd9f13bbe7bbc6d9e46ca9b45cd7efae2474fbdc"
 
 
 def announce(num: int, ok: bool, text: str) -> None:
@@ -282,6 +287,11 @@ def test_criterion_7_k1_self_consistency(desk_pipeline):
         report.n_knn == report.n_opt,
         f"k=1 on the training side: N_kNN == N_Opt == {report.n_opt:.1f}",
     )
+
+
+def test_desk_sample_digest(desk_pipeline):
+    digest = hashlib.sha256(desk_pipeline["sample"].read_bytes()).hexdigest()
+    assert digest == DESK_SAMPLE_SHA256
 
 
 def test_criterion_8_determinism(desk_pipeline, tmp_path_factory):

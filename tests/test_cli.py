@@ -54,6 +54,15 @@ class TestFeaturesCommand:
         p.write_text("garbage\n")
         assert main(["features", str(p)]) == 2
 
+    def test_nan_value_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "nan.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 nan\n"
+        )
+        assert main(["features", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert "line 3" in captured.err and "nan" not in captured.out
+
 
 class TestSolveCommand:
     def test_identity_solve(self, identity_file, capsys):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from mpcg.dataset import (
     plan_specs,
     read_manifest,
     read_sample,
+    _decode_pairs,
+    _encode_pairs,
 )
 from mpcg.errors import GraphFullError, InvalidSpecError
 from mpcg.features import extract_features
@@ -162,6 +165,51 @@ class TestPerturb:
             member_d = [np.linalg.norm(pts[k + 1 + j] - base_pt) for j in range(5)]
             assert np.median(member_d) < overall_median
             k += len(grp)
+
+
+class TestPairCodes:
+    def test_decoding_matches_triu_indices(self):
+        for n in range(2, 61):
+            iu, ju = np.triu_indices(n, 1)
+            pairs = _decode_pairs(np.arange(n * (n - 1) // 2), n)
+            np.testing.assert_array_equal(pairs, np.stack([iu, ju], axis=1))
+            np.testing.assert_array_equal(_encode_pairs(pairs, n), np.arange(iu.size))
+
+    def test_round_trip_at_row_boundaries_for_large_n(self):
+        n = 250_000
+        rows = np.array([0, 1, 2, 1000, n // 2, n - 3, n - 2])
+        first = np.stack([rows, rows + 1], axis=1)  # first pair of each row
+        last = np.stack([rows, np.full(rows.size, n - 1)], axis=1)  # last pair
+        pairs = np.concatenate([first, last])
+        codes = _encode_pairs(pairs, n)
+        assert codes.max() == n * (n - 1) // 2 - 1
+        np.testing.assert_array_equal(_decode_pairs(codes, n), pairs)
+        # one code before a row's first pair is the previous row's last pair
+        before = _decode_pairs(codes[1 : rows.size] - 1, n)
+        np.testing.assert_array_equal(before[:, 0], rows[1:] - 1)
+        np.testing.assert_array_equal(before[:, 1], n - 1)
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestSparseGraphMemory:
+    # The pair space of n = 5000 holds 12.5M pairs: a table over it costs
+    # 12 MiB as booleans and 95 MiB as int64 codes, far above the edges.
+    spec = GraphSpec("random_gnm", 5000, seed=1, m_target=10_000)
+
+    def test_generate_random_gnm_needs_no_pair_table(self):
+        assert _peak_mib(lambda: generate(self.spec)) < 20
+
+    def test_perturb_needs_no_pair_table(self):
+        base = generate(self.spec)
+        assert _peak_mib(lambda: perturb(base, 2)) < 20
 
 
 class TestLabelMatrix:

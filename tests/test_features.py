@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from mpcg.dataset import GraphSpec, generate
 from mpcg.errors import DegenerateIntervalError, NonpositiveDiagonalError
@@ -16,9 +17,15 @@ from mpcg.features import (
     pseudo_diameter,
     spread,
 )
-from mpcg.sparse import from_coordinates
+from mpcg.sparse import SparseSymMatrix, from_coordinates
 
-from oracles import dd_spd_triplets, eigenvalues_of, true_diameter
+from oracles import (
+    bfs_distances,
+    dd_spd_triplets,
+    double_sweep_diameter,
+    eigenvalues_of,
+    true_diameter,
+)
 
 
 def path_matrix(n, diag=3.0):
@@ -67,6 +74,14 @@ class TestBfs:
         vertex, dist = bfs_farthest(A, 0)
         assert (vertex, dist) == (1, 1)
 
+    def test_matches_loop_reference(self):
+        for seed in range(20):
+            A = generate(GraphSpec("random_gnm", 80, seed=seed, m_target=90 + 5 * seed))
+            for start in (0, 17, 79):
+                dist = bfs_distances(A, start)
+                far = dist.max()
+                assert bfs_farthest(A, start) == (int(np.argmax(dist == far)), int(far))
+
     def test_start_out_of_range(self):
         with pytest.raises(IndexError):
             bfs_farthest(path_matrix(3), 7)
@@ -111,6 +126,39 @@ class TestPseudoDiameter:
             trips += [(i, i + 1, 1.0), (i + 1, i, 1.0)]
         A = from_coordinates(trips, 11)
         assert pseudo_diameter(A) == 6
+
+    def test_matches_loop_reference_on_general_graphs(self):
+        # non-trees, where the start vertex of each component matters
+        for seed in range(40):
+            n = 50 + 5 * seed
+            m = int(n * (0.7, 1.0, 1.4, 3.0)[seed % 4])
+            A = generate(GraphSpec("random_gnm", n, seed=seed, m_target=m))
+            assert pseudo_diameter(A) == double_sweep_diameter(A), f"seed {seed}"
+
+    def test_edgeless_large_is_zero(self):
+        # one component per vertex: a per-component sweep must not cost
+        # a pass over the whole matrix per component
+        n = 20_000
+        A = from_coordinates([(i, i, 1.0) for i in range(n)], n)
+        t0 = time.perf_counter()
+        assert pseudo_diameter(A) == 0
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_block_diagonal_union_takes_largest_block_value(self):
+        # non-trees, so each block's value depends on its own start vertex
+        blocks = [
+            generate(GraphSpec("random_gnm", n, seed=seed, m_target=m))
+            for n, seed, m in [(40, 1, 70), (90, 2, 120), (60, 3, 200), (75, 4, 100)]
+        ]
+        union = scipy.sparse.block_diag(
+            [scipy.sparse.csr_matrix((B.values, B.col_indices, B.row_starts)) for B in blocks],
+            format="csr",
+        )
+        union.sort_indices()
+        A = SparseSymMatrix(union.indptr, union.indices, union.data)
+        values = [pseudo_diameter(B) for B in blocks]
+        assert len(set(values)) > 1
+        assert pseudo_diameter(A) == max(values)
 
     def test_relabeling_invariance_on_trees(self):
         for seed in range(10):

@@ -251,6 +251,40 @@ class TestMatrixMarket:
             read_matrix_market(p)
         assert err.value.line_number == 4
 
+    @pytest.mark.parametrize("value, line", [("nan", 4), ("inf", 5), ("-inf", 5)])
+    def test_non_finite_value_reports_line(self, tmp_path, value, line):
+        entries = ["1 1 2.0", "2 1 1.0", "2 2 2.0"]
+        entries[line - 3] = entries[line - 3].rsplit(" ", 1)[0] + f" {value}"
+        p = tmp_path / "nonfinite.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n"
+            + "\n".join(entries) + "\n"
+        )
+        with pytest.raises(MatrixMarketParseError) as err:
+            read_matrix_market(p)
+        assert err.value.line_number == line
+
+    def test_first_offending_line_wins_after_body_comment(self, tmp_path):
+        # a comment among the entries forces the line-by-line parse; the
+        # out-of-range index on line 5 precedes the malformed line 7
+        p = tmp_path / "late.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n"
+            "1 1 2.0\n% note\n3 1 1.0\n\n2 2 two\n"
+        )
+        with pytest.raises(MatrixMarketParseError) as err:
+            read_matrix_market(p)
+        assert err.value.line_number == 5
+
+    def test_float_index_rejected(self, tmp_path):
+        p = tmp_path / "floatidx.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1.0 1 2.0\n"
+        )
+        with pytest.raises(MatrixMarketParseError) as err:
+            read_matrix_market(p)
+        assert err.value.line_number == 3
+
     def test_truncated_file(self, tmp_path):
         p = tmp_path / "short.mtx"
         p.write_text(
