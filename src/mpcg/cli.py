@@ -89,6 +89,9 @@ def _load_rhs(args, A) -> np.ndarray:
         rng = np.random.default_rng(args.seed)
         return rng.standard_normal(A.n)
     b = np.loadtxt(args.b, dtype=np.float64).ravel()
+    bad = np.flatnonzero(~np.isfinite(b))
+    if bad.size:
+        raise ValueError(f"--b {args.b}: component {bad[0] + 1} is not finite")
     return b
 
 
@@ -107,7 +110,7 @@ def cmd_solve(args) -> int:
             return _fail(EXIT_NO_MODEL, "--eps1 auto requires --model")
         try:
             model = regression.load_model(args.model)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             return _fail(EXIT_NO_MODEL, f"cannot read model: {exc}")
         label = regression.knn_predict(model, extract_features(A))
         eps1 = model.grid_values[label - 1]
@@ -163,6 +166,8 @@ def cmd_label(args) -> int:
         specs = _read_specs(args.specs)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read specs: {exc}")
+    except TypeError as exc:  # a spec with an unknown or missing key
+        return _fail(EXIT_CONFIG, f"bad spec in '{args.specs}': {exc}")
     grid = _grid_from_args(args)
     config = _config_from_args(args)
     manifest = dataset.build_sample(

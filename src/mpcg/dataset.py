@@ -2,9 +2,9 @@
 
 Matrices are adjacency matrices of unweighted graphs (all off-diagonal
 weights 1) with a diagonal chosen to force strict row dominance, hence
-positive definiteness.  Each matrix is labeled by running the two-stage
-solver once per grid value of eps1 plus one pure binary64 baseline, and
-recording which grid value minimizes the weighted cost mu*N1 + N2.
+positive definiteness.  Each matrix is labeled by one two-stage sweep
+over the grid values of eps1 plus the pure binary64 baseline, recording
+which grid value minimizes the weighted cost mu*N1 + N2.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GraphFullError, InvalidSpecError
 from .features import FeatureVector, extract_features
-from .solver import SolveConfig, cg, no_stagnation, pcg_jacobi, two_stage_solve
+from .solver import SolveConfig, sweep
 from .sparse import SparseSymMatrix, _from_arrays
 
 __all__ = [
@@ -384,34 +384,18 @@ def label_matrix(
 
     The label is the grid class of minimum cost, ties resolved toward the
     larger eps1 (fewer reduced-precision iterations for the same price).
-    A sweep whose refinement stage fails yields a record with
-    ``valid=False`` that downstream consumers skip.
+    A failed sweep yields a record with ``valid=False``, keeping the cost
+    entries before the first failing eps1, that downstream consumers skip.
     """
     if config is None:
         config = SolveConfig(tolerance=grid.epsilon2)
     features = extract_features(A)
-    solver = pcg_jacobi if config.preconditioner == "jacobi" else cg
-    entries: list[CostEntry] = []
-    valid = True
-    for eps1 in grid.values:
-        try:
-            r = two_stage_solve(A, b, eps1, grid.epsilon2, grid.mu, config)
-        except Exception as exc:  # noqa: BLE001 - any solver failure voids it
-            log.warning("sweep failed for %s at eps1=%g: %s", matrix_id, eps1, exc)
-            valid = False
-            break
-        entries.append(CostEntry(eps1, r.n1, r.n2, r.cost))
-    if valid:
-        # Pure binary64 run; like stage 2 it is bounded by max_iterations,
-        # not by the binary32 stagnation guard.
-        base = solver(A, b, None, no_stagnation(replace(config, tolerance=grid.epsilon2)))
-        if base.status != "converged":
-            log.warning("baseline failed for %s: %s", matrix_id, base.status)
-            valid = False
-        else:
-            entries.append(CostEntry(None, 0, base.iterations, float(base.iterations)))
-
-    if not valid:
+    epsilons = grid.values + (None,)
+    results, failure = sweep(A, b, epsilons, grid.epsilon2, grid.mu, config)
+    entries = [CostEntry(r.epsilon1, r.n1, r.n2, r.cost) for r in results]
+    if failure is not None:
+        eps1 = epsilons[len(results)]
+        log.warning("sweep failed for %s at eps1=%s: %s", matrix_id, eps1, failure)
         return SampleRecord(
             matrix_id, group_id, spec, features, entries, None, None, None, False
         )

@@ -295,22 +295,26 @@ def save_model(model: KnnModel, path, split: dict | None = None) -> None:
 
 
 def load_model(path) -> KnnModel:
+    """Model written by ``save_model``; a malformed file raises ValueError."""
     with open(path, "r", encoding="ascii") as fh:
         payload = json.load(fh)
-    return KnnModel(
-        normalization=NormalizationParams(
-            np.array(payload["mins"], dtype=float),
-            np.array(payload["maxs"], dtype=float),
-        ),
-        points=np.array(payload["points"], dtype=float).reshape(
-            len(payload["labels"]), -1
-        ),
-        labels=np.array(payload["labels"], dtype=np.int64),
-        k=payload["k"],
-        grid_values=tuple(payload["grid_values"]),
-        train_ids=tuple(payload["train_ids"]),
-        test_ids=tuple(payload["test_ids"]),
-    )
+    try:
+        return KnnModel(
+            normalization=NormalizationParams(
+                np.array(payload["mins"], dtype=float),
+                np.array(payload["maxs"], dtype=float),
+            ),
+            points=np.array(payload["points"], dtype=float).reshape(
+                len(payload["labels"]), -1
+            ),
+            labels=np.array(payload["labels"], dtype=np.int64),
+            k=payload["k"],
+            grid_values=tuple(payload["grid_values"]),
+            train_ids=tuple(payload["train_ids"]),
+            test_ids=tuple(payload["test_ids"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed model file '{path}': {exc!r}") from None
 
 
 def save_report(report: EvalReport, path, meta: dict | None = None) -> None:

@@ -1,10 +1,14 @@
-"""Conjugate gradient, Jacobi-preconditioned CG, and the two-stage driver.
+"""Conjugate gradient, Jacobi-preconditioned CG, and the two-stage sweep.
 
-The two-stage driver first solves the system in binary32 to a loose
+A two-stage solve first solves the system in binary32 to a loose
 tolerance eps1 from a zero start, then refines the upcast result in
 binary64 to the final tolerance eps2.  Its cost is charged as
 ``mu * N1 + N2``: reduced-precision iterations count a fraction ``mu``
-(default one half) of a full-precision iteration.
+(default one half) of a full-precision iteration.  ``sweep`` solves for
+a whole grid of eps1 at once.  The binary32 run to one eps1 is a prefix
+of the run to any smaller one, so stage 1 runs once and stops at each
+eps1 on its way; stage 2 runs once per distinct stage-1 iteration count.
+``two_stage_solve`` is its one-value case.
 
 The stopping test always uses the true residual ``b - A x``, recomputed
 with a fresh matrix-vector product every iteration.  In binary32 the
@@ -37,6 +41,7 @@ __all__ = [
     "cg",
     "pcg_jacobi",
     "two_stage_solve",
+    "sweep",
     "no_stagnation",
     "cost",
     "iteration_bound",
@@ -117,60 +122,68 @@ def _check_operands(A: SparseSymMatrix, b, x0):
     return b, x
 
 
-def _run_cg(A, b, x0, config: SolveConfig, inv_diag) -> SolveResult:
-    """Common driver; ``inv_diag`` is None for plain CG and 1/diag for Jacobi.
+def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
+    """Yield one SolveResult per tolerance of the descending ``tolerances``:
+    the first iterate of one CG run that meets it, or the last iterate if
+    the run ends first.  Stagnation and max_iterations do not depend on the
+    tolerance, so each equals a separate run to that tolerance alone.
 
-    Every vector operation runs at the matrix's storage precision.  The
-    update order per iteration is alpha, x, r, beta, d.
+    ``inv_diag`` is None for plain CG and 1/diag for Jacobi.  Every vector
+    operation runs at the matrix's storage precision.  The update order per
+    iteration is alpha, x, r, beta, d.
     """
     b, x = _check_operands(A, b, x0)
     max_iterations = config.max_iterations or 10 * A.n
-    norm_b = float(np.linalg.norm(b))
-    threshold = (
-        config.tolerance * norm_b
-        if config.residual_mode == "relative"
-        else config.tolerance
-    )
+    scale = float(np.linalg.norm(b)) if config.residual_mode == "relative" else 1.0
+    thresholds = [t * scale for t in tolerances]
 
     r = b - spmv(A, x)
     res = float(np.linalg.norm(r))
-    history: list[float] = []
-    if res <= threshold:
-        return SolveResult(x, 0, res, "converged", np.array(history))
-
     d = inv_diag * r if inv_diag is not None else r.copy()
     rz = np.dot(r, d)  # r'M^-1 r; plain r'r when unpreconditioned
-    bests = [res]
-    status = "max_iterations"
-    for k in range(1, max_iterations + 1):
-        Ad = spmv(A, d)
-        dAd = np.dot(d, Ad)
-        if not np.isfinite(dAd) or dAd <= 0:
-            raise CgBreakdownError(
-                f"d'Ad = {dAd} at iteration {k}: operand not SPD at {A.precision}"
-            )
-        alpha = rz / dAd
-        x = x + alpha * d
-        r = r - alpha * Ad
-        z = inv_diag * r if inv_diag is not None else r
-        rz_next = np.dot(r, z)
-        beta = rz_next / rz if rz != 0 else z.dtype.type(0)
-        d = z + beta * d
-        rz = rz_next
+    history, bests = [], [res]
+    met, status = 0, "max_iterations"
+    for k in range(max_iterations + 1):
+        if k > 0:
+            Ad = spmv(A, d)
+            dAd = np.dot(d, Ad)
+            if not np.isfinite(dAd) or dAd <= 0:
+                raise CgBreakdownError(
+                    f"d'Ad = {dAd} at iteration {k}: operand not SPD at {A.precision}"
+                )
+            alpha = rz / dAd
+            x = x + alpha * d
+            r = r - alpha * Ad
+            z = inv_diag * r if inv_diag is not None else r
+            rz_next = np.dot(r, z)
+            beta = rz_next / rz if rz != 0 else z.dtype.type(0)
+            d = z + beta * d
+            rz = rz_next
 
-        res = float(np.linalg.norm(b - spmv(A, x)))
-        history.append(res)
-        bests.append(min(bests[-1], res))
-        if res <= threshold:
-            status = "converged"
-            break
+            res = float(np.linalg.norm(b - spmv(A, x)))
+            history.append(res)
+            bests.append(min(bests[-1], res))
+        while met < len(thresholds) and res <= thresholds[met]:
+            yield SolveResult(x, k, res, "converged", np.array(history))
+            met += 1
+        if met == len(thresholds):
+            return
         if (
             k >= config.stagnation_window
             and bests[k] > config.stagnation_factor * bests[k - config.stagnation_window]
         ):
             status = "stagnated"
             break
-    return SolveResult(x, len(history), res, status, np.array(history))
+    for _ in thresholds[met:]:
+        yield SolveResult(x, len(history), res, status, np.array(history))
+
+
+def _inverse_diagonal(A: SparseSymMatrix) -> np.ndarray:
+    """1/diag(A) at the storage precision, the Jacobi preconditioner."""
+    diag = A.diagonal()
+    if np.any(diag <= 0):
+        raise NonpositiveDiagonalError("Jacobi preconditioning needs diag > 0")
+    return (A.dtype.type(1) / diag).astype(A.dtype)
 
 
 def cg(A: SparseSymMatrix, b, x0=None, config: SolveConfig | None = None) -> SolveResult:
@@ -182,7 +195,7 @@ def cg(A: SparseSymMatrix, b, x0=None, config: SolveConfig | None = None) -> Sol
     """
     if config is None:
         raise ValueError("config with a tolerance is required")
-    return _run_cg(A, b, x0, config, None)
+    return next(_run_cg(A, b, x0, config, None, (config.tolerance,)))
 
 
 def pcg_jacobi(
@@ -191,20 +204,79 @@ def pcg_jacobi(
     """CG preconditioned by M = diag(A); stopping test is unpreconditioned."""
     if config is None:
         raise ValueError("config with a tolerance is required")
-    diag = A.diagonal()
-    if np.any(diag <= 0):
-        raise NonpositiveDiagonalError("Jacobi preconditioning needs diag > 0")
-    inv_diag = (A.dtype.type(1) / diag).astype(A.dtype)
-    return _run_cg(A, b, x0, config, inv_diag)
-
-
-def _stage_solver(config: SolveConfig):
-    return pcg_jacobi if config.preconditioner == "jacobi" else cg
+    inv_diag = _inverse_diagonal(A)
+    return next(_run_cg(A, b, x0, config, inv_diag, (config.tolerance,)))
 
 
 def no_stagnation(config: SolveConfig) -> SolveConfig:
     """Copy of ``config`` whose stagnation window can never trigger."""
     return replace(config, stagnation_window=2**31 - 1)
+
+
+def sweep(
+    A: SparseSymMatrix,
+    b,
+    epsilons,
+    epsilon2: float,
+    mu: float = 0.5,
+    config: SolveConfig | None = None,
+) -> tuple[list[TwoStageResult], Exception | None]:
+    """Two-stage solves of A x = b for each eps1 in ``epsilons``, in order.
+
+    ``None`` stands for the pure binary64 baseline: stage 2 from zero,
+    N1 = 0, stage-1 status "skipped".  Returns the results and None, or
+    the results before the first failing eps1 and the exception that
+    failed it; invalid arguments raise.
+    """
+    tolerances = sorted({e for e in epsilons if e is not None}, reverse=True)
+    if not 0 < epsilon2 <= (tolerances[-1] if tolerances else epsilon2):
+        raise ValueError("epsilon2 must be positive and not exceed epsilon1")
+    if not 0 < mu < 1:
+        raise ValueError("mu must lie in (0, 1)")
+    config = config or SolveConfig(tolerance=epsilon2)
+    if A.dtype != np.float64:
+        raise PrecisionMismatchError("two-stage solve expects a binary64 matrix")
+    b = np.asarray(b, dtype=np.float64)
+    jacobi = config.preconditioner == "jacobi"
+
+    stage1, stage1_failure = {}, None
+    try:
+        if tolerances:
+            A32, b32 = downcast(A), downcast_vector(b)
+            inv_diag = _inverse_diagonal(A32) if jacobi else None
+            run = _run_cg(A32, b32, None, config, inv_diag, tolerances)
+            for eps1, result in zip(tolerances, run):
+                stage1[eps1] = result
+    except Exception as exc:  # noqa: BLE001 - fails every eps1 left unmet
+        stage1_failure = exc
+
+    # The stagnation guard exists for the binary32 stage, whose residual can
+    # floor out far above the target.  Refinement in binary64 is bounded by
+    # max_iterations alone; its long plateaus are ordinary CG behavior.
+    refine = no_stagnation(replace(config, tolerance=epsilon2))
+    solve = pcg_jacobi if jacobi else cg
+    stage2, results = {}, []
+    try:
+        for eps1 in epsilons:
+            first = None if eps1 is None else stage1.get(eps1)
+            if first is None and eps1 is not None:
+                return results, stage1_failure
+            n1 = first.iterations if first else 0
+            if n1 not in stage2:
+                x0 = upcast_vector(first.x) if first else None
+                stage2[n1] = solve(A, b, x0, refine)
+            second = stage2[n1]
+            if second.status != "converged":
+                return results, Stage2NotConvergedError(
+                    f"stage 2 ended with status '{second.status}' after {second.iterations}"
+                    f" iterations (residual {second.final_residual_norm:.3e})")
+            n2, status1 = second.iterations, first.status if first else "skipped"
+            results.append(TwoStageResult(
+                second.x, n1, n2, eps1, epsilon2, mu, cost(n1, n2, mu), status1,
+                second.status, second.final_residual_norm))
+    except Exception as exc:  # noqa: BLE001 - reported like a stage-1 failure
+        return results, exc
+    return results, None
 
 
 def two_stage_solve(
@@ -219,44 +291,13 @@ def two_stage_solve(
 
     Stage 1 starts from zero on the rounded system; its last iterate is
     upcast and used as the starting point of stage 2 even when stage 1
-    stagnated short of eps1.  The returned cost is ``mu * N1 + N2``.
+    stagnated short of eps1.  The returned cost is ``mu * N1 + N2``.  This
+    is ``sweep`` over the one value eps1; a failed solve raises.
     """
-    if not epsilon2 <= epsilon1:
-        raise ValueError("epsilon2 must not exceed epsilon1")
-    if not 0 < mu < 1:
-        raise ValueError("mu must lie in (0, 1)")
-    if config is None:
-        config = SolveConfig(tolerance=epsilon2)
-    if A.dtype != np.float64:
-        raise PrecisionMismatchError("two-stage solve expects a binary64 matrix")
-    b = np.asarray(b, dtype=np.float64)
-
-    solver = _stage_solver(config)
-    A32 = downcast(A)
-    b32 = downcast_vector(b)
-    stage1 = solver(A32, b32, None, replace(config, tolerance=epsilon1))
-    x0 = upcast_vector(stage1.x)
-    # The stagnation guard exists for the binary32 stage, whose residual can
-    # floor out far above the target.  Refinement in binary64 is bounded by
-    # max_iterations alone; its long plateaus are ordinary CG behavior.
-    stage2 = solver(A, b, x0, no_stagnation(replace(config, tolerance=epsilon2)))
-    if stage2.status != "converged":
-        raise Stage2NotConvergedError(
-            f"stage 2 ended with status '{stage2.status}' after "
-            f"{stage2.iterations} iterations (residual {stage2.final_residual_norm:.3e})"
-        )
-    return TwoStageResult(
-        x=stage2.x,
-        n1=stage1.iterations,
-        n2=stage2.iterations,
-        epsilon1=epsilon1,
-        epsilon2=epsilon2,
-        mu=mu,
-        cost=cost(stage1.iterations, stage2.iterations, mu),
-        stage1_status=stage1.status,
-        stage2_status=stage2.status,
-        final_residual_norm=stage2.final_residual_norm,
-    )
+    results, failure = sweep(A, b, (epsilon1,), epsilon2, mu, config)
+    if failure is not None:
+        raise failure
+    return results[0]
 
 
 def cost(n1: int, n2: int, mu: float) -> float:

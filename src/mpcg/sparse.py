@@ -241,20 +241,24 @@ def upcast_vector(x: np.ndarray) -> np.ndarray:
     return x.astype(np.float64)
 
 
+_WRITE_BLOCK = 2**16  # entries formatted per write
+
+
 def write_matrix_market(A: SparseSymMatrix, path) -> None:
     """Write the lower triangle in coordinate format with a symmetric header.
 
     Values carry 17 significant digits, so binary64 round-trips exactly.
     """
-    rs, cols, vals = A.row_starts, A.col_indices, A.values
-    row_of = np.repeat(np.arange(A.n), np.diff(rs))
-    keep = cols <= row_of
-    lines = ["%%MatrixMarket matrix coordinate real symmetric"]
-    lines.append(f"{A.n} {A.n} {int(keep.sum())}")
-    for i, j, v in zip(row_of[keep], cols[keep], vals[keep]):
-        lines.append(f"{i + 1} {j + 1} {v:.17g}")
+    row_of = np.repeat(np.arange(A.n), np.diff(A.row_starts))
+    keep = A.col_indices <= row_of
+    rows, cols, vals = row_of[keep] + 1, A.col_indices[keep] + 1, A.values[keep]
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
+        fh.write(f"{A.n} {A.n} {rows.size}\n")
+        for k in range(0, rows.size, _WRITE_BLOCK):  # bounds the Python objects
+            part = slice(k, k + _WRITE_BLOCK)
+            entries = zip(rows[part].tolist(), cols[part].tolist(), vals[part].tolist())
+            fh.write("".join(map("%d %d %.17g\n".__mod__, entries)))
 
 
 _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])

@@ -2,10 +2,13 @@
 
 Every oracle here deliberately avoids the library's own code paths:
 matvecs run over raw triplets, distances come from scipy's csgraph or a
-plain-Python BFS, and eigenvalues come from LAPACK on a dense copy.
+plain-Python BFS, and eigenvalues come from LAPACK on a dense copy.  The
+exceptions are references for code that was replaced: they keep the
+replaced algorithm and call the library only for what it kept.
 """
 
 from collections import deque
+from dataclasses import asdict, replace
 
 import numpy as np
 import scipy.sparse
@@ -117,3 +120,75 @@ def dd_spd_triplets(n, rng, density=0.1, delta=(0.1, 2.0), signed=False):
     margins = rng.uniform(delta[0], delta[1], n)
     triplets.extend((v, v, float(rowsum[v] + margins[v])) for v in range(n))
     return triplets
+
+
+def write_matrix_market_reference(A, path) -> None:
+    """Matrix Market writer formatting one f-string per stored entry."""
+    rs, cols, vals = A.row_starts, A.col_indices, A.values
+    row_of = np.repeat(np.arange(A.n), np.diff(rs))
+    keep = cols <= row_of
+    lines = ["%%MatrixMarket matrix coordinate real symmetric"]
+    lines.append(f"{A.n} {A.n} {int(keep.sum())}")
+    for i, j, v in zip(row_of[keep], cols[keep], vals[keep]):
+        lines.append(f"{i + 1} {j + 1} {v:.17g}")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def two_stage_reference(A, b, epsilon1, epsilon2, mu, config):
+    """(n1, n2, x) of a two-stage solve with its own stage 1 from zero."""
+    from mpcg.errors import Stage2NotConvergedError
+    from mpcg.solver import cg, no_stagnation, pcg_jacobi
+    from mpcg.sparse import downcast, downcast_vector, upcast_vector
+
+    solver = pcg_jacobi if config.preconditioner == "jacobi" else cg
+    b = np.asarray(b, dtype=np.float64)
+    stage1 = solver(
+        downcast(A), downcast_vector(b), None, replace(config, tolerance=epsilon1)
+    )
+    x0 = upcast_vector(stage1.x)
+    stage2 = solver(A, b, x0, no_stagnation(replace(config, tolerance=epsilon2)))
+    if stage2.status != "converged":
+        raise Stage2NotConvergedError(stage2.status)
+    return stage1.iterations, stage2.iterations, stage2.x
+
+
+def label_matrix_reference(A, b, grid, config, matrix_id="", group_id="", spec=None):
+    """``label_matrix`` by one independent two-stage solve per grid value,
+    then a separate pure binary64 solve; returns the record's dict form."""
+    from mpcg.features import extract_features
+    from mpcg.solver import cg, no_stagnation, pcg_jacobi
+
+    costs = []
+    valid = True
+    for eps1 in grid.values:
+        try:
+            n1, n2, _ = two_stage_reference(A, b, eps1, grid.epsilon2, grid.mu, config)
+        except Exception:  # noqa: BLE001 - any solver failure voids the record
+            valid = False
+            break
+        costs.append({"epsilon1": eps1, "n1": n1, "n2": n2, "cost": grid.mu * n1 + n2})
+    if valid:
+        solver = pcg_jacobi if config.preconditioner == "jacobi" else cg
+        base = solver(A, b, None, no_stagnation(replace(config, tolerance=grid.epsilon2)))
+        valid = base.status == "converged"
+        if valid:
+            costs.append(
+                {"epsilon1": None, "n1": 0, "n2": base.iterations, "cost": float(base.iterations)}
+            )
+    label = i_opt = i_wrst = None
+    if valid:
+        grid_costs = [c["cost"] for c in costs[:-1]]
+        i_opt, i_wrst = min(grid_costs), max(grid_costs)
+        label = grid_costs.index(i_opt) + 1
+    return {
+        "matrix_id": matrix_id,
+        "group_id": group_id,
+        "spec": spec.to_dict() if spec else None,
+        "features": asdict(extract_features(A)),
+        "costs": costs,
+        "label": label,
+        "i_opt": i_opt,
+        "i_wrst": i_wrst,
+        "valid": valid,
+    }

@@ -95,6 +95,18 @@ class TestSolveCommand:
         x = np.loadtxt(out)
         np.testing.assert_allclose(x, np.ones(4))
 
+    def test_non_finite_rhs_exits_2(self, identity_file, tmp_path, capsys):
+        b = tmp_path / "b.txt"
+        b.write_text("1.0\n1.0\nnan\n1.0\n")
+        assert main(["solve", str(identity_file), "--eps1", "0.1", "--b", str(b)]) == 2
+        assert "component 3 is not finite" in capsys.readouterr().err
+
+    def test_auto_with_malformed_model_exits_4(self, identity_file, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text('{"k": 5}\n')
+        argv = ["solve", str(identity_file), "--eps1", "auto", "--model", str(model)]
+        assert main(argv) == 4
+
     def test_non_spd_matrix_exits_3(self, tmp_path):
         p = tmp_path / "indef.mtx"
         p.write_text(
@@ -102,6 +114,21 @@ class TestSolveCommand:
             "2 2 2\n1 1 1.0\n2 2 -1.0\n"
         )
         assert main(["solve", str(p), "--eps1", "0.1", "--b", "random"]) == 3
+
+
+class TestBadInputFiles:
+    def test_unknown_spec_key_exits_2(self, tmp_path, capsys):
+        specs = tmp_path / "specs.jsonl"
+        specs.write_text('{"family": "path", "n": 10, "bogus": 1}\n')
+        out = tmp_path / "sample.jsonl"
+        assert main(["label", "--specs", str(specs), "--out", str(out)]) == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_evaluate_with_malformed_model_exits_2(self, tmp_path):
+        sample, model = tmp_path / "sample.jsonl", tmp_path / "model.json"
+        sample.write_text("")
+        model.write_text('{"k": 5}\n')
+        assert main(["evaluate", "--sample", str(sample), "--model", str(model)]) == 2
 
 
 class TestPipeline:

@@ -19,13 +19,19 @@ from mpcg.dataset import (
     _decode_pairs,
     _encode_pairs,
 )
-from mpcg.errors import GraphFullError, InvalidSpecError
+from mpcg.errors import (
+    CgBreakdownError,
+    GraphFullError,
+    InvalidSpecError,
+    SinglePrecisionOverflowError,
+    Stage2NotConvergedError,
+)
 from mpcg.features import extract_features
 from mpcg.regression import minimax_apply, minimax_fit
-from mpcg.solver import SolveConfig
+from mpcg.solver import SolveConfig, sweep, two_stage_solve
 from mpcg.sparse import from_coordinates
 
-from oracles import eigenvalues_of
+from oracles import eigenvalues_of, label_matrix_reference, two_stage_reference
 
 
 def offdiag_abs_rowsums(A):
@@ -320,3 +326,81 @@ class TestPlanSpecs:
     def test_deterministic(self):
         assert plan_specs(total=50, seed=4) == plan_specs(total=50, seed=4)
         assert plan_specs(total=50, seed=4) != plan_specs(total=50, seed=5)
+
+
+def _sweep_cases():
+    thin = GraphSpec("path", 400, seed=21, delta_range=(1e-4, 1e-3))
+    lucky = GraphSpec(
+        "cycle", 439, diagonal_strategy="uniform_constant", constant=7.404224964402027
+    )
+    gnm = generate(GraphSpec("random_gnm", 150, seed=22, m_target=330))
+    huge = from_coordinates([(0, 0, 1e39), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)], 2)
+    return {
+        "default": (gnm, SolveConfig(tolerance=1e-10)),
+        "jacobi": (gnm, SolveConfig(tolerance=1e-10, preconditioner="jacobi")),
+        "absolute": (gnm, SolveConfig(tolerance=1e-10, residual_mode="absolute")),
+        "max_iterations": (gnm, SolveConfig(tolerance=1e-10, max_iterations=1)),
+        "stagnating": (generate(thin), SolveConfig(tolerance=1e-10)),
+        "lucky_breakdown": (generate(lucky), SolveConfig(tolerance=1e-10)),
+        "binary32_overflow": (huge, SolveConfig(tolerance=1e-10)),
+    }
+
+
+SWEEP_CASES = _sweep_cases()
+
+
+class TestSweepAgainstReference:
+    """The one-trajectory sweep against one two-stage solve per eps1."""
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_record_matches_independent_solves(self, case):
+        A, config = SWEEP_CASES[case]
+        grid = EpsilonGrid()
+        got = label_matrix(A, ones_rhs(A), grid, config, "m", "g").to_dict()
+        assert got == label_matrix_reference(A, ones_rhs(A), grid, config, "m", "g")
+
+    def test_cases_cover_their_outcomes(self):
+        grid = EpsilonGrid()
+
+        def run(case):
+            A, config = SWEEP_CASES[case]
+            return sweep(A, ones_rhs(A), grid.values + (None,), 1e-10, 0.5, config)
+
+        results, failure = run("stagnating")
+        assert failure is None and "stagnated" in {r.stage1_status for r in results}
+        results, failure = run("lucky_breakdown")
+        assert isinstance(failure, CgBreakdownError) and len(results) == 6
+        results, failure = run("max_iterations")
+        assert isinstance(failure, Stage2NotConvergedError)
+        results, failure = run("binary32_overflow")
+        assert isinstance(failure, SinglePrecisionOverflowError) and results == []
+
+    @pytest.mark.parametrize("case", ["default", "jacobi", "absolute", "stagnating"])
+    def test_two_stage_solve_is_one_value_sweep(self, case):
+        A, config = SWEEP_CASES[case]
+        b = ones_rhs(A)
+        results, failure = sweep(A, b, DEFAULT_GRID + (None,), 1e-10, 0.5, config)
+        assert failure is None
+        for r in results[:-1]:
+            one = two_stage_solve(A, b, r.epsilon1, 1e-10, 0.5, config)
+            assert (one.n1, one.n2) == (r.n1, r.n2)
+            assert np.array_equal(one.x, r.x)
+            n1, n2, x = two_stage_reference(A, b, r.epsilon1, 1e-10, 0.5, config)
+            assert (n1, n2) == (r.n1, r.n2) and np.array_equal(x, r.x)
+
+    def test_stage_two_runs_once_per_distinct_n1(self, monkeypatch):
+        import mpcg.solver as solver
+
+        A, config = SWEEP_CASES["default"]
+        runs = []
+        real = solver._run_cg
+
+        def counting(M, *args):
+            runs.append(M.dtype)
+            return real(M, *args)
+
+        monkeypatch.setattr(solver, "_run_cg", counting)
+        results, failure = sweep(A, ones_rhs(A), DEFAULT_GRID + (None,), 1e-10, 0.5, config)
+        assert failure is None
+        assert runs.count(np.float32) == 1
+        assert runs.count(np.float64) == len({r.n1 for r in results})

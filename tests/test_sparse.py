@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mpcg.sparse as sparse_module
 from mpcg.errors import (
     AsymmetricInputError,
     DimensionMismatchError,
@@ -20,7 +21,7 @@ from mpcg.sparse import (
     write_matrix_market,
 )
 
-from oracles import dd_spd_triplets, inorder_matvec
+from oracles import dd_spd_triplets, inorder_matvec, write_matrix_market_reference
 
 
 def identity(n, dtype=np.float64):
@@ -197,6 +198,16 @@ class TestMatrixMarket:
         assert np.array_equal(A.row_starts, B.row_starts)
         assert np.array_equal(A.col_indices, B.col_indices)
         assert np.array_equal(A.values.view(np.uint64), B.values.view(np.uint64))
+
+    @pytest.mark.parametrize("block", [7, 2**16])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_writer_bytes_match_reference(self, tmp_path, monkeypatch, dtype, block):
+        monkeypatch.setattr(sparse_module, "_WRITE_BLOCK", block)
+        rng = np.random.default_rng(6)
+        A = from_coordinates(dd_spd_triplets(60, rng, signed=True), 60, dtype=dtype)
+        write_matrix_market(A, tmp_path / "new.mtx")
+        write_matrix_market_reference(A, tmp_path / "old.mtx")
+        assert (tmp_path / "new.mtx").read_bytes() == (tmp_path / "old.mtx").read_bytes()
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "bad.mtx"
