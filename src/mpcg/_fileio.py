@@ -1,0 +1,46 @@
+"""Output files that are either complete or not written at all."""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import secrets
+import stat
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """ASCII text file handle whose contents replace ``path`` only on success.
+
+    The handle writes a temporary file next to ``path``, which
+    ``os.replace`` moves over it once the block ends without an exception,
+    so the directory must be writable even when ``path`` is.  If the block
+    raises, the temporary file is removed and a previous ``path`` stays as
+    it was.  A new file is created like ``open`` creates one, so the umask
+    sets its mode; a replaced file keeps its permission bits, while its
+    owner becomes the writer.  A symbolic link is followed and its target
+    replaced.  A target that exists but is not a regular file, such as
+    ``/dev/stdout`` or a pipe, cannot be replaced and is written directly.
+    """
+    try:
+        target = os.stat(path)  # follows links, /proc/self/fd ones included
+    except FileNotFoundError:
+        target = None
+    if target is not None and not stat.S_ISREG(target.st_mode):
+        with open(path, "w", encoding="ascii") as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="ascii") as fh:
+            yield fh
+        if target is not None:
+            os.chmod(tmp, stat.S_IMODE(target.st_mode))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise

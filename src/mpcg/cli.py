@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import dataset, regression
+from ._fileio import atomic_write
 from .errors import (
     CgBreakdownError,
     MatrixMarketParseError,
@@ -132,7 +133,8 @@ def cmd_solve(args) -> int:
     print(f"cost           = {result.cost:g}")
     print(f"final_residual = {result.final_residual_norm:.17g}")
     if args.write_x:
-        np.savetxt(args.write_x, result.x, fmt="%.17g")
+        with atomic_write(args.write_x) as fh:
+            np.savetxt(fh, result.x, fmt="%.17g")
     return 0
 
 
@@ -144,7 +146,7 @@ def cmd_generate(args) -> int:
         variants=args.variants,
         seed=args.seed,
     )
-    with open(args.out, "w", encoding="ascii") as fh:
+    with atomic_write(args.out) as fh:
         for spec in specs:
             fh.write(json.dumps(spec.to_dict(), sort_keys=True) + "\n")
     matrices = sum(1 + s.variants for s in specs)
@@ -228,7 +230,7 @@ def cmd_evaluate(args) -> int:
         regression.save_report(
             report, args.out, meta={"subset": args.subset, "k": model.k}
         )
-        with open(str(args.out) + ".txt", "w", encoding="ascii") as fh:
+        with atomic_write(str(args.out) + ".txt") as fh:
             fh.write(report.format_table() + "\n")
     print(report.format_table())
     return 0

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fileio import atomic_write
 from .errors import GraphFullError, InvalidSpecError
 from .features import FeatureVector, extract_features
 from .solver import SolveConfig, sweep
@@ -509,11 +510,13 @@ def build_sample(
 def write_sample(
     records: list[SampleRecord], path, manifest: DatasetManifest | None = None
 ) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    """One JSON line per record, then the manifest beside it; each file is
+    replaced whole, so an interrupted write leaves the previous one."""
+    with atomic_write(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
     if manifest is not None:
-        with open(manifest_path(path), "w", encoding="ascii") as fh:
+        with atomic_write(manifest_path(path)) as fh:
             fh.write(json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n")
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fileio import atomic_write
 from .dataset import SampleRecord
 from .errors import (
     EmptyTrainingSetError,
@@ -290,7 +291,7 @@ def save_model(model: KnnModel, path, split: dict | None = None) -> None:
         "test_ids": list(model.test_ids),
         "split": split,
     }
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
@@ -321,5 +322,5 @@ def save_report(report: EvalReport, path, meta: dict | None = None) -> None:
     payload = report.to_dict()
     if meta:
         payload["meta"] = meta
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")

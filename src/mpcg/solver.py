@@ -130,41 +130,50 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
 
     ``inv_diag`` is None for plain CG and 1/diag for Jacobi.  Every vector
     operation runs at the matrix's storage precision.  The update order per
-    iteration is alpha, x, r, beta, d.
+    iteration is alpha, x, r, beta, d.  The vectors live in buffers
+    allocated once per run and updated in place, each step rounding as the
+    allocating expression in its comment; ``spmv`` writes both products of
+    an iteration into them.  A yielded result holds a copy of x.
     """
     b, x = _check_operands(A, b, x0)
     max_iterations = config.max_iterations or 10 * A.n
     scale = float(np.linalg.norm(b)) if config.residual_mode == "relative" else 1.0
     thresholds = [t * scale for t in tolerances]
 
-    r = b - spmv(A, x)
-    res = float(np.linalg.norm(r))
-    d = inv_diag * r if inv_diag is not None else r.copy()
-    rz = np.dot(r, d)  # r'M^-1 r; plain r'r when unpreconditioned
+    r, d, Ad, t = (np.empty_like(x) for _ in range(4))  # t: scratch
+    z = r if inv_diag is None else np.empty_like(x)
+    np.subtract(b, spmv(A, x, out=t), out=r)  # r = b - A x
+    res = float(np.sqrt(r.dot(r)))  # np.linalg.norm of a real vector
+    if inv_diag is not None:
+        np.multiply(inv_diag, r, out=z)
+    np.copyto(d, z)
+    rz = r.dot(d)  # r'M^-1 r; plain r'r when unpreconditioned
     history, bests = [], [res]
     met, status = 0, "max_iterations"
     for k in range(max_iterations + 1):
         if k > 0:
-            Ad = spmv(A, d)
-            dAd = np.dot(d, Ad)
-            if not np.isfinite(dAd) or dAd <= 0:
+            spmv(A, d, out=Ad)
+            dAd = d.dot(Ad)
+            if not 0 < dAd < math.inf:  # also rejects NaN
                 raise CgBreakdownError(
                     f"d'Ad = {dAd} at iteration {k}: operand not SPD at {A.precision}"
                 )
             alpha = rz / dAd
-            x = x + alpha * d
-            r = r - alpha * Ad
-            z = inv_diag * r if inv_diag is not None else r
-            rz_next = np.dot(r, z)
+            np.add(x, np.multiply(d, alpha, out=t), out=x)  # x + alpha * d
+            np.subtract(r, np.multiply(Ad, alpha, out=t), out=r)  # r - alpha * Ad
+            if inv_diag is not None:
+                np.multiply(inv_diag, r, out=z)
+            rz_next = r.dot(z)
             beta = rz_next / rz if rz != 0 else z.dtype.type(0)
-            d = z + beta * d
+            np.add(z, np.multiply(d, beta, out=d), out=d)  # z + beta * d
             rz = rz_next
 
-            res = float(np.linalg.norm(b - spmv(A, x)))
+            np.subtract(b, spmv(A, x, out=t), out=t)  # b - A x
+            res = float(np.sqrt(t.dot(t)))
             history.append(res)
             bests.append(min(bests[-1], res))
         while met < len(thresholds) and res <= thresholds[met]:
-            yield SolveResult(x, k, res, "converged", np.array(history))
+            yield SolveResult(x.copy(), k, res, "converged", np.array(history))
             met += 1
         if met == len(thresholds):
             return
@@ -175,7 +184,7 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
             status = "stagnated"
             break
     for _ in thresholds[met:]:
-        yield SolveResult(x, len(history), res, status, np.array(history))
+        yield SolveResult(x.copy(), len(history), res, status, np.array(history))
 
 
 def _inverse_diagonal(A: SparseSymMatrix) -> np.ndarray:
@@ -271,8 +280,8 @@ def sweep(
                     f"stage 2 ended with status '{second.status}' after {second.iterations}"
                     f" iterations (residual {second.final_residual_norm:.3e})")
             n2, status1 = second.iterations, first.status if first else "skipped"
-            results.append(TwoStageResult(
-                second.x, n1, n2, eps1, epsilon2, mu, cost(n1, n2, mu), status1,
+            results.append(TwoStageResult(  # eps1 with one N1 share a stage 2
+                second.x.copy(), n1, n2, eps1, epsilon2, mu, cost(n1, n2, mu), status1,
                 second.status, second.final_residual_norm))
     except Exception as exc:  # noqa: BLE001 - reported like a stage-1 failure
         return results, exc

@@ -15,6 +15,7 @@ from typing import Iterable
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse import _sparsetools
 
 from .errors import (
     AsymmetricInputError,
@@ -45,8 +46,9 @@ class SparseSymMatrix:
 
     Build one from (row, col, value) triplets with ``from_coordinates``,
     from a file with ``read_matrix_market``, or from CSR arrays with this
-    constructor.  A scipy ``csr_matrix`` over the same arrays (``_csr``)
-    runs the products and the csgraph passes of ``features``.
+    constructor.  A scipy ``csr_matrix`` over the same arrays (``_csr``,
+    with int32 indices where they fit) holds the arrays of every product
+    and runs the csgraph passes of ``features``.
 
     Attributes
     ----------
@@ -196,16 +198,38 @@ def _from_arrays(
     return SparseSymMatrix(row_starts, cols, vals)
 
 
-def spmv(A: SparseSymMatrix, x: np.ndarray) -> np.ndarray:
-    """y = A x in the arithmetic of A's storage precision, O(nnz)."""
+def spmv(A: SparseSymMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """y = A x in the arithmetic of A's storage precision, O(nnz).
+
+    The product is scipy's compiled CSR kernel, what ``csr_matrix @ x``
+    runs after its dispatch: zero y, then accumulate each row in storage
+    order over the arrays of ``A._csr``.  It is written into ``out`` when
+    one is given (a vector of length n at A's dtype that does not overlap
+    x), else into a fresh vector, and y is returned.  CG passes buffers it
+    allocated once per run.
+    """
     x = np.asarray(x)
-    if x.ndim != 1 or x.size != A.n:
+    if x.shape != (A.n,):
         raise DimensionMismatchError(f"expected vector of length {A.n}")
     if x.dtype != A.dtype:
         raise PrecisionMismatchError(
             f"vector is {x.dtype}, matrix stores {A.dtype}"
         )
-    return A._csr @ x
+    if out is None:
+        out = np.zeros(A.n, dtype=A.dtype)
+    else:
+        if out.shape != x.shape:
+            raise DimensionMismatchError(f"expected output of length {A.n}")
+        if out.dtype != x.dtype:
+            raise PrecisionMismatchError(
+                f"output is {out.dtype}, matrix stores {A.dtype}"
+            )
+        if np.may_share_memory(out, x):
+            raise ValueError("output overlaps the input vector")
+        out.fill(0)
+    csr = A._csr
+    _sparsetools.csr_matvec(A.n, A.n, csr.indptr, csr.indices, csr.data, x, out)
+    return out
 
 
 def downcast(A: SparseSymMatrix) -> SparseSymMatrix:

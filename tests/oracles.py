@@ -192,3 +192,59 @@ def label_matrix_reference(A, b, grid, config, matrix_id="", group_id="", spec=N
         "i_wrst": i_wrst,
         "valid": valid,
     }
+
+
+def cg_reference(A, b, x0, config, inv_diag, tolerances):
+    """The allocating CG loop that ``solver._run_cg`` replaced, one list
+    entry per tolerance as (x, iterations, residual, status, history).
+
+    Every vector operation builds a new array and products go through
+    ``csr_matrix @ x``; the update order per iteration is alpha, x, r,
+    beta, d, and the stopping test uses the recomputed true residual.
+    """
+    from mpcg.errors import CgBreakdownError
+
+    A_csr, b = A._csr, np.asarray(b)
+    x = np.zeros(A.n, dtype=A.dtype) if x0 is None else np.array(x0, copy=True)
+    max_iterations = config.max_iterations or 10 * A.n
+    scale = float(np.linalg.norm(b)) if config.residual_mode == "relative" else 1.0
+    thresholds = [t * scale for t in tolerances]
+
+    r = b - A_csr @ x
+    res = float(np.linalg.norm(r))
+    d = inv_diag * r if inv_diag is not None else r.copy()
+    rz = np.dot(r, d)
+    history, bests, out = [], [res], []
+    met, status = 0, "max_iterations"
+    for k in range(max_iterations + 1):
+        if k > 0:
+            Ad = A_csr @ d
+            dAd = np.dot(d, Ad)
+            if not np.isfinite(dAd) or dAd <= 0:
+                raise CgBreakdownError(f"d'Ad = {dAd} at iteration {k}")
+            alpha = rz / dAd
+            x = x + alpha * d
+            r = r - alpha * Ad
+            z = inv_diag * r if inv_diag is not None else r
+            rz_next = np.dot(r, z)
+            beta = rz_next / rz if rz != 0 else z.dtype.type(0)
+            d = z + beta * d
+            rz = rz_next
+
+            res = float(np.linalg.norm(b - A_csr @ x))
+            history.append(res)
+            bests.append(min(bests[-1], res))
+        while met < len(thresholds) and res <= thresholds[met]:
+            out.append((x, k, res, "converged", np.array(history)))
+            met += 1
+        if met == len(thresholds):
+            return out
+        if (
+            k >= config.stagnation_window
+            and bests[k] > config.stagnation_factor * bests[k - config.stagnation_window]
+        ):
+            status = "stagnated"
+            break
+    for _ in thresholds[met:]:
+        out.append((x, len(history), res, status, np.array(history)))
+    return out

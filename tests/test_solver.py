@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -11,16 +12,19 @@ from mpcg.errors import (
 )
 from mpcg.solver import (
     SolveConfig,
+    _inverse_diagonal,
+    _run_cg,
     cg,
     cost,
     iteration_bound,
     no_stagnation,
     pcg_jacobi,
+    sweep,
     two_stage_solve,
 )
-from mpcg.sparse import downcast, from_coordinates
+from mpcg.sparse import downcast, downcast_vector, from_coordinates, upcast_vector
 
-from oracles import dd_spd_triplets, eigenvalues_of
+from oracles import cg_reference, dd_spd_triplets, eigenvalues_of
 
 
 def diag_matrix(values):
@@ -287,3 +291,164 @@ class TestConfig:
         cfg = no_stagnation(SolveConfig(tolerance=1e-6))
         assert cfg.stagnation_window >= 2**30
         assert math.isclose(cfg.tolerance, 1e-6)
+
+
+def bits(a):
+    """Bit pattern of a float array or scalar, so -0.0 and NaN compare exactly."""
+    a = np.asarray(a)
+    return a.view(f"u{a.dtype.itemsize}")
+
+
+def assert_same_run(result, ref):
+    x, iterations, residual, status, history = ref
+    assert result.x.dtype == x.dtype
+    assert np.array_equal(bits(result.x), bits(x))
+    assert result.iterations == iterations
+    assert result.status == status
+    assert bits(np.float64(result.final_residual_norm)) == bits(np.float64(residual))
+    assert np.array_equal(bits(result.residual_history), bits(history))
+
+
+def _kernel_cases():
+    """(A, b, x0, config, tolerances) covering both precisions, both
+    preconditioners, both residual modes, a start vector, a one-iteration
+    cap, a stagnating run and tolerances met within one iteration."""
+    rng = np.random.default_rng(40)
+    A = random_dd(60, rng, density=0.1, signed=True)
+    b = rng.standard_normal(60)
+    thin = random_dd(80, np.random.default_rng(5), delta=(1e-4, 1e-3))
+    b_thin = np.random.default_rng(5).standard_normal(80)
+    grid = (0.5, 0.45, 0.1, 1e-2, 1e-3, 1e-5, 1e-7)
+    cases = {}
+    for prec in ("b64", "b32"):
+        M, v = (A, b) if prec == "b64" else (downcast(A), downcast_vector(b))
+        for pre in ("none", "jacobi"):
+            cfg = SolveConfig(tolerance=1e-6, preconditioner=pre)
+            cases[f"{prec}-{pre}-relative"] = (M, v, None, cfg, grid)
+            cases[f"{prec}-{pre}-absolute"] = (
+                M, v, None, replace(cfg, residual_mode="absolute"), (1.0, 1e-4))
+            cases[f"{prec}-{pre}-x0"] = (M, v, np.linspace(-1, 1, 60, dtype=v.dtype), cfg, grid)
+            cases[f"{prec}-{pre}-one-iteration"] = (
+                M, v, None, replace(cfg, max_iterations=1), (1e-1, 1e-9))
+    A32 = downcast(thin)
+    b32 = downcast_vector(b_thin)
+    stall = SolveConfig(tolerance=1e-9, residual_mode="absolute")
+    cases["b32-none-stagnating"] = (A32, b32, None, stall, (1e-2, 1e-5, 1e-9, 1e-12))
+    cases["b32-jacobi-stagnating"] = (
+        A32, b32, None, replace(stall, preconditioner="jacobi"), (1e-2, 1e-9))
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+class TestLeanKernel:
+    """The in-place CG kernel against the allocating loop it replaced."""
+
+    @staticmethod
+    def _inv(A, config):
+        return _inverse_diagonal(A) if config.preconditioner == "jacobi" else None
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_run_cg_matches_reference_bits(self, name):
+        A, b, x0, config, tolerances = KERNEL_CASES[name]
+        inv_diag = self._inv(A, config)
+        got = list(_run_cg(A, b, x0, config, inv_diag, tolerances))
+        want = cg_reference(A, b, x0, config, inv_diag, tolerances)
+        assert len(got) == len(want) == len(tolerances)
+        for result, ref in zip(got, want):
+            assert_same_run(result, ref)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_cg_and_pcg_jacobi_match_reference_bits(self, name):
+        A, b, x0, config, tolerances = KERNEL_CASES[name]
+        solve = pcg_jacobi if config.preconditioner == "jacobi" else cg
+        for tol in tolerances:
+            cfg = replace(config, tolerance=tol)
+            (ref,) = cg_reference(A, b, x0, cfg, self._inv(A, cfg), (tol,))
+            assert_same_run(solve(A, b, x0, cfg), ref)
+
+    def test_stagnating_case_stagnates(self):
+        A, b, x0, config, tolerances = KERNEL_CASES["b32-none-stagnating"]
+        statuses = [r.status for r in _run_cg(A, b, x0, config, None, tolerances)]
+        assert statuses[0] == "converged" and statuses[-1] == "stagnated"
+
+    def test_breakdown_matches_reference(self):
+        A = diag_matrix([1.0, -1.0])
+        b = np.array([0.0, 1.0])
+        with pytest.raises(CgBreakdownError):
+            cg_reference(A, b, None, CFG, None, (1e-12,))
+        with pytest.raises(CgBreakdownError):
+            cg(A, b, None, CFG)
+
+    @pytest.mark.parametrize("pre", ["none", "jacobi"])
+    def test_sweep_matches_reference_bits(self, pre):
+        rng = np.random.default_rng(41)
+        A = random_dd(70, rng, density=0.08, delta=(1e-3, 1e-2))
+        b = A @ np.ones(70)
+        grid = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+        config = SolveConfig(tolerance=1e-10, preconditioner=pre)
+        results, failure = sweep(A, b, grid + (None,), 1e-10, 0.5, config)
+        assert failure is None and len(results) == len(grid) + 1
+
+        A32 = downcast(A)
+        stage1 = cg_reference(
+            A32, downcast_vector(b), None, config, self._inv(A32, config), grid)
+        refine = no_stagnation(config)
+        for result, first in zip(results, stage1 + [None]):
+            x0 = None if first is None else upcast_vector(first[0])
+            x, n2, residual, status, _ = cg_reference(
+                A, b, x0, refine, self._inv(A, refine), (1e-10,))[0]
+            assert result.n1 == (0 if first is None else first[1])
+            assert result.stage1_status == ("skipped" if first is None else first[3])
+            assert (result.n2, result.stage2_status) == (n2, status)
+            assert result.final_residual_norm == residual
+            assert np.array_equal(bits(result.x), bits(x))
+
+
+class TestKernelAliasing:
+    def test_multi_tolerance_results_are_distinct_and_frozen(self):
+        A, b, x0, config, tolerances = KERNEL_CASES["b64-none-relative"]
+        run = _run_cg(A, b, x0, config, None, tolerances)
+        results, snapshots = [], []
+        for result in run:  # snapshot each x before the run moves on
+            results.append(result)
+            snapshots.append(result.x.copy())
+        assert len(results) == len(tolerances)
+        for i, result in enumerate(results):
+            assert np.array_equal(bits(result.x), bits(snapshots[i]))
+            for other in results[i + 1:]:
+                assert not np.shares_memory(result.x, other.x)
+
+    def test_stagnated_results_are_distinct(self):
+        A, b, x0, config, tolerances = KERNEL_CASES["b32-none-stagnating"]
+        results = list(_run_cg(A, b, x0, config, None, tolerances))
+        tail = [r for r in results if r.status == "stagnated"]
+        assert len(tail) >= 2
+        assert not np.shares_memory(tail[0].x, tail[1].x)
+
+    def test_sweep_results_hold_distinct_arrays(self):
+        A = diag_matrix([1.0] * 8)  # every eps1 ends stage 1 after one iteration
+        results, failure = sweep(A, np.ones(8), (1e-1, 1e-2, 1e-3, None), 1e-10)
+        assert failure is None and len({r.n1 for r in results[:3]}) == 1
+        for i, result in enumerate(results):
+            for other in results[i + 1:]:
+                assert not np.shares_memory(result.x, other.x)
+        kept = [r.x.copy() for r in results]
+        results[0].x[:] = -7.0
+        assert all(np.array_equal(r.x, k) for r, k in zip(results[1:], kept[1:]))
+
+    @pytest.mark.parametrize("solve", [cg, pcg_jacobi])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_operands_left_unchanged(self, solve, dtype):
+        rng = np.random.default_rng(42)
+        A = random_dd(40, rng)
+        A = A if dtype == np.float64 else downcast(A)
+        b = rng.standard_normal(40).astype(dtype)
+        x0 = rng.standard_normal(40).astype(dtype)
+        b_bits, x0_bits = bits(b).copy(), bits(x0).copy()
+        result = solve(A, b, x0, SolveConfig(tolerance=1e-5))
+        assert result.iterations > 0
+        assert np.array_equal(bits(b), b_bits)
+        assert np.array_equal(bits(x0), x0_bits)
+        assert not np.shares_memory(result.x, x0)

@@ -130,6 +130,51 @@ class TestSpmv:
             assert abs(lhs - rhs) <= 8 * n * eps * scale
 
 
+class TestSpmvInto:
+    """``spmv`` with an output buffer, the CG kernel's product, which calls
+    scipy's private ``csr_matvec`` directly."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_scipy_product_bits(self, dtype, seed):
+        rng = np.random.default_rng(300 + seed)
+        n = 45
+        trips = dd_spd_triplets(n, rng, density=0.2, signed=True)
+        # explicit zeros, off the diagonal and on it
+        trips = [(i, j, 0.0 if (i + j) % 5 == 0 else v) for i, j, v in trips]
+        A = from_coordinates(trips, n)
+        A = A if dtype == np.float64 else downcast(A)
+        assert np.any(A.values == 0)
+        x = rng.standard_normal(n).astype(dtype)
+        x[::7] = -0.0
+        out = np.full(n, np.nan, dtype=dtype)  # garbage the product must clear
+        out[1::2] = 1e30
+        got = spmv(A, x, out=out)
+        want = A._csr @ x
+        assert got is out
+        width = f"u{np.dtype(dtype).itemsize}"
+        assert np.array_equal(out.view(width), want.view(width))
+        assert np.array_equal(spmv(A, x).view(width), want.view(width))
+
+    def test_reuses_buffer_across_calls(self):
+        A = from_coordinates([(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 2)], 2)
+        out = np.empty(2)
+        spmv(A, np.ones(2), out=out)
+        spmv(A, np.array([1.0, -1.0]), out=out)
+        np.testing.assert_array_equal(out, [1.0, -1.0])
+
+    def test_rejects_bad_output(self):
+        A = from_coordinates([(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 2)], 2)
+        x = np.ones(2)
+        with pytest.raises(DimensionMismatchError):
+            spmv(A, x, out=np.empty(3))
+        with pytest.raises(PrecisionMismatchError):
+            spmv(A, x, out=np.empty(2, dtype=np.float32))
+        with pytest.raises(ValueError, match="overlaps"):
+            spmv(A, x, out=x)
+        np.testing.assert_array_equal(x, [1.0, 1.0])
+
+
 class TestPrecisionConversion:
     def test_downcast_exact_for_adjacency_values(self):
         A = from_coordinates(
