@@ -22,7 +22,6 @@ from .features import (
     EigenIntervalEstimate,
     FeatureVector,
     Interval,
-    bfs_farthest,
     eigen_estimates,
     extract_features,
     gershgorin_basic,

@@ -22,7 +22,7 @@ from ._fileio import atomic_write
 from .errors import GraphFullError, InvalidSpecError
 from .features import FeatureVector, extract_features
 from .solver import SolveConfig, sweep
-from .sparse import SparseSymMatrix, _from_arrays
+from .sparse import SparseSymMatrix, _entry_rows, _from_arrays
 
 __all__ = [
     "EpsilonGrid",
@@ -152,8 +152,9 @@ def _pair_offset(i, n: int):
 
 
 def _encode_pairs(edges: np.ndarray, n: int) -> np.ndarray:
-    """Codes of the upper-triangle pairs in the (E, 2) array ``edges``."""
-    return _pair_offset(edges[:, 0], n) + edges[:, 1] - edges[:, 0] - 1
+    """Codes of the upper-triangle pairs in the (E, 2) array ``edges``, in int64."""
+    i, j = edges.astype(np.int64, copy=False).T
+    return _pair_offset(i, n) + j - i - 1
 
 
 def _decode_pairs(codes: np.ndarray, n: int) -> np.ndarray:
@@ -252,7 +253,7 @@ def generate(spec: GraphSpec) -> SparseSymMatrix:
 
 
 def _upper_edges(A: SparseSymMatrix) -> np.ndarray:
-    row_of = np.repeat(np.arange(A.n), A.row_lengths())
+    row_of = _entry_rows(A)
     keep = A.col_indices > row_of
     return np.stack([row_of[keep], A.col_indices[keep]], axis=1)
 
@@ -521,12 +522,16 @@ def write_sample(
 
 
 def read_sample(path, include_invalid: bool = False) -> list[SampleRecord]:
+    """Records of a sample file; a malformed line raises ValueError."""
     records = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            rec = SampleRecord.from_dict(json.loads(line))
+            try:
+                rec = SampleRecord.from_dict(json.loads(line))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"malformed record at {path}:{lineno}: {exc!r}") from None
             if rec.valid or include_invalid:
                 records.append(rec)
     return records

@@ -21,13 +21,12 @@ from .errors import (
     EmptyIntersectionError,
     NonpositiveDiagonalError,
 )
-from .sparse import SparseSymMatrix
+from .sparse import SparseSymMatrix, _entry_rows
 
 __all__ = [
     "Interval",
     "EigenIntervalEstimate",
     "FeatureVector",
-    "bfs_farthest",
     "pseudo_diameter",
     "gershgorin_basic",
     "gershgorin_scaled",
@@ -78,9 +77,8 @@ def _unit_graph(A: SparseSymMatrix) -> scipy.sparse.csr_matrix:
     It shares A's index arrays; explicit zeros stay edges, signed values
     do not act as weights, and the diagonal loops change no distance.
     """
-    csr = A._csr
     return scipy.sparse.csr_matrix(
-        (np.ones(csr.nnz), csr.indices, csr.indptr), shape=csr.shape
+        (np.ones(A.nnz), A.col_indices, A.row_starts), shape=A.shape
     )
 
 
@@ -94,19 +92,6 @@ def _first_per_component(labels: np.ndarray, count: int, key: np.ndarray) -> np.
     """For each component, the vertex of smallest ``key``, smallest index on ties."""
     order = np.lexsort((np.arange(labels.size), key, labels))
     return order[np.searchsorted(labels[order], np.arange(count))]
-
-
-def bfs_farthest(A: SparseSymMatrix, start: int) -> tuple[int, int]:
-    """Vertex at maximum BFS distance from ``start`` within its component.
-
-    Loops (diagonal entries) are ignored.  Ties go to the smallest vertex
-    index so repeated runs return the same endpoint.
-    """
-    if not 0 <= start < A.n:
-        raise IndexError(f"start vertex {start} out of range")
-    dist = _hop_distances(_unit_graph(A), start)
-    far = dist[np.isfinite(dist)].max()
-    return int(np.argmax(dist == far)), int(far)
 
 
 def pseudo_diameter(A: SparseSymMatrix) -> int:
@@ -130,11 +115,10 @@ def pseudo_diameter(A: SparseSymMatrix) -> int:
 
 def _offdiag_rowsums(A: SparseSymMatrix, weights: np.ndarray) -> np.ndarray:
     """Per-row sums of |a_ij| * weights[j] over off-diagonal entries."""
-    rs, cols = A.row_starts, A.col_indices
-    row_of = np.repeat(np.arange(A.n), np.diff(rs))
+    cols = A.col_indices
     terms = np.abs(A.values.astype(np.float64)) * weights[cols]
-    terms[cols == row_of] = 0.0
-    return np.add.reduceat(terms, rs[:-1])
+    terms[cols == _entry_rows(A)] = 0.0
+    return np.add.reduceat(terms, A.row_starts[:-1])
 
 
 def _hull(centers: np.ndarray, radii: np.ndarray) -> Interval:

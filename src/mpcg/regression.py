@@ -130,7 +130,14 @@ class KnnModel:
     test_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not 1 <= self.k <= len(self.points):
+        n, width = self.labels.size, len(dataclasses.fields(FeatureVector))
+        norm = self.normalization
+        shapes = (self.points.shape, self.labels.shape, norm.mins.shape, norm.maxs.shape)
+        if shapes != ((n, width), (n,), (width,), (width,)):
+            raise ValueError(f"array shapes {shapes} do not fit {n} labels of {width} features")
+        if np.any((self.labels < 1) | (self.labels > len(self.grid_values))):
+            raise ValueError(f"labels must lie in 1..{len(self.grid_values)}")
+        if not 1 <= self.k <= n:
             raise ValueError("k must lie in 1..len(points)")
 
 
@@ -305,16 +312,14 @@ def load_model(path) -> KnnModel:
                 np.array(payload["mins"], dtype=float),
                 np.array(payload["maxs"], dtype=float),
             ),
-            points=np.array(payload["points"], dtype=float).reshape(
-                len(payload["labels"]), -1
-            ),
+            points=np.array(payload["points"], dtype=float),
             labels=np.array(payload["labels"], dtype=np.int64),
             k=payload["k"],
             grid_values=tuple(payload["grid_values"]),
             train_ids=tuple(payload["train_ids"]),
             test_ids=tuple(payload["test_ids"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model file '{path}': {exc!r}") from None
 
 

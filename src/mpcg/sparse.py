@@ -11,6 +11,7 @@ treated as immutable after construction, so they are safe to share.
 from __future__ import annotations
 
 import warnings
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -46,37 +47,38 @@ class SparseSymMatrix:
 
     Build one from (row, col, value) triplets with ``from_coordinates``,
     from a file with ``read_matrix_market``, or from CSR arrays with this
-    constructor.  A scipy ``csr_matrix`` over the same arrays (``_csr``,
-    with int32 indices where they fit) holds the arrays of every product
-    and runs the csgraph passes of ``features``.
+    constructor.  The matrix is one scipy ``csr_matrix``, ``_csr``: every
+    product and the csgraph passes of ``features`` read its arrays, and
+    the three attributes below are those same arrays, read-only.  Their
+    index dtype is scipy's, int32 wherever it fits.  ``downcast`` shares
+    both index arrays and allocates only the binary32 values.
 
     Attributes
     ----------
-    row_starts : int64 array, length n + 1
-    col_indices : int64 array, length nnz, strictly increasing per row
+    row_starts : integer array, length n + 1
+    col_indices : integer array, length nnz, strictly increasing per row
     values : float64 or float32 array, length nnz
     """
 
-    __slots__ = ("row_starts", "col_indices", "values", "_csr", "_diag")
+    __slots__ = ("_csr", "_diag")
 
     def __init__(self, row_starts, col_indices, values, validate: bool = True):
-        row_starts = np.ascontiguousarray(row_starts, dtype=np.int64)
-        col_indices = np.ascontiguousarray(col_indices, dtype=np.int64)
         values = np.ascontiguousarray(values)
         if values.dtype not in _VALUE_DTYPES:
             values = values.astype(np.float64)
-        self.row_starts = row_starts
-        self.col_indices = col_indices
-        self.values = values
-        for arr in (row_starts, col_indices, values):
+        indices = np.ascontiguousarray(col_indices)
+        indptr = np.ascontiguousarray(row_starts)
+        n = indptr.size - 1
+        self._csr = scipy.sparse.csr_matrix((values, indices, indptr), shape=(n, n))
+        for arr in (self.row_starts, self.col_indices, self.values):
             arr.setflags(write=False)
-        n = self.n
-        self._csr = scipy.sparse.csr_matrix(
-            (values, col_indices, row_starts), shape=(n, n)
-        )
         self._diag = None
         if validate:
-            self._validate()
+            self._validate(indices.size)
+
+    row_starts = property(attrgetter("_csr.indptr"))
+    col_indices = property(attrgetter("_csr.indices"))
+    values = property(attrgetter("_csr.data"))
 
     @property
     def n(self) -> int:
@@ -88,7 +90,7 @@ class SparseSymMatrix:
 
     @property
     def dtype(self):
-        return self.values.dtype
+        return self._csr.data.dtype
 
     @property
     def precision(self) -> str:
@@ -117,16 +119,18 @@ class SparseSymMatrix:
     def __repr__(self) -> str:
         return f"SparseSymMatrix(n={self.n}, nnz={self.nnz}, {self.precision})"
 
-    def _validate(self) -> None:
-        n, m = self.n, self.nnz
-        rs, cols = self.row_starts, self.col_indices
+    def _validate(self, m: int) -> None:
+        """Check the arrays; ``m`` is the length of the column indices given,
+        of which scipy keeps only the first ``row_starts[-1]``."""
+        n, rs, cols = self.n, self.row_starts, self.col_indices
+        lengths = np.diff(rs)
         if n < 1:
             raise ValueError("matrix dimension must be at least 1")
-        if rs[0] != 0 or rs[-1] != m or np.any(np.diff(rs) < 0):
+        if rs[0] != 0 or rs[-1] != m or np.any(lengths < 0):
             raise ValueError("row_starts must be nondecreasing from 0 to nnz")
         if m and (cols.min() < 0 or cols.max() >= n):
             raise IndexError("column index out of range")
-        row_of = np.repeat(np.arange(n), np.diff(rs))
+        row_of = _entry_rows(self)
         if m > 1:
             same_row = row_of[1:] == row_of[:-1]
             if np.any(same_row & (cols[1:] == cols[:-1])):
@@ -140,15 +144,16 @@ class SparseSymMatrix:
             and np.array_equal(transposed.indices, cols)
         ):
             raise AsymmetricInputError("structure is not symmetric")
-        width = self.values.dtype.itemsize
-        bits = np.dtype(f"u{width}")
+        bits = np.dtype(f"u{self.values.itemsize}")
         if not np.array_equal(self.values.view(bits), transposed.data.view(bits)):
             raise AsymmetricInputError("mirrored entries differ in value")
-        diag_mask = cols == row_of
-        if np.any(np.diff(rs) == 0) or not np.all(
-            np.add.reduceat(diag_mask, rs[:-1]) == 1
-        ):
+        if np.any(lengths == 0) or np.any(np.add.reduceat(cols == row_of, rs[:-1]) != 1):
             raise MissingDiagonalError("every row needs an explicit diagonal entry")
+
+
+def _entry_rows(A: SparseSymMatrix) -> np.ndarray:
+    """Row index of every stored entry, in storage order and index dtype."""
+    return np.repeat(np.arange(A.n, dtype=A.row_starts.dtype), A.row_lengths())
 
 
 def from_coordinates(
@@ -188,7 +193,9 @@ def _from_arrays(
         )
         vals = np.concatenate([vals, vals[off]])
     order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    rows = rows[order]  # one at a time, so an unsorted array can go before the next copy
+    cols = cols[order]
+    vals = vals[order]
     dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
     if np.any(dup):
         k = int(np.nonzero(dup)[0][0])
@@ -209,17 +216,18 @@ def spmv(A: SparseSymMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np
     allocated once per run.
     """
     x = np.asarray(x)
-    if x.shape != (A.n,):
-        raise DimensionMismatchError(f"expected vector of length {A.n}")
+    n = A.n
+    if x.shape != (n,):
+        raise DimensionMismatchError(f"expected vector of length {n}")
     if x.dtype != A.dtype:
         raise PrecisionMismatchError(
             f"vector is {x.dtype}, matrix stores {A.dtype}"
         )
     if out is None:
-        out = np.zeros(A.n, dtype=A.dtype)
+        out = np.zeros(n, dtype=A.dtype)
     else:
         if out.shape != x.shape:
-            raise DimensionMismatchError(f"expected output of length {A.n}")
+            raise DimensionMismatchError(f"expected output of length {n}")
         if out.dtype != x.dtype:
             raise PrecisionMismatchError(
                 f"output is {out.dtype}, matrix stores {A.dtype}"
@@ -228,22 +236,19 @@ def spmv(A: SparseSymMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np
             raise ValueError("output overlaps the input vector")
         out.fill(0)
     csr = A._csr
-    _sparsetools.csr_matvec(A.n, A.n, csr.indptr, csr.indices, csr.data, x, out)
+    _sparsetools.csr_matvec(n, n, csr.indptr, csr.indices, csr.data, x, out)
     return out
 
 
 def downcast(A: SparseSymMatrix) -> SparseSymMatrix:
-    """Round every value to the nearest binary32; structure is shared.
+    """Round every value to the nearest binary32, sharing A's index arrays.
 
     Raises SinglePrecisionOverflowError if any finite value lands outside
     the binary32 range, which means the reduced-precision stage cannot run.
     """
     if A.dtype == np.float32:
         raise ValueError("matrix is already binary32")
-    with np.errstate(over="ignore"):
-        values32 = A.values.astype(np.float32)
-    if np.any(np.isinf(values32) & np.isfinite(A.values)):
-        raise SinglePrecisionOverflowError("value exceeds binary32 range")
+    values32 = downcast_vector(A.values)
     return SparseSymMatrix(A.row_starts, A.col_indices, values32, validate=False)
 
 
@@ -253,7 +258,7 @@ def downcast_vector(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         x32 = x.astype(np.float32)
     if np.any(np.isinf(x32) & np.isfinite(x)):
-        raise SinglePrecisionOverflowError("component exceeds binary32 range")
+        raise SinglePrecisionOverflowError("value exceeds binary32 range")
     return x32
 
 
@@ -273,7 +278,7 @@ def write_matrix_market(A: SparseSymMatrix, path) -> None:
 
     Values carry 17 significant digits, so binary64 round-trips exactly.
     """
-    row_of = np.repeat(np.arange(A.n), np.diff(A.row_starts))
+    row_of = _entry_rows(A)
     keep = A.col_indices <= row_of
     rows, cols, vals = row_of[keep] + 1, A.col_indices[keep] + 1, A.values[keep]
     with open(path, "w", encoding="ascii") as fh:

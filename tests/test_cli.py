@@ -28,6 +28,23 @@ def p3_file(tmp_path):
     return p
 
 
+def model_json(**changes) -> str:
+    """A one-point model over a two-value grid, with ``changes`` applied."""
+    payload = {
+        "format_version": 1, "k": 1, "grid_values": [0.1, 0.01],
+        "mins": [0.0] * 5, "maxs": [1.0] * 5, "points": [[0.5] * 5],
+        "labels": [2], "train_ids": ["s00000"], "test_ids": [], "split": None,
+    }
+    payload.update(changes)
+    return json.dumps(payload)
+
+
+MALFORMED_MODELS = (
+    {"labels": [9]},
+    {"mins": [0.0] * 4, "maxs": [1.0] * 4, "points": [[0.5] * 4]},
+)
+
+
 class TestFeaturesCommand:
     def test_identity(self, identity_file, capsys):
         assert main(["features", str(identity_file)]) == 0
@@ -107,6 +124,22 @@ class TestSolveCommand:
         argv = ["solve", str(identity_file), "--eps1", "auto", "--model", str(model)]
         assert main(argv) == 4
 
+    def test_auto_with_well_formed_model_solves(self, identity_file, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(model_json())
+        argv = ["solve", str(identity_file), "--eps1", "auto", "--model", str(model)]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("changes", MALFORMED_MODELS, ids=["off-grid", "4-wide"])
+    def test_auto_with_inconsistent_model_exits_4(
+        self, identity_file, tmp_path, capsys, changes
+    ):
+        model = tmp_path / "model.json"
+        model.write_text(model_json(**changes))
+        argv = ["solve", str(identity_file), "--eps1", "auto", "--model", str(model)]
+        assert main(argv) == 4
+        assert "malformed model file" in capsys.readouterr().err
+
     def test_non_spd_matrix_exits_3(self, tmp_path):
         p = tmp_path / "indef.mtx"
         p.write_text(
@@ -129,6 +162,24 @@ class TestBadInputFiles:
         sample.write_text("")
         model.write_text('{"k": 5}\n')
         assert main(["evaluate", "--sample", str(sample), "--model", str(model)]) == 2
+
+    @pytest.mark.parametrize("changes", MALFORMED_MODELS, ids=["off-grid", "4-wide"])
+    def test_evaluate_with_inconsistent_model_exits_2(self, tmp_path, capsys, changes):
+        sample, model = tmp_path / "sample.jsonl", tmp_path / "model.json"
+        sample.write_text("")
+        model.write_text(model_json(**changes))
+        assert main(["evaluate", "--sample", str(sample), "--model", str(model)]) == 2
+        assert "malformed model file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("line", ["{}", "[1, 2]"])
+    def test_malformed_sample_record_exits_2(self, tmp_path, capsys, command, line):
+        sample, model = tmp_path / "sample.jsonl", tmp_path / "model.json"
+        sample.write_text("\n" + line + "\n")
+        argv = [command, "--sample", str(sample)]
+        argv += ["--out", str(model)] if command == "train" else ["--model", str(model)]
+        assert main(argv) == 2
+        assert f"{sample}:2" in capsys.readouterr().err
 
 
 class TestPipeline:

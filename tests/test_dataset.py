@@ -195,6 +195,17 @@ class TestPairCodes:
         np.testing.assert_array_equal(before[:, 0], rows[1:] - 1)
         np.testing.assert_array_equal(before[:, 1], n - 1)
 
+    def test_int32_edges_encode_in_int64(self):
+        # i * (2n - i - 1) passes 2**31 at this n, so int32 arithmetic wraps.
+        n = 60_000
+        rows = np.array([0, 1, 1000, n // 2, n - 2])
+        first = np.stack([rows, rows + 1], axis=1)
+        last = np.stack([rows, np.full(rows.size, n - 1)], axis=1)
+        pairs = np.concatenate([first, last])
+        codes = _encode_pairs(pairs.astype(np.int32), n)
+        np.testing.assert_array_equal(codes, _encode_pairs(pairs, n))
+        np.testing.assert_array_equal(_decode_pairs(codes, n), pairs)
+
 
 def _peak_mib(fn):
     tracemalloc.start()

@@ -9,7 +9,6 @@ from mpcg.errors import DegenerateIntervalError, NonpositiveDiagonalError
 from mpcg.features import (
     EigenIntervalEstimate,
     Interval,
-    bfs_farthest,
     eigen_estimates,
     extract_features,
     gershgorin_basic,
@@ -20,7 +19,6 @@ from mpcg.features import (
 from mpcg.sparse import SparseSymMatrix, from_coordinates
 
 from oracles import (
-    bfs_distances,
     dd_spd_triplets,
     double_sweep_diameter,
     eigenvalues_of,
@@ -43,14 +41,6 @@ def cycle_matrix(n, diag=3.0):
     return from_coordinates(trips, n)
 
 
-def star_matrix(n, diag_center=None):
-    trips = [(0, 0, float(diag_center or n))]
-    trips += [(i, i, 2.0) for i in range(1, n)]
-    for i in range(1, n):
-        trips += [(0, i, 1.0), (i, 0, 1.0)]
-    return from_coordinates(trips, n)
-
-
 def relabeled(A, perm):
     rs, cols, vals = A.row_starts, A.col_indices, A.values
     trips = []
@@ -58,33 +48,6 @@ def relabeled(A, perm):
         for k in range(rs[i], rs[i + 1]):
             trips.append((int(perm[i]), int(perm[cols[k]]), float(vals[k])))
     return from_coordinates(trips, A.n)
-
-
-class TestBfs:
-    def test_path_farthest(self):
-        A = path_matrix(4)
-        assert bfs_farthest(A, 0) == (3, 3)
-
-    def test_single_vertex(self):
-        A = from_coordinates([(0, 0, 1.0)], 1)
-        assert bfs_farthest(A, 0) == (0, 0)
-
-    def test_star_tiebreak_smallest_leaf(self):
-        A = star_matrix(5)
-        vertex, dist = bfs_farthest(A, 0)
-        assert (vertex, dist) == (1, 1)
-
-    def test_matches_loop_reference(self):
-        for seed in range(20):
-            A = generate(GraphSpec("random_gnm", 80, seed=seed, m_target=90 + 5 * seed))
-            for start in (0, 17, 79):
-                dist = bfs_distances(A, start)
-                far = dist.max()
-                assert bfs_farthest(A, start) == (int(np.argmax(dist == far)), int(far))
-
-    def test_start_out_of_range(self):
-        with pytest.raises(IndexError):
-            bfs_farthest(path_matrix(3), 7)
 
 
 class TestPseudoDiameter:

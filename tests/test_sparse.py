@@ -12,6 +12,7 @@ from mpcg.errors import (
     SinglePrecisionOverflowError,
 )
 from mpcg.sparse import (
+    SparseSymMatrix,
     downcast,
     downcast_vector,
     from_coordinates,
@@ -70,6 +71,41 @@ class TestFromCoordinates:
         A = identity(3)
         with pytest.raises(ValueError):
             A.values[0] = 5.0
+
+
+class TestOneCopy:
+    """A matrix holds one CSR structure, shared by its binary32 copy."""
+
+    @staticmethod
+    def matrix():
+        return from_coordinates(dd_spd_triplets(40, np.random.default_rng(5)), 40)
+
+    def test_attributes_are_the_csr_arrays(self):
+        A = self.matrix()
+        assert A.row_starts is A._csr.indptr
+        assert A.col_indices is A._csr.indices
+        assert A.values is A._csr.data
+        assert A.row_starts.dtype == A.col_indices.dtype == np.int32
+        assert SparseSymMatrix.__slots__ == ("_csr", "_diag")
+
+    def test_downcast_shares_the_structure(self):
+        A = self.matrix()
+        R = downcast(A)
+        assert np.shares_memory(R._csr.indptr, A._csr.indptr)
+        assert np.shares_memory(R._csr.indices, A._csr.indices)
+        assert not np.shares_memory(R._csr.data, A._csr.data)
+
+    def test_entries_past_the_last_row_start_are_rejected(self):
+        # scipy alone would drop the trailing entry without a word
+        with pytest.raises(ValueError, match="nondecreasing"):
+            SparseSymMatrix([0, 1, 2], [0, 1, 1], [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("name", ["row_starts", "col_indices", "values"])
+    def test_arrays_reject_writes(self, name):
+        A = self.matrix()
+        for M in (A, downcast(A)):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(M, name)[0] = 1
 
 
 class TestSpmv:
