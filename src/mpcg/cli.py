@@ -132,6 +132,8 @@ def cmd_solve(args) -> int:
     print(f"N2             = {result.n2} ({result.stage2_status})")
     print(f"cost           = {result.cost:g}")
     print(f"final_residual = {result.final_residual_norm:.17g}")
+    print(f"spmv_stage1    = {result.stage1_spmv_calls}")
+    print(f"spmv_stage2    = {result.stage2_spmv_calls}")
     if args.write_x:
         with atomic_write(args.write_x) as fh:
             np.savetxt(fh, result.x, fmt="%.17g")

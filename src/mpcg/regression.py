@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +136,16 @@ class KnnModel:
         shapes = (self.points.shape, self.labels.shape, norm.mins.shape, norm.maxs.shape)
         if shapes != ((n, width), (n,), (width,), (width,)):
             raise ValueError(f"array shapes {shapes} do not fit {n} labels of {width} features")
+        grid = self.grid_values
+        if not (
+            isinstance(grid, tuple)
+            and grid
+            and all(isinstance(v, float) and 0 < v < math.inf for v in grid)
+            and all(a > b for a, b in zip(grid, grid[1:]))
+        ):
+            raise ValueError(
+                f"grid_values {grid!r} must be finite positive floats in strictly"
+                " descending order")
         if np.any((self.labels < 1) | (self.labels > len(self.grid_values))):
             raise ValueError(f"labels must lie in 1..{len(self.grid_values)}")
         if not 1 <= self.k <= n:

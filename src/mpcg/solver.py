@@ -10,12 +10,25 @@ of the run to any smaller one, so stage 1 runs once and stops at each
 eps1 on its way; stage 2 runs once per distinct stage-1 iteration count.
 ``two_stage_solve`` is its one-value case.
 
-The stopping test always uses the true residual ``b - A x``, recomputed
-with a fresh matrix-vector product every iteration.  In binary32 the
-recursively updated residual drifts away from the truth, and the stopping
-decision is what the whole eps1 trade-off rests on, so it cannot be
-trusted to the recursion.  The extra product is charged identically in
-both stages, which keeps the ``mu`` weighting meaningful.
+The stopping test always uses the true residual ``b - A x``, never the
+recursively updated one: in binary32 the recursion drifts away from the
+truth, and the stopping decision is what the whole eps1 trade-off rests
+on.  A run whose stagnation guard can fire (binary32 stage 1 by
+default) recomputes it every iteration, since the guard reads it.  A run
+whose guard can never fire, ``stagnation_window > max_iterations``, is
+lazy: every ``no_stagnation`` run (binary64 stage 2 and the pure binary64
+baseline), and any run whose ``max_iterations`` is below its window, such
+as stage 1 at the default ``10 n`` on a matrix with ``n <= 2``.  A lazy
+run recomputes the true residual only when the recursive norm is at most
+``TRUE_RESIDUAL_MARGIN`` (2) times the threshold, and on its last
+iteration, so it pays one matrix-vector product per iteration instead of
+two.  Its iterates are the same, so it
+stops where an every-iteration test would, unless the true residual
+meets the threshold while the recursive one is above the margin; then it
+stops later, never earlier.  The margin rests on the gap between the
+recursive and the true residual analysed by van der Vorst and Ye,
+"Residual replacement strategies for Krylov subspace iterative methods",
+SIAM J. Sci. Comput. 22 (2000).
 """
 
 from __future__ import annotations
@@ -33,6 +46,10 @@ from .errors import (
     Stage2NotConvergedError,
 )
 from .sparse import SparseSymMatrix, downcast, downcast_vector, spmv, upcast_vector
+
+# A run without a stagnation guard tests the true residual only once the
+# recursive residual norm is within this factor of the threshold.
+TRUE_RESIDUAL_MARGIN = 2.0
 
 __all__ = [
     "SolveConfig",
@@ -83,11 +100,27 @@ class SolveConfig:
 
 @dataclass
 class SolveResult:
+    """One CG run to one tolerance.
+
+    ``residual_history`` has one entry per iteration: entry ``k - 1`` is
+    the true residual norm after iteration ``k``, or NaN where a lazy run
+    (one whose stagnation guard cannot fire) skipped the test.  The last entry of a run
+    that ends on max_iterations is always filled in.  ``spmv_calls``
+    counts the matrix-vector products up to this result, the initial
+    residual's included.
+    """
+
     x: np.ndarray
     iterations: int
     final_residual_norm: float
     status: str  # converged | max_iterations | stagnated
     residual_history: np.ndarray
+
+    @property
+    def spmv_calls(self) -> int:
+        # b - A x0, one A d per iteration, one b - A x per tested iteration.
+        tested = np.count_nonzero(~np.isnan(self.residual_history))
+        return 1 + self.iterations + int(tested)
 
 
 @dataclass
@@ -102,6 +135,8 @@ class TwoStageResult:
     stage1_status: str
     stage2_status: str
     final_residual_norm: float
+    stage1_spmv_calls: int
+    stage2_spmv_calls: int  # of the stage 2 that eps1 with one N1 share
 
 
 def _check_operands(A: SparseSymMatrix, b, x0):
@@ -134,11 +169,18 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     allocated once per run and updated in place, each step rounding as the
     allocating expression in its comment; ``spmv`` writes both products of
     an iteration into them.  A yielded result holds a copy of x.
+
+    A run whose stagnation guard can never fire (``stagnation_window >
+    max_iterations``, whatever the precision) is lazy: it computes the
+    true residual only when the recursive norm (``sqrt(r'r)``) is at most
+    ``TRUE_RESIDUAL_MARGIN`` times the next unmet threshold, and on the
+    last iteration max_iterations allows.
     """
     b, x = _check_operands(A, b, x0)
     max_iterations = config.max_iterations or 10 * A.n
     scale = float(np.linalg.norm(b)) if config.residual_mode == "relative" else 1.0
     thresholds = [t * scale for t in tolerances]
+    lazy = config.stagnation_window > max_iterations
 
     r, d, Ad, t = (np.empty_like(x) for _ in range(4))  # t: scratch
     z = r if inv_diag is None else np.empty_like(x)
@@ -168,6 +210,11 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
             np.add(z, np.multiply(d, beta, out=d), out=d)  # z + beta * d
             rz = rz_next
 
+            if lazy and k < max_iterations:
+                recursive = math.sqrt(rz if inv_diag is None else r.dot(r))
+                if not recursive <= TRUE_RESIDUAL_MARGIN * thresholds[met]:
+                    history.append(math.nan)  # no guard to feed, no stop possible
+                    continue
             np.subtract(b, spmv(A, x, out=t), out=t)  # b - A x
             res = float(np.sqrt(t.dot(t)))
             history.append(res)
@@ -198,9 +245,13 @@ def _inverse_diagonal(A: SparseSymMatrix) -> np.ndarray:
 def cg(A: SparseSymMatrix, b, x0=None, config: SolveConfig | None = None) -> SolveResult:
     """Conjugate gradients at the matrix's storage precision.
 
-    Stops when the recomputed residual ``||b - A x||`` (divided by ``||b||``
-    in relative mode) falls to the configured tolerance, when
-    max_iterations is reached, or when progress stagnates.
+    Stops when the true residual ``||b - A x||`` (divided by ``||b||`` in
+    relative mode) falls to the configured tolerance, when max_iterations
+    is reached, or when progress stagnates.  With a stagnation guard that
+    can fire the true residual is recomputed every iteration; otherwise
+    (``stagnation_window > max_iterations``, see ``no_stagnation``) only
+    once the recursive residual is within ``TRUE_RESIDUAL_MARGIN`` of the
+    tolerance, and on the last iteration.
     """
     if config is None:
         raise ValueError("config with a tolerance is required")
@@ -218,7 +269,8 @@ def pcg_jacobi(
 
 
 def no_stagnation(config: SolveConfig) -> SolveConfig:
-    """Copy of ``config`` whose stagnation window can never trigger."""
+    """Copy of ``config`` whose stagnation window can never trigger, so
+    its runs test the true residual only near the threshold."""
     return replace(config, stagnation_window=2**31 - 1)
 
 
@@ -282,7 +334,8 @@ def sweep(
             n2, status1 = second.iterations, first.status if first else "skipped"
             results.append(TwoStageResult(  # eps1 with one N1 share a stage 2
                 second.x.copy(), n1, n2, eps1, epsilon2, mu, cost(n1, n2, mu), status1,
-                second.status, second.final_residual_norm))
+                second.status, second.final_residual_norm,
+                first.spmv_calls if first else 0, second.spmv_calls))
     except Exception as exc:  # noqa: BLE001 - reported like a stage-1 failure
         return results, exc
     return results, None

@@ -202,7 +202,12 @@ def _from_arrays(
         raise DuplicateEntryError(f"position ({rows[k]}, {cols[k]}) appears twice")
     row_starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=row_starts[1:])
-    return SparseSymMatrix(row_starts, cols, vals)
+    m = cols.size
+    A = SparseSymMatrix(row_starts, cols, vals, validate=False)
+    # Validate once only scipy's int32 copies of the int64 arrays are left.
+    del rows, cols, vals, order, dup, row_starts
+    A._validate(m)
+    return A
 
 
 def spmv(A: SparseSymMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

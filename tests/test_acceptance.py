@@ -294,6 +294,13 @@ def test_desk_sample_digest(desk_pipeline):
     assert digest == DESK_SAMPLE_SHA256
 
 
+def test_desk_sample_digest_with_two_workers(desk_pipeline, tmp_path):
+    sample = tmp_path / "sample.jsonl"
+    argv = ["label", "--specs", str(desk_pipeline["specs"]), "--out", str(sample)]
+    assert cli_main(argv + ["--threads", "2"]) == 0
+    assert hashlib.sha256(sample.read_bytes()).hexdigest() == DESK_SAMPLE_SHA256
+
+
 def test_criterion_8_determinism(desk_pipeline, tmp_path_factory):
     rerun_root = tmp_path_factory.mktemp("desk_rerun")
     rerun = run_pipeline(rerun_root)

@@ -44,6 +44,8 @@ MALFORMED_MODELS = (
     {"mins": [0.0] * 4, "maxs": [1.0] * 4, "points": [[0.5] * 4]},
 )
 
+BAD_GRIDS = {"string": ["a", "b"], "ascending": [0.01, 0.1], "repeated": [0.1, 0.1]}
+
 
 class TestFeaturesCommand:
     def test_identity(self, identity_file, capsys):
@@ -140,6 +142,22 @@ class TestSolveCommand:
         assert main(argv) == 4
         assert "malformed model file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", sorted(BAD_GRIDS))
+    def test_auto_with_bad_grid_exits_4(self, identity_file, tmp_path, capsys, grid):
+        model = tmp_path / "model.json"
+        model.write_text(model_json(grid_values=BAD_GRIDS[grid]))
+        argv = ["solve", str(identity_file), "--eps1", "auto", "--model", str(model)]
+        assert main(argv) == 4
+        assert "malformed model file" in capsys.readouterr().err
+
+    def test_prints_spmv_counts_per_stage(self, identity_file, capsys):
+        assert main(["solve", str(identity_file), "--eps1", "0.1"]) == 0
+        out = capsys.readouterr().out
+        # Stage 1 guards against stagnation and tests every iteration:
+        # b - A x0, then A d and b - A x.  Stage 2 starts at the exact solution.
+        assert "spmv_stage1    = 3" in out
+        assert "spmv_stage2    = 1" in out
+
     def test_non_spd_matrix_exits_3(self, tmp_path):
         p = tmp_path / "indef.mtx"
         p.write_text(
@@ -168,6 +186,14 @@ class TestBadInputFiles:
         sample, model = tmp_path / "sample.jsonl", tmp_path / "model.json"
         sample.write_text("")
         model.write_text(model_json(**changes))
+        assert main(["evaluate", "--sample", str(sample), "--model", str(model)]) == 2
+        assert "malformed model file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", sorted(BAD_GRIDS))
+    def test_evaluate_with_bad_grid_exits_2(self, tmp_path, capsys, grid):
+        sample, model = tmp_path / "sample.jsonl", tmp_path / "model.json"
+        sample.write_text("")
+        model.write_text(model_json(grid_values=BAD_GRIDS[grid]))
         assert main(["evaluate", "--sample", str(sample), "--model", str(model)]) == 2
         assert "malformed model file" in capsys.readouterr().err
 

@@ -5,6 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from mpcg.dataset import GraphSpec, generate, ones_rhs
+from mpcg import solver
 from mpcg.errors import (
     CgBreakdownError,
     NonpositiveDiagonalError,
@@ -342,6 +344,24 @@ def _kernel_cases():
 KERNEL_CASES = _kernel_cases()
 
 
+def _lazy_cases():
+    """Binary64 kernel cases with the stagnation guard off, so the kernel
+    tests the true residual only near each threshold, plus one that ends
+    on max_iterations."""
+    cases = {}
+    for pre in ("none", "jacobi"):
+        for tail in ("relative", "absolute", "x0", "one-iteration"):
+            A, b, x0, config, tolerances = KERNEL_CASES[f"b64-{pre}-{tail}"]
+            cases[f"b64-{pre}-{tail}-lazy"] = (A, b, x0, no_stagnation(config), tolerances)
+        A, b, _, config, _ = KERNEL_CASES[f"b64-{pre}-relative"]
+        capped = replace(no_stagnation(config), max_iterations=7)
+        cases[f"b64-{pre}-max-iterations-lazy"] = (A, b, None, capped, (1e-1, 1e-12))
+    return cases
+
+
+LAZY_CASES = _lazy_cases()
+
+
 class TestLeanKernel:
     """The in-place CG kernel against the allocating loop it replaced."""
 
@@ -367,6 +387,25 @@ class TestLeanKernel:
             cfg = replace(config, tolerance=tol)
             (ref,) = cg_reference(A, b, x0, cfg, self._inv(A, cfg), (tol,))
             assert_same_run(solve(A, b, x0, cfg), ref)
+
+    @pytest.mark.parametrize("name", sorted(LAZY_CASES))
+    def test_lazy_run_matches_reference_bits(self, name):
+        A, b, x0, config, tolerances = LAZY_CASES[name]
+        inv_diag = self._inv(A, config)
+        got = list(_run_cg(A, b, x0, config, inv_diag, tolerances))
+        want = cg_reference(A, b, x0, config, inv_diag, tolerances)
+        assert len(got) == len(want) == len(tolerances)
+        for result, (x, iterations, residual, status, history) in zip(got, want):
+            assert np.array_equal(bits(result.x), bits(x))
+            assert (result.iterations, result.status) == (iterations, status)
+            assert bits(np.float64(result.final_residual_norm)) == bits(np.float64(residual))
+            assert len(result.residual_history) == len(history) == iterations
+            tested = ~np.isnan(result.residual_history)
+            assert np.array_equal(bits(result.residual_history[tested]), bits(history[tested]))
+            if status == "max_iterations":
+                assert tested[-1]
+        if got[-1].iterations > 5:
+            assert np.isnan(got[-1].residual_history).any()
 
     def test_stagnating_case_stagnates(self):
         A, b, x0, config, tolerances = KERNEL_CASES["b32-none-stagnating"]
@@ -452,3 +491,116 @@ class TestKernelAliasing:
         assert np.array_equal(bits(b), b_bits)
         assert np.array_equal(bits(x0), x0_bits)
         assert not np.shares_memory(result.x, x0)
+
+
+def _until_breakdown(run):
+    """The results a run yields before it ends or breaks down."""
+    results = []
+    try:
+        results.extend(run)
+    except CgBreakdownError:
+        pass
+    return results
+
+
+class TestLazyTrueResidual:
+    """Runs whose stagnation guard cannot fire test the true residual only
+    once the recursive norm is within TRUE_RESIDUAL_MARGIN of the threshold."""
+
+    def test_spmv_counts(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        A = random_dd(80, rng, delta=(1e-3, 1e-2))
+        b = rng.standard_normal(80)
+        products, counted = [], solver.spmv
+
+        def spmv(*args, **kwargs):
+            products.append(1)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "spmv", spmv)
+        eager = cg(A, b, None, CFG)
+        assert eager.spmv_calls == len(products) == 2 * eager.iterations + 1
+        products.clear()
+        lazy = cg(A, b, None, no_stagnation(CFG))
+        assert eager.iterations == lazy.iterations > 10
+        assert lazy.spmv_calls == len(products) < 2 * lazy.iterations + 1
+
+    def test_stage1_on_two_unknowns_is_lazy(self):
+        # The default 10 n = 20 iterations cannot outlast the 25-iteration
+        # window, so even a guarded binary32 run skips the far-off tests.
+        A = downcast(from_coordinates([(0, 0, 4.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)], 2))
+        b = np.array([1.0, 2.0], dtype=np.float32)
+        config = SolveConfig(tolerance=1e-6)
+        result = cg(A, b, None, config)
+        ((x, iterations, _, status, history),) = cg_reference(
+            A, b, None, config, None, (1e-6,))
+        assert (result.iterations, result.status) == (iterations, status) == (2, "converged")
+        assert np.array_equal(bits(result.x), bits(x))
+        assert np.isnan(result.residual_history[0]) and not np.isnan(history[0])
+        assert result.spmv_calls == 4
+
+    def test_sweep_reports_spmv_per_stage(self):
+        rng = np.random.default_rng(44)
+        A = random_dd(70, rng, density=0.08, delta=(1e-3, 1e-2))
+        b = A @ np.ones(70)
+        results, failure = sweep(A, b, (1e-2, 1e-5, None), 1e-10)
+        assert failure is None
+        refine = no_stagnation(SolveConfig(tolerance=1e-10))
+        for result in results:
+            assert result.stage1_spmv_calls == (2 * result.n1 + 1 if result.n1 else 0)
+            x0 = None if result.epsilon1 is None else upcast_vector(
+                cg(downcast(A), downcast_vector(b), None,
+                   SolveConfig(tolerance=result.epsilon1)).x)
+            assert result.stage2_spmv_calls == cg(A, b, x0, refine).spmv_calls
+            assert result.stage2_spmv_calls < 2 * result.n2 + 1
+
+    def test_binary32_lazy_stop_is_later_than_eager(self):
+        # A star at the binary32 floor: after iteration 3 the true relative
+        # residual is 1.56e-6 <= 2e-6, but the recursive one reads 5.63e-6,
+        # more than twice the threshold.  The eager test stops there; the
+        # lazy one skips it and stops at iteration 4, where both agree.
+        spec = GraphSpec("star", 830, seed=3066083399684947246, delta_range=(0.01, 0.1))
+        A = generate(spec)
+        A32, b = downcast(A), downcast_vector(ones_rhs(A))
+        lazy_cfg = no_stagnation(SolveConfig(tolerance=2e-6, preconditioner="jacobi"))
+        inv_diag = _inverse_diagonal(A32)
+        (eager,) = cg_reference(A32, b, None, lazy_cfg, inv_diag, (2e-6,))
+        lazy = pcg_jacobi(A32, b, None, lazy_cfg)
+        assert (eager[1], eager[3]) == (3, "converged")
+        assert (lazy.iterations, lazy.status) == (4, "converged")
+        assert np.isnan(lazy.residual_history[2])  # skipped at the eager stop
+        assert eager[4][2] <= 2e-6 * np.linalg.norm(b)
+        # The iterates are those of the eager trajectory.
+        capped = replace(lazy_cfg, tolerance=1e-30, max_iterations=4)
+        (ref,) = cg_reference(A32, b, None, capped, inv_diag, (1e-30,))
+        assert np.array_equal(bits(lazy.x), bits(ref[0]))
+        true = float(np.linalg.norm(b - A32._csr @ lazy.x))
+        assert true <= 2e-6 * float(np.linalg.norm(b))
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_lazy_never_stops_earlier_and_meets_threshold(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(10, 90))
+        A = random_dd(n, rng, density=float(rng.uniform(0.03, 0.3)),
+                      delta=(1e-5, 1e-2) if seed % 2 else (1e-2, 1.0), signed=bool(seed % 3))
+        b = rng.standard_normal(n)
+        tolerances = tuple(np.logspace(-2, -9, 15))
+        for M, v in ((A, b), (downcast(A), downcast_vector(b))):
+            for pre in ("none", "jacobi"):
+                lazy_cfg = no_stagnation(
+                    SolveConfig(tolerance=1e-9, preconditioner=pre, max_iterations=3 * n))
+                # A guard that cannot fire, since the best residual never
+                # grows, but that makes the kernel test every iteration.
+                eager_cfg = replace(lazy_cfg, stagnation_window=1, stagnation_factor=1.0)
+                inv_diag = TestLeanKernel._inv(M, lazy_cfg)
+                lazy = _until_breakdown(_run_cg(M, v, None, lazy_cfg, inv_diag, tolerances))
+                eager = _until_breakdown(_run_cg(M, v, None, eager_cfg, inv_diag, tolerances))
+                assert len(lazy) <= len(eager)
+                scale = float(np.linalg.norm(v))
+                for tol, result, ref in zip(tolerances, lazy, eager):
+                    assert result.iterations >= ref.iterations
+                    if result.iterations == ref.iterations:
+                        assert np.array_equal(bits(result.x), bits(ref.x))
+                    if result.status == "converged":
+                        true = float(np.linalg.norm(v - M._csr @ result.x))
+                        assert true <= tol * scale
