@@ -30,16 +30,19 @@ def atomic_write(path):
         with open(path, "w", encoding="ascii") as fh:
             yield fh
         return
-    path = os.path.realpath(path)
-    head, tail = os.path.split(path)
+    real = os.path.realpath(path)
+    head, tail = os.path.split(real)
     tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the file asked for, not the hidden one
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     try:
         with open(fd, "w", encoding="ascii") as fh:
             yield fh
         if target is not None:
             os.chmod(tmp, stat.S_IMODE(target.st_mode))
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -97,6 +98,16 @@ def _load_rhs(args, A) -> np.ndarray:
 
 
 def cmd_solve(args) -> int:
+    if args.eps1 != "auto":
+        try:
+            eps1 = float(args.eps1)
+        except ValueError:
+            eps1 = math.nan
+        if not (math.isfinite(eps1) and eps1 > 0):
+            return _fail(
+                EXIT_CONFIG,
+                f"--eps1 must be a finite positive number or 'auto', got '{args.eps1}'",
+            )
     try:
         A = read_matrix_market(args.matrix)
         b = _load_rhs(args, A)
@@ -116,11 +127,6 @@ def cmd_solve(args) -> int:
         label = regression.knn_predict(model, extract_features(A))
         eps1 = model.grid_values[label - 1]
         print(f"predicted class = {label} (eps1 = {eps1:g})")
-    else:
-        try:
-            eps1 = float(args.eps1)
-        except ValueError:
-            return _fail(EXIT_CONFIG, f"--eps1 must be a number or 'auto', got '{args.eps1}'")
     if eps1 < args.eps2:
         return _fail(EXIT_CONFIG, f"eps1={eps1:g} must be >= eps2={args.eps2:g}")
 
@@ -157,21 +163,31 @@ def cmd_generate(args) -> int:
 
 
 def _read_specs(path) -> list[dataset.GraphSpec]:
+    """Specs of a JSON-lines file, each validated; a bad one raises
+    ValueError naming its ``path:line``."""
     specs = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            if line.strip():
-                specs.append(dataset.GraphSpec.from_dict(json.loads(line)))
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                spec = dataset.GraphSpec.from_dict(json.loads(line))
+                dataset._validate_spec(spec)
+            except (ValueError, TypeError) as exc:  # TypeError: unknown or missing key
+                raise ValueError(f"bad spec at {path}:{lineno}: {exc}") from None
+            specs.append(spec)
     return specs
 
 
 def cmd_label(args) -> int:
+    if args.threads < 1:
+        return _fail(EXIT_CONFIG, f"--threads must be at least 1, got {args.threads}")
     try:
         specs = _read_specs(args.specs)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read specs: {exc}")
-    except TypeError as exc:  # a spec with an unknown or missing key
-        return _fail(EXIT_CONFIG, f"bad spec in '{args.specs}': {exc}")
+    except ValueError as exc:
+        return _fail(EXIT_CONFIG, str(exc))
     grid = _grid_from_args(args)
     config = _config_from_args(args)
     manifest = dataset.build_sample(

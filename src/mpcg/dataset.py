@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import math
+import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -170,6 +171,63 @@ def _decode_pairs(codes: np.ndarray, n: int) -> np.ndarray:
     return np.stack([i, codes - _pair_offset(i, n) + i + 1], axis=1)
 
 
+def _random_regular_edges(d: int, n: int, rand: random.Random) -> set[tuple[int, int]]:
+    """Edges (i, j), i < j, of a random d-regular graph on n vertices.
+
+    Steger-Wormald pairing (Steger & Wormald, "Generating random regular
+    graphs quickly", CPC 1999) as networkx 3.6.1 runs it, draw for draw:
+    ``random_regular_graph(d, n, seed=s)`` has exactly these edges when
+    ``rand`` is ``random.Random(s)``.  Each round shuffles the open stubs
+    and pairs them off; a pair that is a loop or an existing edge returns
+    both stubs to the pool, in the order their vertices first failed.  An
+    attempt restarts from scratch when no pool vertex can still be joined
+    to another.  Requires 0 <= d < n with n*d even.
+    """
+    if d == 0:
+        return set()
+    while True:
+        edges: set[tuple[int, int]] = set()
+        stubs = list(range(n)) * d
+        while stubs:
+            failed: dict[int, int] = {}  # vertex -> stubs returned, first-failure order
+            rand.shuffle(stubs)
+            it = iter(stubs)
+            for s1, s2 in zip(it, it):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    failed[s1] = failed.get(s1, 0) + 1
+                    failed[s2] = failed.get(s2, 0) + 1
+            if not _pool_joinable(edges, failed):
+                break  # dead end: a new attempt
+            stubs = [v for v, k in failed.items() for _ in range(k)]
+        else:
+            return edges
+
+
+def _pool_joinable(edges: set[tuple[int, int]], pool: dict[int, int]) -> bool:
+    """networkx's ``_suitable``: whether the pairing may go on.
+
+    Its inner loop swaps ``s1`` in place, so after the first swap it tests
+    pairs other than "each vertex against the ones before it" and can miss
+    a joinable pair.  The quirk decides when an attempt restarts, hence
+    which draws follow, so it is kept.
+    """
+    if not pool:
+        return True
+    for s1 in pool:
+        for s2 in pool:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
+
+
 def _family_edges(spec: GraphSpec, rng: np.random.Generator) -> np.ndarray:
     """Undirected edge list (E, 2) with i < j, no duplicates."""
     n = spec.n
@@ -196,12 +254,9 @@ def _family_edges(spec: GraphSpec, rng: np.random.Generator) -> np.ndarray:
         leaf = np.arange(1, n)
         return np.stack([np.zeros(n - 1, dtype=np.int64), leaf], axis=1)
     if spec.family == "random_regular":
-        import networkx as nx  # its only use; keeps it off the import path
-
-        seed = int(rng.integers(0, 2**31 - 1))
-        g = nx.random_regular_graph(spec.degree, n, seed=seed)
-        edges = np.array(sorted(tuple(sorted(e)) for e in g.edges()), dtype=np.int64)
-        return edges.reshape(-1, 2)
+        rand = random.Random(int(rng.integers(0, 2**31 - 1)))
+        edges = sorted(_random_regular_edges(spec.degree, n, rand))
+        return np.array(edges, dtype=np.int64).reshape(-1, 2)
     if spec.family == "random_gnm":
         pick = rng.choice(n * (n - 1) // 2, size=spec.m_target, replace=False)
         pick.sort()

@@ -158,6 +158,13 @@ class TestSolveCommand:
         assert "spmv_stage1    = 3" in out
         assert "spmv_stage2    = 1" in out
 
+    @pytest.mark.parametrize("eps1", ["nan", "inf", "-inf", "0", "-0.1", "abc"])
+    def test_eps1_not_finite_positive_exits_2(self, identity_file, capsys, eps1):
+        assert main(["solve", str(identity_file), f"--eps1={eps1}"]) == 2
+        captured = capsys.readouterr()
+        assert "--eps1" in captured.err and "epsilon2" not in captured.err
+        assert captured.out == ""
+
     def test_non_spd_matrix_exits_3(self, tmp_path):
         p = tmp_path / "indef.mtx"
         p.write_text(
@@ -174,6 +181,44 @@ class TestBadInputFiles:
         out = tmp_path / "sample.jsonl"
         assert main(["label", "--specs", str(specs), "--out", str(out)]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_invalid_spec_exits_2_before_labelling(self, tmp_path, capsys):
+        specs = tmp_path / "specs.jsonl"
+        specs.write_text(
+            '{"family": "path", "n": 10}\n\n{"family": "nope", "n": 10}\n'
+        )
+        out = tmp_path / "sample.jsonl"
+        assert main(["label", "--specs", str(specs), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{specs}:3" in err and "unknown family 'nope'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
+        specs = tmp_path / "specs.jsonl"
+        specs.write_text('{"family": "path", "n": 10}\n')
+        out = tmp_path / "sample.jsonl"
+        argv = ["label", "--specs", str(specs), "--out", str(out), "--threads", threads]
+        assert main(argv) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_generation_failure_is_logged_and_skipped(self, tmp_path, capsys):
+        # A valid spec whose perturbation finds no non-edges left.
+        specs = tmp_path / "specs.jsonl"
+        specs.write_text(
+            '{"family": "path", "n": 4, "variants": 2, "edges_to_add": 9}\n'
+            '{"family": "path", "n": 10}\n'
+        )
+        out = tmp_path / "sample.jsonl"
+        assert main(["label", "--specs", str(specs), "--out", str(out)]) == 0
+        assert "labeled 1/1" in capsys.readouterr().out
+
+    def test_output_in_missing_directory_names_the_target(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "specs.jsonl"
+        assert main(["generate", "--out", str(out), "--count", "10"]) == 5
+        err = capsys.readouterr().err
+        assert f"'{out}'" in err and ".tmp" not in err
 
     def test_evaluate_with_malformed_model_exits_2(self, tmp_path):
         sample, model = tmp_path / "sample.jsonl", tmp_path / "model.json"

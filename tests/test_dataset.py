@@ -1,9 +1,15 @@
+import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import mpcg
 from mpcg.dataset import (
     DEFAULT_GRID,
     EpsilonGrid,
@@ -18,6 +24,7 @@ from mpcg.dataset import (
     read_sample,
     _decode_pairs,
     _encode_pairs,
+    _random_regular_edges,
 )
 from mpcg.errors import (
     CgBreakdownError,
@@ -113,6 +120,80 @@ class TestGenerate:
             )
         with pytest.raises(InvalidSpecError):
             generate(GraphSpec("path", 5, delta_range=(0.0, 1.0)))
+
+
+def csr_digest(A) -> str:
+    """sha256 of the three CSR arrays in a fixed byte layout."""
+    h = hashlib.sha256()
+    h.update(A.row_starts.astype("<i8").tobytes())
+    h.update(A.col_indices.astype("<i8").tobytes())
+    h.update(A.values.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+# Taken with networkx 3.6.1 generating the edges; the in-repo generator
+# must keep them.
+RANDOM_REGULAR_DIGESTS = [
+    (
+        GraphSpec("random_regular", 500, seed=2024, degree=6),
+        "3890484560471681dece302c19caf34bea9161d5ec5f41326a8fdefd74143dda",
+    ),
+    (
+        GraphSpec(
+            "random_regular", 301, seed=7, degree=4,
+            diagonal_strategy="uniform_constant", constant=5.5,
+        ),
+        "8feb047c7e53ec51b598bb816bc031834578d126a66b113daf7dcc7d5bf3a43b",
+    ),
+]
+
+NO_NETWORKX_SCRIPT = """
+import sys, tempfile, os
+from mpcg.cli import main
+from mpcg.dataset import FAMILIES, GraphSpec, generate
+extra = {"random_gnm": {"m_target": 60}, "random_regular": {"degree": 4}}
+for family in FAMILIES:
+    generate(GraphSpec(family, 40, seed=1, **extra.get(family, {})))
+with tempfile.TemporaryDirectory() as d:
+    specs = os.path.join(d, "specs.jsonl")
+    with open(specs, "w") as fh:
+        fh.write('{"family": "random_regular", "n": 60, "degree": 3, "seed": 5}\\n')
+    assert main(["label", "--specs", specs, "--out", os.path.join(d, "s.jsonl")]) == 0
+print("networkx" in sys.modules)
+"""
+
+
+class TestRandomRegular:
+    @pytest.mark.parametrize("n", [10, 200, 1000])
+    @pytest.mark.parametrize("d", [0, 3, 4, 6, 8])
+    def test_edges_match_networkx(self, d, n):
+        nx = pytest.importorskip("networkx")
+        for seed in range(5):
+            expected = {
+                tuple(sorted(e))
+                for e in nx.random_regular_graph(d, n, seed=seed).edges()
+            }
+            assert _random_regular_edges(d, n, random.Random(seed)) == expected
+
+    @pytest.mark.parametrize("d,n", [(3, 10), (8, 10), (6, 200)])
+    def test_simple_and_regular(self, d, n):
+        edges = _random_regular_edges(d, n, random.Random(1))
+        assert all(0 <= i < j < n for i, j in edges)
+        degrees = np.bincount(np.array(sorted(edges)).ravel(), minlength=n)
+        assert np.all(degrees == d)
+
+    @pytest.mark.parametrize("spec,digest", RANDOM_REGULAR_DIGESTS)
+    def test_pinned_matrix_digest(self, spec, digest):
+        assert csr_digest(generate(spec)) == digest
+
+    def test_generate_and_label_never_load_networkx(self):
+        src = os.path.dirname(os.path.dirname(mpcg.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", NO_NETWORKX_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip().splitlines()[-1] == "False"
 
 
 class TestPerturb:

@@ -115,6 +115,15 @@ class TestAtomicWrite:
         modes = {os.stat(tmp_path / name).st_mode for name in ("plain.txt", "atomic.txt")}
         assert len(modes) == 1
 
+    def test_missing_directory_error_names_the_target(self, tmp_path):
+        path = tmp_path / "missing" / "out.txt"
+        with pytest.raises(FileNotFoundError) as info:
+            with atomic_write(path):
+                pass
+        assert info.value.filename == str(path)
+        assert ".tmp" not in str(info.value)
+        assert contents(tmp_path) == {}
+
 
 def _records(tmp_path):
     out = tmp_path / "seed.jsonl"
