@@ -8,9 +8,9 @@ the sweet spot.
 
 import numpy as np
 
-from mpcg import EpsilonGrid, GraphSpec, generate, two_stage_solve
+from mpcg import EpsilonGrid, GraphSpec, generate
 from mpcg.dataset import ones_rhs
-from mpcg.solver import SolveConfig, cg, no_stagnation
+from mpcg.solver import SolveConfig, cg, no_stagnation, sweep
 
 # A random tree with a thin dominance margin: ill-conditioned enough that
 # binary32 cannot reach the deepest tolerances.
@@ -25,16 +25,16 @@ print(f"final tolerance eps2 = {grid.epsilon2:g}, mu = {grid.mu}\n")
 baseline = cg(A, b, None, no_stagnation(SolveConfig(tolerance=grid.epsilon2)))
 print(f"pure binary64 baseline: {baseline.iterations} iterations\n")
 
+# One sweep runs binary32 stage 1 once, stopping at each eps1 on its way.
+results, failure = sweep(A, b, grid.values, grid.epsilon2, grid.mu)
+if failure is not None:
+    raise failure
 print(f"{'eps1':>8} {'N1':>5} {'N2':>5} {'cost':>8}  stage-1 status")
-best = None
-for eps1 in grid.values:
-    r = two_stage_solve(A, b, eps1, grid.epsilon2, grid.mu)
-    marker = ""
-    if best is None or r.cost < best.cost:
-        best = r
+for r in results:
     print(
-        f"{eps1:8.0e} {r.n1:5d} {r.n2:5d} {r.cost:8.1f}  {r.stage1_status}"
+        f"{r.epsilon1:8.0e} {r.n1:5d} {r.n2:5d} {r.cost:8.1f}  {r.stage1_status}"
     )
+best = min(results, key=lambda r: r.cost)  # the first of equal costs
 
 saving = 100.0 * (baseline.iterations - best.cost) / baseline.iterations
 print(

@@ -3,13 +3,15 @@
 Subcommands: features, solve, generate, label, train, evaluate.  Every run
 is deterministic given its flags and seeds, and no subcommand mutates its
 input files.  Exit codes: 2 configuration or validation problem, 3 runtime
-failure (non-convergence), 4 missing model, 5 I/O failure.
+failure (non-convergence), 4 missing model, 5 I/O failure.  ``main`` maps
+exceptions to them; a subcommand catches only where its code differs:
+``features`` reports an unreadable matrix as 2, and ``solve --eps1 auto``
+a missing or malformed model as 4.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -19,9 +21,7 @@ from . import dataset, regression
 from ._fileio import atomic_write
 from .errors import (
     CgBreakdownError,
-    MatrixMarketParseError,
     MissingCostEntryError,
-    SampleTooSmallError,
     SinglePrecisionOverflowError,
     Stage2NotConvergedError,
 )
@@ -68,8 +68,6 @@ def cmd_features(args) -> int:
         A = read_matrix_market(args.matrix)
     except OSError as exc:
         return _fail(EXIT_CONFIG, f"cannot read '{args.matrix}': {exc}")
-    except (MatrixMarketParseError, ValueError, IndexError) as exc:
-        return _fail(EXIT_CONFIG, str(exc))
     chi = extract_features(A)
     est = eigen_estimates(A)
     print(f"n               = {chi.n}")
@@ -108,14 +106,8 @@ def cmd_solve(args) -> int:
                 EXIT_CONFIG,
                 f"--eps1 must be a finite positive number or 'auto', got '{args.eps1}'",
             )
-    try:
-        A = read_matrix_market(args.matrix)
-        b = _load_rhs(args, A)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read input: {exc}")
-    except (MatrixMarketParseError, ValueError, IndexError) as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-
+    A = read_matrix_market(args.matrix)
+    b = _load_rhs(args, A)
     config = _config_from_args(args)
     if args.eps1 == "auto":
         if not args.model:
@@ -130,10 +122,7 @@ def cmd_solve(args) -> int:
     if eps1 < args.eps2:
         return _fail(EXIT_CONFIG, f"eps1={eps1:g} must be >= eps2={args.eps2:g}")
 
-    try:
-        result = two_stage_solve(A, b, eps1, args.eps2, args.mu, config)
-    except (Stage2NotConvergedError, CgBreakdownError, SinglePrecisionOverflowError) as exc:
-        return _fail(EXIT_RUNTIME, str(exc))
+    result = two_stage_solve(A, b, eps1, args.eps2, args.mu, config)
     print(f"N1             = {result.n1} ({result.stage1_status})")
     print(f"N2             = {result.n2} ({result.stage2_status})")
     print(f"cost           = {result.cost:g}")
@@ -154,40 +143,16 @@ def cmd_generate(args) -> int:
         variants=args.variants,
         seed=args.seed,
     )
-    with atomic_write(args.out) as fh:
-        for spec in specs:
-            fh.write(json.dumps(spec.to_dict(), sort_keys=True) + "\n")
+    dataset.write_specs(specs, args.out)
     matrices = sum(1 + s.variants for s in specs)
     print(f"wrote {len(specs)} specs ({matrices} matrices) to {args.out}")
     return 0
 
 
-def _read_specs(path) -> list[dataset.GraphSpec]:
-    """Specs of a JSON-lines file, each validated; a bad one raises
-    ValueError naming its ``path:line``."""
-    specs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                spec = dataset.GraphSpec.from_dict(json.loads(line))
-                dataset._validate_spec(spec)
-            except (ValueError, TypeError) as exc:  # TypeError: unknown or missing key
-                raise ValueError(f"bad spec at {path}:{lineno}: {exc}") from None
-            specs.append(spec)
-    return specs
-
-
 def cmd_label(args) -> int:
     if args.threads < 1:
         return _fail(EXIT_CONFIG, f"--threads must be at least 1, got {args.threads}")
-    try:
-        specs = _read_specs(args.specs)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read specs: {exc}")
-    except ValueError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+    specs = dataset.read_specs(args.specs)
     grid = _grid_from_args(args)
     config = _config_from_args(args)
     manifest = dataset.build_sample(
@@ -201,10 +166,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
-        records = dataset.read_sample(args.sample)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read sample: {exc}")
+    records = dataset.read_sample(args.sample)
     train, test = regression.split(
         records,
         test_fraction=args.test_fraction,
@@ -231,11 +193,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        records = dataset.read_sample(args.sample)
-        model = regression.load_model(args.model)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read inputs: {exc}")
+    records = dataset.read_sample(args.sample)
+    model = regression.load_model(args.model)
     if args.subset == "test":
         wanted = set(model.test_ids)
     elif args.subset == "train":
@@ -264,9 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     numeric = argparse.ArgumentParser(add_help=False)
     numeric.add_argument("--mu", type=float, default=0.5, help="stage-1 iteration weight")
     numeric.add_argument("--eps2", type=float, default=1e-10, help="final tolerance")
-    numeric.add_argument(
-        "--grid", default="", help="comma-separated eps1 grid (default 1e-1..1e-7)"
-    )
     numeric.add_argument(
         "--residual", choices=("relative", "absolute"), default="relative"
     )
@@ -305,6 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
         "label", parents=[numeric], help="sweep the grid and label every matrix"
     )
     p.add_argument("--specs", required=True, help="specs file from 'generate'")
+    p.add_argument(
+        "--grid", default="", help="comma-separated eps1 grid (default 1e-1..1e-7)"
+    )
     p.add_argument("--out", required=True, help="sample file to write (JSON lines)")
     p.add_argument("--threads", type=int, default=1, help="parallel labeling workers")
     p.set_defaults(func=cmd_label)
@@ -337,9 +296,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, SampleTooSmallError) as exc:
+    except ValueError as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    except (Stage2NotConvergedError, CgBreakdownError, MissingCostEntryError) as exc:
+    except (
+        Stage2NotConvergedError,
+        CgBreakdownError,
+        SinglePrecisionOverflowError,
+        MissingCostEntryError,
+    ) as exc:
         return _fail(EXIT_RUNTIME, str(exc))
     except OSError as exc:
         return _fail(EXIT_IO, str(exc))

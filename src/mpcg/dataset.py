@@ -36,6 +36,8 @@ __all__ = [
     "label_matrix",
     "build_sample",
     "plan_specs",
+    "write_specs",
+    "read_specs",
     "write_sample",
     "read_sample",
     "read_manifest",
@@ -113,9 +115,15 @@ class GraphSpec:
         return cls(**d)
 
 
-def _validate_spec(spec: GraphSpec) -> None:
+def _validate_spec(spec: GraphSpec) -> GraphSpec:
+    """``spec`` itself; an inconsistent one raises InvalidSpecError."""
     if spec.family not in FAMILIES:
         raise InvalidSpecError(f"unknown family '{spec.family}'")
+    for name in ("n", "seed", "variants", "degree", "m_target", "edges_to_add"):
+        value = getattr(spec, name)
+        required = name in ("n", "seed", "variants")
+        if type(value) is not int and (required or value is not None):  # bool is not int
+            raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
     if spec.n < 1:
         raise InvalidSpecError("n must be at least 1")
     if spec.family == "cycle" and spec.n < 3:
@@ -133,17 +141,44 @@ def _validate_spec(spec: GraphSpec) -> None:
         raise InvalidSpecError(f"unknown diagonal strategy '{spec.diagonal_strategy}'")
     if spec.diagonal_strategy == "degree_plus_delta":
         lo, hi = spec.delta_range
-        if not 0 < lo <= hi:
-            raise InvalidSpecError("delta_range must satisfy 0 < lo <= hi")
+        if not 0 < lo <= hi < math.inf:
+            raise InvalidSpecError("delta_range must satisfy 0 < lo <= hi < inf")
+    if spec.diagonal_strategy == "uniform_constant":
+        c = spec.constant
+        if type(c) not in (int, float) or not math.isfinite(c):
+            raise InvalidSpecError(f"uniform_constant needs a finite constant, got {c!r}")
+        top = _max_degree(spec)
+        if top is not None and not c > top:
+            raise InvalidSpecError(
+                f"uniform_constant {c} must exceed the maximum degree {top}"
+            )
+    if spec.seed < 0:
+        raise InvalidSpecError("seed must be nonnegative")
     if spec.variants < 0:
         raise InvalidSpecError("variants must be nonnegative")
     if spec.edges_to_add is not None and spec.edges_to_add < 1:
         raise InvalidSpecError("edges_to_add must be at least 1")
+    return spec
 
 
 def _grid_shape(n: int) -> tuple[int, int]:
     r = max(d for d in range(1, int(math.isqrt(n)) + 1) if n % d == 0)
     return r, n // r
+
+
+def _max_degree(spec: GraphSpec) -> int | None:
+    """Maximum vertex degree of a family whose degrees the seed does not
+    change, known before generation; None for tree_random and random_gnm."""
+    if spec.family in ("path", "cycle"):
+        return min(2, spec.n - 1)
+    if spec.family == "grid2d":
+        rows, cols = _grid_shape(spec.n)
+        return min(2, rows - 1) + min(2, cols - 1)
+    if spec.family == "star":
+        return spec.n - 1
+    if spec.family == "random_regular":
+        return spec.degree
+    return None
 
 
 def _pair_offset(i, n: int):
@@ -563,6 +598,37 @@ def build_sample(
     return manifest
 
 
+def _read_json_lines(path, parse, error: str) -> list:
+    """``parse`` of every non-blank JSON line of ``path``.  A line that
+    does not parse raises ValueError with ``error`` formatted with
+    ``where`` (``path:line``) and ``exc``."""
+    items = []
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                items.append(parse(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:  # TypeError: unknown key
+                raise ValueError(error.format(where=f"{path}:{lineno}", exc=exc)) from None
+    return items
+
+
+def write_specs(specs: list[GraphSpec], path) -> None:
+    """One JSON line per spec; the file is replaced whole."""
+    with atomic_write(path) as fh:
+        for spec in specs:
+            fh.write(json.dumps(spec.to_dict(), sort_keys=True) + "\n")
+
+
+def read_specs(path) -> list[GraphSpec]:
+    """Specs of a JSON-lines file, each validated; a bad one raises
+    ValueError naming its ``path:line``."""
+    return _read_json_lines(
+        path, lambda d: _validate_spec(GraphSpec.from_dict(d)), "bad spec at {where}: {exc}"
+    )
+
+
 def write_sample(
     records: list[SampleRecord], path, manifest: DatasetManifest | None = None
 ) -> None:
@@ -578,18 +644,10 @@ def write_sample(
 
 def read_sample(path, include_invalid: bool = False) -> list[SampleRecord]:
     """Records of a sample file; a malformed line raises ValueError."""
-    records = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = SampleRecord.from_dict(json.loads(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"malformed record at {path}:{lineno}: {exc!r}") from None
-            if rec.valid or include_invalid:
-                records.append(rec)
-    return records
+    records = _read_json_lines(
+        path, SampleRecord.from_dict, "malformed record at {where}: {exc!r}"
+    )
+    return [rec for rec in records if rec.valid or include_invalid]
 
 
 def read_manifest(sample_path) -> dict:

@@ -261,7 +261,11 @@ def _cost_of_class(rec: SampleRecord, label: int, grid_values) -> float:
 
 
 def evaluate(model: KnnModel, test: list[SampleRecord]) -> EvalReport:
-    """Score predictions against the stored sweeps of the test records."""
+    """Score predictions against the stored sweeps of the test records.
+
+    A record whose stored ``i_opt`` and ``i_wrst`` do not bracket the cost
+    of the predicted class is inconsistent and raises ValueError.
+    """
     usable = [r for r in test if r.valid and r.label is not None]
     if not usable:
         raise SampleTooSmallError("no valid records to evaluate")
@@ -273,8 +277,8 @@ def evaluate(model: KnnModel, test: list[SampleRecord]) -> EvalReport:
         i_knn = _cost_of_class(rec, pred, model.grid_values)
         row = EvalRow(rec.matrix_id, rec.label, pred, rec.i_opt, i_knn, rec.i_wrst)
         if not row.i_opt <= row.i_knn <= row.i_wrst:
-            raise AssertionError(
-                f"cost ordering violated for {rec.matrix_id}: "
+            raise ValueError(
+                f"cost ordering violated for record {rec.matrix_id}: "
                 f"{row.i_opt} / {row.i_knn} / {row.i_wrst}"
             )
         confusion[rec.label - 1, pred - 1] += 1

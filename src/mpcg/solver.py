@@ -243,7 +243,8 @@ def _inverse_diagonal(A: SparseSymMatrix) -> np.ndarray:
 
 
 def cg(A: SparseSymMatrix, b, x0=None, config: SolveConfig | None = None) -> SolveResult:
-    """Conjugate gradients at the matrix's storage precision.
+    """Conjugate gradients at the matrix's storage precision, preconditioned
+    by M = diag(A) when ``config.preconditioner`` is "jacobi".
 
     Stops when the true residual ``||b - A x||`` (divided by ``||b||`` in
     relative mode) falls to the configured tolerance, when max_iterations
@@ -255,13 +256,15 @@ def cg(A: SparseSymMatrix, b, x0=None, config: SolveConfig | None = None) -> Sol
     """
     if config is None:
         raise ValueError("config with a tolerance is required")
-    return next(_run_cg(A, b, x0, config, None, (config.tolerance,)))
+    inv_diag = _inverse_diagonal(A) if config.preconditioner == "jacobi" else None
+    return next(_run_cg(A, b, x0, config, inv_diag, (config.tolerance,)))
 
 
 def pcg_jacobi(
     A: SparseSymMatrix, b, x0=None, config: SolveConfig | None = None
 ) -> SolveResult:
-    """CG preconditioned by M = diag(A); stopping test is unpreconditioned."""
+    """CG preconditioned by M = diag(A) whatever ``config.preconditioner``
+    says; stopping test is unpreconditioned."""
     if config is None:
         raise ValueError("config with a tolerance is required")
     inv_diag = _inverse_diagonal(A)
@@ -315,7 +318,6 @@ def sweep(
     # floor out far above the target.  Refinement in binary64 is bounded by
     # max_iterations alone; its long plateaus are ordinary CG behavior.
     refine = no_stagnation(replace(config, tolerance=epsilon2))
-    solve = pcg_jacobi if jacobi else cg
     stage2, results = {}, []
     try:
         for eps1 in epsilons:
@@ -325,7 +327,7 @@ def sweep(
             n1 = first.iterations if first else 0
             if n1 not in stage2:
                 x0 = upcast_vector(first.x) if first else None
-                stage2[n1] = solve(A, b, x0, refine)
+                stage2[n1] = cg(A, b, x0, refine)
             second = stage2[n1]
             if second.status != "converged":
                 return results, Stage2NotConvergedError(

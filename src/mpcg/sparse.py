@@ -262,8 +262,10 @@ def downcast_vector(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore"):
         x32 = x.astype(np.float32)
-    if np.any(np.isinf(x32) & np.isfinite(x)):
-        raise SinglePrecisionOverflowError("value exceeds binary32 range")
+    overflow = np.isinf(x32) & np.isfinite(x)
+    if overflow.any():
+        value = x[overflow.argmax()]
+        raise SinglePrecisionOverflowError(f"value {value:g} exceeds binary32 range")
     return x32
 
 

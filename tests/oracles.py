@@ -138,16 +138,15 @@ def write_matrix_market_reference(A, path) -> None:
 def two_stage_reference(A, b, epsilon1, epsilon2, mu, config):
     """(n1, n2, x) of a two-stage solve with its own stage 1 from zero."""
     from mpcg.errors import Stage2NotConvergedError
-    from mpcg.solver import cg, no_stagnation, pcg_jacobi
+    from mpcg.solver import cg, no_stagnation
     from mpcg.sparse import downcast, downcast_vector, upcast_vector
 
-    solver = pcg_jacobi if config.preconditioner == "jacobi" else cg
     b = np.asarray(b, dtype=np.float64)
-    stage1 = solver(
+    stage1 = cg(
         downcast(A), downcast_vector(b), None, replace(config, tolerance=epsilon1)
     )
     x0 = upcast_vector(stage1.x)
-    stage2 = solver(A, b, x0, no_stagnation(replace(config, tolerance=epsilon2)))
+    stage2 = cg(A, b, x0, no_stagnation(replace(config, tolerance=epsilon2)))
     if stage2.status != "converged":
         raise Stage2NotConvergedError(stage2.status)
     return stage1.iterations, stage2.iterations, stage2.x
@@ -157,7 +156,7 @@ def label_matrix_reference(A, b, grid, config, matrix_id="", group_id="", spec=N
     """``label_matrix`` by one independent two-stage solve per grid value,
     then a separate pure binary64 solve; returns the record's dict form."""
     from mpcg.features import extract_features
-    from mpcg.solver import cg, no_stagnation, pcg_jacobi
+    from mpcg.solver import cg, no_stagnation
 
     costs = []
     valid = True
@@ -169,8 +168,7 @@ def label_matrix_reference(A, b, grid, config, matrix_id="", group_id="", spec=N
             break
         costs.append({"epsilon1": eps1, "n1": n1, "n2": n2, "cost": grid.mu * n1 + n2})
     if valid:
-        solver = pcg_jacobi if config.preconditioner == "jacobi" else cg
-        base = solver(A, b, None, no_stagnation(replace(config, tolerance=grid.epsilon2)))
+        base = cg(A, b, None, no_stagnation(replace(config, tolerance=grid.epsilon2)))
         valid = base.status == "converged"
         if valid:
             costs.append(

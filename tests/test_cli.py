@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpcg.cli import main
-from mpcg.dataset import GraphSpec, generate
+from mpcg.dataset import GraphSpec, generate, read_manifest
 from mpcg.sparse import write_matrix_market
 
 
@@ -45,6 +45,74 @@ MALFORMED_MODELS = (
 )
 
 BAD_GRIDS = {"string": ["a", "b"], "ascending": [0.01, 0.1], "repeated": [0.1, 0.1]}
+
+
+def sample_json(**changes) -> str:
+    """One valid record swept over ``model_json``'s grid, whose one point
+    predicts class 2, with ``changes`` applied."""
+    record = {
+        "matrix_id": "s00000", "group_id": "s00000", "spec": None,
+        "features": {"n": 4, "nnz": 4, "pseudo_diameter": 0, "spread": 0.0,
+                     "lambda_max": 1.0},
+        "costs": [
+            {"epsilon1": 0.1, "n1": 1, "n2": 9, "cost": 9.5},
+            {"epsilon1": 0.01, "n1": 2, "n2": 8, "cost": 9.0},
+            {"epsilon1": None, "n1": 0, "n2": 10, "cost": 10.0},
+        ],
+        "label": 2, "i_opt": 9.0, "i_wrst": 9.5, "valid": True,
+    }
+    record.update(changes)
+    return json.dumps(record) + "\n"
+
+
+@pytest.fixture
+def inputs(tmp_path, identity_file):
+    """Paths for the exit-code table: readable inputs and one that is missing."""
+    paths = {
+        "identity": identity_file,
+        "missing": tmp_path / "missing" / "input",
+        "out": tmp_path / "out.json",
+        "model": tmp_path / "model.json",
+        "sample": tmp_path / "sample.jsonl",
+        "inconsistent": tmp_path / "inconsistent.jsonl",
+        "huge": tmp_path / "huge.mtx",
+    }
+    paths["model"].write_text(model_json())
+    paths["sample"].write_text(sample_json())
+    paths["inconsistent"].write_text(sample_json(i_opt=10.5))  # i_wrst + 1
+    paths["huge"].write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "2 2 3\n1 1 1e39\n2 1 1.0\n2 2 3.0\n"
+    )
+    return {name: str(path) for name, path in paths.items()}
+
+
+# (command line, exit code, what stderr names); "{name}" stands for a path
+# of the ``inputs`` fixture.
+EXIT_CODE_CASES = {
+    "solve-unreadable-matrix": (["solve", "{missing}", "--eps1", "0.1"], 5, "{missing}"),
+    "solve-unreadable-rhs": (
+        ["solve", "{identity}", "--eps1", "0.1", "--b", "{missing}"], 5, "{missing}"),
+    "label-unreadable-specs": (["label", "--specs", "{missing}", "--out", "{out}"], 5,
+                               "{missing}"),
+    "train-unreadable-sample": (["train", "--sample", "{missing}", "--out", "{out}"], 5,
+                                "{missing}"),
+    "evaluate-unreadable-sample": (
+        ["evaluate", "--sample", "{missing}", "--model", "{model}"], 5, "{missing}"),
+    "evaluate-unreadable-model": (
+        ["evaluate", "--sample", "{sample}", "--model", "{missing}"], 5, "{missing}"),
+    "solve-binary32-overflow": (["solve", "{huge}", "--eps1", "0.1"], 3, "value 1e+39"),
+    "evaluate-inconsistent-record": (
+        ["evaluate", "--sample", "{inconsistent}", "--model", "{model}", "--subset", "all"],
+        2, "record s00000"),
+}
+
+BAD_SPECS = {
+    "n-float": '{"family": "path", "n": 10.5}',
+    "seed-float": '{"family": "path", "n": 10, "seed": 1.5}',
+    "constant-not-dominant": '{"family": "grid2d", "n": 12, '
+    '"diagonal_strategy": "uniform_constant", "constant": 3.0}',
+}
 
 
 class TestFeaturesCommand:
@@ -165,6 +233,12 @@ class TestSolveCommand:
         assert "--eps1" in captured.err and "epsilon2" not in captured.err
         assert captured.out == ""
 
+    def test_grid_is_not_a_solve_flag(self, identity_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(identity_file), "--eps1", "0.1", "--grid", "1e-1"])
+        assert exc.value.code == 2
+        assert "--grid" in capsys.readouterr().err
+
     def test_non_spd_matrix_exits_3(self, tmp_path):
         p = tmp_path / "indef.mtx"
         p.write_text(
@@ -192,6 +266,23 @@ class TestBadInputFiles:
         err = capsys.readouterr().err
         assert f"{specs}:3" in err and "unknown family 'nope'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("spec", BAD_SPECS.values(), ids=BAD_SPECS.keys())
+    def test_spec_that_cannot_generate_exits_2(self, tmp_path, capsys, spec):
+        specs = tmp_path / "specs.jsonl"
+        specs.write_text(spec + "\n")
+        out = tmp_path / "sample.jsonl"
+        assert main(["label", "--specs", str(specs), "--out", str(out)]) == 2
+        assert f"bad spec at {specs}:1: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_label_takes_a_grid(self, tmp_path, capsys):
+        specs = tmp_path / "specs.jsonl"
+        specs.write_text('{"family": "path", "n": 10}\n')
+        out = tmp_path / "sample.jsonl"
+        argv = ["label", "--specs", str(specs), "--out", str(out), "--grid", "1e-2,1e-1"]
+        assert main(argv) == 0
+        assert read_manifest(out)["grid_values"] == [0.1, 0.01]
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
@@ -251,6 +342,24 @@ class TestBadInputFiles:
         argv += ["--out", str(model)] if command == "train" else ["--model", str(model)]
         assert main(argv) == 2
         assert f"{sample}:2" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    """``main`` maps each failure to its code and says what failed."""
+
+    @pytest.mark.parametrize(
+        "argv, code, named", EXIT_CODE_CASES.values(), ids=EXIT_CODE_CASES.keys()
+    )
+    def test_fault_exits_with_its_code(self, inputs, capsys, argv, code, named):
+        assert main([arg.format(**inputs) for arg in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert named.format(**inputs) in captured.err
+
+    def test_consistent_record_evaluates(self, inputs, capsys):
+        argv = ["evaluate", "--sample", inputs["sample"], "--model", inputs["model"]]
+        assert main([*argv, "--subset", "all"]) == 0
+        assert "N_Opt / N_Wrst" in capsys.readouterr().out
 
 
 class TestPipeline:

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -22,8 +24,11 @@ from mpcg.dataset import (
     plan_specs,
     read_manifest,
     read_sample,
+    read_specs,
+    write_specs,
     _decode_pairs,
     _encode_pairs,
+    _max_degree,
     _random_regular_edges,
 )
 from mpcg.errors import (
@@ -120,6 +125,60 @@ class TestGenerate:
             )
         with pytest.raises(InvalidSpecError):
             generate(GraphSpec("path", 5, delta_range=(0.0, 1.0)))
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            pytest.param(GraphSpec("path", 10.5), "n must be an integer", id="n-float"),
+            pytest.param(GraphSpec("path", True), "n must be an integer", id="n-bool"),
+            pytest.param(GraphSpec("path", 10, seed=1.5), "seed must be an integer",
+                         id="seed-float"),
+            pytest.param(GraphSpec("path", 10, seed=-1), "seed must be nonnegative",
+                         id="seed-negative"),
+            pytest.param(GraphSpec("path", 10, variants=2.0), "variants must be an integer",
+                         id="variants-float"),
+            pytest.param(GraphSpec("random_regular", 10, degree=3.0),
+                         "degree must be an integer", id="degree-float"),
+            pytest.param(GraphSpec("random_gnm", 10, m_target="9"),
+                         "m_target must be an integer", id="m_target-str"),
+            pytest.param(GraphSpec("path", 10, variants=2, edges_to_add=False),
+                         "edges_to_add must be an integer", id="edges_to_add-bool"),
+            pytest.param(GraphSpec("tree_random", 10, diagonal_strategy="uniform_constant"),
+                         "needs a finite constant, got None", id="constant-missing"),
+            pytest.param(GraphSpec("tree_random", 10, diagonal_strategy="uniform_constant",
+                                   constant=math.inf), "needs a finite constant",
+                         id="constant-inf"),
+            pytest.param(GraphSpec("random_gnm", 10, m_target=9, constant="5",
+                                   diagonal_strategy="uniform_constant"),
+                         "needs a finite constant", id="constant-str"),
+            pytest.param(GraphSpec("path", 10, delta_range=(0.1, math.inf)),
+                         "delta_range", id="delta-inf"),
+            pytest.param(GraphSpec("grid2d", 12, diagonal_strategy="uniform_constant",
+                                   constant=3.0), "maximum degree 4", id="grid2d-constant"),
+            pytest.param(GraphSpec("random_regular", 10, degree=4, constant=4.0,
+                                   diagonal_strategy="uniform_constant"),
+                         "maximum degree 4", id="random_regular-constant"),
+        ],
+    )
+    def test_spec_rejected_before_generation(self, spec, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            generate(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [GraphSpec(f, n) for f in ("path", "grid2d", "star") for n in (1, 2, 3, 4, 6, 7, 12)]
+        + [GraphSpec("cycle", n) for n in (3, 4, 7)]
+        + [GraphSpec("random_regular", n, seed=n, degree=d)
+           for n, d in ((5, 0), (4, 3), (12, 3), (30, 4))],
+        ids=lambda spec: f"{spec.family}-{spec.n}",
+    )
+    def test_max_degree_known_before_generation(self, spec):
+        top = _max_degree(spec)
+        assert top == int(np.diff(generate(spec).row_starts).max()) - 1
+        uniform = dataclasses.replace(
+            spec, diagonal_strategy="uniform_constant", constant=top + 0.5
+        )
+        assert np.all(generate(uniform).diagonal() == top + 0.5)
 
 
 def csr_digest(A) -> str:
@@ -411,6 +470,34 @@ class TestBuildSample:
             "matrix_id", "group_id", "spec", "features", "costs",
             "label", "i_opt", "i_wrst", "valid",
         }
+
+
+class TestSpecFiles:
+    def test_round_trip(self, tmp_path):
+        specs = plan_specs(total=40, n_range=(20, 60), variants=3, seed=2)
+        path = tmp_path / "specs.jsonl"
+        write_specs(specs, path)
+        assert read_specs(path) == specs
+        lines = path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [s.to_dict() for s in specs]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"family": "nope", "n": 10}', "unknown family 'nope'"),
+            ('{"family": "path", "n": 10, "bogus": 1}', "bogus"),
+            ('{"n": 10}', "family"),
+            ("[1, 2]", ""),
+            ("not json", ""),
+            ('{"family": "path", "n": 10.5}', "n must be an integer"),
+        ],
+    )
+    def test_bad_line_names_its_place(self, tmp_path, line, message):
+        path = tmp_path / "specs.jsonl"
+        path.write_text('{"family": "path", "n": 10}\n\n' + line + "\n")
+        with pytest.raises(ValueError, match="bad spec at ") as info:
+            read_specs(path)
+        assert f"{path}:3: " in str(info.value) and message in str(info.value)
 
 
 class TestPlanSpecs:

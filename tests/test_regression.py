@@ -239,6 +239,13 @@ class TestEvaluate:
         with pytest.raises(MissingCostEntryError):
             evaluate(model, [rec])
 
+    def test_inconsistent_record_raises_value_error(self):
+        rec = make_record("m0", "m0", feat(), sloped_costs(1))
+        model = fit_knn([rec], k=1)
+        rec.i_opt = rec.i_wrst + 1
+        with pytest.raises(ValueError, match="cost ordering violated for record m0"):
+            evaluate(model, [rec])
+
     def test_k1_self_consistency_on_real_sample(self, tmp_path):
         specs = plan_specs(total=18, n_range=(30, 90), variants=5, seed=6)
         out = tmp_path / "s.jsonl"

@@ -155,6 +155,22 @@ class TestPcgJacobi:
         with pytest.raises(NonpositiveDiagonalError):
             pcg_jacobi(A, np.ones(2), None, CFG)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_cg_honours_a_jacobi_config(self, dtype):
+        # A thin dominance margin, where the preconditioner pays.
+        A = generate(
+            GraphSpec("random_gnm", 300, seed=1, m_target=600, delta_range=(1e-3, 1e-2))
+        )
+        b = ones_rhs(A)
+        if dtype == np.float32:
+            A, b = downcast(A), downcast_vector(b)
+        jacobi = SolveConfig(tolerance=1e-6, preconditioner="jacobi")
+        got, want = cg(A, b, None, jacobi), pcg_jacobi(A, b, None, jacobi)
+        fields = ("x", "iterations", "final_residual_norm", "status", "residual_history")
+        assert_same_run(got, tuple(getattr(want, f) for f in fields))
+        plain = cg(A, b, None, replace(jacobi, preconditioner="none"))
+        assert got.iterations < plain.iterations
+
     def test_matches_cg_solution_and_rarely_slower(self):
         agree = 0
         not_slower = 0
