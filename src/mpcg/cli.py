@@ -129,6 +129,8 @@ def cmd_solve(args) -> int:
     print(f"final_residual = {result.final_residual_norm:.17g}")
     print(f"spmv_stage1    = {result.stage1_spmv_calls}")
     print(f"spmv_stage2    = {result.stage2_spmv_calls}")
+    print(f"seconds_stage1 = {result.stage1_seconds:.6f}")
+    print(f"seconds_stage2 = {result.stage2_seconds:.6f}")
     if args.write_x:
         with atomic_write(args.write_x) as fh:
             np.savetxt(fh, result.x, fmt="%.17g")

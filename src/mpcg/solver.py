@@ -29,11 +29,25 @@ stops later, never earlier.  The margin rests on the gap between the
 recursive and the true residual analysed by van der Vorst and Ye,
 "Residual replacement strategies for Krylov subspace iterative methods",
 SIAM J. Sci. Comput. 22 (2000).
+
+Every inner product of a run, the norm of ``b`` included, is summed in a
+fixed order, so the iterates do not depend on the BLAS thread count.
+OpenBLAS splits a binary64 ``dot`` longer than about 10^4 entries across
+threads, and the split changes the rounding of the sum.  A run on more
+than ``_DOT_BLOCK`` (8192) unknowns therefore sums the BLAS dots of
+consecutive 8192-entry blocks from left to right; each block is short
+enough to run on one thread.  A run on at most 8192 unknowns makes one
+plain ``dot``.  A fixed order is the simplest of the reproducible
+reductions surveyed by Demmel and Nguyen, "Parallel reproducible
+summation", IEEE Trans. Computers 64 (2015); it holds for any thread
+count, though not across BLAS builds.  It also saves the hand-off of
+each dot to a second thread, which at n = 10^5 costs more than it saves.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +64,10 @@ from .sparse import SparseSymMatrix, downcast, downcast_vector, spmv, upcast_vec
 # A run without a stagnation guard tests the true residual only once the
 # recursive residual norm is within this factor of the threshold.
 TRUE_RESIDUAL_MARGIN = 2.0
+
+# Entries per BLAS dot in a run on more than this many unknowns; below
+# the length at which OpenBLAS splits a dot across threads.
+_DOT_BLOCK = 8192
 
 __all__ = [
     "SolveConfig",
@@ -125,6 +143,12 @@ class SolveResult:
 
 @dataclass
 class TwoStageResult:
+    """One two-stage solve.  ``stage1_seconds`` is the wall time of the
+    binary32 operands and of stage 1 up to this eps1, the time a run to
+    this eps1 alone would take; ``stage2_seconds`` is the wall time of
+    this result's stage 2, shared with every eps1 of the same N1.  The
+    pure binary64 baseline spends 0 seconds in stage 1."""
+
     x: np.ndarray
     n1: int
     n2: int
@@ -137,10 +161,12 @@ class TwoStageResult:
     final_residual_norm: float
     stage1_spmv_calls: int
     stage2_spmv_calls: int  # of the stage 2 that eps1 with one N1 share
+    stage1_seconds: float
+    stage2_seconds: float
 
 
 def _check_operands(A: SparseSymMatrix, b, x0):
-    b = np.asarray(b)
+    b = np.ascontiguousarray(b)  # a strided dot may round differently
     if b.ndim != 1 or b.size != A.n:
         raise DimensionMismatchError(f"b must have length {A.n}")
     if b.dtype != A.dtype:
@@ -155,6 +181,15 @@ def _check_operands(A: SparseSymMatrix, b, x0):
             raise PrecisionMismatchError(f"x0 is {x0.dtype}, matrix stores {A.dtype}")
         x = x0.copy()
     return b, x
+
+
+def _blocked_dot(u: np.ndarray, v: np.ndarray):
+    """u'v as the left-to-right sum of the BLAS dots of consecutive
+    ``_DOT_BLOCK``-entry blocks, at the vectors' precision."""
+    total = u[:_DOT_BLOCK].dot(v[:_DOT_BLOCK])
+    for k in range(_DOT_BLOCK, u.size, _DOT_BLOCK):
+        total += u[k:k + _DOT_BLOCK].dot(v[k:k + _DOT_BLOCK])
+    return total
 
 
 def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
@@ -175,27 +210,32 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     true residual only when the recursive norm (``sqrt(r'r)``) is at most
     ``TRUE_RESIDUAL_MARGIN`` times the next unmet threshold, and on the
     last iteration max_iterations allows.
+
+    Every inner product goes through ``dot``: one BLAS dot up to
+    ``_DOT_BLOCK`` unknowns, ``_blocked_dot`` above.
     """
     b, x = _check_operands(A, b, x0)
+    dot = np.ndarray.dot if A.n <= _DOT_BLOCK else _blocked_dot
     max_iterations = config.max_iterations or 10 * A.n
-    scale = float(np.linalg.norm(b)) if config.residual_mode == "relative" else 1.0
+    # ||b|| as np.linalg.norm computes it: sqrt(b'b)
+    scale = float(np.sqrt(dot(b, b))) if config.residual_mode == "relative" else 1.0
     thresholds = [t * scale for t in tolerances]
     lazy = config.stagnation_window > max_iterations
 
     r, d, Ad, t = (np.empty_like(x) for _ in range(4))  # t: scratch
     z = r if inv_diag is None else np.empty_like(x)
     np.subtract(b, spmv(A, x, out=t), out=r)  # r = b - A x
-    res = float(np.sqrt(r.dot(r)))  # np.linalg.norm of a real vector
+    res = float(np.sqrt(dot(r, r)))
     if inv_diag is not None:
         np.multiply(inv_diag, r, out=z)
     np.copyto(d, z)
-    rz = r.dot(d)  # r'M^-1 r; plain r'r when unpreconditioned
+    rz = dot(r, d)  # r'M^-1 r; plain r'r when unpreconditioned
     history, bests = [], [res]
     met, status = 0, "max_iterations"
     for k in range(max_iterations + 1):
         if k > 0:
             spmv(A, d, out=Ad)
-            dAd = d.dot(Ad)
+            dAd = dot(d, Ad)
             if not 0 < dAd < math.inf:  # also rejects NaN
                 raise CgBreakdownError(
                     f"d'Ad = {dAd} at iteration {k}: operand not SPD at {A.precision}"
@@ -205,18 +245,18 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
             np.subtract(r, np.multiply(Ad, alpha, out=t), out=r)  # r - alpha * Ad
             if inv_diag is not None:
                 np.multiply(inv_diag, r, out=z)
-            rz_next = r.dot(z)
+            rz_next = dot(r, z)
             beta = rz_next / rz if rz != 0 else z.dtype.type(0)
             np.add(z, np.multiply(d, beta, out=d), out=d)  # z + beta * d
             rz = rz_next
 
             if lazy and k < max_iterations:
-                recursive = math.sqrt(rz if inv_diag is None else r.dot(r))
+                recursive = math.sqrt(rz if inv_diag is None else dot(r, r))
                 if not recursive <= TRUE_RESIDUAL_MARGIN * thresholds[met]:
                     history.append(math.nan)  # no guard to feed, no stop possible
                     continue
             np.subtract(b, spmv(A, x, out=t), out=t)  # b - A x
-            res = float(np.sqrt(t.dot(t)))
+            res = float(np.sqrt(dot(t, t)))
             history.append(res)
             bests.append(min(bests[-1], res))
         while met < len(thresholds) and res <= thresholds[met]:
@@ -303,14 +343,15 @@ def sweep(
     b = np.asarray(b, dtype=np.float64)
     jacobi = config.preconditioner == "jacobi"
 
-    stage1, stage1_failure = {}, None
+    stage1, stage1_failure = {}, None  # eps1 -> (result, seconds)
     try:
         if tolerances:
+            start = time.perf_counter()
             A32, b32 = downcast(A), downcast_vector(b)
             inv_diag = _inverse_diagonal(A32) if jacobi else None
             run = _run_cg(A32, b32, None, config, inv_diag, tolerances)
             for eps1, result in zip(tolerances, run):
-                stage1[eps1] = result
+                stage1[eps1] = result, time.perf_counter() - start
     except Exception as exc:  # noqa: BLE001 - fails every eps1 left unmet
         stage1_failure = exc
 
@@ -321,14 +362,16 @@ def sweep(
     stage2, results = {}, []
     try:
         for eps1 in epsilons:
-            first = None if eps1 is None else stage1.get(eps1)
+            first, seconds1 = stage1.get(eps1, (None, 0.0))
             if first is None and eps1 is not None:
                 return results, stage1_failure
             n1 = first.iterations if first else 0
             if n1 not in stage2:
+                start = time.perf_counter()
                 x0 = upcast_vector(first.x) if first else None
-                stage2[n1] = cg(A, b, x0, refine)
-            second = stage2[n1]
+                second = cg(A, b, x0, refine)
+                stage2[n1] = second, time.perf_counter() - start
+            second, seconds2 = stage2[n1]
             if second.status != "converged":
                 return results, Stage2NotConvergedError(
                     f"stage 2 ended with status '{second.status}' after {second.iterations}"
@@ -337,7 +380,7 @@ def sweep(
             results.append(TwoStageResult(  # eps1 with one N1 share a stage 2
                 second.x.copy(), n1, n2, eps1, epsilon2, mu, cost(n1, n2, mu), status1,
                 second.status, second.final_residual_norm,
-                first.spmv_calls if first else 0, second.spmv_calls))
+                first.spmv_calls if first else 0, second.spmv_calls, seconds1, seconds2))
     except Exception as exc:  # noqa: BLE001 - reported like a stage-1 failure
         return results, exc
     return results, None

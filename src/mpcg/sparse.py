@@ -137,6 +137,10 @@ class SparseSymMatrix:
                 raise DuplicateEntryError("repeated (row, col) position")
             if np.any(same_row & (cols[1:] < cols[:-1])):
                 raise ValueError("column indices not sorted within a row")
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            k = int(finite.argmin())
+            raise ValueError(f"value at ({row_of[k]}, {cols[k]}) is not finite")
         transposed = self._csr.T.tocsr()
         transposed.sort_indices()
         if not (
@@ -166,7 +170,7 @@ def from_coordinates(
 
     The input must contain both symmetric halves of each off-diagonal entry,
     or ``mirror=True`` to add the missing (col, row, value) copies.
-    Duplicated positions are an error rather than being summed.  The
+    Duplicated positions and non-finite values are errors.  The
     triplets are unpacked into arrays and assembled by ``_from_arrays``,
     which code that already holds arrays calls directly.
     """

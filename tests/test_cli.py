@@ -226,6 +226,12 @@ class TestSolveCommand:
         assert "spmv_stage1    = 3" in out
         assert "spmv_stage2    = 1" in out
 
+    def test_prints_wall_seconds_per_stage(self, identity_file, capsys):
+        assert main(["solve", str(identity_file), "--eps1", "0.1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        fields = {key.strip(): value for key, value in (line.split("=") for line in out)}
+        assert float(fields["seconds_stage1"]) > 0 and float(fields["seconds_stage2"]) > 0
+
     @pytest.mark.parametrize("eps1", ["nan", "inf", "-inf", "0", "-0.1", "abc"])
     def test_eps1_not_finite_positive_exits_2(self, identity_file, capsys, eps1):
         assert main(["solve", str(identity_file), f"--eps1={eps1}"]) == 2

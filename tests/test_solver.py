@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import mpmath
@@ -620,3 +623,155 @@ class TestLazyTrueResidual:
                     if result.status == "converged":
                         true = float(np.linalg.norm(v - M._csr @ result.x))
                         assert true <= tol * scale
+
+
+class TestBlockedDot:
+    """Above _DOT_BLOCK unknowns every inner product of a run is the
+    in-order sum of per-block BLAS dots, whatever the BLAS thread count."""
+
+    B = solver._DOT_BLOCK
+
+    @staticmethod
+    def vectors(n, dtype, seed=50):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(n).astype(dtype), rng.standard_normal(n).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 7, solver._DOT_BLOCK - 1, solver._DOT_BLOCK])
+    def test_one_block_is_the_plain_dot(self, n, dtype):
+        u, v = self.vectors(n, dtype)
+        got = solver._blocked_dot(u, v)
+        assert got.dtype == dtype
+        assert bits(got) == bits(u.dot(v))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_blocks_are_summed_left_to_right(self, dtype):
+        n, B = 3 * self.B + 5, self.B
+        u, v = self.vectors(n, dtype)
+        d = [u[k:k + B].dot(v[k:k + B]) for k in range(0, n, B)]
+        assert len(d) == 4
+        want = ((d[0] + d[1]) + d[2]) + d[3]
+        got = solver._blocked_dot(u, v)
+        assert got.dtype == dtype
+        assert bits(got) == bits(want)
+
+    @staticmethod
+    def system(n, dtype=np.float64):
+        """A well-conditioned tridiagonal SPD system."""
+        diagonal = np.linspace(3.0, 50.0, n)
+        A = from_coordinates(
+            [(i, i, diagonal[i]) for i in range(n)] + [(i, i + 1, -1.0) for i in range(n - 1)],
+            n, mirror=True, dtype=dtype)
+        return A, np.cos(np.arange(n)).astype(dtype)
+
+    def counted_run(self, monkeypatch, n, config, precondition=False):
+        calls, blocked = [], solver._blocked_dot
+
+        def counting(u, v):
+            calls.append(u.size)
+            return blocked(u, v)
+
+        monkeypatch.setattr(solver, "_blocked_dot", counting)
+        A, b = self.system(n)
+        inv_diag = _inverse_diagonal(A) if precondition else None
+        (result,) = _run_cg(A, b, None, config, inv_diag, (config.tolerance,))
+        return result, calls
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_large_run_agrees_with_reference_to_rounding(self, dtype):
+        # The blocked sums round differently from the oracle's plain dots;
+        # on a well-conditioned system ten iterates stay within 1000 ulps.
+        A, b = self.system(3 * self.B + 5, dtype)
+        config = SolveConfig(tolerance=1e-30, max_iterations=10, stagnation_window=1,
+                             stagnation_factor=1.0)
+        (result,) = _run_cg(A, b, None, config, None, (1e-30,))
+        ((x, iterations, _, status, history),) = cg_reference(A, b, None, config, None, (1e-30,))
+        assert (result.iterations, result.status) == (iterations, status) == (10, "max_iterations")
+        tol = 1000 * np.finfo(dtype).eps
+        np.testing.assert_allclose(result.x, x, rtol=0, atol=tol * float(np.abs(x).max()))
+        np.testing.assert_allclose(result.residual_history, history, rtol=tol)
+
+    def test_small_run_makes_plain_dots(self, monkeypatch):
+        config = SolveConfig(tolerance=1e-8, max_iterations=4)
+        result, calls = self.counted_run(monkeypatch, self.B, config)
+        assert result.iterations == 4 and calls == []
+
+    def test_every_reduction_of_a_large_run_is_blocked(self, monkeypatch):
+        n = self.B + 1
+        # ||b||, r'r and r'd before the loop; d'Ad, r'z and the true
+        # residual in each iteration of a run whose guard can fire.
+        config = SolveConfig(tolerance=1e-8, max_iterations=4, stagnation_window=1,
+                             stagnation_factor=1.0)
+        result, calls = self.counted_run(monkeypatch, n, config)
+        assert result.iterations == 4
+        assert calls == [n] * (3 + 3 * 4)
+        # No ||b|| in absolute mode.
+        absolute = replace(config, residual_mode="absolute")
+        result, calls = self.counted_run(monkeypatch, n, absolute)
+        assert len(calls) == 2 + 3 * 4
+        # A lazy Jacobi run takes r'r for the recursive norm in each
+        # iteration before the last, and tests the true residual only where
+        # that norm is near the threshold, and on the last.
+        lazy = no_stagnation(replace(config, max_iterations=3))
+        result, calls = self.counted_run(monkeypatch, n, lazy, precondition=True)
+        tested = int(np.count_nonzero(~np.isnan(result.residual_history)))
+        assert result.iterations == 3 and tested == 1
+        assert len(calls) == 3 + 2 * 3 + 2 + tested
+
+    def test_iterates_do_not_depend_on_blas_threads(self):
+        """The same solves in processes with one and with two BLAS threads;
+        a plain dot of 20000 binary64 entries rounds differently on two."""
+        src = os.path.dirname(os.path.dirname(solver.__file__))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            out = subprocess.run(
+                [sys.executable, "-c", THREADS_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            runs.append(out.strip().splitlines())
+        assert runs[0] == runs[1]
+        assert len(runs[0]) == 2
+
+
+THREADS_SCRIPT = """
+import hashlib
+from mpcg.dataset import GraphSpec, generate, ones_rhs
+from mpcg.solver import SolveConfig, cg, no_stagnation, two_stage_solve
+
+A = generate(GraphSpec("tree_random", 20000, seed=7, delta_range=(0.001, 0.01)))
+b = ones_rhs(A)
+one = cg(A, b, None, no_stagnation(SolveConfig(tolerance=1e-10)))
+two = two_stage_solve(A, b, 1e-4, 1e-10)
+for name, counts, x in (("cg", (one.iterations,), one.x), ("two-stage", (two.n1, two.n2), two.x)):
+    print(name, counts, hashlib.sha256(x.tobytes()).hexdigest())
+"""
+
+
+class TestStageSeconds:
+    def test_sweep_times_each_stage(self):
+        rng = np.random.default_rng(45)
+        A = random_dd(70, rng, density=0.08, delta=(1e-3, 1e-2))
+        b = A @ np.ones(70)
+        results, failure = sweep(A, b, (1e-1, 1e-2, 1e-5, None), 1e-10)
+        assert failure is None
+        *staged, baseline = results
+        assert all(r.stage1_seconds > 0 and r.stage2_seconds > 0 for r in staged)
+        # Stage 1 runs once; a smaller eps1 is met later on the same run.
+        assert [r.stage1_seconds for r in staged] == sorted(r.stage1_seconds for r in staged)
+        assert baseline.stage1_seconds == 0.0 and baseline.stage2_seconds > 0
+
+    def test_shared_stage2_reports_its_own_run(self):
+        # Both eps1 are met at iteration 1 of stage 1, so they share a stage 2.
+        A = diag_matrix([2.0, 2.0, 2.0])
+        results, failure = sweep(A, np.ones(3), (1e-1, 1e-2), 1e-10)
+        assert failure is None
+        first, second = results
+        assert first.n1 == second.n1 == 1
+        assert first.stage2_seconds == second.stage2_seconds > 0
+        assert 0 < first.stage1_seconds <= second.stage1_seconds
+
+    def test_two_stage_solve_reports_seconds(self):
+        A = random_dd(40, np.random.default_rng(46))
+        r = two_stage_solve(A, A @ np.ones(40), 1e-4, 1e-10)
+        assert r.stage1_seconds > 0 and r.stage2_seconds > 0

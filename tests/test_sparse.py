@@ -67,6 +67,31 @@ class TestFromCoordinates:
         np.testing.assert_array_equal(A.col_indices, B.col_indices)
         np.testing.assert_array_equal(A.values, B.values)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_rejected(self, bad, dtype):
+        triplets = [(0, 0, 2.0), (0, 1, bad), (1, 0, bad), (1, 1, 2.0)]
+        with pytest.raises(ValueError, match=r"\(0, 1\) is not finite"):
+            from_coordinates(triplets, 2, dtype=dtype)
+        with pytest.raises(ValueError, match=r"\(0, 1\) is not finite"):
+            from_coordinates(triplets[:2] + triplets[3:], 2, mirror=True, dtype=dtype)
+
+    def test_first_non_finite_value_is_named(self):
+        with pytest.raises(ValueError, match=r"\(0, 0\) is not finite"):
+            from_coordinates([(0, 0, np.inf), (1, 1, np.nan)], 2)
+        with pytest.raises(ValueError, match=r"\(1, 1\) is not finite"):
+            from_coordinates([(0, 0, 1.0), (1, 1, np.nan), (2, 2, np.inf)], 3)
+
+    def test_non_finite_value_rejected_from_arrays(self):
+        rows, cols = np.array([0, 1, 2]), np.array([0, 1, 2])
+        vals = np.array([1.0, 1.0, -np.inf])
+        with pytest.raises(ValueError, match=r"\(2, 2\) is not finite"):
+            sparse_module._from_arrays(rows, cols, vals, 3, False)
+
+    def test_non_finite_value_rejected_by_constructor(self):
+        with pytest.raises(ValueError, match=r"\(1, 1\) is not finite"):
+            SparseSymMatrix([0, 1, 2], [0, 1], [1.0, np.nan])
+
     def test_arrays_are_frozen(self):
         A = identity(3)
         with pytest.raises(ValueError):
