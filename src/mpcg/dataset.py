@@ -421,6 +421,7 @@ class SampleRecord:
     i_opt: float | None
     i_wrst: float | None
     valid: bool = True
+    invalid_reason: str | None = None  # class and message of the failure
 
     def grid_cost(self, label: int) -> CostEntry:
         for entry in self.costs:
@@ -441,6 +442,7 @@ class SampleRecord:
             "i_opt": self.i_opt,
             "i_wrst": self.i_wrst,
             "valid": self.valid,
+            "invalid_reason": self.invalid_reason,
         }
 
     @classmethod
@@ -455,6 +457,7 @@ class SampleRecord:
             i_opt=d["i_opt"],
             i_wrst=d["i_wrst"],
             valid=d["valid"],
+            invalid_reason=d.get("invalid_reason"),  # absent from older samples
         )
 
 
@@ -477,7 +480,8 @@ def label_matrix(
     The label is the grid class of minimum cost, ties resolved toward the
     larger eps1 (fewer reduced-precision iterations for the same price).
     A failed sweep yields a record with ``valid=False``, keeping the cost
-    entries before the first failing eps1, that downstream consumers skip.
+    entries before the first failing eps1, that downstream consumers skip;
+    its ``invalid_reason`` holds the exception's class and message.
     """
     if config is None:
         config = SolveConfig(tolerance=grid.epsilon2)
@@ -488,8 +492,9 @@ def label_matrix(
     if failure is not None:
         eps1 = epsilons[len(results)]
         log.warning("sweep failed for %s at eps1=%s: %s", matrix_id, eps1, failure)
+        reason = f"{type(failure).__name__}: {failure}"
         return SampleRecord(
-            matrix_id, group_id, spec, features, entries, None, None, None, False
+            matrix_id, group_id, spec, features, entries, None, None, None, False, reason
         )
     grid_entries = entries[:-1]
     best = min(grid_entries, key=lambda e: (e.cost, -e.epsilon1))

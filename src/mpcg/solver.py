@@ -13,22 +13,40 @@ eps1 on its way; stage 2 runs once per distinct stage-1 iteration count.
 The stopping test always uses the true residual ``b - A x``, never the
 recursively updated one: in binary32 the recursion drifts away from the
 truth, and the stopping decision is what the whole eps1 trade-off rests
-on.  A run whose stagnation guard can fire (binary32 stage 1 by
-default) recomputes it every iteration, since the guard reads it.  A run
-whose guard can never fire, ``stagnation_window > max_iterations``, is
-lazy: every ``no_stagnation`` run (binary64 stage 2 and the pure binary64
-baseline), and any run whose ``max_iterations`` is below its window, such
-as stage 1 at the default ``10 n`` on a matrix with ``n <= 2``.  A lazy
-run recomputes the true residual only when the recursive norm is at most
-``TRUE_RESIDUAL_MARGIN`` (2) times the threshold, and on its last
-iteration, so it pays one matrix-vector product per iteration instead of
-two.  Its iterates are the same, so it
-stops where an every-iteration test would, unless the true residual
-meets the threshold while the recursive one is above the margin; then it
-stops later, never earlier.  The margin rests on the gap between the
-recursive and the true residual analysed by van der Vorst and Ye,
-"Residual replacement strategies for Krylov subspace iterative methods",
-SIAM J. Sci. Comput. 22 (2000).
+on.  A run recomputes it only where a decision needs it.  Every run
+tests it when the recursive norm is at most ``TRUE_RESIDUAL_MARGIN`` (2)
+times a threshold, and on its last iteration.  A run whose stagnation
+guard can never fire, ``stagnation_window > max_iterations``, tests it
+nowhere else: every ``no_stagnation`` run (binary64 stage 2 and the pure
+binary64 baseline), and any run whose ``max_iterations`` is below its
+window, such as stage 1 at the default ``10 n`` on a matrix with
+``n <= 2``.  A guarded run (binary32 stage 1 by default) also samples it
+``stagnation_window`` iterations after its previous sample, and where
+the recursive norm has fallen by ``SAMPLE_FACTOR`` (10) since then.  From
+the first sample that shows drift, a true residual more than the margin
+times the recursive norm, it tests every iteration.  Its guard is armed
+one window after that sample, so it always compares a full window of
+tested residuals.  The guard cannot read the recursive norm instead: in
+finite precision it keeps falling after the true residual has levelled
+off (Greenbaum, "Estimating the attainable accuracy of recursively
+computed residual methods", SIAM J. Matrix Anal. Appl. 18, 1997), so it
+would never fire.  Nor can it read sparse samples alone: they miss the
+dips of the non-monotone true residual norm and stop runs falsely early.
+Before drift the guard cannot fire, so a run whose true and recursive
+residuals level off together runs on to max_iterations.
+
+Samples and the guard read nothing of the thresholds, and a test counts
+for a threshold only where a run to that threshold alone would make it.
+So each result of a run to several thresholds equals a run to its own
+threshold alone: the stage 1 of every eps1 of a sweep is the stage 1
+``two_stage_solve`` runs to it.  A run pays one matrix-vector product
+per untested iteration instead of two.  Its iterates are those of an
+every-iteration test, so an unguarded run stops where that test would,
+unless the true residual meets the threshold while the recursive one is
+above the margin; then it stops later, never earlier.  The margin rests
+on the gap between the recursive and the true residual analysed by van
+der Vorst and Ye, "Residual replacement strategies for Krylov subspace
+iterative methods", SIAM J. Sci. Comput. 22 (2000).
 
 Every inner product of a run, the norm of ``b`` included, is summed in a
 fixed order, so the iterates do not depend on the BLAS thread count.
@@ -61,9 +79,14 @@ from .errors import (
 )
 from .sparse import SparseSymMatrix, downcast, downcast_vector, spmv, upcast_vector
 
-# A run without a stagnation guard tests the true residual only once the
-# recursive residual norm is within this factor of the threshold.
+# A run tests the true residual once the recursive residual norm is within
+# this factor of the threshold; a true residual more than this factor above
+# the recursive norm is drift.
 TRUE_RESIDUAL_MARGIN = 2.0
+
+# Before drift a guarded run samples the true residual each time the
+# recursive norm has fallen by this factor since its last sample.
+SAMPLE_FACTOR = 10.0
 
 # Entries per BLAS dot in a run on more than this many unknowns; below
 # the length at which OpenBLAS splits a dot across threads.
@@ -88,10 +111,16 @@ class SolveConfig:
     """Stopping and safeguard parameters for a single CG run.
 
     ``max_iterations=None`` resolves to ``10 * n`` at solve time.  The run
-    is declared stagnated when the best true-residual norm seen so far has
-    not improved by at least ``stagnation_factor`` over the last
+    is declared stagnated when the best tested true-residual norm has not
+    improved by at least ``stagnation_factor`` over the last
     ``stagnation_window`` iterations; binary32 runs can stall above a tight
     tolerance forever, and an unbounded loop would poison every sweep.
+    This guard is armed only a window after the first sampled residual
+    that shows drift from the recursive one, and a guarded run samples
+    its true residual at least once a window until then.  So stagnation
+    without drift is not detected: a run whose true and recursive
+    residuals level off together ends on max_iterations.  A window
+    longer than max_iterations switches the guard off.
     """
 
     tolerance: float
@@ -121,11 +150,11 @@ class SolveResult:
     """One CG run to one tolerance.
 
     ``residual_history`` has one entry per iteration: entry ``k - 1`` is
-    the true residual norm after iteration ``k``, or NaN where a lazy run
-    (one whose stagnation guard cannot fire) skipped the test.  The last entry of a run
-    that ends on max_iterations is always filled in.  ``spmv_calls``
-    counts the matrix-vector products up to this result, the initial
-    residual's included.
+    the true residual norm after iteration ``k``, or NaN where the run
+    skipped the test (see the module notes on when a run tests).  The
+    last entry of a run that ends on max_iterations is always filled in.
+    ``spmv_calls`` counts the matrix-vector products up to this result,
+    the initial residual's included.
     """
 
     x: np.ndarray
@@ -194,9 +223,10 @@ def _blocked_dot(u: np.ndarray, v: np.ndarray):
 
 def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     """Yield one SolveResult per tolerance of the descending ``tolerances``:
-    the first iterate of one CG run that meets it, or the last iterate if
-    the run ends first.  Stagnation and max_iterations do not depend on the
-    tolerance, so each equals a separate run to that tolerance alone.
+    the first tested iterate of one CG run that meets it, or the last
+    iterate if the run ends first.  Each result equals a separate run to
+    its tolerance alone, but for the NaN entries of its history and its
+    ``spmv_calls``, since the other tolerances add tests.
 
     ``inv_diag`` is None for plain CG and 1/diag for Jacobi.  Every vector
     operation runs at the matrix's storage precision.  The update order per
@@ -205,11 +235,18 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     allocating expression in its comment; ``spmv`` writes both products of
     an iteration into them.  A yielded result holds a copy of x.
 
-    A run whose stagnation guard can never fire (``stagnation_window >
-    max_iterations``, whatever the precision) is lazy: it computes the
-    true residual only when the recursive norm (``sqrt(r'r)``) is at most
-    ``TRUE_RESIDUAL_MARGIN`` times the next unmet threshold, and on the
-    last iteration max_iterations allows.
+    Every run computes the true residual when the recursive norm
+    (``sqrt(r'r)``) is at most ``TRUE_RESIDUAL_MARGIN`` times the next
+    unmet threshold, and on the last iteration max_iterations allows.  A
+    guarded run (``stagnation_window <= max_iterations``, whatever the
+    precision) also samples it a window after its last sample
+    (``sampled_at``) and where the recursive norm is ``SAMPLE_FACTOR``
+    below that sample's (``anchor``), and from a sample that shows drift
+    on, every iteration; the guard reads samples only (``bests``) and may
+    stop the run from ``armed``, a window after that sample.  A run whose
+    guard can never fire tests nowhere else.  A test at a sample or on the
+    last iteration counts for every threshold, one near a threshold only
+    for those it is near.
 
     Every inner product goes through ``dot``: one BLAS dot up to
     ``_DOT_BLOCK`` unknowns, ``_blocked_dot`` above.
@@ -220,7 +257,8 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     # ||b|| as np.linalg.norm computes it: sqrt(b'b)
     scale = float(np.sqrt(dot(b, b))) if config.residual_mode == "relative" else 1.0
     thresholds = [t * scale for t in tolerances]
-    lazy = config.stagnation_window > max_iterations
+    window = config.stagnation_window
+    guarded = window <= max_iterations
 
     r, d, Ad, t = (np.empty_like(x) for _ in range(4))  # t: scratch
     z = r if inv_diag is None else np.empty_like(x)
@@ -232,6 +270,9 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     rz = dot(r, d)  # r'M^-1 r; plain r'r when unpreconditioned
     history, bests = [], [res]
     met, status = 0, "max_iterations"
+    armed = None  # first iteration the guard may stop, a window after drift
+    sampled_at, anchor = 0, res  # iteration and recursive norm of the last sample
+    sampled, recursive = True, math.inf  # of the initial residual
     for k in range(max_iterations + 1):
         if k > 0:
             spmv(A, d, out=Ad)
@@ -250,23 +291,40 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
             np.add(z, np.multiply(d, beta, out=d), out=d)  # z + beta * d
             rz = rz_next
 
-            if lazy and k < max_iterations:
+            # Samples feed the guard.  They depend on the config and the
+            # trajectory alone, so a run to one threshold takes the same.
+            recursive = math.inf
+            sampled = armed is not None or k == max_iterations
+            if not sampled:
                 recursive = math.sqrt(rz if inv_diag is None else dot(r, r))
-                if not recursive <= TRUE_RESIDUAL_MARGIN * thresholds[met]:
-                    history.append(math.nan)  # no guard to feed, no stop possible
+                sampled = guarded and (
+                    k - sampled_at >= window or recursive <= anchor / SAMPLE_FACTOR)
+                if sampled:
+                    sampled_at, anchor = k, recursive
+                elif recursive > TRUE_RESIDUAL_MARGIN * thresholds[met]:
+                    history.append(math.nan)
+                    bests.append(bests[-1])
                     continue
             np.subtract(b, spmv(A, x, out=t), out=t)  # b - A x
             res = float(np.sqrt(dot(t, t)))
             history.append(res)
-            bests.append(min(bests[-1], res))
-        while met < len(thresholds) and res <= thresholds[met]:
+            bests.append(min(bests[-1], res) if sampled else bests[-1])
+            if guarded and sampled and res > TRUE_RESIDUAL_MARGIN * recursive:  # drift
+                armed = k + window
+        # A threshold counts this test only where a run to it alone tests.
+        while (
+            met < len(thresholds)
+            and res <= thresholds[met]
+            and (sampled or recursive <= TRUE_RESIDUAL_MARGIN * thresholds[met])
+        ):
             yield SolveResult(x.copy(), k, res, "converged", np.array(history))
             met += 1
         if met == len(thresholds):
             return
         if (
-            k >= config.stagnation_window
-            and bests[k] > config.stagnation_factor * bests[k - config.stagnation_window]
+            armed is not None
+            and k >= armed
+            and bests[k] > config.stagnation_factor * bests[k - window]
         ):
             status = "stagnated"
             break
@@ -288,11 +346,15 @@ def cg(A: SparseSymMatrix, b, x0=None, config: SolveConfig | None = None) -> Sol
 
     Stops when the true residual ``||b - A x||`` (divided by ``||b||`` in
     relative mode) falls to the configured tolerance, when max_iterations
-    is reached, or when progress stagnates.  With a stagnation guard that
-    can fire the true residual is recomputed every iteration; otherwise
-    (``stagnation_window > max_iterations``, see ``no_stagnation``) only
-    once the recursive residual is within ``TRUE_RESIDUAL_MARGIN`` of the
-    tolerance, and on the last iteration.
+    is reached, or when progress stagnates.  The true residual is
+    recomputed once the recursive residual is within
+    ``TRUE_RESIDUAL_MARGIN`` of the tolerance, and on the last iteration.
+    With a stagnation guard that can fire it is also sampled at least once
+    every ``stagnation_window`` iterations and each time the recursive norm
+    has fallen by ``SAMPLE_FACTOR``, and recomputed every iteration once a
+    sample has drifted above the margin times the recursive norm; without
+    one (``stagnation_window > max_iterations``, see ``no_stagnation``) it
+    is not.
     """
     if config is None:
         raise ValueError("config with a tolerance is required")
@@ -313,7 +375,8 @@ def pcg_jacobi(
 
 def no_stagnation(config: SolveConfig) -> SolveConfig:
     """Copy of ``config`` whose stagnation window can never trigger, so
-    its runs test the true residual only near the threshold."""
+    its runs test the true residual only near the threshold and on the
+    last iteration."""
     return replace(config, stagnation_window=2**31 - 1)
 
 

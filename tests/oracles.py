@@ -7,6 +7,7 @@ exceptions are references for code that was replaced: they keep the
 replaced algorithm and call the library only for what it kept.
 """
 
+import math
 from collections import deque
 from dataclasses import asdict, replace
 
@@ -154,17 +155,18 @@ def two_stage_reference(A, b, epsilon1, epsilon2, mu, config):
 
 def label_matrix_reference(A, b, grid, config, matrix_id="", group_id="", spec=None):
     """``label_matrix`` by one independent two-stage solve per grid value,
-    then a separate pure binary64 solve; returns the record's dict form."""
+    then a separate pure binary64 solve; returns the record's dict form,
+    whose ``invalid_reason`` names only the exception class."""
     from mpcg.features import extract_features
     from mpcg.solver import cg, no_stagnation
 
     costs = []
-    valid = True
+    valid, reason = True, None
     for eps1 in grid.values:
         try:
             n1, n2, _ = two_stage_reference(A, b, eps1, grid.epsilon2, grid.mu, config)
-        except Exception:  # noqa: BLE001 - any solver failure voids the record
-            valid = False
+        except Exception as exc:  # noqa: BLE001 - any solver failure voids the record
+            valid, reason = False, type(exc).__name__
             break
         costs.append({"epsilon1": eps1, "n1": n1, "n2": n2, "cost": grid.mu * n1 + n2})
     if valid:
@@ -174,6 +176,8 @@ def label_matrix_reference(A, b, grid, config, matrix_id="", group_id="", spec=N
             costs.append(
                 {"epsilon1": None, "n1": 0, "n2": base.iterations, "cost": float(base.iterations)}
             )
+        else:
+            reason = "Stage2NotConvergedError"
     label = i_opt = i_wrst = None
     if valid:
         grid_costs = [c["cost"] for c in costs[:-1]]
@@ -189,24 +193,48 @@ def label_matrix_reference(A, b, grid, config, matrix_id="", group_id="", spec=N
         "i_opt": i_opt,
         "i_wrst": i_wrst,
         "valid": valid,
+        "invalid_reason": reason,
     }
 
 
-def cg_reference(A, b, x0, config, inv_diag, tolerances):
+def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None):
     """The allocating CG loop that ``solver._run_cg`` replaced, one list
     entry per tolerance as (x, iterations, residual, status, history).
 
     Every vector operation builds a new array and products go through
     ``csr_matrix @ x``; the update order per iteration is alpha, x, r,
-    beta, d, and the stopping test uses the recomputed true residual.
+    beta, d.  The true residual norm and the recursive one (``sqrt(r'z)``,
+    or ``sqrt(r'r)`` under Jacobi) are computed at every iteration; a
+    schedule then decides which true residuals the stopping test and the
+    stagnation guard see.  An unseen one is NaN in the history.
+
+    - ``eager``: every one; the guard compares the best residual with the
+      best one a window earlier from iteration ``window`` on.
+    - Otherwise the guard sees samples: the last iteration max_iterations
+      allows and, in a run whose window fits in max_iterations (a guarded
+      run), the iteration a window after the previous sample, the one
+      where the recursive norm has fallen by ``SAMPLE_FACTOR`` since the
+      previous sample, and every iteration from the first sample above
+      the margin times the recursive norm (drift) on.
+      A tolerance sees the samples and the iterations where the recursive
+      norm is within the margin of it; the history holds what the next
+      unmet tolerance sees.  The guard compares the best sample with the
+      best one a window earlier from a window after drift on.
+
+    ``norms``, a list, receives (true, recursive, r'z, sample) of every
+    iteration.
     """
     from mpcg.errors import CgBreakdownError
+    from mpcg.solver import SAMPLE_FACTOR as factor
+    from mpcg.solver import TRUE_RESIDUAL_MARGIN as margin
 
     A_csr, b = A._csr, np.asarray(b)
     x = np.zeros(A.n, dtype=A.dtype) if x0 is None else np.array(x0, copy=True)
     max_iterations = config.max_iterations or 10 * A.n
     scale = float(np.linalg.norm(b)) if config.residual_mode == "relative" else 1.0
     thresholds = [t * scale for t in tolerances]
+    window = config.stagnation_window
+    guarded = window <= max_iterations
 
     r = b - A_csr @ x
     res = float(np.linalg.norm(r))
@@ -214,7 +242,9 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances):
     rz = np.dot(r, d)
     history, bests, out = [], [res], []
     met, status = 0, "max_iterations"
+    drift, last_sample, anchor = None, 0, res
     for k in range(max_iterations + 1):
+        sample, recursive = True, math.inf  # the initial residual
         if k > 0:
             Ad = A_csr @ d
             dAd = np.dot(d, Ad)
@@ -229,18 +259,35 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances):
             d = z + beta * d
             rz = rz_next
 
-            res = float(np.linalg.norm(b - A_csr @ x))
+            true_norm = float(np.linalg.norm(b - A_csr @ x))
+            recursive = math.sqrt(np.dot(r, r) if inv_diag is not None else rz)
+            sample = eager or k == max_iterations or (guarded and drift is not None)
+            if not sample and guarded and (
+                    k - last_sample >= window or recursive <= anchor / factor):
+                sample, last_sample, anchor = True, k, recursive
+            if norms is not None:
+                norms.append((true_norm, recursive, float(rz), sample))
+            if not (sample or recursive <= margin * thresholds[met]):
+                history.append(math.nan)
+                bests.append(bests[-1])
+                continue
+            res = true_norm
             history.append(res)
-            bests.append(min(bests[-1], res))
-        while met < len(thresholds) and res <= thresholds[met]:
+            bests.append(min(bests[-1], res) if sample else bests[-1])
+            if (not eager and guarded and drift is None and sample
+                    and k < max_iterations and res > margin * recursive):
+                drift = k
+        while (met < len(thresholds) and res <= thresholds[met]
+               and (sample or recursive <= margin * thresholds[met])):
             out.append((x, k, res, "converged", np.array(history)))
             met += 1
         if met == len(thresholds):
             return out
-        if (
-            k >= config.stagnation_window
-            and bests[k] > config.stagnation_factor * bests[k - config.stagnation_window]
-        ):
+        if eager:
+            guard_from = window
+        else:
+            guard_from = math.inf if drift is None else drift + window
+        if k >= guard_from and bests[k] > config.stagnation_factor * bests[k - window]:
             status = "stagnated"
             break
     for _ in thresholds[met:]:

@@ -221,8 +221,9 @@ class TestSolveCommand:
     def test_prints_spmv_counts_per_stage(self, identity_file, capsys):
         assert main(["solve", str(identity_file), "--eps1", "0.1"]) == 0
         out = capsys.readouterr().out
-        # Stage 1 guards against stagnation and tests every iteration:
-        # b - A x0, then A d and b - A x.  Stage 2 starts at the exact solution.
+        # Stage 1 meets eps1 at its first iteration, whose recursive residual
+        # is near the threshold, so it tests there: b - A x0, then A d and
+        # b - A x.  Stage 2 starts at the exact solution.
         assert "spmv_stage1    = 3" in out
         assert "spmv_stage2    = 1" in out
 

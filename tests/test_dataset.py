@@ -25,6 +25,7 @@ from mpcg.dataset import (
     read_manifest,
     read_sample,
     read_specs,
+    write_sample,
     write_specs,
     _decode_pairs,
     _encode_pairs,
@@ -468,8 +469,30 @@ class TestBuildSample:
         d = json.loads(line)
         assert set(d) == {
             "matrix_id", "group_id", "spec", "features", "costs",
-            "label", "i_opt", "i_wrst", "valid",
+            "label", "i_opt", "i_wrst", "valid", "invalid_reason",
         }
+        assert d["valid"] and d["invalid_reason"] is None
+
+    def test_invalid_record_keeps_its_reason(self, tmp_path):
+        A, config = SWEEP_CASES["lucky_breakdown"]
+        rec = label_matrix(A, ones_rhs(A), EpsilonGrid(), config, "s", "s")
+        assert not rec.valid
+        assert rec.invalid_reason.startswith("CgBreakdownError: d'Ad = 0.0 at iteration ")
+        out = tmp_path / "s.jsonl"
+        write_sample([rec], out)
+        (back,) = read_sample(out, include_invalid=True)
+        assert back == rec
+
+    def test_sample_without_reasons_still_reads(self, tmp_path):
+        specs = [GraphSpec("path", 20, seed=1)]
+        out = tmp_path / "old.jsonl"
+        build_sample(specs, EpsilonGrid(), out)
+        (want,) = read_sample(out)
+        old = json.loads(out.read_text())
+        del old["invalid_reason"]
+        out.write_text(json.dumps(old) + "\n")
+        (got,) = read_sample(out)
+        assert got == want and got.invalid_reason is None
 
 
 class TestSpecFiles:
@@ -543,7 +566,10 @@ class TestSweepAgainstReference:
         A, config = SWEEP_CASES[case]
         grid = EpsilonGrid()
         got = label_matrix(A, ones_rhs(A), grid, config, "m", "g").to_dict()
-        assert got == label_matrix_reference(A, ones_rhs(A), grid, config, "m", "g")
+        want = label_matrix_reference(A, ones_rhs(A), grid, config, "m", "g")
+        reason, kind = got.pop("invalid_reason"), want.pop("invalid_reason")
+        assert got == want
+        assert reason == kind is None or reason.startswith(f"{kind}: ")
 
     def test_cases_cover_their_outcomes(self):
         grid = EpsilonGrid()

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -148,10 +149,14 @@ class TestPcgJacobi:
             trips += [(i, j, 0.3), (j, i, 0.3)]
         A = from_coordinates(trips, n)
         b = np.cos(np.arange(n))
-        r1 = cg(A, b, None, SolveConfig(tolerance=1e-11))
-        r2 = pcg_jacobi(A, b, None, SolveConfig(tolerance=1e-11))
+        config = SolveConfig(tolerance=1e-11)
+        r1 = cg(A, b, None, config)
+        r2 = pcg_jacobi(A, b, None, config)
         assert np.array_equal(r1.x, r2.x)
-        assert np.array_equal(r1.residual_history, r2.residual_history)
+        # Both test the true residual at the same iterations, NaN elsewhere.
+        assert np.array_equal(bits(r1.residual_history), bits(r2.residual_history))
+        (ref,) = cg_reference(A, b, None, config, None, (1e-11,))
+        assert_same_run(r1, ref)
 
     def test_nonpositive_diagonal_rejected(self):
         A = diag_matrix([1.0, -1.0])
@@ -364,18 +369,38 @@ KERNEL_CASES = _kernel_cases()
 
 
 def _lazy_cases():
-    """Binary64 kernel cases with the stagnation guard off, so the kernel
-    tests the true residual only near each threshold, plus one that ends
-    on max_iterations."""
+    """Kernel cases with the stagnation guard off, so the kernel tests the
+    true residual only near each threshold, plus one per precision and
+    preconditioner that ends on max_iterations."""
     cases = {}
+    for prec in ("b64", "b32"):
+        for pre in ("none", "jacobi"):
+            for tail in ("relative", "absolute", "x0", "one-iteration"):
+                A, b, x0, config, tolerances = KERNEL_CASES[f"{prec}-{pre}-{tail}"]
+                cases[f"{prec}-{pre}-{tail}-lazy"] = (
+                    A, b, x0, no_stagnation(config), tolerances)
+            A, b, _, config, _ = KERNEL_CASES[f"{prec}-{pre}-relative"]
+            capped = replace(no_stagnation(config), max_iterations=7)
+            cases[f"{prec}-{pre}-max-iterations-lazy"] = (A, b, None, capped, (1e-1, 1e-12))
     for pre in ("none", "jacobi"):
-        for tail in ("relative", "absolute", "x0", "one-iteration"):
-            A, b, x0, config, tolerances = KERNEL_CASES[f"b64-{pre}-{tail}"]
-            cases[f"b64-{pre}-{tail}-lazy"] = (A, b, x0, no_stagnation(config), tolerances)
-        A, b, _, config, _ = KERNEL_CASES[f"b64-{pre}-relative"]
-        capped = replace(no_stagnation(config), max_iterations=7)
-        cases[f"b64-{pre}-max-iterations-lazy"] = (A, b, None, capped, (1e-1, 1e-12))
+        A, b, x0, config, tolerances = KERNEL_CASES[f"b32-{pre}-stagnating"]
+        cases[f"b32-{pre}-stagnating-lazy"] = (A, b, x0, no_stagnation(config), tolerances)
+    # The true residual drifts from the recursive one where this run meets
+    # 1.8e-6; without a guard it must not test every iteration after that.
+    A, b, x0, config, _ = KERNEL_CASES["b32-none-absolute"]
+    cases["b32-none-drift-lazy"] = (A, b, x0, no_stagnation(config), (1.8e-6, 1e-13))
+    cases["b32-jacobi-star-lazy"] = _star_case(no_stagnation)
     return cases
+
+
+def _star_case(guard=lambda config: config):
+    """A Jacobi star at the binary32 floor whose true residual after
+    iteration 3 meets 2e-6 while the recursive one is more than twice
+    that; a test there for 3e-6 must not count for 2e-6."""
+    spec = GraphSpec("star", 830, seed=3066083399684947246, delta_range=(0.01, 0.1))
+    A = generate(spec)
+    config = guard(SolveConfig(tolerance=2e-6, preconditioner="jacobi"))
+    return downcast(A), downcast_vector(ones_rhs(A)), None, config, (3e-6, 2e-6)
 
 
 LAZY_CASES = _lazy_cases()
@@ -388,41 +413,52 @@ class TestLeanKernel:
     def _inv(A, config):
         return _inverse_diagonal(A) if config.preconditioner == "jacobi" else None
 
-    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
-    def test_run_cg_matches_reference_bits(self, name):
-        A, b, x0, config, tolerances = KERNEL_CASES[name]
-        inv_diag = self._inv(A, config)
-        got = list(_run_cg(A, b, x0, config, inv_diag, tolerances))
-        want = cg_reference(A, b, x0, config, inv_diag, tolerances)
+    @staticmethod
+    def _matches_reference(A, b, x0, config, tolerances, solve=None, breakdown=False):
+        """Results of ``_run_cg`` (or ``solve``, for one tolerance) equal to
+        the oracle's bit for bit; with ``breakdown``, None when both break
+        down at the same iteration."""
+        inv_diag = TestLeanKernel._inv(A, config)
+
+        def run():
+            if solve is None:
+                return list(_run_cg(A, b, x0, config, inv_diag, tolerances))
+            return [solve(A, b, x0, config)]
+
+        try:
+            want = cg_reference(A, b, x0, config, inv_diag, tolerances)
+        except CgBreakdownError as exc:
+            if not breakdown:
+                raise
+            with pytest.raises(CgBreakdownError, match=re.escape(f"{exc}: ")):
+                run()
+            return None
+        got = run()
         assert len(got) == len(want) == len(tolerances)
         for result, ref in zip(got, want):
-            assert_same_run(result, ref)
+            assert_same_run(result, ref)  # NaN where the test was skipped
+        return got
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_run_cg_matches_reference_bits(self, name):
+        self._matches_reference(*KERNEL_CASES[name])
 
     @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
     def test_cg_and_pcg_jacobi_match_reference_bits(self, name):
         A, b, x0, config, tolerances = KERNEL_CASES[name]
         solve = pcg_jacobi if config.preconditioner == "jacobi" else cg
         for tol in tolerances:
-            cfg = replace(config, tolerance=tol)
-            (ref,) = cg_reference(A, b, x0, cfg, self._inv(A, cfg), (tol,))
-            assert_same_run(solve(A, b, x0, cfg), ref)
+            self._matches_reference(A, b, x0, replace(config, tolerance=tol), (tol,), solve)
 
     @pytest.mark.parametrize("name", sorted(LAZY_CASES))
     def test_lazy_run_matches_reference_bits(self, name):
-        A, b, x0, config, tolerances = LAZY_CASES[name]
-        inv_diag = self._inv(A, config)
-        got = list(_run_cg(A, b, x0, config, inv_diag, tolerances))
-        want = cg_reference(A, b, x0, config, inv_diag, tolerances)
-        assert len(got) == len(want) == len(tolerances)
-        for result, (x, iterations, residual, status, history) in zip(got, want):
-            assert np.array_equal(bits(result.x), bits(x))
-            assert (result.iterations, result.status) == (iterations, status)
-            assert bits(np.float64(result.final_residual_norm)) == bits(np.float64(residual))
-            assert len(result.residual_history) == len(history) == iterations
-            tested = ~np.isnan(result.residual_history)
-            assert np.array_equal(bits(result.residual_history[tested]), bits(history[tested]))
-            if status == "max_iterations":
-                assert tested[-1]
+        got = self._matches_reference(*LAZY_CASES[name], breakdown=True)
+        if got is None:  # an unguarded binary32 run past the underflow of r
+            return
+        for result in got:
+            assert len(result.residual_history) == result.iterations
+            if result.status == "max_iterations":
+                assert not np.isnan(result.residual_history[-1])
         if got[-1].iterations > 5:
             assert np.isnan(got[-1].residual_history).any()
 
@@ -522,9 +558,14 @@ def _until_breakdown(run):
     return results
 
 
+def n_tested(history) -> int:
+    return int(np.count_nonzero(~np.isnan(history)))
+
+
 class TestLazyTrueResidual:
-    """Runs whose stagnation guard cannot fire test the true residual only
-    once the recursive norm is within TRUE_RESIDUAL_MARGIN of the threshold."""
+    """Every run tests the true residual once the recursive norm is within
+    TRUE_RESIDUAL_MARGIN of the threshold; elsewhere a run whose guard
+    cannot fire skips it, and a guarded run samples it."""
 
     def test_spmv_counts(self, monkeypatch):
         rng = np.random.default_rng(43)
@@ -537,22 +578,26 @@ class TestLazyTrueResidual:
             return counted(*args, **kwargs)
 
         monkeypatch.setattr(solver, "spmv", spmv)
-        eager = cg(A, b, None, CFG)
-        assert eager.spmv_calls == len(products) == 2 * eager.iterations + 1
+        guarded = cg(A, b, None, CFG)
+        ((_, iterations, _, _, history),) = cg_reference(A, b, None, CFG, None, (1e-12,))
+        assert guarded.iterations == iterations
+        assert guarded.spmv_calls == len(products) == 1 + iterations + n_tested(history)
+        assert guarded.spmv_calls < 2 * guarded.iterations + 1
         products.clear()
         lazy = cg(A, b, None, no_stagnation(CFG))
-        assert eager.iterations == lazy.iterations > 10
+        assert guarded.iterations == lazy.iterations > 10
         assert lazy.spmv_calls == len(products) < 2 * lazy.iterations + 1
 
     def test_stage1_on_two_unknowns_is_lazy(self):
         # The default 10 n = 20 iterations cannot outlast the 25-iteration
-        # window, so even a guarded binary32 run skips the far-off tests.
+        # window, so the guard of this binary32 run cannot fire, and the run
+        # tests only near the threshold and on its last iteration.
         A = downcast(from_coordinates([(0, 0, 4.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)], 2))
         b = np.array([1.0, 2.0], dtype=np.float32)
         config = SolveConfig(tolerance=1e-6)
         result = cg(A, b, None, config)
         ((x, iterations, _, status, history),) = cg_reference(
-            A, b, None, config, None, (1e-6,))
+            A, b, None, config, None, (1e-6,), eager=True)
         assert (result.iterations, result.status) == (iterations, status) == (2, "converged")
         assert np.array_equal(bits(result.x), bits(x))
         assert np.isnan(result.residual_history[0]) and not np.isnan(history[0])
@@ -562,16 +607,24 @@ class TestLazyTrueResidual:
         rng = np.random.default_rng(44)
         A = random_dd(70, rng, density=0.08, delta=(1e-3, 1e-2))
         b = A @ np.ones(70)
-        results, failure = sweep(A, b, (1e-2, 1e-5, None), 1e-10)
+        grid = (1e-2, 1e-5)
+        results, failure = sweep(A, b, grid + (None,), 1e-10)
         assert failure is None
-        refine = no_stagnation(SolveConfig(tolerance=1e-10))
-        for result in results:
-            assert result.stage1_spmv_calls == (2 * result.n1 + 1 if result.n1 else 0)
-            x0 = None if result.epsilon1 is None else upcast_vector(
-                cg(downcast(A), downcast_vector(b), None,
-                   SolveConfig(tolerance=result.epsilon1)).x)
+        config = SolveConfig(tolerance=1e-10)
+        stage1 = cg_reference(downcast(A), downcast_vector(b), None, config, None, grid)
+        refine = no_stagnation(config)
+        for result, first in zip(results, stage1 + [None]):
+            if first is None:
+                assert result.stage1_spmv_calls == 0
+                x0 = None
+            else:
+                x, n1, _, _, history = first
+                assert result.n1 == n1
+                assert result.stage1_spmv_calls == 1 + n1 + n_tested(history)
+                x0 = upcast_vector(x)
             assert result.stage2_spmv_calls == cg(A, b, x0, refine).spmv_calls
             assert result.stage2_spmv_calls < 2 * result.n2 + 1
+        assert results[1].stage1_spmv_calls < 2 * results[1].n1 + 1
 
     def test_binary32_lazy_stop_is_later_than_eager(self):
         # A star at the binary32 floor: after iteration 3 the true relative
@@ -583,7 +636,7 @@ class TestLazyTrueResidual:
         A32, b = downcast(A), downcast_vector(ones_rhs(A))
         lazy_cfg = no_stagnation(SolveConfig(tolerance=2e-6, preconditioner="jacobi"))
         inv_diag = _inverse_diagonal(A32)
-        (eager,) = cg_reference(A32, b, None, lazy_cfg, inv_diag, (2e-6,))
+        (eager,) = cg_reference(A32, b, None, lazy_cfg, inv_diag, (2e-6,), eager=True)
         lazy = pcg_jacobi(A32, b, None, lazy_cfg)
         assert (eager[1], eager[3]) == (3, "converged")
         assert (lazy.iterations, lazy.status) == (4, "converged")
@@ -591,7 +644,7 @@ class TestLazyTrueResidual:
         assert eager[4][2] <= 2e-6 * np.linalg.norm(b)
         # The iterates are those of the eager trajectory.
         capped = replace(lazy_cfg, tolerance=1e-30, max_iterations=4)
-        (ref,) = cg_reference(A32, b, None, capped, inv_diag, (1e-30,))
+        (ref,) = cg_reference(A32, b, None, capped, inv_diag, (1e-30,), eager=True)
         assert np.array_equal(bits(lazy.x), bits(ref[0]))
         true = float(np.linalg.norm(b - A32._csr @ lazy.x))
         assert true <= 2e-6 * float(np.linalg.norm(b))
@@ -623,6 +676,155 @@ class TestLazyTrueResidual:
                     if result.status == "converged":
                         true = float(np.linalg.norm(v - M._csr @ result.x))
                         assert true <= tol * scale
+
+
+def _sampled_cases():
+    """Guarded binary32 runs: the kernel cases whose window fits in
+    max_iterations, plus thin-margin random systems over the desk grid in
+    both residual modes."""
+    cases = {
+        name: case for name, case in KERNEL_CASES.items()
+        if name.startswith("b32") and "one-iteration" not in name
+    }
+    # Alone, this threshold is far below the recursive norm when drift
+    # shows, so only the drift rule makes the run test every iteration.
+    A, b, x0, config, _ = KERNEL_CASES["b32-none-stagnating"]
+    cases["b32-none-stagnating-alone"] = (A, b, x0, config, (1e-12,))
+    cases["b32-jacobi-star"] = _star_case()
+    grid = tuple(10.0 ** -e for e in range(1, 8))
+    for seed in range(6):
+        rng = np.random.default_rng(2000 + seed)
+        n = int(rng.integers(60, 160))
+        A = random_dd(n, rng, density=float(rng.uniform(0.02, 0.1)), delta=(1e-4, 1e-3))
+        b = rng.standard_normal(n)
+        for pre in ("none", "jacobi"):
+            config = SolveConfig(tolerance=1e-10, preconditioner=pre)
+            cases[f"random-{seed}-{pre}"] = (downcast(A), downcast_vector(b), None, config, grid)
+            cases[f"random-{seed}-{pre}-absolute"] = (
+                downcast(A), downcast_vector(b), None,
+                replace(config, residual_mode="absolute"), grid)
+    return cases
+
+
+SAMPLED_CASES = _sampled_cases()
+
+
+def _sampled_run(name):
+    """(config, final result, iterations tested, first drifted sample or
+    None, oracle norms) of a sampled case; None if the run breaks down.
+    Samples and drift are read from the oracle."""
+    A, b, x0, config, tolerances = SAMPLED_CASES[name]
+    inv_diag = TestLeanKernel._inv(A, config)
+    results = _until_breakdown(_run_cg(A, b, x0, config, inv_diag, tolerances))
+    if len(results) < len(tolerances):
+        return None
+    norms = []
+    cg_reference(A, b, x0, config, inv_diag, tolerances, norms=norms)
+    history = results[-1].residual_history
+    tested = [0] + [k for k in range(1, history.size + 1) if not np.isnan(history[k - 1])]
+    drifted = [k for k, (true, recursive, _, sample) in enumerate(norms[:-1], 1)
+               if sample and true > solver.TRUE_RESIDUAL_MARGIN * recursive]
+    return config, results[-1], tested, (drifted[0] if drifted else None), norms
+
+
+class TestSampledGuard:
+    """A guarded run samples the true residual a window after its previous
+    sample and where the recursive norm has fallen by SAMPLE_FACTOR since
+    then, tests it near a threshold and on its last iteration, and from
+    the first drifted sample on, every iteration; the guard reads samples
+    only and waits a window after that first drifted one."""
+
+    def test_tests_before_drift_are_at_most_a_window_apart(self):
+        widest, runs = 0, 0
+        for name in sorted(SAMPLED_CASES):
+            run = _sampled_run(name)
+            if run is None:
+                continue
+            config, result, tested, drift, norms = run
+            runs += 1
+            window = config.stagnation_window
+            before = [k for k in tested if drift is None or k <= drift]
+            samples = [k for k, norm in enumerate(norms, 1) if norm[3] and k <= before[-1]]
+            assert set(samples) <= set(before), name
+            gaps = np.diff(before)
+            assert gaps.max() <= window, name
+            widest = max(widest, int(gaps.max()))
+            if drift is not None:
+                assert tested[tested.index(drift):] == list(range(drift, result.iterations + 1))
+        assert runs >= 12
+        assert widest == SolveConfig(tolerance=1).stagnation_window  # tests were skipped
+
+    def test_guard_waits_a_window_after_the_first_drift(self):
+        stagnated = earlier_before = 0
+        for name in sorted(SAMPLED_CASES):
+            run = _sampled_run(name)
+            if run is None or run[1].status != "stagnated":
+                continue
+            config, result, _, drift, norms = run
+            stagnated += 1
+            assert drift is not None and result.iterations >= drift
+            if result.iterations < drift + config.stagnation_window:
+                assert norms[result.iterations - 1][2] == 0, name  # r'z underflowed
+                continue
+            A, b, x0, _, tolerances = SAMPLED_CASES[name]
+            eager = cg_reference(A, b, x0, config, TestLeanKernel._inv(A, config),
+                                 tolerances, eager=True)[-1]
+            if eager[3] == "stagnated" and eager[1] < drift + config.stagnation_window:
+                earlier_before += 1
+        assert stagnated >= 5
+        assert earlier_before >= 1  # where the every-iteration guard fired sooner
+
+    def test_binary32_stagnating_case_still_stagnates(self):
+        config, result, _, drift, _ = _sampled_run("b32-none-stagnating")
+        assert result.status == "stagnated" and drift is not None
+
+    def test_binary32_jacobi_stagnating_case_returns(self):
+        # Its r'z underflows to 0 at iteration 46 and d'Ad is 0 at 47, where
+        # an unguarded run breaks down; the guard stops it first.
+        config, result, _, drift, _ = _sampled_run("b32-jacobi-stagnating")
+        assert result.status == "stagnated"
+        assert result.iterations == drift + config.stagnation_window < 46
+        A, b, x0, _, tolerances = SAMPLED_CASES["b32-jacobi-stagnating"]
+        inv_diag, norms = TestLeanKernel._inv(A, config), []
+        with pytest.raises(CgBreakdownError, match="d'Ad = 0.0 at iteration 47"):
+            list(_run_cg(A, b, x0, no_stagnation(config), inv_diag, tolerances))
+        with pytest.raises(CgBreakdownError):
+            cg_reference(A, b, x0, no_stagnation(config), inv_diag, tolerances, norms=norms)
+        assert norms[45][2] == 0
+
+    @pytest.mark.parametrize("name", sorted(SAMPLED_CASES) + sorted(LAZY_CASES))
+    def test_each_result_equals_a_run_to_its_tolerance_alone(self, name):
+        cases = SAMPLED_CASES if name in SAMPLED_CASES else LAZY_CASES
+        A, b, x0, config, tolerances = cases[name]
+        inv_diag = TestLeanKernel._inv(A, config)
+        grid = _until_breakdown(_run_cg(A, b, x0, config, inv_diag, tolerances))
+        for tol, result in zip(tolerances, grid):
+            (alone,) = _run_cg(A, b, x0, config, inv_diag, (tol,))
+            assert (alone.iterations, alone.status) == (result.iterations, result.status)
+            assert alone.final_residual_norm == result.final_residual_norm
+            assert np.array_equal(bits(alone.x), bits(result.x))
+
+    def test_desk_group_168_base_reaches_1e5(self):
+        # g00168b of the desk sample: the every-iteration guard stopped its
+        # stage 1 at N1 = 57, short of eps1 = 1e-5, on a dip of the
+        # non-monotone true residual.  Its first drift shows at 275.
+        spec = GraphSpec("random_gnm", 204, seed=2794336669971157239, m_target=229,
+                         delta_range=(1e-4, 1e-3), variants=10)
+        A = generate(spec)
+        A32, b = downcast(A), downcast_vector(ones_rhs(A))
+        config = SolveConfig(tolerance=1e-10)
+        grid = tuple(10.0 ** -e for e in range(1, 8))
+        eager = cg_reference(A32, b, None, config, None, grid, eager=True)
+        assert (eager[4][1], eager[4][3]) == (57, "stagnated")
+        results = list(_run_cg(A32, b, None, config, None, grid))
+        assert (results[4].iterations, results[4].status) == (133, "converged")
+        true = float(np.linalg.norm(b - A32._csr @ results[4].x))
+        assert true <= 1e-5 * float(np.linalg.norm(b))
+        # Without drift a plateau is no stagnation: capped short of 1e-5,
+        # the run ends on max_iterations, not on the guard.
+        capped = replace(config, max_iterations=120)
+        (result,) = _run_cg(A32, b, None, capped, None, (1e-5,))
+        assert (result.iterations, result.status) == (120, "max_iterations")
 
 
 class TestBlockedDot:
@@ -699,12 +901,14 @@ class TestBlockedDot:
     def test_every_reduction_of_a_large_run_is_blocked(self, monkeypatch):
         n = self.B + 1
         # ||b||, r'r and r'd before the loop; d'Ad, r'z and the true
-        # residual in each iteration of a run whose guard can fire.
+        # residual in each iteration of a run whose one-iteration window
+        # makes it test every iteration, as the oracle does.
         config = SolveConfig(tolerance=1e-8, max_iterations=4, stagnation_window=1,
                              stagnation_factor=1.0)
         result, calls = self.counted_run(monkeypatch, n, config)
-        assert result.iterations == 4
-        assert calls == [n] * (3 + 3 * 4)
+        (ref,) = cg_reference(*self.system(n), None, config, None, (1e-8,))
+        assert result.iterations == ref[1] == 4 and n_tested(ref[4]) == 4
+        assert calls == [n] * (3 + 2 * 4 + n_tested(ref[4]))
         # No ||b|| in absolute mode.
         absolute = replace(config, residual_mode="absolute")
         result, calls = self.counted_run(monkeypatch, n, absolute)
@@ -714,13 +918,27 @@ class TestBlockedDot:
         # that norm is near the threshold, and on the last.
         lazy = no_stagnation(replace(config, max_iterations=3))
         result, calls = self.counted_run(monkeypatch, n, lazy, precondition=True)
-        tested = int(np.count_nonzero(~np.isnan(result.residual_history)))
+        tested = n_tested(result.residual_history)
         assert result.iterations == 3 and tested == 1
         assert len(calls) == 3 + 2 * 3 + 2 + tested
+        # A guarded Jacobi run far from its threshold, before any drift,
+        # takes r'r in each iteration before the last and samples the true
+        # residual where r'r has fallen a hundredfold (iteration 1), a window
+        # after each sample (3 and 5) and on the last.
+        sampled = replace(config, tolerance=1e-30, max_iterations=6, stagnation_window=2)
+        result, calls = self.counted_run(monkeypatch, n, sampled, precondition=True)
+        A, b = self.system(n)
+        (ref,) = cg_reference(A, b, None, sampled, _inverse_diagonal(A), (1e-30,))
+        assert result.iterations == ref[1] == 6
+        assert np.array_equal(np.isnan(result.residual_history), np.isnan(ref[4]))
+        assert np.flatnonzero(~np.isnan(ref[4])).tolist() == [0, 2, 4, 5]
+        assert len(calls) == 3 + 2 * 6 + 5 + 4
 
     def test_iterates_do_not_depend_on_blas_threads(self):
-        """The same solves in processes with one and with two BLAS threads;
-        a plain dot of 20000 binary64 entries rounds differently on two."""
+        """The same solves in processes with one and with two BLAS threads,
+        a sweep over the desk grid among them, whose stage 1 samples its
+        tests over blocked dots; a plain dot of 20000 binary64 entries
+        rounds differently on two."""
         src = os.path.dirname(os.path.dirname(solver.__file__))
         runs = []
         for threads in ("1", "2"):
@@ -731,13 +949,16 @@ class TestBlockedDot:
             ).stdout
             runs.append(out.strip().splitlines())
         assert runs[0] == runs[1]
-        assert len(runs[0]) == 2
+        assert len(runs[0]) == 2 + 7
+        # Stage 1 samples its true-residual tests: fewer than 2 N1 + 1 products.
+        sweep_lines = [line.split() for line in runs[0][2:]]
+        assert all(int(f[5]) < 2 * int(f[2]) + 1 for f in sweep_lines)
 
 
 THREADS_SCRIPT = """
 import hashlib
-from mpcg.dataset import GraphSpec, generate, ones_rhs
-from mpcg.solver import SolveConfig, cg, no_stagnation, two_stage_solve
+from mpcg.dataset import DEFAULT_GRID, GraphSpec, generate, ones_rhs
+from mpcg.solver import SolveConfig, cg, no_stagnation, sweep, two_stage_solve
 
 A = generate(GraphSpec("tree_random", 20000, seed=7, delta_range=(0.001, 0.01)))
 b = ones_rhs(A)
@@ -745,6 +966,11 @@ one = cg(A, b, None, no_stagnation(SolveConfig(tolerance=1e-10)))
 two = two_stage_solve(A, b, 1e-4, 1e-10)
 for name, counts, x in (("cg", (one.iterations,), one.x), ("two-stage", (two.n1, two.n2), two.x)):
     print(name, counts, hashlib.sha256(x.tobytes()).hexdigest())
+results, failure = sweep(A, b, DEFAULT_GRID, 1e-10)
+assert failure is None
+for r in results:
+    digest = hashlib.sha256(r.x.tobytes()).hexdigest()
+    print("sweep", r.epsilon1, r.n1, r.n2, r.stage1_status, r.stage1_spmv_calls, digest)
 """
 
 
