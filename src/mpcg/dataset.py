@@ -72,6 +72,8 @@ class EpsilonGrid:
 
     def __post_init__(self):
         vals = tuple(sorted((float(v) for v in self.values), reverse=True))
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("grid values must be finite")
         if len(set(vals)) != len(vals):
             raise ValueError("grid values must be distinct")
         if not vals or vals[-1] <= 0:

@@ -77,7 +77,14 @@ from .errors import (
     PrecisionMismatchError,
     Stage2NotConvergedError,
 )
-from .sparse import SparseSymMatrix, downcast, downcast_vector, spmv, upcast_vector
+from .sparse import (
+    SparseSymMatrix,
+    _accumulate_product,
+    downcast,
+    downcast_vector,
+    spmv,
+    upcast_vector,
+)
 
 # A run tests the true residual once the recursive residual norm is within
 # this factor of the threshold; a true residual more than this factor above
@@ -120,7 +127,8 @@ class SolveConfig:
     its true residual at least once a window until then.  So stagnation
     without drift is not detected: a run whose true and recursive
     residuals level off together ends on max_iterations.  A window
-    longer than max_iterations switches the guard off.
+    longer than max_iterations switches the guard off.  The tolerance
+    must be finite and both counts plain ints.
     """
 
     tolerance: float
@@ -131,8 +139,13 @@ class SolveConfig:
     stagnation_factor: float = 0.99
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
+        for name in ("max_iterations", "stagnation_window"):
+            value = getattr(self, name)
+            optional = name == "max_iterations" and value is None
+            if type(value) is not int and not optional:  # bool is not int
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.preconditioner not in ("none", "jacobi"):
@@ -195,11 +208,14 @@ class TwoStageResult:
 
 
 def _check_operands(A: SparseSymMatrix, b, x0):
+    """b as a contiguous vector and a fresh copy of x0 (zeros for None),
+    each of length n at A's dtype and finite, else an error naming it."""
     b = np.ascontiguousarray(b)  # a strided dot may round differently
     if b.ndim != 1 or b.size != A.n:
         raise DimensionMismatchError(f"b must have length {A.n}")
     if b.dtype != A.dtype:
         raise PrecisionMismatchError(f"b is {b.dtype}, matrix stores {A.dtype}")
+    _check_finite("b", b)
     if x0 is None:
         x = np.zeros(A.n, dtype=A.dtype)
     else:
@@ -208,8 +224,17 @@ def _check_operands(A: SparseSymMatrix, b, x0):
             raise DimensionMismatchError(f"x0 must have length {A.n}")
         if x0.dtype != A.dtype:
             raise PrecisionMismatchError(f"x0 is {x0.dtype}, matrix stores {A.dtype}")
+        _check_finite("x0", x0)
         x = x0.copy()
     return b, x
+
+
+def _check_finite(name: str, v: np.ndarray) -> None:
+    """A NaN or Inf operand is an input error, not a breakdown of CG."""
+    finite = np.isfinite(v)
+    if not finite.all():
+        k = int(finite.argmin())
+        raise ValueError(f"{name}[{k}] = {v[k]} is not finite")
 
 
 def _blocked_dot(u: np.ndarray, v: np.ndarray):
@@ -232,94 +257,110 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     operation runs at the matrix's storage precision.  The update order per
     iteration is alpha, x, r, beta, d.  The vectors live in buffers
     allocated once per run and updated in place, each step rounding as the
-    allocating expression in its comment; ``spmv`` writes both products of
-    an iteration into them.  A yielded result holds a copy of x.
+    allocating expression in its comment.  The operands are checked once,
+    and the initial residual is the run's one call of the checked
+    ``spmv``; every later product (``A d`` and each ``b - A x``) zeroes
+    its buffer and makes the same kernel call through
+    ``_accumulate_product``, so it holds the same bits.  A yielded result
+    holds a copy of x.
 
     Every run computes the true residual when the recursive norm
     (``sqrt(r'r)``) is at most ``TRUE_RESIDUAL_MARGIN`` times the next
-    unmet threshold, and on the last iteration max_iterations allows.  A
-    guarded run (``stagnation_window <= max_iterations``, whatever the
-    precision) also samples it a window after its last sample
-    (``sampled_at``) and where the recursive norm is ``SAMPLE_FACTOR``
-    below that sample's (``anchor``), and from a sample that shows drift
-    on, every iteration; the guard reads samples only (``bests``) and may
-    stop the run from ``armed``, a window after that sample.  A run whose
-    guard can never fire tests nowhere else.  A test at a sample or on the
-    last iteration counts for every threshold, one near a threshold only
-    for those it is near.
+    unmet threshold (``near``), and on the last iteration max_iterations
+    allows.  A guarded run (``stagnation_window <= max_iterations``,
+    whatever the precision) also samples it a window after its last
+    sample (``sampled_at``) and where the recursive norm is
+    ``SAMPLE_FACTOR`` below that sample's (``anchor``), and from a sample
+    that shows drift on, every iteration; the guard reads samples only
+    (``bests``, kept in guarded runs alone) and may stop the run from
+    ``armed``, a window after that sample.  A run whose guard can never
+    fire tests nowhere else.  A test at a sample or on the last iteration
+    counts for every threshold, one near a threshold only for those it is
+    near.
 
     Every inner product goes through ``dot``: one BLAS dot up to
     ``_DOT_BLOCK`` unknowns, ``_blocked_dot`` above.
     """
     b, x = _check_operands(A, b, x0)
     dot = np.ndarray.dot if A.n <= _DOT_BLOCK else _blocked_dot
+    product = _accumulate_product(A)  # product(v, out): out += A v, unchecked
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    sqrt, inf, nan = math.sqrt, math.inf, math.nan
     max_iterations = config.max_iterations or 10 * A.n
     # ||b|| as np.linalg.norm computes it: sqrt(b'b)
     scale = float(np.sqrt(dot(b, b))) if config.residual_mode == "relative" else 1.0
     thresholds = [t * scale for t in tolerances]
+    count = len(thresholds)
     window = config.stagnation_window
     guarded = window <= max_iterations
+    plain = inv_diag is None
+    zero = x.dtype.type(0)
 
     r, d, Ad, t = (np.empty_like(x) for _ in range(4))  # t: scratch
-    z = r if inv_diag is None else np.empty_like(x)
+    z = r if plain else np.empty_like(x)
     np.subtract(b, spmv(A, x, out=t), out=r)  # r = b - A x
     res = float(np.sqrt(dot(r, r)))
-    if inv_diag is not None:
+    if not plain:
         np.multiply(inv_diag, r, out=z)
     np.copyto(d, z)
     rz = dot(r, d)  # r'M^-1 r; plain r'r when unpreconditioned
-    history, bests = [], [res]
+    history = []
+    bests = [res] if guarded else None
     met, status = 0, "max_iterations"
+    near = TRUE_RESIDUAL_MARGIN * thresholds[0] if count else inf
     armed = None  # first iteration the guard may stop, a window after drift
     sampled_at, anchor = 0, res  # iteration and recursive norm of the last sample
-    sampled, recursive = True, math.inf  # of the initial residual
+    sampled, recursive = True, inf  # of the initial residual
     for k in range(max_iterations + 1):
         if k > 0:
-            spmv(A, d, out=Ad)
+            Ad.fill(0)
+            product(d, Ad)  # A d
             dAd = dot(d, Ad)
-            if not 0 < dAd < math.inf:  # also rejects NaN
+            if not 0 < dAd < inf:  # also rejects NaN
                 raise CgBreakdownError(
                     f"d'Ad = {dAd} at iteration {k}: operand not SPD at {A.precision}"
                 )
             alpha = rz / dAd
-            np.add(x, np.multiply(d, alpha, out=t), out=x)  # x + alpha * d
-            np.subtract(r, np.multiply(Ad, alpha, out=t), out=r)  # r - alpha * Ad
-            if inv_diag is not None:
-                np.multiply(inv_diag, r, out=z)
+            add(x, multiply(d, alpha, out=t), out=x)  # x + alpha * d
+            subtract(r, multiply(Ad, alpha, out=t), out=r)  # r - alpha * Ad
+            if not plain:
+                multiply(inv_diag, r, out=z)
             rz_next = dot(r, z)
-            beta = rz_next / rz if rz != 0 else z.dtype.type(0)
-            np.add(z, np.multiply(d, beta, out=d), out=d)  # z + beta * d
+            beta = rz_next / rz if rz != 0 else zero
+            add(z, multiply(d, beta, out=d), out=d)  # z + beta * d
             rz = rz_next
 
             # Samples feed the guard.  They depend on the config and the
             # trajectory alone, so a run to one threshold takes the same.
-            recursive = math.inf
+            recursive = inf
             sampled = armed is not None or k == max_iterations
             if not sampled:
-                recursive = math.sqrt(rz if inv_diag is None else dot(r, r))
+                recursive = sqrt(rz if plain else dot(r, r))
                 sampled = guarded and (
                     k - sampled_at >= window or recursive <= anchor / SAMPLE_FACTOR)
                 if sampled:
                     sampled_at, anchor = k, recursive
-                elif recursive > TRUE_RESIDUAL_MARGIN * thresholds[met]:
-                    history.append(math.nan)
-                    bests.append(bests[-1])
+                elif recursive > near:
+                    history.append(nan)
+                    if guarded:
+                        bests.append(bests[-1])
                     continue
-            np.subtract(b, spmv(A, x, out=t), out=t)  # b - A x
+            t.fill(0)
+            product(x, t)
+            subtract(b, t, out=t)  # b - A x
             res = float(np.sqrt(dot(t, t)))
             history.append(res)
-            bests.append(min(bests[-1], res) if sampled else bests[-1])
-            if guarded and sampled and res > TRUE_RESIDUAL_MARGIN * recursive:  # drift
-                armed = k + window
+            if guarded:
+                bests.append(min(bests[-1], res) if sampled else bests[-1])
+                if sampled and res > TRUE_RESIDUAL_MARGIN * recursive:  # drift
+                    armed = k + window
         # A threshold counts this test only where a run to it alone tests.
-        while (
-            met < len(thresholds)
-            and res <= thresholds[met]
-            and (sampled or recursive <= TRUE_RESIDUAL_MARGIN * thresholds[met])
-        ):
+        while met < count and res <= thresholds[met] and (sampled or recursive <= near):
             yield SolveResult(x.copy(), k, res, "converged", np.array(history))
             met += 1
-        if met == len(thresholds):
+            if met < count:
+                near = TRUE_RESIDUAL_MARGIN * thresholds[met]
+        if met == count:
             return
         if (
             armed is not None
@@ -393,9 +434,12 @@ def sweep(
     ``None`` stands for the pure binary64 baseline: stage 2 from zero,
     N1 = 0, stage-1 status "skipped".  Returns the results and None, or
     the results before the first failing eps1 and the exception that
-    failed it; invalid arguments raise.
+    failed it; invalid arguments, a non-finite b or eps1 among them,
+    raise.
     """
     tolerances = sorted({e for e in epsilons if e is not None}, reverse=True)
+    if not all(math.isfinite(e) for e in tolerances):
+        raise ValueError("epsilon1 values must be finite")
     if not 0 < epsilon2 <= (tolerances[-1] if tolerances else epsilon2):
         raise ValueError("epsilon2 must be positive and not exceed epsilon1")
     if not 0 < mu < 1:
@@ -404,6 +448,7 @@ def sweep(
     if A.dtype != np.float64:
         raise PrecisionMismatchError("two-stage solve expects a binary64 matrix")
     b = np.asarray(b, dtype=np.float64)
+    _check_finite("b", b)
     jacobi = config.preconditioner == "jacobi"
 
     stage1, stage1_failure = {}, None  # eps1 -> (result, seconds)

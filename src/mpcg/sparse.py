@@ -11,6 +11,7 @@ treated as immutable after construction, so they are safe to share.
 from __future__ import annotations
 
 import warnings
+from functools import partial
 from operator import attrgetter
 from typing import Iterable
 
@@ -221,8 +222,9 @@ def spmv(A: SparseSymMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np
     runs after its dispatch: zero y, then accumulate each row in storage
     order over the arrays of ``A._csr``.  It is written into ``out`` when
     one is given (a vector of length n at A's dtype that does not overlap
-    x), else into a fresh vector, and y is returned.  CG passes buffers it
-    allocated once per run.
+    x), else into a fresh vector, and y is returned.  CG calls it once per
+    run, for its initial residual; its loop runs the same kernel call
+    through ``_accumulate_product``, on operands it checked once.
     """
     x = np.asarray(x)
     n = A.n
@@ -244,9 +246,17 @@ def spmv(A: SparseSymMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np
         if np.may_share_memory(out, x):
             raise ValueError("output overlaps the input vector")
         out.fill(0)
-    csr = A._csr
-    _sparsetools.csr_matvec(n, n, csr.indptr, csr.indices, csr.data, x, out)
+    _accumulate_product(A)(x, out)
     return out
+
+
+def _accumulate_product(A: SparseSymMatrix):
+    """``product(x, out)``, which adds A x into ``out`` by the kernel call
+    ``spmv`` makes, on the same arrays, so a zeroed ``out`` holds the same
+    bits.  Nothing is checked per call: x and out must be vectors of
+    length n at A's dtype that do not overlap, as ``spmv`` requires."""
+    n, csr = A.n, A._csr
+    return partial(_sparsetools.csr_matvec, n, n, csr.indptr, csr.indices, csr.data)
 
 
 def downcast(A: SparseSymMatrix) -> SparseSymMatrix:

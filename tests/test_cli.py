@@ -291,6 +291,16 @@ class TestBadInputFiles:
         assert main(argv) == 0
         assert read_manifest(out)["grid_values"] == [0.1, 0.01]
 
+    @pytest.mark.parametrize("grid", ["1e-2,nan", "1e-2,inf"])
+    def test_label_with_non_finite_grid_exits_2(self, tmp_path, capsys, grid):
+        specs = tmp_path / "specs.jsonl"
+        specs.write_text('{"family": "path", "n": 10}\n')
+        out = tmp_path / "sample.jsonl"
+        argv = ["label", "--specs", str(specs), "--out", str(out), "--grid", grid]
+        assert main(argv) == 2
+        assert "grid values must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [specs]  # no sample, no manifest
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
         specs = tmp_path / "specs.jsonl"

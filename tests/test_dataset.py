@@ -74,6 +74,11 @@ class TestEpsilonGrid:
         with pytest.raises(ValueError):
             EpsilonGrid(mu=1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_values(self, value):
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            EpsilonGrid(values=(1e-2, value))
+
 
 class TestGenerate:
     def test_path_with_constant_diagonal(self):

@@ -8,6 +8,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from scipy.sparse import _sparsetools
 
 from mpcg.dataset import GraphSpec, generate, ones_rhs
 from mpcg import solver
@@ -307,16 +308,68 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolveConfig(tolerance=0.0)
         with pytest.raises(ValueError):
+            SolveConfig(tolerance=math.inf)  # would "converge" at iteration 0
+        with pytest.raises(ValueError):
             SolveConfig(tolerance=1e-6, stagnation_window=0)
         with pytest.raises(ValueError):
             SolveConfig(tolerance=1e-6, stagnation_factor=1.5)
         with pytest.raises(ValueError):
             SolveConfig(tolerance=1e-6, preconditioner="ilu")
 
+    @pytest.mark.parametrize("name", ["max_iterations", "stagnation_window"])
+    @pytest.mark.parametrize("value", [2.5, 30.0, True, "30"])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SolveConfig(tolerance=1e-6, **{name: value})
+
     def test_no_stagnation_helper(self):
         cfg = no_stagnation(SolveConfig(tolerance=1e-6))
         assert cfg.stagnation_window >= 2**30
         assert math.isclose(cfg.tolerance, 1e-6)
+
+
+class TestNonFiniteOperands:
+    """A NaN or Inf in b or x0 is an input error, not a breakdown."""
+
+    @staticmethod
+    def _system(dtype):
+        A = random_dd(30, np.random.default_rng(45))
+        A = A if dtype == np.float64 else downcast(A)
+        return A, np.ones(30, dtype=dtype)
+
+    @pytest.mark.parametrize("solve", [cg, pcg_jacobi])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_b_is_rejected(self, solve, dtype, value):
+        A, b = self._system(dtype)
+        b[7] = value
+        with pytest.raises(ValueError, match=re.escape(f"b[7] = {value} is not finite")):
+            solve(A, b, None, CFG)
+
+    @pytest.mark.parametrize("solve", [cg, pcg_jacobi])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_x0_is_rejected(self, solve, dtype, value):
+        A, b = self._system(dtype)
+        with pytest.raises(ValueError, match=re.escape("x0[0] = ")):
+            solve(A, b, np.full(30, value, dtype=dtype), CFG)
+
+    def test_two_stage_solve_and_sweep_reject_b(self):
+        A, b = self._system(np.float64)
+        b[3] = math.nan
+        with pytest.raises(ValueError, match=re.escape("b[3] = nan is not finite")):
+            two_stage_solve(A, b, 1e-4, 1e-10)
+        for epsilons in [(1e-2, 1e-4, None), (None,)]:
+            with pytest.raises(ValueError, match=re.escape("b[3] = nan")):
+                sweep(A, b, epsilons, 1e-10)
+
+    @pytest.mark.parametrize("eps1", [math.nan, math.inf])
+    def test_sweep_rejects_non_finite_epsilon1(self, eps1):
+        A, b = self._system(np.float64)
+        with pytest.raises(ValueError, match="epsilon1 values must be finite"):
+            sweep(A, b, (1e-2, eps1, None), 1e-10)
+        with pytest.raises(ValueError, match="epsilon1 values must be finite"):
+            two_stage_solve(A, b, eps1, 1e-10)
 
 
 def bits(a):
@@ -571,15 +624,17 @@ class TestLazyTrueResidual:
         rng = np.random.default_rng(43)
         A = random_dd(80, rng, delta=(1e-3, 1e-2))
         b = rng.standard_normal(80)
-        products, counted = [], solver.spmv
+        # Count calls of the compiled kernel, which the initial residual's
+        # spmv and every product of the loop make.
+        products, counted = [], _sparsetools.csr_matvec
 
-        def spmv(*args, **kwargs):
+        def csr_matvec(*args):
             products.append(1)
-            return counted(*args, **kwargs)
+            return counted(*args)
 
-        monkeypatch.setattr(solver, "spmv", spmv)
-        guarded = cg(A, b, None, CFG)
         ((_, iterations, _, _, history),) = cg_reference(A, b, None, CFG, None, (1e-12,))
+        monkeypatch.setattr(_sparsetools, "csr_matvec", csr_matvec)
+        guarded = cg(A, b, None, CFG)
         assert guarded.iterations == iterations
         assert guarded.spmv_calls == len(products) == 1 + iterations + n_tested(history)
         assert guarded.spmv_calls < 2 * guarded.iterations + 1
