@@ -60,6 +60,24 @@ reductions surveyed by Demmel and Nguyen, "Parallel reproducible
 summation", IEEE Trans. Computers 64 (2015); it holds for any thread
 count, though not across BLAS builds.  It also saves the hand-off of
 each dot to a second thread, which at n = 10^5 costs more than it saves.
+
+A run on at most ``_DOT_BLOCK`` unknowns makes its three vector updates
+with scipy's BLAS level-1 kernels ``scal`` and ``axpy`` (Lawson, Hanson,
+Kincaid and Krogh, "Basic Linear Algebra Subprograms for Fortran usage",
+ACM Trans. Math. Softw. 5, 1979), in fewer and cheaper calls than numpy
+ufunc pairs: at these sizes an iteration costs mostly call overhead.
+``x + alpha d`` is ``alpha d`` into scratch, then ``axpy`` onto x;
+``r - alpha Ad`` is ``scal(alpha, Ad)``, then ``axpy`` with ``a = -1``
+onto r; ``z + beta d`` is ``scal(beta, d)``, then ``axpy`` of z onto d.
+``scal`` rounds one IEEE product per entry, and ``axpy`` with
+``a = +-1`` rounds ``y +- x`` whether or not its kernel fuses the
+multiply, since ``1 x`` is exact.  So each step rounds as the ufunc pair
+did, and the iterates keep their bits in both precisions.  Larger runs
+keep the ufuncs: OpenBLAS splits an ``axpy`` of more than 10^4 entries
+across threads, which made binary64 CG on 10^5 unknowns slower.  Every
+dot stays numpy's ``ndarray.dot``: scipy's ``sdot`` rounds differently
+from numpy's binary32 dot, and the two wheels bundle different OpenBLAS
+builds.  So the iterates rest on the BLAS builds of numpy and scipy both.
 """
 
 from __future__ import annotations
@@ -69,6 +87,7 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.blas import get_blas_funcs
 
 from .errors import (
     CgBreakdownError,
@@ -257,10 +276,15 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     operation runs at the matrix's storage precision.  The update order per
     iteration is alpha, x, r, beta, d.  The vectors live in buffers
     allocated once per run and updated in place, each step rounding as the
-    allocating expression in its comment.  The operands are checked once,
-    and the initial residual is the run's one call of the checked
-    ``spmv``; every later product (``A d`` and each ``b - A x``) zeroes
-    its buffer and makes the same kernel call through
+    allocating expression in its comment.  Up to ``_DOT_BLOCK`` unknowns
+    the updates call scipy's ``scal`` and ``axpy``, which write into the
+    array they are given and round as the ufuncs did: ``scal`` rounds one
+    product per entry, and ``axpy`` with ``a = +-1`` one sum or difference,
+    since ``1 x`` is exact.  Above, where OpenBLAS would thread a long
+    ``axpy``, they stay numpy ufuncs (see the module notes).  The operands
+    are checked once, and the initial residual is the run's one call of
+    the checked ``spmv``; every later product (``A d`` and each
+    ``b - A x``) zeroes its buffer and makes the same kernel call through
     ``_accumulate_product``, so it holds the same bits.  A yielded result
     holds a copy of x.
 
@@ -278,11 +302,14 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     counts for every threshold, one near a threshold only for those it is
     near.
 
-    Every inner product goes through ``dot``: one BLAS dot up to
-    ``_DOT_BLOCK`` unknowns, ``_blocked_dot`` above.
+    Every inner product goes through ``dot``: numpy's BLAS dot up to
+    ``_DOT_BLOCK`` unknowns, ``_blocked_dot`` above; never scipy's, whose
+    binary32 ``sdot`` rounds differently from numpy's.
     """
     b, x = _check_operands(A, b, x0)
-    dot = np.ndarray.dot if A.n <= _DOT_BLOCK else _blocked_dot
+    small = A.n <= _DOT_BLOCK
+    dot = np.ndarray.dot if small else _blocked_dot
+    axpy, scal = get_blas_funcs(("axpy", "scal"), (x,))  # axpy(x, y), scal(a, x): in place
     product = _accumulate_product(A)  # product(v, out): out += A v, unchecked
     add, subtract, multiply = np.add, np.subtract, np.multiply
     sqrt, inf, nan = math.sqrt, math.inf, math.nan
@@ -298,10 +325,10 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
 
     r, d, Ad, t = (np.empty_like(x) for _ in range(4))  # t: scratch
     z = r if plain else np.empty_like(x)
-    np.subtract(b, spmv(A, x, out=t), out=r)  # r = b - A x
+    subtract(b, spmv(A, x, out=t), r)  # r = b - A x
     res = float(np.sqrt(dot(r, r)))
     if not plain:
-        np.multiply(inv_diag, r, out=z)
+        multiply(inv_diag, r, z)
     np.copyto(d, z)
     rz = dot(r, d)  # r'M^-1 r; plain r'r when unpreconditioned
     history = []
@@ -321,13 +348,20 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
                     f"d'Ad = {dAd} at iteration {k}: operand not SPD at {A.precision}"
                 )
             alpha = rz / dAd
-            add(x, multiply(d, alpha, out=t), out=x)  # x + alpha * d
-            subtract(r, multiply(Ad, alpha, out=t), out=r)  # r - alpha * Ad
+            if small:
+                axpy(multiply(d, alpha, t), x)  # x + alpha * d
+                axpy(scal(alpha, Ad), r, a=-1.0)  # r - alpha * Ad
+            else:
+                add(x, multiply(d, alpha, t), x)  # x + alpha * d
+                subtract(r, multiply(Ad, alpha, t), r)  # r - alpha * Ad
             if not plain:
-                multiply(inv_diag, r, out=z)
+                multiply(inv_diag, r, z)
             rz_next = dot(r, z)
             beta = rz_next / rz if rz != 0 else zero
-            add(z, multiply(d, beta, out=d), out=d)  # z + beta * d
+            if small:
+                axpy(z, scal(beta, d))  # z + beta * d
+            else:
+                add(z, multiply(d, beta, d), d)  # z + beta * d
             rz = rz_next
 
             # Samples feed the guard.  They depend on the config and the
@@ -347,7 +381,7 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
                     continue
             t.fill(0)
             product(x, t)
-            subtract(b, t, out=t)  # b - A x
+            subtract(b, t, t)  # b - A x
             res = float(np.sqrt(dot(t, t)))
             history.append(res)
             if guarded:

@@ -8,6 +8,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg.blas import get_blas_funcs
 from scipy.sparse import _sparsetools
 
 from mpcg.dataset import GraphSpec, generate, ones_rhs
@@ -990,10 +991,11 @@ class TestBlockedDot:
         assert len(calls) == 3 + 2 * 6 + 5 + 4
 
     def test_iterates_do_not_depend_on_blas_threads(self):
-        """The same solves in processes with one and with two BLAS threads,
-        a sweep over the desk grid among them, whose stage 1 samples its
-        tests over blocked dots; a plain dot of 20000 binary64 entries
-        rounds differently on two."""
+        """The same solves in processes with one and with two BLAS threads:
+        cg and two_stage_solve on a desk-size system, whose updates call
+        scipy's BLAS, and on 20000 unknowns, plus a sweep over the desk
+        grid whose stage 1 samples its tests over blocked dots; a plain dot
+        of 20000 binary64 entries rounds differently on two."""
         src = os.path.dirname(os.path.dirname(solver.__file__))
         runs = []
         for threads in ("1", "2"):
@@ -1004,29 +1006,120 @@ class TestBlockedDot:
             ).stdout
             runs.append(out.strip().splitlines())
         assert runs[0] == runs[1]
-        assert len(runs[0]) == 2 + 7
+        assert len(runs[0]) == 2 * 2 + 7
         # Stage 1 samples its true-residual tests: fewer than 2 N1 + 1 products.
-        sweep_lines = [line.split() for line in runs[0][2:]]
+        sweep_lines = [line.split() for line in runs[0][4:]]
         assert all(int(f[5]) < 2 * int(f[2]) + 1 for f in sweep_lines)
 
 
+# A desk-size system, whose updates go through scipy's BLAS, and one on
+# 20000 unknowns, whose dots are blocked.
 THREADS_SCRIPT = """
 import hashlib
 from mpcg.dataset import DEFAULT_GRID, GraphSpec, generate, ones_rhs
 from mpcg.solver import SolveConfig, cg, no_stagnation, sweep, two_stage_solve
 
-A = generate(GraphSpec("tree_random", 20000, seed=7, delta_range=(0.001, 0.01)))
-b = ones_rhs(A)
-one = cg(A, b, None, no_stagnation(SolveConfig(tolerance=1e-10)))
-two = two_stage_solve(A, b, 1e-4, 1e-10)
-for name, counts, x in (("cg", (one.iterations,), one.x), ("two-stage", (two.n1, two.n2), two.x)):
-    print(name, counts, hashlib.sha256(x.tobytes()).hexdigest())
+D = (0.001, 0.01)
+for A in (generate(GraphSpec("random_gnm", 600, seed=7, m_target=1500, delta_range=D)),
+          generate(GraphSpec("tree_random", 20000, seed=7, delta_range=D))):
+    b = ones_rhs(A)
+    one = cg(A, b, None, no_stagnation(SolveConfig(tolerance=1e-10)))
+    two = two_stage_solve(A, b, 1e-4, 1e-10)
+    for name, counts, x in (("cg", (one.iterations,), one.x),
+                            ("two-stage", (two.n1, two.n2), two.x)):
+        print(name, A.n, counts, hashlib.sha256(x.tobytes()).hexdigest())
 results, failure = sweep(A, b, DEFAULT_GRID, 1e-10)
 assert failure is None
 for r in results:
     digest = hashlib.sha256(r.x.tobytes()).hexdigest()
     print("sweep", r.epsilon1, r.n1, r.n2, r.stage1_status, r.stage1_spmv_calls, digest)
 """
+
+
+class TestBlasUpdates:
+    """Up to _DOT_BLOCK unknowns a run updates x, r and d with scipy's
+    scal and axpy; its iterates keep their bits because scal rounds as
+    numpy's multiply and axpy with a = +-1 as numpy's add and subtract."""
+
+    SPECIAL = (-1.0, -0.0, 0.0, math.nan, math.inf, -math.inf)
+
+    @classmethod
+    def vectors(cls, n, dtype):
+        """Two random vectors spanning overflow and underflow, and the
+        special values cycled over n entries from each starting point."""
+        rng = np.random.default_rng(61)
+        scaled = [rng.standard_normal(n) * 10.0 ** rng.integers(-40, 40, n) for _ in range(2)]
+        special = np.array(cls.SPECIAL)
+        cycled = [np.resize(np.roll(special, -k), n) for k in range(special.size)]
+        with np.errstate(over="ignore"):  # to +-Inf in binary32
+            return [v.astype(dtype) for v in scaled + cycled]
+
+    @staticmethod
+    def blas(v):
+        return get_blas_funcs(("axpy", "scal"), (v,))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 600, solver._DOT_BLOCK])
+    def test_scal_is_numpy_multiply(self, n, dtype):
+        # beta is 0 where r'z is 0 (the lucky breakdowns of the desk sample).
+        scales = (0.0, -0.0, 1.0, -1.0, 3.7e-3, -41.5, 1e-30, 1e30)
+        for v in self.vectors(n, dtype):
+            _, scal = self.blas(v)
+            for a in map(dtype, scales):
+                with np.errstate(all="ignore"):
+                    want = np.multiply(v, a)
+                y = v.copy()
+                assert scal(a, y) is y
+                assert np.array_equal(bits(y), bits(want)), (n, a)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 600, solver._DOT_BLOCK])
+    def test_unit_axpy_is_numpy_add_and_subtract(self, n, dtype):
+        vectors = self.vectors(n, dtype)
+        axpy, _ = self.blas(vectors[0])
+        for x in vectors:
+            for v in vectors:
+                for a, op in ((1.0, np.add), (-1.0, np.subtract)):
+                    with np.errstate(all="ignore"):
+                        want = op(v, x)
+                    y = v.copy()
+                    assert axpy(x, y, a=a) is y
+                    assert np.array_equal(bits(y), bits(want)), (n, a)
+
+    @staticmethod
+    def counted_run(monkeypatch, n):
+        """A four-iteration run on n unknowns and the (routine, length) of
+        each call it makes to the BLAS routines ``get_blas_funcs`` gives."""
+        calls, lookup = [], solver.get_blas_funcs
+
+        def counting(names, arrays):
+            def wrap(name, f):
+                def counted(*args, **kwargs):
+                    calls.append((name, max(np.size(a) for a in args)))
+                    return f(*args, **kwargs)
+                return counted
+            return [wrap(*pair) for pair in zip(names, lookup(names, arrays))]
+
+        monkeypatch.setattr(solver, "get_blas_funcs", counting)
+        A, b = TestBlockedDot.system(n)
+        config = SolveConfig(tolerance=1e-30, max_iterations=4)
+        (result,) = _run_cg(A, b, None, config, None, (1e-30,))
+        return A, b, config, result, calls
+
+    def test_desk_size_run_updates_through_blas(self, monkeypatch):
+        n = solver._DOT_BLOCK
+        A, b, config, result, calls = self.counted_run(monkeypatch, n)
+        assert result.iterations == 4
+        # Two scal and three axpy calls per iteration, each over n entries.
+        assert sorted(calls) == [("axpy", n)] * 12 + [("scal", n)] * 8
+        (ref,) = cg_reference(A, b, None, config, None, (1e-30,))
+        assert_same_run(result, ref)
+
+    def test_large_run_makes_no_long_blas_update(self, monkeypatch):
+        # OpenBLAS splits an axpy of more than 10^4 entries across threads.
+        *_, result, calls = self.counted_run(monkeypatch, solver._DOT_BLOCK + 1)
+        assert result.iterations == 4
+        assert all(length <= solver._DOT_BLOCK for _, length in calls)
 
 
 class TestStageSeconds:
