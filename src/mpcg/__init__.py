@@ -46,8 +46,6 @@ from .solver import (
     TwoStageResult,
     cg,
     cost,
-    iteration_bound,
-    pcg_jacobi,
     two_stage_solve,
 )
 from .sparse import (

@@ -1,8 +1,11 @@
-"""Output files that are either complete or not written at all."""
+"""Output files that are either complete or not written at all, and JSON
+input that holds finite numbers only."""
 
 from __future__ import annotations
 
 import contextlib
+import json
+import math
 import os
 import secrets
 import stat
@@ -47,3 +50,17 @@ def atomic_write(path):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def finite_json(text: str):
+    """``json.loads`` of ``text``, where a NaN, Infinity or -Infinity token,
+    all of which Python's json accepts, or a number beyond the binary64
+    range raises ValueError."""
+    return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write
+from ._fileio import atomic_write, finite_json
 from .errors import GraphFullError, InvalidSpecError
 from .features import FeatureVector, extract_features
 from .solver import SolveConfig, sweep
 from .sparse import SparseSymMatrix, _entry_rows, _from_arrays
 
 __all__ = [
+    "DEFAULT_GRID",
     "EpsilonGrid",
     "GraphSpec",
     "CostEntry",
@@ -40,7 +41,6 @@ __all__ = [
     "read_specs",
     "write_sample",
     "read_sample",
-    "read_manifest",
 ]
 
 log = logging.getLogger(__name__)
@@ -83,11 +83,6 @@ class EpsilonGrid:
         if not 0 < self.mu < 1:
             raise ValueError("mu must lie in (0, 1)")
         object.__setattr__(self, "values", vals)
-
-    def value_of_class(self, label: int) -> float:
-        if not 1 <= label <= len(self.values):
-            raise ValueError(f"class label {label} outside 1..{len(self.values)}")
-        return self.values[label - 1]
 
 
 @dataclass(frozen=True)
@@ -334,10 +329,7 @@ def generate(spec: GraphSpec) -> SparseSymMatrix:
     _validate_spec(spec)
     rng = np.random.default_rng(spec.seed)
     edges = _family_edges(spec, rng)
-    degrees = np.zeros(spec.n, dtype=np.int64)
-    if edges.size:
-        np.add.at(degrees, edges[:, 0], 1)
-        np.add.at(degrees, edges[:, 1], 1)
+    degrees = np.bincount(edges.ravel(), minlength=spec.n)
     diag = _dominant_diagonal(
         degrees, spec.diagonal_strategy, spec.delta_range, spec.constant, rng
     )
@@ -388,9 +380,7 @@ def perturb(
         k = np.sort(rng.choice(n_free, size=edges_to_add, replace=False))
         codes = k + np.searchsorted(gaps, k, side="right")
         edges = np.concatenate([base_edges, _decode_pairs(codes, n)])
-        degrees = np.zeros(n, dtype=np.int64)
-        np.add.at(degrees, edges[:, 0], 1)
-        np.add.at(degrees, edges[:, 1], 1)
+        degrees = np.bincount(edges.ravel(), minlength=n)
         c = constant
         if diagonal_strategy == "uniform_constant" and (
             c is None or not c > degrees.max(initial=0)
@@ -424,14 +414,6 @@ class SampleRecord:
     i_wrst: float | None
     valid: bool = True
     invalid_reason: str | None = None  # class and message of the failure
-
-    def grid_cost(self, label: int) -> CostEntry:
-        for entry in self.costs:
-            if entry.epsilon1 is not None:
-                label -= 1
-                if label == 0:
-                    return entry
-        raise IndexError("class label beyond the recorded grid")
 
     def to_dict(self) -> dict:
         return {
@@ -531,15 +513,15 @@ def manifest_path(sample_path) -> str:
 
 
 def _label_one_spec(args) -> list[SampleRecord]:
+    """Records of one spec: singleton ``sNNNNN``, or group ``gNNNNN`` with
+    base ``gNNNNNb`` and variants ``gNNNNNvVV``; none if generation fails."""
     spec, grid, config, index = args
-    records: list[SampleRecord] = []
-    if spec.variants > 0:
-        gid = f"g{index:05d}"
-        try:
-            base = generate(spec)
-            mats = [(f"{gid}b", base)]
-            variants = perturb(
-                base,
+    gid = f"g{index:05d}" if spec.variants else f"s{index:05d}"
+    try:
+        mats = [generate(spec)]
+        if spec.variants:
+            mats += perturb(
+                mats[0],
                 spec.variants,
                 spec.edges_to_add,
                 seed=spec.seed,
@@ -547,23 +529,15 @@ def _label_one_spec(args) -> list[SampleRecord]:
                 delta_range=spec.delta_range,
                 constant=spec.constant,
             )
-            mats.extend((f"{gid}v{v:02d}", M) for v, M in enumerate(variants))
-        except Exception as exc:  # noqa: BLE001
-            log.warning("generation failed for group %s: %s", gid, exc)
-            return records
-        for mid, M in mats:
-            records.append(
-                label_matrix(M, ones_rhs(M), grid, config, mid, gid, spec)
-            )
-    else:
-        mid = f"s{index:05d}"
-        try:
-            M = generate(spec)
-        except Exception as exc:  # noqa: BLE001
-            log.warning("generation failed for %s: %s", mid, exc)
-            return records
-        records.append(label_matrix(M, ones_rhs(M), grid, config, mid, mid, spec))
-    return records
+    except Exception as exc:  # noqa: BLE001
+        log.warning("generation failed for %s: %s", gid, exc)
+        return []
+    ids = [f"{gid}b" if spec.variants else gid]
+    ids += [f"{gid}v{v:02d}" for v in range(spec.variants)]
+    return [
+        label_matrix(M, ones_rhs(M), grid, config, mid, gid, spec)
+        for mid, M in zip(ids, mats)
+    ]
 
 
 def build_sample(
@@ -607,15 +581,15 @@ def build_sample(
 
 def _read_json_lines(path, parse, error: str) -> list:
     """``parse`` of every non-blank JSON line of ``path``.  A line that
-    does not parse raises ValueError with ``error`` formatted with
-    ``where`` (``path:line``) and ``exc``."""
+    does not parse, or holds a non-finite number, raises ValueError with
+    ``error`` formatted with ``where`` (``path:line``) and ``exc``."""
     items = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                items.append(parse(json.loads(line)))
+                items.append(parse(finite_json(line)))
             except (ValueError, KeyError, TypeError) as exc:  # TypeError: unknown key
                 raise ValueError(error.format(where=f"{path}:{lineno}", exc=exc)) from None
     return items
@@ -655,11 +629,6 @@ def read_sample(path, include_invalid: bool = False) -> list[SampleRecord]:
         path, SampleRecord.from_dict, "malformed record at {where}: {exc!r}"
     )
     return [rec for rec in records if rec.valid or include_invalid]
-
-
-def read_manifest(sample_path) -> dict:
-    with open(manifest_path(sample_path), "r", encoding="ascii") as fh:
-        return json.load(fh)
 
 
 # Dominance margins from comfortable to razor-thin: the margin steers the

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write
+from ._fileio import atomic_write, finite_json
 from .dataset import SampleRecord
 from .errors import (
     EmptyTrainingSetError,
@@ -318,10 +318,11 @@ def save_model(model: KnnModel, path, split: dict | None = None) -> None:
 
 
 def load_model(path) -> KnnModel:
-    """Model written by ``save_model``; a malformed file raises ValueError."""
-    with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
+    """Model written by ``save_model``; a malformed file, a non-finite
+    number among them, raises ValueError."""
     try:
+        with open(path, "r", encoding="ascii") as fh:
+            payload = finite_json(fh.read())
         return KnnModel(
             normalization=NormalizationParams(
                 np.array(payload["mins"], dtype=float),

@@ -74,7 +74,11 @@ onto r; ``z + beta d`` is ``scal(beta, d)``, then ``axpy`` of z onto d.
 multiply, since ``1 x`` is exact.  So each step rounds as the ufunc pair
 did, and the iterates keep their bits in both precisions.  Larger runs
 keep the ufuncs: OpenBLAS splits an ``axpy`` of more than 10^4 entries
-across threads, which made binary64 CG on 10^5 unknowns slower.  Every
+across threads, which made binary64 CG on 10^5 unknowns slower.  Updates
+blocked into 8192-entry ``scal`` and ``axpy`` calls were slower there
+too: on a 2-core host one iteration's three updates at n = 10^5 took
+263-266 us against 240-249 us as ufuncs in binary64, and 113-141 us
+against 89-104 us in binary32 (medians of 15 rounds).  Every
 dot stays numpy's ``ndarray.dot``: scipy's ``sdot`` rounds differently
 from numpy's binary32 dot, and the two wheels bundle different OpenBLAS
 builds.  So the iterates rest on the BLAS builds of numpy and scipy both.
@@ -123,12 +127,10 @@ __all__ = [
     "SolveResult",
     "TwoStageResult",
     "cg",
-    "pcg_jacobi",
     "two_stage_solve",
     "sweep",
     "no_stagnation",
     "cost",
-    "iteration_bound",
 ]
 
 
@@ -141,13 +143,9 @@ class SolveConfig:
     improved by at least ``stagnation_factor`` over the last
     ``stagnation_window`` iterations; binary32 runs can stall above a tight
     tolerance forever, and an unbounded loop would poison every sweep.
-    This guard is armed only a window after the first sampled residual
-    that shows drift from the recursive one, and a guarded run samples
-    its true residual at least once a window until then.  So stagnation
-    without drift is not detected: a run whose true and recursive
-    residuals level off together ends on max_iterations.  A window
-    longer than max_iterations switches the guard off.  The tolerance
-    must be finite and both counts plain ints.
+    The module notes say which residuals the guard reads and when it is
+    armed.  A window longer than max_iterations switches the guard off.
+    The tolerance must be finite and both counts plain ints.
     """
 
     tolerance: float
@@ -288,19 +286,15 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     ``_accumulate_product``, so it holds the same bits.  A yielded result
     holds a copy of x.
 
-    Every run computes the true residual when the recursive norm
-    (``sqrt(r'r)``) is at most ``TRUE_RESIDUAL_MARGIN`` times the next
-    unmet threshold (``near``), and on the last iteration max_iterations
-    allows.  A guarded run (``stagnation_window <= max_iterations``,
-    whatever the precision) also samples it a window after its last
-    sample (``sampled_at``) and where the recursive norm is
-    ``SAMPLE_FACTOR`` below that sample's (``anchor``), and from a sample
-    that shows drift on, every iteration; the guard reads samples only
-    (``bests``, kept in guarded runs alone) and may stop the run from
-    ``armed``, a window after that sample.  A run whose guard can never
-    fire tests nowhere else.  A test at a sample or on the last iteration
-    counts for every threshold, one near a threshold only for those it is
-    near.
+    The module notes give the policy for testing the true residual.  Its
+    names here: ``recursive`` is ``sqrt(r'r)``, ``near`` is
+    ``TRUE_RESIDUAL_MARGIN`` times the next unmet threshold,
+    ``sampled_at`` and ``anchor`` are the iteration and recursive norm of
+    the last sample, ``bests`` holds the best sampled residual per
+    iteration (in guarded runs alone), and ``armed`` is the first
+    iteration the guard may stop.  A test at a sample or on the last
+    iteration counts for every threshold, one near a threshold only for
+    those it is near.
 
     Every inner product goes through ``dot``: numpy's BLAS dot up to
     ``_DOT_BLOCK`` unknowns, ``_blocked_dot`` above; never scipy's, whose
@@ -421,30 +415,12 @@ def cg(A: SparseSymMatrix, b, x0=None, config: SolveConfig | None = None) -> Sol
 
     Stops when the true residual ``||b - A x||`` (divided by ``||b||`` in
     relative mode) falls to the configured tolerance, when max_iterations
-    is reached, or when progress stagnates.  The true residual is
-    recomputed once the recursive residual is within
-    ``TRUE_RESIDUAL_MARGIN`` of the tolerance, and on the last iteration.
-    With a stagnation guard that can fire it is also sampled at least once
-    every ``stagnation_window`` iterations and each time the recursive norm
-    has fallen by ``SAMPLE_FACTOR``, and recomputed every iteration once a
-    sample has drifted above the margin times the recursive norm; without
-    one (``stagnation_window > max_iterations``, see ``no_stagnation``) it
-    is not.
+    is reached, or when progress stagnates.  The module notes say where a
+    run recomputes the true residual.
     """
     if config is None:
         raise ValueError("config with a tolerance is required")
     inv_diag = _inverse_diagonal(A) if config.preconditioner == "jacobi" else None
-    return next(_run_cg(A, b, x0, config, inv_diag, (config.tolerance,)))
-
-
-def pcg_jacobi(
-    A: SparseSymMatrix, b, x0=None, config: SolveConfig | None = None
-) -> SolveResult:
-    """CG preconditioned by M = diag(A) whatever ``config.preconditioner``
-    says; stopping test is unpreconditioned."""
-    if config is None:
-        raise ValueError("config with a tolerance is required")
-    inv_diag = _inverse_diagonal(A)
     return next(_run_cg(A, b, x0, config, inv_diag, (config.tolerance,)))
 
 
@@ -555,11 +531,3 @@ def cost(n1: int, n2: int, mu: float) -> float:
         raise ValueError("iteration counts must be nonnegative")
     return mu * n1 + n2
 
-
-def iteration_bound(kappa: float, epsilon: float) -> int:
-    """Upper estimate ceil(sqrt(kappa)/2 * ln(2/eps)) on CG iterations."""
-    if not kappa >= 1:
-        raise ValueError("kappa must be at least 1")
-    if not 0 < epsilon < 2:
-        raise ValueError("epsilon must lie in (0, 2)")
-    return math.ceil(0.5 * math.sqrt(kappa) * math.log(2.0 / epsilon))

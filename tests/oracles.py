@@ -41,6 +41,15 @@ def eigenvalues_of(A) -> np.ndarray:
     return np.linalg.eigvalsh(dense_of(A))
 
 
+def iteration_bound(kappa: float, epsilon: float) -> int:
+    """Upper estimate ceil(sqrt(kappa)/2 * ln(2/eps)) on CG iterations."""
+    if not kappa >= 1:
+        raise ValueError("kappa must be at least 1")
+    if not 0 < epsilon < 2:
+        raise ValueError("epsilon must lie in (0, 2)")
+    return math.ceil(0.5 * math.sqrt(kappa) * math.log(2.0 / epsilon))
+
+
 def allpairs_distances(A) -> np.ndarray:
     """All-pairs unweighted BFS distances over the off-diagonal structure."""
     row_of = np.repeat(np.arange(A.n), np.diff(A.row_starts))

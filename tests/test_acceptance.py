@@ -22,10 +22,10 @@ from mpcg.dataset import (
 )
 from mpcg.features import eigen_estimates, pseudo_diameter
 from mpcg.regression import evaluate, fit_knn, load_model, split
-from mpcg.solver import SolveConfig, cg, iteration_bound, two_stage_solve
+from mpcg.solver import SolveConfig, cg, two_stage_solve
 from mpcg.sparse import from_coordinates
 
-from oracles import dd_spd_triplets, dense_of, eigenvalues_of, true_diameter
+from oracles import dd_spd_triplets, dense_of, eigenvalues_of, iteration_bound, true_diameter
 
 DESK_SEED = 42
 SPLIT_SEED = 3

@@ -1,10 +1,12 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mpcg.cli import main
-from mpcg.dataset import GraphSpec, generate, read_manifest
+from mpcg.dataset import GraphSpec, generate, manifest_path
 from mpcg.sparse import write_matrix_market
 
 
@@ -75,11 +77,18 @@ def inputs(tmp_path, identity_file):
         "model": tmp_path / "model.json",
         "sample": tmp_path / "sample.jsonl",
         "inconsistent": tmp_path / "inconsistent.jsonl",
+        "nan_model": tmp_path / "nan_model.json",
+        "nan_sample": tmp_path / "nan_sample.jsonl",
         "huge": tmp_path / "huge.mtx",
     }
     paths["model"].write_text(model_json())
     paths["sample"].write_text(sample_json())
     paths["inconsistent"].write_text(sample_json(i_opt=10.5))  # i_wrst + 1
+    # json writes NaN and Infinity tokens, which Python's json reads back.
+    paths["nan_model"].write_text(
+        model_json(points=[[math.nan] + [0.5] * 4], mins=[0.0, 0.0, math.inf, 0.0, 0.0]))
+    features = json.loads(sample_json())["features"]
+    paths["nan_sample"].write_text(sample_json(features={**features, "spread": math.nan}))
     paths["huge"].write_text(
         "%%MatrixMarket matrix coordinate real symmetric\n"
         "2 2 3\n1 1 1e39\n2 1 1.0\n2 2 3.0\n"
@@ -105,6 +114,15 @@ EXIT_CODE_CASES = {
     "evaluate-inconsistent-record": (
         ["evaluate", "--sample", "{inconsistent}", "--model", "{model}", "--subset", "all"],
         2, "record s00000"),
+    "solve-auto-non-finite-model": (
+        ["solve", "{identity}", "--eps1", "auto", "--model", "{nan_model}"], 4,
+        "'{nan_model}': ValueError('non-finite number Infinity')"),
+    "evaluate-non-finite-model": (
+        ["evaluate", "--sample", "{sample}", "--model", "{nan_model}"], 2,
+        "'{nan_model}': ValueError('non-finite number Infinity')"),
+    "train-non-finite-sample": (
+        ["train", "--sample", "{nan_sample}", "--out", "{out}"], 2,
+        "{nan_sample}:1: ValueError('non-finite number NaN')"),
 }
 
 BAD_SPECS = {
@@ -289,7 +307,7 @@ class TestBadInputFiles:
         out = tmp_path / "sample.jsonl"
         argv = ["label", "--specs", str(specs), "--out", str(out), "--grid", "1e-2,1e-1"]
         assert main(argv) == 0
-        assert read_manifest(out)["grid_values"] == [0.1, 0.01]
+        assert json.loads(Path(manifest_path(out)).read_text())["grid_values"] == [0.1, 0.01]
 
     @pytest.mark.parametrize("grid", ["1e-2,nan", "1e-2,inf"])
     def test_label_with_non_finite_grid_exits_2(self, tmp_path, capsys, grid):

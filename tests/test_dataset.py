@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +20,10 @@ from mpcg.dataset import (
     build_sample,
     generate,
     label_matrix,
+    manifest_path,
     ones_rhs,
     perturb,
     plan_specs,
-    read_manifest,
     read_sample,
     read_specs,
     write_sample,
@@ -64,7 +65,6 @@ class TestEpsilonGrid:
     def test_canonicalizes_order(self):
         grid = EpsilonGrid(values=(1e-3, 1e-1, 1e-2))
         assert grid.values == (1e-1, 1e-2, 1e-3)
-        assert grid.value_of_class(2) == 1e-2
 
     def test_rejects_duplicates_and_bad_floor(self):
         with pytest.raises(ValueError):
@@ -396,7 +396,7 @@ class TestLabelMatrix:
         grid_costs = [e.cost for e in rec.costs if e.epsilon1 is not None]
         assert rec.i_opt == min(grid_costs)
         assert rec.i_wrst == max(grid_costs)
-        assert rec.grid_cost(rec.label).cost == rec.i_opt
+        assert rec.costs[rec.label - 1].cost == rec.i_opt
         baseline = [e for e in rec.costs if e.epsilon1 is None]
         assert len(baseline) == 1 and baseline[0].n1 == 0
 
@@ -440,7 +440,7 @@ class TestBuildSample:
         manifest = build_sample([], EpsilonGrid(), out)
         assert manifest.records_total == 0
         assert out.read_text() == ""
-        assert read_manifest(out)["records_total"] == 0
+        assert json.loads(Path(manifest_path(out)).read_text())["records_total"] == 0
 
     def test_roundtrip_and_invariants(self, tmp_path):
         specs = plan_specs(total=24, n_range=(40, 120), variants=5, seed=3)
@@ -451,7 +451,7 @@ class TestBuildSample:
         for rec in records:
             grid_costs = [e.cost for e in rec.costs if e.epsilon1 is not None]
             assert rec.i_opt == min(grid_costs) <= max(grid_costs) == rec.i_wrst
-            assert rec.grid_cost(rec.label).cost == rec.i_opt
+            assert rec.costs[rec.label - 1].cost == rec.i_opt
             assert rec.features.nnz >= rec.features.n
 
     def test_byte_identical_reruns_and_thread_independence(self, tmp_path):

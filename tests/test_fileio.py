@@ -1,3 +1,4 @@
+import json
 import os
 import stat
 import threading
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import mpcg.cli as cli
-from mpcg._fileio import atomic_write
+from mpcg._fileio import atomic_write, finite_json
 from mpcg.cli import main
 from mpcg.dataset import (
     EpsilonGrid,
@@ -204,3 +205,14 @@ class TestWriters:
         with atomic_write(tmp_path / "atomic.txt") as fh:
             np.savetxt(fh, x, fmt="%.17g")
         assert (tmp_path / "atomic.txt").read_bytes() == (tmp_path / "plain.txt").read_bytes()
+
+
+class TestFiniteJson:
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "-1e400"])
+    def test_non_finite_number_is_rejected(self, token):
+        with pytest.raises(ValueError, match=f"^non-finite number {token}$"):
+            finite_json(f'{{"points": [[0.5, {token}]]}}')
+
+    def test_finite_numbers_read_as_json_reads_them(self):
+        text = '{"a": [0.1, -2.5e-300, 1.7976931348623157e308, 3], "b": null}'
+        assert finite_json(text) == json.loads(text)
