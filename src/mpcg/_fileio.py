@@ -9,6 +9,7 @@ import math
 import os
 import secrets
 import stat
+import sys
 
 
 @contextlib.contextmanager
@@ -55,12 +56,22 @@ def atomic_write(path):
 def finite_json(text: str):
     """``json.loads`` of ``text``, where a NaN, Infinity or -Infinity token,
     all of which Python's json accepts, or a number beyond the binary64
-    range raises ValueError."""
-    return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+    range, a float or an integer literal, raises ValueError.  Integers in
+    range stay Python ints, as ``json.loads`` reads them."""
+    return json.loads(
+        text, parse_constant=_finite_float, parse_float=_finite_float, parse_int=_finite_int
+    )
 
 
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"integer of {len(text)} characters beyond the binary64 range")
     return value

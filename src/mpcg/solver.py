@@ -282,8 +282,9 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     ``axpy``, they stay numpy ufuncs (see the module notes).  The operands
     are checked once, and the initial residual is the run's one call of
     the checked ``spmv``; every later product (``A d`` and each
-    ``b - A x``) zeroes its buffer and makes the same kernel call through
-    ``_accumulate_product``, so it holds the same bits.  A yielded result
+    ``b - A x``) zeroes its buffer and calls the product
+    ``_accumulate_product`` gives for A, the kernel ``spmv`` runs too, so
+    it holds the same bits.  A yielded result
     holds a copy of x.
 
     The module notes give the policy for testing the true residual.  Its

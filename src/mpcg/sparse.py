@@ -6,6 +6,26 @@ row.  Matrix-vector products run entirely in the arithmetic of the stored
 precision: a binary32 matrix multiplied by a binary32 vector accumulates in
 binary32, in storage order along each row.  Matrices and vectors are
 treated as immutable after construction, so they are safe to share.
+
+Every product is one call of a compiled scipy ``sparsetools`` kernel,
+chosen per matrix by ``_accumulate_product`` from the CSR structure alone:
+``csr_matvec``, one loop per row, or ``coo_matvec``, one flat loop over the
+stored entries with a row index per entry.  On a zeroed y both form each
+y_i as ``((0 + a_i1 x_1) + a_i2 x_2) + ...`` in storage order and storage
+precision, so the choice never changes a bit.  It changes the clock: the
+row loop's exit is a branch, and where row lengths change from row to row
+the predictor misses it on almost every row.  Measured on a 2-core x86-64
+host (median microseconds per product at n = 10^5, binary64/binary32):
+``tree_random`` CSR 977/830 against COO 729/390, ``random_gnm`` with
+m = 1.5 n 1422/1366 against 1017/657, but ``grid2d`` 401/359 against
+573/525, ``path`` 313/330 against 394/420, ``star`` 337/340 against
+616/615 and ``random_regular`` of degree 4 883/552 against 1231/777.  At
+n = 1000 CSR wins on ``tree_random`` too (4.6/4.5 against 5.5/5.3), since
+the predictor learns a short sequence; COO wins from between 2000 and
+8192 rows on, by family (at 8192, ``tree_random`` 66/54 against 38/26).
+Hence the rule: COO when A has more than ``_COO_MIN_ROWS`` rows, past
+the crossover and every desk-size matrix, and its row length changes at
+least once per ``_COO_ENTRIES_PER_CHANGE`` stored entries; CSR otherwise.
 """
 
 from __future__ import annotations
@@ -218,13 +238,13 @@ def _from_arrays(
 def spmv(A: SparseSymMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """y = A x in the arithmetic of A's storage precision, O(nnz).
 
-    The product is scipy's compiled CSR kernel, what ``csr_matrix @ x``
-    runs after its dispatch: zero y, then accumulate each row in storage
-    order over the arrays of ``A._csr``.  It is written into ``out`` when
-    one is given (a vector of length n at A's dtype that does not overlap
-    x), else into a fresh vector, and y is returned.  CG calls it once per
-    run, for its initial residual; its loop runs the same kernel call
-    through ``_accumulate_product``, on operands it checked once.
+    It checks its operands, zeroes y and accumulates A x into it with the
+    kernel ``_accumulate_product`` picks for A (see the module notes), so
+    every product of a matrix holds the same bits whichever kernel runs.
+    y is written into ``out`` when one is given (a vector of length n at
+    A's dtype that does not overlap x), else into a fresh vector, and is
+    returned.  CG calls it once per run, for its initial residual; its
+    loop calls the helper's product directly, on operands it checked once.
     """
     x = np.asarray(x)
     n = A.n
@@ -250,12 +270,30 @@ def spmv(A: SparseSymMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np
     return out
 
 
+_COO_MIN_ROWS = 8192  # at most this many rows, the row loop's exit is predicted
+_COO_ENTRIES_PER_CHANGE = 10  # at most this many stored entries per row-length change
+
+
 def _accumulate_product(A: SparseSymMatrix):
-    """``product(x, out)``, which adds A x into ``out`` by the kernel call
-    ``spmv`` makes, on the same arrays, so a zeroed ``out`` holds the same
-    bits.  Nothing is checked per call: x and out must be vectors of
-    length n at A's dtype that do not overlap, as ``spmv`` requires."""
+    """``product(x, out)``, which adds A x into ``out`` with no check per
+    call: x and out must be vectors of length n at A's dtype that do not
+    overlap, as ``spmv`` requires.
+
+    The kernel is scipy's ``coo_matvec`` when A has more than
+    ``_COO_MIN_ROWS`` rows and its row length changes between consecutive
+    rows at least once per ``_COO_ENTRIES_PER_CHANGE`` stored entries, and
+    ``csr_matvec`` otherwise.  Both add each row's terms into ``out[i]`` in
+    storage order at storage precision, so on a zeroed ``out`` they give the
+    same bits; the module notes give the timings behind the rule.  The rule
+    and COO's row index per entry (``_entry_rows``, 4 bytes per entry at
+    int32) cost O(nnz) per call of this helper, not per product: a CG run
+    calls it twice, in ``spmv`` for its initial residual and for its loop.
+    """
     n, csr = A.n, A._csr
+    if n > _COO_MIN_ROWS:
+        changes = np.count_nonzero(np.diff(A.row_lengths()))
+        if _COO_ENTRIES_PER_CHANGE * changes >= A.nnz:
+            return partial(_sparsetools.coo_matvec, A.nnz, _entry_rows(A), csr.indices, csr.data)
     return partial(_sparsetools.csr_matvec, n, n, csr.indptr, csr.indices, csr.data)
 
 

@@ -7,6 +7,7 @@ exceptions are references for code that was replaced: they keep the
 replaced algorithm and call the library only for what it kept.
 """
 
+import functools
 import math
 from collections import deque
 from dataclasses import asdict, replace
@@ -145,21 +146,26 @@ def write_matrix_market_reference(A, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def two_stage_reference(A, b, epsilon1, epsilon2, mu, config):
-    """(n1, n2, x) of a two-stage solve with its own stage 1 from zero."""
+def two_stage_reference(A, b, epsilon1, epsilon2, mu, config, block=None):
+    """(n1, n2, x) of a two-stage solve with its own stage 1 from zero, both
+    stages run by ``cg_reference`` (with ``block`` as there)."""
     from mpcg.errors import Stage2NotConvergedError
-    from mpcg.solver import cg, no_stagnation
+    from mpcg.solver import _inverse_diagonal, no_stagnation
     from mpcg.sparse import downcast, downcast_vector, upcast_vector
 
+    def inv_diag(M):
+        return _inverse_diagonal(M) if config.preconditioner == "jacobi" else None
+
     b = np.asarray(b, dtype=np.float64)
-    stage1 = cg(
-        downcast(A), downcast_vector(b), None, replace(config, tolerance=epsilon1)
-    )
-    x0 = upcast_vector(stage1.x)
-    stage2 = cg(A, b, x0, no_stagnation(replace(config, tolerance=epsilon2)))
-    if stage2.status != "converged":
-        raise Stage2NotConvergedError(stage2.status)
-    return stage1.iterations, stage2.iterations, stage2.x
+    A32 = downcast(A)
+    ((x1, n1, *_),) = cg_reference(
+        A32, downcast_vector(b), None, config, inv_diag(A32), (epsilon1,), block=block)
+    refine = no_stagnation(config)
+    ((x, n2, _, status, _),) = cg_reference(
+        A, b, upcast_vector(x1), refine, inv_diag(A), (epsilon2,), block=block)
+    if status != "converged":
+        raise Stage2NotConvergedError(status)
+    return n1, n2, x
 
 
 def label_matrix_reference(A, b, grid, config, matrix_id="", group_id="", spec=None):
@@ -206,7 +212,15 @@ def label_matrix_reference(A, b, grid, config, matrix_id="", group_id="", spec=N
     }
 
 
-def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None):
+def blocked_dot(u, v, block):
+    """u'v as the left-to-right sum of the dots of consecutive ``block``-entry
+    slices, at the vectors' precision."""
+    parts = [u[k:k + block].dot(v[k:k + block]) for k in range(0, u.size, block)]
+    return sum(parts[1:], parts[0])
+
+
+def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None,
+                 block=None):
     """The allocating CG loop that ``solver._run_cg`` replaced, one list
     entry per tolerance as (x, iterations, residual, status, history).
 
@@ -231,24 +245,31 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
       best one a window earlier from a window after drift on.
 
     ``norms``, a list, receives (true, recursive, r'z, sample) of every
-    iteration.
+    iteration.  Inner products and norms are plain dots, or with an int
+    ``block`` the ``blocked_dot`` sums the solver makes above its
+    ``_DOT_BLOCK`` unknowns.
     """
     from mpcg.errors import CgBreakdownError
     from mpcg.solver import SAMPLE_FACTOR as factor
     from mpcg.solver import TRUE_RESIDUAL_MARGIN as margin
 
     A_csr, b = A._csr, np.asarray(b)
+    dot = np.dot if block is None else functools.partial(blocked_dot, block=block)
+
+    def norm(v):  # as np.linalg.norm computes it: sqrt(v'v)
+        return float(np.sqrt(dot(v, v)))
+
     x = np.zeros(A.n, dtype=A.dtype) if x0 is None else np.array(x0, copy=True)
     max_iterations = config.max_iterations or 10 * A.n
-    scale = float(np.linalg.norm(b)) if config.residual_mode == "relative" else 1.0
+    scale = norm(b) if config.residual_mode == "relative" else 1.0
     thresholds = [t * scale for t in tolerances]
     window = config.stagnation_window
     guarded = window <= max_iterations
 
     r = b - A_csr @ x
-    res = float(np.linalg.norm(r))
+    res = norm(r)
     d = inv_diag * r if inv_diag is not None else r.copy()
-    rz = np.dot(r, d)
+    rz = dot(r, d)
     history, bests, out = [], [res], []
     met, status = 0, "max_iterations"
     drift, last_sample, anchor = None, 0, res
@@ -256,20 +277,20 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
         sample, recursive = True, math.inf  # the initial residual
         if k > 0:
             Ad = A_csr @ d
-            dAd = np.dot(d, Ad)
+            dAd = dot(d, Ad)
             if not np.isfinite(dAd) or dAd <= 0:
                 raise CgBreakdownError(f"d'Ad = {dAd} at iteration {k}")
             alpha = rz / dAd
             x = x + alpha * d
             r = r - alpha * Ad
             z = inv_diag * r if inv_diag is not None else r
-            rz_next = np.dot(r, z)
+            rz_next = dot(r, z)
             beta = rz_next / rz if rz != 0 else z.dtype.type(0)
             d = z + beta * d
             rz = rz_next
 
-            true_norm = float(np.linalg.norm(b - A_csr @ x))
-            recursive = math.sqrt(np.dot(r, r) if inv_diag is not None else rz)
+            true_norm = norm(b - A_csr @ x)
+            recursive = math.sqrt(dot(r, r) if inv_diag is not None else rz)
             sample = eager or k == max_iterations or (guarded and drift is not None)
             if not sample and guarded and (
                     k - last_sample >= window or recursive <= anchor / factor):

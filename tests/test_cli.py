@@ -79,6 +79,8 @@ def inputs(tmp_path, identity_file):
         "inconsistent": tmp_path / "inconsistent.jsonl",
         "nan_model": tmp_path / "nan_model.json",
         "nan_sample": tmp_path / "nan_sample.jsonl",
+        "big_model": tmp_path / "big_model.json",
+        "big_sample": tmp_path / "big_sample.jsonl",
         "huge": tmp_path / "huge.mtx",
     }
     paths["model"].write_text(model_json())
@@ -89,6 +91,9 @@ def inputs(tmp_path, identity_file):
         model_json(points=[[math.nan] + [0.5] * 4], mins=[0.0, 0.0, math.inf, 0.0, 0.0]))
     features = json.loads(sample_json())["features"]
     paths["nan_sample"].write_text(sample_json(features={**features, "spread": math.nan}))
+    # json writes an int in full: 401 digits, beyond any binary64.
+    paths["big_model"].write_text(model_json(points=[[10**400] + [0.5] * 4]))
+    paths["big_sample"].write_text(sample_json(features={**features, "lambda_max": -10**400}))
     paths["huge"].write_text(
         "%%MatrixMarket matrix coordinate real symmetric\n"
         "2 2 3\n1 1 1e39\n2 1 1.0\n2 2 3.0\n"
@@ -123,6 +128,15 @@ EXIT_CODE_CASES = {
     "train-non-finite-sample": (
         ["train", "--sample", "{nan_sample}", "--out", "{out}"], 2,
         "{nan_sample}:1: ValueError('non-finite number NaN')"),
+    "solve-auto-integer-overflow-model": (
+        ["solve", "{identity}", "--eps1", "auto", "--model", "{big_model}"], 4,
+        "'{big_model}': ValueError('integer of 401 characters beyond the binary64 range')"),
+    "evaluate-integer-overflow-model": (
+        ["evaluate", "--sample", "{sample}", "--model", "{big_model}"], 2,
+        "'{big_model}': ValueError('integer of 401 characters beyond the binary64 range')"),
+    "train-integer-overflow-sample": (
+        ["train", "--sample", "{big_sample}", "--out", "{out}"], 2,
+        "{big_sample}:1: ValueError('integer of 402 characters beyond the binary64 range')"),
 }
 
 BAD_SPECS = {

@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import sys
 import threading
 
 import numpy as np
@@ -216,3 +217,13 @@ class TestFiniteJson:
     def test_finite_numbers_read_as_json_reads_them(self):
         text = '{"a": [0.1, -2.5e-300, 1.7976931348623157e308, 3], "b": null}'
         assert finite_json(text) == json.loads(text)
+
+    @pytest.mark.parametrize("value", [10**400, -10**309, 2**1024])
+    def test_integer_beyond_binary64_is_rejected(self, value):
+        with pytest.raises(ValueError, match="beyond the binary64 range"):
+            finite_json(f'{{"points": [[0.5, {value}]]}}')
+
+    @pytest.mark.parametrize("value", [0, -7, 2**53 + 1, int(sys.float_info.max)])
+    def test_integer_in_range_stays_an_exact_int(self, value):
+        (got,) = finite_json(f"[{value}]")
+        assert type(got) is int and got == value

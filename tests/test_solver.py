@@ -28,9 +28,21 @@ from mpcg.solver import (
     sweep,
     two_stage_solve,
 )
-from mpcg.sparse import downcast, downcast_vector, from_coordinates, upcast_vector
+from mpcg.sparse import (
+    _accumulate_product,
+    downcast,
+    downcast_vector,
+    from_coordinates,
+    upcast_vector,
+)
 
-from oracles import cg_reference, dd_spd_triplets, eigenvalues_of, iteration_bound
+from oracles import (
+    cg_reference,
+    dd_spd_triplets,
+    eigenvalues_of,
+    iteration_bound,
+    two_stage_reference,
+)
 
 
 def diag_matrix(values):
@@ -1118,6 +1130,44 @@ class TestBlasUpdates:
         *_, result, calls = self.counted_run(monkeypatch, solver._DOT_BLOCK + 1)
         assert result.iterations == 4
         assert all(length <= solver._DOT_BLOCK for _, length in calls)
+
+
+class TestCooProduct:
+    """On an irregular matrix of more than 8192 rows every product of a run
+    is scipy's coo_matvec; the run keeps the bits of the oracles, whose
+    products are ``csr_matrix @ x`` and whose dots are blocked as the
+    solver's are above _DOT_BLOCK unknowns."""
+
+    @staticmethod
+    def system():
+        spec = GraphSpec("tree_random", 10_000, seed=15, delta_range=(0.001, 0.01))
+        A = generate(spec)
+        return A, ones_rhs(A)
+
+    def test_both_precisions_take_the_coo_kernel(self):
+        A, _ = self.system()
+        assert A.n > solver._DOT_BLOCK
+        for M in (A, downcast(A)):
+            assert _accumulate_product(M).func is _sparsetools.coo_matvec
+
+    @pytest.mark.parametrize("pre", ["none", "jacobi"])
+    def test_cg_matches_reference_bits(self, pre):
+        A, b = self.system()
+        config = no_stagnation(SolveConfig(tolerance=1e-10, preconditioner=pre))
+        inv_diag = _inverse_diagonal(A) if pre == "jacobi" else None
+        (ref,) = cg_reference(A, b, None, config, inv_diag, (1e-10,), block=solver._DOT_BLOCK)
+        result = cg(A, b, None, config)
+        assert result.status == "converged" and result.iterations > 50
+        assert_same_run(result, ref)
+
+    @pytest.mark.parametrize("eps1", [1e-2, 1e-5])
+    def test_two_stage_solve_matches_reference_bits(self, eps1):
+        A, b = self.system()
+        config = SolveConfig(tolerance=1e-10)
+        got = two_stage_solve(A, b, eps1, 1e-10, 0.5, config)
+        n1, n2, x = two_stage_reference(A, b, eps1, 1e-10, 0.5, config, block=solver._DOT_BLOCK)
+        assert got.n1 > 0 and (got.n1, got.n2) == (n1, n2)
+        assert np.array_equal(bits(got.x), bits(x))
 
 
 class TestStageSeconds:

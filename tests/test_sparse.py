@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import _sparsetools
 
 import mpcg.sparse as sparse_module
+from mpcg.dataset import FAMILIES, GraphSpec, generate
 from mpcg.errors import (
     AsymmetricInputError,
     DimensionMismatchError,
@@ -234,6 +238,90 @@ class TestSpmvInto:
         with pytest.raises(ValueError, match="overlaps"):
             spmv(A, x, out=x)
         np.testing.assert_array_equal(x, [1.0, 1.0])
+
+
+def family_matrix(family, n, seed=1):
+    """A generated matrix; random_gnm with m = 1.5 n edges, random_regular of degree 4."""
+    extra = {"random_gnm": {"m_target": 3 * n // 2}, "random_regular": {"degree": 4}}
+    return generate(GraphSpec(family, n, seed=seed, **extra.get(family, {})))
+
+
+def kernel_products(A, x):
+    """A x by scipy's csr_matvec and by its coo_matvec, each on a zeroed y."""
+    csr, n = A._csr, A.n
+    y_csr, y_coo = np.zeros(n, dtype=A.dtype), np.zeros(n, dtype=A.dtype)
+    _sparsetools.csr_matvec(n, n, csr.indptr, csr.indices, csr.data, x, y_csr)
+    rows = sparse_module._entry_rows(A)
+    _sparsetools.coo_matvec(A.nnz, rows, csr.indices, csr.data, x, y_coo)
+    return y_csr, y_coo
+
+
+def same_bytes(u, v):
+    return u.dtype == v.dtype and u.tobytes() == v.tobytes()
+
+
+class TestProductKernels:
+    """The row loop (csr_matvec) and the flat entry loop (coo_matvec) add
+    each row's terms in the same order at the same precision, so the
+    kernel ``_accumulate_product`` picks never changes a bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 70),
+        density=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.booleans(),
+    )
+    def test_kernels_agree_on_random_irregular_matrices(self, n, density, seed, zeros):
+        rng = np.random.default_rng(seed)
+        trips = dd_spd_triplets(n, rng, density=density, signed=True)
+        if zeros:  # explicit zeros off the diagonal
+            trips = [(i, j, 0.0 if i != j and (i + j) % 3 == 0 else v) for i, j, v in trips]
+        A = from_coordinates(trips, n)
+        for M in (A, downcast(A)):
+            x = (rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)).astype(M.dtype)
+            y_csr, y_coo = kernel_products(M, x)
+            assert same_bytes(y_csr, y_coo)
+
+    @pytest.mark.parametrize("family", ["tree_random", "grid2d", "star", "random_gnm"])
+    def test_kernels_agree_on_generated_families(self, family):
+        A = family_matrix(family, 20_000)
+        rng = np.random.default_rng(7)
+        for M in (A, downcast(A)):
+            x = rng.standard_normal(A.n).astype(M.dtype)
+            y_csr, y_coo = kernel_products(M, x)
+            assert same_bytes(y_csr, y_coo)
+            assert same_bytes(spmv(M, x), y_csr)
+
+    @pytest.mark.parametrize("family", ["tree_random", "random_gnm"])
+    def test_irregular_rows_take_coo_above_8192(self, family):
+        for n in (8193, 10_000):
+            A = family_matrix(family, n)
+            for M in (A, downcast(A)):
+                assert sparse_module._accumulate_product(M).func is _sparsetools.coo_matvec
+
+    @pytest.mark.parametrize("family", ["grid2d", "path", "star", "random_regular"])
+    def test_regular_rows_take_csr(self, family):
+        A = family_matrix(family, 20_000)
+        assert sparse_module._accumulate_product(A).func is _sparsetools.csr_matvec
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("n", [16, 1000, 8192])
+    def test_at_most_8192_rows_take_csr(self, family, n):
+        A = family_matrix(family, n)
+        assert sparse_module._accumulate_product(A).func is _sparsetools.csr_matvec
+
+    def test_rule_counts_row_length_changes_per_stored_entry(self):
+        # Three-vertex paths side by side: row lengths 2, 3, 2, 2, 3, 2, ...
+        # change twice per 7 stored entries; a path's change at its ends only.
+        n = 9000
+        edges = [(i, i + 1) for i in range(n - 1) if i % 3 != 2]
+        trips = [(i, j, -1.0) for i, j in edges] + [(i, i, 3.0) for i in range(n)]
+        paths = from_coordinates(trips, n, mirror=True)
+        assert sparse_module._accumulate_product(paths).func is _sparsetools.coo_matvec
+        path = family_matrix("path", n)
+        assert sparse_module._accumulate_product(path).func is _sparsetools.csr_matvec
+        assert sparse_module._accumulate_product(identity(n)).func is _sparsetools.csr_matvec
 
 
 class TestPrecisionConversion:
