@@ -2,8 +2,9 @@
 
 The feature vector of a matrix is (n, nnz, pseudo-diameter, eigenvalue
 spread estimate, maximum-eigenvalue estimate).  The pseudo-diameter comes
-from a double sweep of scipy's compiled unweighted shortest paths over the
-off-diagonal structure, every component at once; the two eigenvalue
+from a double sweep of scipy's compiled breadth-first search over the
+matrix structure, every component at once from one virtual source, with
+hop counts read off the search tree by pointer doubling; the two eigenvalue
 estimates come from Gershgorin discs of the matrix itself and of two
 diagonal rescalings of it.  None of these touch an eigensolver.
 """
@@ -82,16 +83,45 @@ def _unit_graph(A: SparseSymMatrix) -> scipy.sparse.csr_matrix:
     )
 
 
-def _hop_distances(graph, sources) -> np.ndarray:
-    """Hop count from each vertex to the nearest of ``sources``; inf where
-    none of them is reachable."""
-    return csgraph.dijkstra(graph, indices=sources, unweighted=True, min_only=True)
+def _hop_distances(graph: scipy.sparse.csr_matrix, sources: np.ndarray) -> np.ndarray:
+    """Hop count from each vertex to the nearest of ``sources``, which must
+    hold a vertex of every component of ``graph``.
+
+    One breadth-first search, from a virtual vertex n with an edge to each
+    source, reaches every vertex; its depth in the search tree, less one,
+    is the distance.  Depths come from the predecessors by pointer
+    doubling: after round r each vertex holds its ancestor 2**r levels up
+    and the hops to it, so log2(depth) vectorised rounds reach the root.
+    """
+    n = graph.shape[0]
+    virtual = scipy.sparse.csr_matrix(
+        (
+            np.ones(graph.nnz + sources.size),
+            np.concatenate([graph.indices, sources.astype(graph.indices.dtype)]),
+            np.append(graph.indptr, graph.nnz + sources.size),
+        ),
+        shape=(n + 1, n + 1),
+    )
+    _, up = csgraph.breadth_first_order(virtual, n, directed=True, return_predecessors=True)
+    up[n] = n
+    hops = np.ones(n + 1, dtype=up.dtype)
+    hops[n] = 0
+    while up.min() != n:
+        hops += hops.take(up)
+        up = up.take(up)
+    return hops[:n] - 1
 
 
 def _first_per_component(labels: np.ndarray, count: int, key: np.ndarray) -> np.ndarray:
-    """For each component, the vertex of smallest ``key``, smallest index on ties."""
-    order = np.lexsort((np.arange(labels.size), key, labels))
-    return order[np.searchsorted(labels[order], np.arange(count))]
+    """For each component, the vertex of smallest ``key``, smallest index on
+    ties, in O(n): the least key per label, then the least index among the
+    vertices that hold it."""
+    least = np.full(count, key.max(), dtype=key.dtype)
+    np.minimum.at(least, labels, key)
+    (candidates,) = np.nonzero(key == least[labels])
+    first = np.full(count, labels.size, dtype=candidates.dtype)
+    np.minimum.at(first, labels[candidates], candidates)
+    return first
 
 
 def pseudo_diameter(A: SparseSymMatrix) -> int:
@@ -100,10 +130,12 @@ def pseudo_diameter(A: SparseSymMatrix) -> int:
     In every connected component the sweep starts from the minimum-degree
     vertex (smallest index on ties), finds a farthest vertex u (smallest
     index on ties), then measures the distance from u to its own farthest
-    vertex.  Both sweeps run over all components at once, as multi-source
-    unweighted shortest paths in scipy's csgraph.  Exact on trees.  The
-    largest value over the components is returned; a matrix with no
-    off-diagonal entries has pseudo-diameter 0.
+    vertex.  Each sweep covers all components at once, as one breadth-first
+    search in scipy's csgraph from a virtual vertex joined to every
+    component's source, so the whole estimate is O(nnz) plus
+    log2(diameter) vectorised O(n) rounds.  Exact on trees.  The largest
+    value over the components is returned; a matrix with no off-diagonal
+    entries has pseudo-diameter 0.
     """
     graph = _unit_graph(A)
     count, labels = csgraph.connected_components(graph, directed=False)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import warnings
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Iterable
 
 import numpy as np
@@ -191,48 +191,85 @@ def from_coordinates(
 
     The input must contain both symmetric halves of each off-diagonal entry,
     or ``mirror=True`` to add the missing (col, row, value) copies.
-    Duplicated positions and non-finite values are errors.  The
-    triplets are unpacked into arrays and assembled by ``_from_arrays``,
-    which code that already holds arrays calls directly.
+    Duplicated positions and non-finite values are errors, and so is an
+    index that is not a Python or numpy integer (a float ``1.0`` included),
+    as in ``read_matrix_market``: the ValueError names the first such
+    triplet.  The triplets are unpacked into arrays and assembled by
+    ``_from_arrays`` in O(nnz), which code that already holds arrays calls
+    directly.
     """
     triplets = list(triplets)
-    rows = np.fromiter((t[0] for t in triplets), dtype=np.int64, count=len(triplets))
-    cols = np.fromiter((t[1] for t in triplets), dtype=np.int64, count=len(triplets))
+    pairs = np.fromiter(
+        (i for t in triplets for i in _integral_indices(t)),
+        dtype=np.int64,
+        count=2 * len(triplets),
+    )
     vals = np.fromiter((t[2] for t in triplets), dtype=dtype, count=len(triplets))
-    return _from_arrays(rows, cols, vals, n, mirror)
+    return _from_arrays(pairs[0::2], pairs[1::2], vals, n, mirror)
+
+
+def _integral_indices(triplet) -> tuple[int, int]:
+    try:
+        return index(triplet[0]), index(triplet[1])
+    except TypeError:
+        raise ValueError(f"triplet {tuple(triplet)} has a non-integral index") from None
 
 
 def _from_arrays(
     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int, mirror: bool
 ) -> SparseSymMatrix:
-    """Vectorised CSR assembly of coordinate arrays, as ``from_coordinates``."""
+    """CSR assembly of coordinate arrays in O(nnz), as ``from_coordinates``.
+
+    ``rows``, ``cols`` and ``vals`` are vectors of one length, the first
+    two of an integer dtype, since the compiled kernels below trust them.
+    Once in range, the indices are cast to scipy's index dtype, int32
+    wherever n and the mirrored nnz fit, before mirroring, so no wider copy
+    is mirrored or sorted.  Then sparsetools' ``coo_tocsr``, a stable
+    counting sort by row, and ``csr_sort_indices``, which sorts each row by
+    column, order them.  A duplicate is an equal adjacent column within a
+    row; the error names the first in (row, col) order.
+    """
+    if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)):
+        raise TypeError(f"triplet indices must be integers, not {rows.dtype} and {cols.dtype}")
+    if not rows.ndim == 1 or not rows.shape == cols.shape == vals.shape:
+        raise ValueError("rows, cols and vals must be vectors of one length")
     if rows.size == 0:
         raise ValueError("at least one triplet is required")
     if rows.min() < 0 or cols.min() < 0 or rows.max() >= n or cols.max() >= n:
         raise IndexError(f"triplet index out of range for n={n}")
+    if vals.dtype not in _VALUE_DTYPES:
+        vals = vals.astype(np.float64)
+    m = rows.size
     if mirror:
         off = rows != cols
+        m += int(np.count_nonzero(off))
+    index_dtype = scipy.sparse.get_index_dtype(maxval=max(n, m))
+    rows, cols = rows.astype(index_dtype, copy=False), cols.astype(index_dtype, copy=False)
+    if mirror:
         rows, cols = (
             np.concatenate([rows, cols[off]]),
             np.concatenate([cols, rows[off]]),
         )
         vals = np.concatenate([vals, vals[off]])
-    order = np.lexsort((cols, rows))
-    rows = rows[order]  # one at a time, so an unsorted array can go before the next copy
-    cols = cols[order]
-    vals = vals[order]
-    dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-    if np.any(dup):
-        k = int(np.nonzero(dup)[0][0])
-        raise DuplicateEntryError(f"position ({rows[k]}, {cols[k]}) appears twice")
-    row_starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=row_starts[1:])
-    m = cols.size
-    A = SparseSymMatrix(row_starts, cols, vals, validate=False)
-    # Validate once only scipy's int32 copies of the int64 arrays are left.
-    del rows, cols, vals, order, dup, row_starts
-    A._validate(m)
-    return A
+        del off
+    row_starts = np.empty(n + 1, dtype=index_dtype)
+    col_indices = np.empty(m, dtype=index_dtype)
+    values = np.empty(m, dtype=vals.dtype)
+    _sparsetools.coo_tocsr(
+        n, n, m, np.ascontiguousarray(rows), np.ascontiguousarray(cols),
+        np.ascontiguousarray(vals), row_starts, col_indices, values,
+    )
+    del rows, cols, vals  # validate with only the CSR arrays left
+    _sparsetools.csr_sort_indices(n, row_starts, col_indices, values)
+    dup = col_indices[1:] == col_indices[:-1]
+    starts = row_starts[1:-1]
+    dup[starts[(starts > 0) & (starts < m)] - 1] = False  # pairs across a row end
+    if dup.any():
+        k = int(dup.argmax())
+        row = int(np.searchsorted(row_starts, k, side="right")) - 1
+        raise DuplicateEntryError(f"position ({row}, {col_indices[k]}) appears twice")
+    del dup, starts
+    return SparseSymMatrix(row_starts, col_indices, values)
 
 
 def spmv(A: SparseSymMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import dijkstra, shortest_path
 
 
 def inorder_matvec(triplets, n, x):
@@ -104,6 +104,49 @@ def double_sweep_diameter(A) -> int:
         u = int(np.argmax(bfs_distances(A, start)))
         best = max(best, int(bfs_distances(A, u).max()))
     return best
+
+
+def hop_distances_reference(graph, sources) -> np.ndarray:
+    """Hop count from each vertex to the nearest of ``sources`` by one
+    multi-source heap-based Dijkstra, O(m log n); inf where none reaches."""
+    return dijkstra(graph, indices=sources, unweighted=True, min_only=True)
+
+
+def first_per_component_reference(labels, count, key) -> np.ndarray:
+    """For each component, the vertex of smallest ``key``, smallest index on
+    ties, by a three-key sort, O(n log n)."""
+    order = np.lexsort((np.arange(labels.size), key, labels))
+    return order[np.searchsorted(labels[order], np.arange(count))]
+
+
+def from_arrays_reference(rows, cols, vals, n, mirror):
+    """CSR assembly of coordinate arrays by a lexsort over int64 indices,
+    O(m log m); the matrix is built and validated by ``SparseSymMatrix``,
+    whose scipy container picks the index dtype."""
+    from mpcg.errors import DuplicateEntryError
+    from mpcg.sparse import SparseSymMatrix
+
+    rows, cols = rows.astype(np.int64), cols.astype(np.int64)
+    if rows.size == 0:
+        raise ValueError("at least one triplet is required")
+    if rows.min() < 0 or cols.min() < 0 or rows.max() >= n or cols.max() >= n:
+        raise IndexError(f"triplet index out of range for n={n}")
+    if mirror:
+        off = rows != cols
+        rows, cols = (
+            np.concatenate([rows, cols[off]]),
+            np.concatenate([cols, rows[off]]),
+        )
+        vals = np.concatenate([vals, vals[off]])
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+    if np.any(dup):
+        k = int(np.nonzero(dup)[0][0])
+        raise DuplicateEntryError(f"position ({rows[k]}, {cols[k]}) appears twice")
+    row_starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=row_starts[1:])
+    return SparseSymMatrix(row_starts, cols, vals)
 
 
 def dd_spd_triplets(n, rng, density=0.1, delta=(0.1, 2.0), signed=False):

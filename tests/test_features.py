@@ -3,11 +3,15 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse
+from scipy.sparse import csgraph
 
 from mpcg.dataset import GraphSpec, generate
 from mpcg.errors import DegenerateIntervalError, NonpositiveDiagonalError
 from mpcg.features import (
     EigenIntervalEstimate,
+    _first_per_component,
+    _hop_distances,
+    _unit_graph,
     Interval,
     eigen_estimates,
     extract_features,
@@ -22,6 +26,8 @@ from oracles import (
     dd_spd_triplets,
     double_sweep_diameter,
     eigenvalues_of,
+    first_per_component_reference,
+    hop_distances_reference,
     true_diameter,
 )
 
@@ -113,12 +119,7 @@ class TestPseudoDiameter:
             generate(GraphSpec("random_gnm", n, seed=seed, m_target=m))
             for n, seed, m in [(40, 1, 70), (90, 2, 120), (60, 3, 200), (75, 4, 100)]
         ]
-        union = scipy.sparse.block_diag(
-            [scipy.sparse.csr_matrix((B.values, B.col_indices, B.row_starts)) for B in blocks],
-            format="csr",
-        )
-        union.sort_indices()
-        A = SparseSymMatrix(union.indptr, union.indices, union.data)
+        A = union(*blocks)
         values = [pseudo_diameter(B) for B in blocks]
         assert len(set(values)) > 1
         assert pseudo_diameter(A) == max(values)
@@ -142,6 +143,75 @@ class TestPseudoDiameter:
             d1 = pseudo_diameter(B)
             assert d0 <= d_true and d1 <= d_true
             assert abs(d0 - d1) <= 1
+
+
+def union(*blocks):
+    """Block-diagonal union of matrices: one component or more per block."""
+    csr = scipy.sparse.block_diag([B._csr for B in blocks], format="csr")
+    csr.sort_indices()
+    return SparseSymMatrix(csr.indptr, csr.indices, csr.data)
+
+
+def sweep_graphs():
+    """Graphs for the sweep helpers: several components with isolated
+    vertices, a star, a cycle, and random graphs and trees up to n = 5000."""
+    isolated = from_coordinates([(i, i, 1.0) for i in range(3)], 3)
+    yield "components", union(
+        isolated, path_matrix(7), cycle_matrix(5), isolated, generate(GraphSpec("star", 6)),
+        generate(GraphSpec("random_gnm", 50, seed=4, m_target=30)),
+    )
+    yield "star", generate(GraphSpec("star", 40))
+    yield "cycle", cycle_matrix(31)
+    for n in (200, 1000, 5000):
+        yield f"random_gnm {n}", generate(GraphSpec("random_gnm", n, seed=n, m_target=n))
+        yield f"tree_random {n}", generate(GraphSpec("tree_random", n, seed=n))
+
+
+class TestBreadthFirstSweeps:
+    """The BFS sweep helpers against the Dijkstra and lexsort ones they replaced."""
+
+    @pytest.mark.parametrize("name, A", list(sweep_graphs()))
+    def test_double_sweep_matches_reference_helpers(self, name, A):
+        graph = _unit_graph(A)
+        count, labels = csgraph.connected_components(graph, directed=False)
+        degrees = A.row_lengths() - 1
+        start = _first_per_component(labels, count, degrees)
+        np.testing.assert_array_equal(start, first_per_component_reference(labels, count, degrees))
+        dist = _hop_distances(graph, start)
+        np.testing.assert_array_equal(dist, hop_distances_reference(graph, start))
+        far = _first_per_component(labels, count, -dist)
+        np.testing.assert_array_equal(far, first_per_component_reference(labels, count, -dist))
+        last = _hop_distances(graph, far)
+        np.testing.assert_array_equal(last, hop_distances_reference(graph, far))
+        assert pseudo_diameter(A) == int(last.max())
+
+    @pytest.mark.parametrize("name, A", list(sweep_graphs()))
+    def test_several_sources_per_component(self, name, A):
+        graph = _unit_graph(A)
+        count, labels = csgraph.connected_components(graph, directed=False)
+        rng = np.random.default_rng(A.n)
+        first = first_per_component_reference(labels, count, np.zeros(A.n))
+        sources = np.union1d(first, rng.choice(A.n, size=1 + A.n // 10, replace=False))
+        np.testing.assert_array_equal(
+            _hop_distances(graph, sources), hop_distances_reference(graph, sources)
+        )
+
+    @pytest.mark.parametrize("ties", [1, 2, 5, 1000])
+    def test_first_per_component_with_ties(self, ties):
+        rng = np.random.default_rng(ties)
+        for count in (1, 7, 300):
+            labels = rng.integers(0, count, 3000)
+            labels[:count] = np.arange(count)  # every label present
+            for key in (rng.integers(0, ties, 3000), -rng.integers(0, ties, 3000).astype(np.int32)):
+                np.testing.assert_array_equal(
+                    _first_per_component(labels, count, key),
+                    first_per_component_reference(labels, count, key),
+                )
+
+    def test_long_path_pointer_doubling(self):
+        # the deepest search tree: 99,999 levels, 17 doubling rounds
+        A = generate(GraphSpec("path", 100_000))
+        assert pseudo_diameter(A) == 99_999
 
 
 class TestGershgorin:

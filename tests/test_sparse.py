@@ -26,7 +26,12 @@ from mpcg.sparse import (
     write_matrix_market,
 )
 
-from oracles import dd_spd_triplets, inorder_matvec, write_matrix_market_reference
+from oracles import (
+    dd_spd_triplets,
+    from_arrays_reference,
+    inorder_matvec,
+    write_matrix_market_reference,
+)
 
 
 def identity(n, dtype=np.float64):
@@ -91,6 +96,48 @@ class TestFromCoordinates:
         vals = np.array([1.0, 1.0, -np.inf])
         with pytest.raises(ValueError, match=r"\(2, 2\) is not finite"):
             sparse_module._from_arrays(rows, cols, vals, 3, False)
+
+    def test_fractional_index_rejected(self):
+        with pytest.raises(ValueError, match=r"triplet \(0\.7, 0\.2, 2\.0\) has a non-integral index"):
+            from_coordinates([(0.7, 0.2, 2.0), (1, 1, 2.0)], 2)
+
+    @pytest.mark.parametrize("index", [1.0, np.float64(1.0), np.float32(1.0)])
+    def test_integral_float_index_rejected(self, index):
+        with pytest.raises(ValueError, match="non-integral index"):
+            from_coordinates([(0, 0, 2.0), (index, 1, 2.0)], 2)
+        with pytest.raises(ValueError, match="non-integral index"):
+            from_coordinates([(0, 0, 2.0), (1, index, 2.0)], 2)
+
+    def test_first_non_integral_triplet_is_named(self):
+        triplets = [(0, 0, 1.0), (1, 1.5, 1.0), (2.0, 2, 1.0)]
+        with pytest.raises(ValueError, match=r"triplet \(1, 1\.5, 1\.0\)"):
+            from_coordinates(triplets, 3)
+
+    def test_numpy_integer_indices_accepted(self):
+        A = from_coordinates(
+            [(np.int32(0), np.int64(0), 2.0), (np.uint8(0), 1, 1.0),
+             (np.intp(1), np.int16(0), 1.0), (True, True, 2.0)],
+            2,
+        )
+        B = from_coordinates([(0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 2.0)], 2)
+        for got, want in zip(
+            (A.row_starts, A.col_indices, A.values), (B.row_starts, B.col_indices, B.values)
+        ):
+            assert same_bytes(got, want)
+
+    @pytest.mark.parametrize("float_rows", [True, False])
+    def test_float_index_arrays_rejected(self, float_rows):
+        ints, floats = np.array([0, 1]), np.array([0.0, 1.0])
+        rows, cols = (floats, ints) if float_rows else (ints, floats)
+        with pytest.raises(TypeError, match="indices must be integers"):
+            sparse_module._from_arrays(rows, cols, np.ones(2), 2, False)
+
+    def test_index_arrays_of_other_lengths_rejected(self):
+        ints = np.array([0, 1])
+        for rows, cols, vals in [(ints, ints[:1], np.ones(2)), (ints, ints, np.ones(3)),
+                                 (ints[None], ints[None], np.ones((1, 2)))]:
+            with pytest.raises(ValueError, match="vectors of one length"):
+                sparse_module._from_arrays(rows, cols, vals, 2, False)
 
     def test_non_finite_value_rejected_by_constructor(self):
         with pytest.raises(ValueError, match=r"\(1, 1\) is not finite"):
@@ -258,6 +305,121 @@ def kernel_products(A, x):
 
 def same_bytes(u, v):
     return u.dtype == v.dtype and u.tobytes() == v.tobytes()
+
+
+def assembly_outcome(assemble, rows, cols, vals, n, mirror):
+    """The three CSR arrays of an assembly, or its exception's type and text."""
+    try:
+        A = assemble(rows, cols, vals, n, mirror)
+    except Exception as exc:  # noqa: BLE001 - the outcome compared is the error
+        return type(exc), str(exc)
+    return A.row_starts, A.col_indices, A.values
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert not isinstance(got[0], type), got
+        for g, w in zip(got, want):
+            assert same_bytes(g, w)
+
+
+@st.composite
+def symmetric_coordinates(draw):
+    """Shuffled coordinate arrays of a symmetric matrix with a full diagonal:
+    both halves of every off-diagonal entry, or with ``mirror`` one half of
+    each, in random order."""
+    n = draw(st.integers(1, 25))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    index = draw(st.sampled_from([np.int64, np.int32, np.intp, np.uint16]))
+    mirror = draw(st.booleans())
+    width = 32 if dtype is np.float32 else 64
+    value = st.floats(-1e6, 1e6, width=width)
+    upper = draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1]),
+        max_size=3 * n,
+    ))
+    trips = [(i, i, draw(value)) for i in range(n)]
+    for i, j in sorted(upper):
+        v = draw(value)
+        if mirror:
+            trips.append((i, j, v) if draw(st.booleans()) else (j, i, v))
+        else:
+            trips += [(i, j, v), (j, i, v)]
+    order = draw(st.permutations(range(len(trips))))
+    rows = np.array([trips[k][0] for k in order], dtype=index)
+    cols = np.array([trips[k][1] for k in order], dtype=index)
+    vals = np.array([trips[k][2] for k in order], dtype=dtype)
+    return rows, cols, vals, n, mirror
+
+
+class TestAssembly:
+    """``_from_arrays`` (counting sort) builds the same bytes, in the same
+    dtypes, as the lexsort assembly it replaced, and fails the same way."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_coordinates())
+    def test_matches_lexsort_assembly(self, case):
+        got = assembly_outcome(sparse_module._from_arrays, *case)
+        want = assembly_outcome(from_arrays_reference, *case)
+        assert not isinstance(want[0], type), want
+        assert got[0].dtype == got[1].dtype == np.int32
+        assert got[2].dtype == case[2].dtype
+        assert_same_outcome(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        entries=st.lists(
+            st.tuples(
+                st.integers(0, 6), st.integers(0, 6),
+                st.sampled_from([1.0, 2.0, -1.0, np.inf, np.nan]),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        mirror=st.booleans(),
+    )
+    def test_same_error_as_lexsort_assembly(self, n, entries, mirror):
+        rows, cols, vals = (np.array(column) for column in zip(*entries))
+        got = assembly_outcome(sparse_module._from_arrays, rows, cols, vals, n, mirror)
+        want = assembly_outcome(from_arrays_reference, rows, cols, vals, n, mirror)
+        assert_same_outcome(got, want)
+
+    def test_duplicate_error_names_first_in_row_col_order(self):
+        # input order puts (3, 3) first and (1, 2) last; (1, 2) comes first by (row, col)
+        rows = np.array([3, 0, 3, 2, 1, 2, 1, 1, 0])
+        cols = np.array([3, 0, 3, 1, 2, 2, 1, 2, 0])
+        with pytest.raises(DuplicateEntryError, match=r"position \(0, 0\) appears twice"):
+            sparse_module._from_arrays(rows, cols, np.ones(9), 4, False)
+        keep = np.arange(9) != 1  # one (0, 0) left
+        with pytest.raises(DuplicateEntryError, match=r"position \(1, 2\) appears twice"):
+            sparse_module._from_arrays(rows[keep], cols[keep], np.ones(8), 4, False)
+
+    def test_equal_columns_across_a_row_end_are_no_duplicate(self):
+        # row 0 ends and row 1 starts with column 1
+        with pytest.raises(AsymmetricInputError):
+            from_coordinates([(0, 1, 1.0), (1, 1, 1.0)], 2)
+
+    def test_mirror_duplicate_named(self):
+        # (0, 1) given and also made by mirroring (1, 0)
+        with pytest.raises(DuplicateEntryError, match=r"position \(0, 1\) appears twice"):
+            from_coordinates([(0, 0, 2.0), (1, 1, 2.0), (0, 1, 1.0), (1, 0, 1.0)], 2, mirror=True)
+
+    @pytest.mark.parametrize("family", ["grid2d", "tree_random", "star"])
+    def test_generated_matrix_matches_lexsort_assembly(self, family):
+        A = family_matrix(family, 20_000)
+        rows = np.repeat(np.arange(A.n), A.row_lengths())
+        lower = A.col_indices <= rows
+        rng = np.random.default_rng(3)
+        order = rng.permutation(int(lower.sum()))
+        case = (rows[lower][order], A.col_indices[lower][order].astype(np.int64),
+                A.values[lower][order], A.n, True)
+        got = assembly_outcome(sparse_module._from_arrays, *case)
+        want = assembly_outcome(from_arrays_reference, *case)
+        assert_same_outcome(got, want)
+        assert_same_outcome(got, (A.row_starts, A.col_indices, A.values))
 
 
 class TestProductKernels:
