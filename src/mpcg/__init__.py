@@ -24,8 +24,6 @@ from .features import (
     Interval,
     eigen_estimates,
     extract_features,
-    gershgorin_basic,
-    gershgorin_scaled,
     pseudo_diameter,
     spread,
 )

@@ -25,7 +25,7 @@ from .errors import (
     SinglePrecisionOverflowError,
     Stage2NotConvergedError,
 )
-from .features import eigen_estimates, extract_features
+from .features import eigen_estimates, extract_features, pseudo_diameter, spread
 from .solver import SolveConfig, two_stage_solve
 from .sparse import read_matrix_market
 
@@ -68,13 +68,13 @@ def cmd_features(args) -> int:
         A = read_matrix_market(args.matrix)
     except OSError as exc:
         return _fail(EXIT_CONFIG, f"cannot read '{args.matrix}': {exc}")
-    chi = extract_features(A)
     est = eigen_estimates(A)
-    print(f"n               = {chi.n}")
-    print(f"nnz             = {chi.nnz}")
-    print(f"pseudo_diameter = {chi.pseudo_diameter}")
-    print(f"spread          = {chi.spread:.17g}")
-    print(f"lambda_max      = {chi.lambda_max:.17g}")
+    est_spread = spread(est)  # first, so a degenerate interval prints nothing
+    print(f"n               = {A.n}")
+    print(f"nnz             = {A.nnz}")
+    print(f"pseudo_diameter = {pseudo_diameter(A)}")
+    print(f"spread          = {est_spread:.17g}")
+    print(f"lambda_max      = {est.combined.hi:.17g}")
     print(f"hull_basic      = [{est.basic.lo:.17g}, {est.basic.hi:.17g}]")
     print(f"hull_scaled1    = [{est.scaled1.lo:.17g}, {est.scaled1.hi:.17g}]")
     print(f"hull_scaled2    = [{est.scaled2.lo:.17g}, {est.scaled2.hi:.17g}]")

@@ -656,6 +656,8 @@ def plan_specs(
         raise ValueError("total must be positive")
     if not 0 < structured_fraction < 1:
         raise ValueError("structured_fraction must lie in (0, 1)")
+    if variants < 0:
+        raise ValueError("variants must be nonnegative")
     n_lo, n_hi = n_range
     if not 2 <= n_lo <= n_hi:
         raise ValueError("n_range must satisfy 2 <= lo <= hi")

@@ -29,8 +29,6 @@ __all__ = [
     "EigenIntervalEstimate",
     "FeatureVector",
     "pseudo_diameter",
-    "gershgorin_basic",
-    "gershgorin_scaled",
     "eigen_estimates",
     "spread",
     "extract_features",
@@ -145,14 +143,9 @@ def pseudo_diameter(A: SparseSymMatrix) -> int:
     return int(_hop_distances(graph, far).max())
 
 
-def _diagonal_entries(A: SparseSymMatrix) -> np.ndarray:
-    """Mask of the stored entries on the diagonal, in storage order."""
-    return A.col_indices == _entry_rows(A)
-
-
 def _offdiag_rowsums(A: SparseSymMatrix, weights: np.ndarray, on_diag: np.ndarray) -> np.ndarray:
     """Per-row sums of |a_ij| * weights[j] over off-diagonal entries;
-    ``on_diag`` is ``_diagonal_entries(A)``."""
+    ``on_diag`` masks the stored entries on the diagonal."""
     terms = np.abs(A.values.astype(np.float64)) * weights[A.col_indices]
     terms[on_diag] = 0.0
     return np.add.reduceat(terms, A.row_starts[:-1])
@@ -162,40 +155,23 @@ def _hull(centers: np.ndarray, radii: np.ndarray) -> Interval:
     return Interval(float(np.min(centers - radii)), float(np.max(centers + radii)))
 
 
-def _basic_hull(A: SparseSymMatrix, d: np.ndarray, on_diag: np.ndarray) -> Interval:
-    return _hull(d, _offdiag_rowsums(A, np.ones(A.n), on_diag))
+def eigen_estimates(A: SparseSymMatrix) -> EigenIntervalEstimate:
+    """Gershgorin hulls of A and of its two diagonal rescalings, and their
+    intersection.
 
-
-def _scaled_hulls(A: SparseSymMatrix, d: np.ndarray, on_diag: np.ndarray) -> tuple[Interval, Interval]:
+    ``basic`` is the hull of the plain discs |x - a_ii| <= sum_{j!=i} |a_ij|.
+    The rescalings are diagonal similarities: ``scaled1`` has radius
+    (1/a_ii) * sum_{j!=i} a_jj |a_ij| and ``scaled2`` a_ii * sum_{j!=i}
+    |a_ij| / a_jj, so both need a positive diagonal.  The diagonal and the
+    mask of diagonal entries, an O(nnz) row index per entry, are built once
+    for the three hulls."""
+    d = A.diagonal().astype(np.float64)
     if np.any(d <= 0):
         raise NonpositiveDiagonalError("diagonal scaling needs diag > 0")
-    radii1 = _offdiag_rowsums(A, d, on_diag) / d
-    radii2 = _offdiag_rowsums(A, 1.0 / d, on_diag) * d
-    return _hull(d, radii1), _hull(d, radii2)
-
-
-def gershgorin_basic(A: SparseSymMatrix) -> Interval:
-    """Hull of the plain Gershgorin discs |x - a_ii| <= sum_{j!=i} |a_ij|."""
-    return _basic_hull(A, A.diagonal().astype(np.float64), _diagonal_entries(A))
-
-
-def gershgorin_scaled(A: SparseSymMatrix) -> tuple[Interval, Interval]:
-    """Disc hulls after the two diagonal similarity rescalings of A.
-
-    The first uses radius (1/a_ii) * sum_{j!=i} a_jj |a_ij|, the second
-    a_ii * sum_{j!=i} |a_ij| / a_jj.  Both need a positive diagonal.
-    """
-    return _scaled_hulls(A, A.diagonal().astype(np.float64), _diagonal_entries(A))
-
-
-def eigen_estimates(A: SparseSymMatrix) -> EigenIntervalEstimate:
-    """Intersect the basic and rescaled Gershgorin hulls.
-
-    The diagonal and the mask of diagonal entries, an O(nnz) row index
-    per entry, are built once for the three hulls."""
-    d, on_diag = A.diagonal().astype(np.float64), _diagonal_entries(A)
-    basic = _basic_hull(A, d, on_diag)
-    scaled1, scaled2 = _scaled_hulls(A, d, on_diag)
+    on_diag = A.col_indices == _entry_rows(A)
+    basic = _hull(d, _offdiag_rowsums(A, np.ones(A.n), on_diag))
+    scaled1 = _hull(d, _offdiag_rowsums(A, d, on_diag) / d)
+    scaled2 = _hull(d, _offdiag_rowsums(A, 1.0 / d, on_diag) * d)
     lo = max(basic.lo, scaled1.lo, scaled2.lo)
     hi = min(basic.hi, scaled1.hi, scaled2.hi)
     if lo > hi:

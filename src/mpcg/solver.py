@@ -105,7 +105,7 @@ from .sparse import (
     _accumulate_product,
     downcast,
     downcast_vector,
-    spmv,
+    spmv,  # noqa: F401 - not called here; perfbench's tracer test reads solver.spmv
     upcast_vector,
 )
 
@@ -280,12 +280,10 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     product per entry, and ``axpy`` with ``a = +-1`` one sum or difference,
     since ``1 x`` is exact.  Above, where OpenBLAS would thread a long
     ``axpy``, they stay numpy ufuncs (see the module notes).  The operands
-    are checked once, and the initial residual is the run's one call of
-    the checked ``spmv``; every later product (``A d`` and each
-    ``b - A x``) zeroes its buffer and calls the product
-    ``_accumulate_product`` gives for A, the kernel ``spmv`` runs too, so
-    it holds the same bits.  A yielded result
-    holds a copy of x.
+    are checked once, and every product (the initial residual, each
+    ``A d`` and each ``b - A x``) zeroes its buffer and calls the one
+    product ``_accumulate_product`` gives for A, the kernel ``spmv`` runs
+    too, so it holds the same bits.  A yielded result holds a copy of x.
 
     The module notes give the policy for testing the true residual.  Its
     names here: ``recursive`` is ``sqrt(r'r)``, ``near`` is
@@ -320,7 +318,9 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
 
     r, d, Ad, t = (np.empty_like(x) for _ in range(4))  # t: scratch
     z = r if plain else np.empty_like(x)
-    subtract(b, spmv(A, x, out=t), r)  # r = b - A x
+    t.fill(0)
+    product(x, t)
+    subtract(b, t, r)  # r = b - A x
     res = float(np.sqrt(dot(r, r)))
     if not plain:
         multiply(inv_diag, r, z)

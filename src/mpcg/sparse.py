@@ -154,8 +154,10 @@ class SparseSymMatrix:
         row_of = _entry_rows(self)
         if m > 1:
             same_row = row_of[1:] == row_of[:-1]
-            if np.any(same_row & (cols[1:] == cols[:-1])):
-                raise DuplicateEntryError("repeated (row, col) position")
+            dup = same_row & (cols[1:] == cols[:-1])
+            if dup.any():
+                k = int(dup.argmax())
+                raise DuplicateEntryError(f"position ({row_of[k]}, {cols[k]}) appears twice")
             if np.any(same_row & (cols[1:] < cols[:-1])):
                 raise ValueError("column indices not sorted within a row")
         finite = np.isfinite(self.values)
@@ -226,8 +228,9 @@ def _from_arrays(
     wherever n and the mirrored nnz fit, before mirroring, so no wider copy
     is mirrored or sorted.  Then sparsetools' ``coo_tocsr``, a stable
     counting sort by row, and ``csr_sort_indices``, which sorts each row by
-    column, order them.  A duplicate is an equal adjacent column within a
-    row; the error names the first in (row, col) order.
+    column, order them.  The constructor's validation then finds any
+    duplicate as an equal adjacent column within a row, so its error names
+    the first in (row, col) order.
     """
     if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)):
         raise TypeError(f"triplet indices must be integers, not {rows.dtype} and {cols.dtype}")
@@ -261,27 +264,17 @@ def _from_arrays(
     )
     del rows, cols, vals  # validate with only the CSR arrays left
     _sparsetools.csr_sort_indices(n, row_starts, col_indices, values)
-    dup = col_indices[1:] == col_indices[:-1]
-    starts = row_starts[1:-1]
-    dup[starts[(starts > 0) & (starts < m)] - 1] = False  # pairs across a row end
-    if dup.any():
-        k = int(dup.argmax())
-        row = int(np.searchsorted(row_starts, k, side="right")) - 1
-        raise DuplicateEntryError(f"position ({row}, {col_indices[k]}) appears twice")
-    del dup, starts
     return SparseSymMatrix(row_starts, col_indices, values)
 
 
-def spmv(A: SparseSymMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def spmv(A: SparseSymMatrix, x: np.ndarray) -> np.ndarray:
     """y = A x in the arithmetic of A's storage precision, O(nnz).
 
-    It checks its operands, zeroes y and accumulates A x into it with the
+    It checks x, zeroes a fresh y and accumulates A x into it with the
     kernel ``_accumulate_product`` picks for A (see the module notes), so
     every product of a matrix holds the same bits whichever kernel runs.
-    y is written into ``out`` when one is given (a vector of length n at
-    A's dtype that does not overlap x), else into a fresh vector, and is
-    returned.  CG calls it once per run, for its initial residual; its
-    loop calls the helper's product directly, on operands it checked once.
+    CG does not call it: a run binds the helper's product once and calls
+    it on operands it checked once.
     """
     x = np.asarray(x)
     n = A.n
@@ -291,20 +284,9 @@ def spmv(A: SparseSymMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np
         raise PrecisionMismatchError(
             f"vector is {x.dtype}, matrix stores {A.dtype}"
         )
-    if out is None:
-        out = np.zeros(n, dtype=A.dtype)
-    else:
-        if out.shape != x.shape:
-            raise DimensionMismatchError(f"expected output of length {n}")
-        if out.dtype != x.dtype:
-            raise PrecisionMismatchError(
-                f"output is {out.dtype}, matrix stores {A.dtype}"
-            )
-        if np.may_share_memory(out, x):
-            raise ValueError("output overlaps the input vector")
-        out.fill(0)
-    _accumulate_product(A)(x, out)
-    return out
+    y = np.zeros(n, dtype=A.dtype)
+    _accumulate_product(A)(x, y)
+    return y
 
 
 _COO_MIN_ROWS = 8192  # at most this many rows, the row loop's exit is predicted
@@ -314,7 +296,7 @@ _COO_ENTRIES_PER_CHANGE = 10  # at most this many stored entries per row-length 
 def _accumulate_product(A: SparseSymMatrix):
     """``product(x, out)``, which adds A x into ``out`` with no check per
     call: x and out must be vectors of length n at A's dtype that do not
-    overlap, as ``spmv`` requires.
+    overlap.
 
     The kernel is scipy's ``coo_matvec`` when A has more than
     ``_COO_MIN_ROWS`` rows and its row length changes between consecutive
@@ -324,7 +306,7 @@ def _accumulate_product(A: SparseSymMatrix):
     same bits; the module notes give the timings behind the rule.  The rule
     and COO's row index per entry (``_entry_rows``, 4 bytes per entry at
     int32) cost O(nnz) per call of this helper, not per product: a CG run
-    calls it twice, in ``spmv`` for its initial residual and for its loop.
+    calls it once, for its initial residual and its loop alike.
     """
     n, csr = A.n, A._csr
     if n > _COO_MIN_ROWS:

@@ -137,6 +137,12 @@ EXIT_CODE_CASES = {
     "train-integer-overflow-sample": (
         ["train", "--sample", "{big_sample}", "--out", "{out}"], 2,
         "{big_sample}:1: ValueError('integer of 402 characters beyond the binary64 range')"),
+    "generate-variants-minus-one": (
+        ["generate", "--out", "{out}", "--count", "30", "--variants", "-1"], 2,
+        "variants must be nonnegative"),
+    "generate-variants-minus-two": (
+        ["generate", "--out", "{out}", "--count", "30", "--variants", "-2"], 2,
+        "variants must be nonnegative"),
 }
 
 BAD_SPECS = {
@@ -158,11 +164,36 @@ class TestFeaturesCommand:
 
     def test_p3_values(self, p3_file, capsys):
         assert main(["features", str(p3_file)]) == 0
-        out = capsys.readouterr().out
-        assert "nnz             = 7" in out
-        assert "pseudo_diameter = 2" in out
-        assert "lambda_max      = 5" in out
-        assert "hull_combined   = [1, 5]" in out
+        assert capsys.readouterr().out == (
+            "n               = 3\n"
+            "nnz             = 7\n"
+            "pseudo_diameter = 2\n"
+            "spread          = 0.66666666666666663\n"
+            "lambda_max      = 5\n"
+            "hull_basic      = [1, 5]\n"
+            "hull_scaled1    = [1, 5]\n"
+            "hull_scaled2    = [1, 5]\n"
+            "hull_combined   = [1, 5]\n"
+        )
+
+    def test_grid2d_full_output(self, tmp_path, capsys):
+        # thin margins: the three hulls differ, and the combined one takes
+        # its ends from two of them
+        path = tmp_path / "grid.mtx"
+        write_matrix_market(generate(GraphSpec("grid2d", 30, seed=2, delta_range=(0.01, 0.1))),
+                            path)
+        assert main(["features", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "n               = 30\n"
+            "nnz             = 128\n"
+            "pseudo_diameter = 9\n"
+            "spread          = 0.99629739545349694\n"
+            "lambda_max      = 8.0675615625555253\n"
+            "hull_basic      = [0.014963196459976125, 8.0970692357244296]\n"
+            "hull_scaled1    = [-1.0010043063010046, 8.0675615625555253]\n"
+            "hull_scaled2    = [-0.61505133429749037, 8.7795767012380868]\n"
+            "hull_combined   = [0.014963196459976125, 8.0675615625555253]\n"
+        )
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["features", str(tmp_path / "nope.mtx")]) == 2

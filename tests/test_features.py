@@ -15,8 +15,6 @@ from mpcg.features import (
     Interval,
     eigen_estimates,
     extract_features,
-    gershgorin_basic,
-    gershgorin_scaled,
     pseudo_diameter,
     spread,
 )
@@ -217,29 +215,28 @@ class TestBreadthFirstSweeps:
 class TestGershgorin:
     def test_identity(self):
         A = from_coordinates([(i, i, 1.0) for i in range(5)], 5)
-        assert gershgorin_basic(A) == Interval(1.0, 1.0)
-        s1, s2 = gershgorin_scaled(A)
-        assert s1 == Interval(1.0, 1.0) and s2 == Interval(1.0, 1.0)
+        est = eigen_estimates(A)
+        assert est.basic == Interval(1.0, 1.0)
+        assert est.scaled1 == Interval(1.0, 1.0) and est.scaled2 == Interval(1.0, 1.0)
 
     def test_two_by_two(self):
         A = from_coordinates([(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 2)], 2)
-        hull = gershgorin_basic(A)
-        assert hull == Interval(1.0, 3.0)
+        est = eigen_estimates(A)
+        assert est.basic == Interval(1.0, 3.0)
         ev = eigenvalues_of(A)
-        assert hull.lo <= ev[0] and ev[-1] <= hull.hi
-        s1, s2 = gershgorin_scaled(A)  # uniform diagonal: scaling is a no-op
-        assert s1 == Interval(1.0, 3.0) and s2 == Interval(1.0, 3.0)
+        assert est.basic.lo <= ev[0] and ev[-1] <= est.basic.hi
+        # uniform diagonal: scaling is a no-op
+        assert est.scaled1 == Interval(1.0, 3.0) and est.scaled2 == Interval(1.0, 3.0)
 
     def test_pure_diagonal(self):
         A = from_coordinates([(i, i, float(2 + i)) for i in range(4)], 4)
-        assert gershgorin_basic(A) == Interval(2.0, 5.0)
+        assert eigen_estimates(A).basic == Interval(2.0, 5.0)
 
     def test_scaled_hulls_4_1(self):
         A = from_coordinates([(0, 0, 4), (0, 1, 1), (1, 0, 1), (1, 1, 1)], 2)
-        s1, s2 = gershgorin_scaled(A)
-        assert s1 == Interval(-3.0, 5.0)
-        assert s2 == Interval(0.0, 8.0)
         est = eigen_estimates(A)
+        assert est.scaled1 == Interval(-3.0, 5.0)
+        assert est.scaled2 == Interval(0.0, 8.0)
         assert est.basic == Interval(0.0, 5.0)
         assert est.combined == Interval(0.0, 5.0)
         ev = eigenvalues_of(A)
@@ -250,7 +247,7 @@ class TestGershgorin:
     def test_scaled_needs_positive_diagonal(self):
         A = from_coordinates([(0, 0, -1.0)], 1)
         with pytest.raises(NonpositiveDiagonalError):
-            gershgorin_scaled(A)
+            eigen_estimates(A)
 
     def test_containment_on_random_matrices(self):
         for seed in range(60):

@@ -12,7 +12,7 @@ from scipy.linalg.blas import get_blas_funcs
 from scipy.sparse import _sparsetools
 
 from mpcg.dataset import GraphSpec, generate, ones_rhs
-from mpcg import solver
+from mpcg import solver, sparse
 from mpcg.errors import (
     CgBreakdownError,
     NonpositiveDiagonalError,
@@ -635,8 +635,8 @@ class TestLazyTrueResidual:
         rng = np.random.default_rng(43)
         A = random_dd(80, rng, delta=(1e-3, 1e-2))
         b = rng.standard_normal(80)
-        # Count calls of the compiled kernel, which the initial residual's
-        # spmv and every product of the loop make.
+        # Count calls of the compiled kernel, which the initial residual
+        # and every product of the loop make.
         products, counted = [], _sparsetools.csr_matvec
 
         def csr_matvec(*args):
@@ -1168,6 +1168,40 @@ class TestCooProduct:
         n1, n2, x = two_stage_reference(A, b, eps1, 1e-10, 0.5, config, block=solver._DOT_BLOCK)
         assert got.n1 > 0 and (got.n1, got.n2) == (n1, n2)
         assert np.array_equal(bits(got.x), bits(x))
+
+
+class TestProductSetUp:
+    """A run binds its product once, for its initial residual and its loop:
+    one ``_accumulate_product`` call per ``cg``, one per stage of a
+    ``two_stage_solve``, so a COO matrix builds its row index once per run."""
+
+    @pytest.fixture
+    def setups(self, monkeypatch):
+        calls = []
+
+        def counting(A):
+            calls.append(A.precision)
+            return _accumulate_product(A)
+
+        for module in (sparse, solver):
+            monkeypatch.setattr(module, "_accumulate_product", counting)
+        return calls
+
+    @pytest.mark.parametrize("config", [CFG, JACOBI], ids=["none", "jacobi"])
+    def test_one_per_cg_run(self, setups, config):
+        A = random_dd(30, np.random.default_rng(47))
+        b = A @ np.ones(30)
+        setups.clear()
+        assert cg(A, b, None, config).iterations > 1
+        assert setups == ["binary64"]
+
+    def test_one_per_stage(self, setups):
+        A = random_dd(30, np.random.default_rng(48))
+        b = A @ np.ones(30)
+        setups.clear()
+        result = two_stage_solve(A, b, 1e-3, 1e-10)
+        assert result.n1 > 1 and result.n2 > 1
+        assert setups == ["binary32", "binary64"]
 
 
 class TestStageSeconds:
