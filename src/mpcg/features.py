@@ -70,37 +70,27 @@ class FeatureVector:
         )
 
 
-def _unit_graph(A: SparseSymMatrix) -> scipy.sparse.csr_matrix:
-    """A's structure with unit weights, for csgraph.
+def _virtual_graph(A: SparseSymMatrix, sources: np.ndarray) -> scipy.sparse.csr_matrix:
+    """A's structure plus a vertex n joined to each of ``sources``, its last
+    row; csgraph reads only the structure, so the values are ones."""
+    m = A.nnz + sources.size
+    indices = np.concatenate([A.col_indices, sources.astype(A.col_indices.dtype)])
+    indptr = np.append(A.row_starts, m)
+    return scipy.sparse.csr_matrix((np.ones(m), indices, indptr), shape=(A.n + 1, A.n + 1))
 
-    It shares A's index arrays; explicit zeros stay edges, signed values
-    do not act as weights, and the diagonal loops change no distance.
+
+def _hop_distances(graph: scipy.sparse.csr_matrix) -> np.ndarray:
+    """Hop count from each vertex to the nearest source of a
+    ``_virtual_graph``, whose sources must hold a vertex of every component.
+
+    One breadth-first search from the virtual vertex n reaches every
+    vertex; its depth in the search tree, less one, is the distance.
+    Depths come from the predecessors by pointer doubling: after round r
+    each vertex holds its ancestor 2**r levels up and the hops to it, so
+    log2(depth) vectorised rounds reach the root.
     """
-    return scipy.sparse.csr_matrix(
-        (np.ones(A.nnz), A.col_indices, A.row_starts), shape=A.shape
-    )
-
-
-def _hop_distances(graph: scipy.sparse.csr_matrix, sources: np.ndarray) -> np.ndarray:
-    """Hop count from each vertex to the nearest of ``sources``, which must
-    hold a vertex of every component of ``graph``.
-
-    One breadth-first search, from a virtual vertex n with an edge to each
-    source, reaches every vertex; its depth in the search tree, less one,
-    is the distance.  Depths come from the predecessors by pointer
-    doubling: after round r each vertex holds its ancestor 2**r levels up
-    and the hops to it, so log2(depth) vectorised rounds reach the root.
-    """
-    n = graph.shape[0]
-    virtual = scipy.sparse.csr_matrix(
-        (
-            np.ones(graph.nnz + sources.size),
-            np.concatenate([graph.indices, sources.astype(graph.indices.dtype)]),
-            np.append(graph.indptr, graph.nnz + sources.size),
-        ),
-        shape=(n + 1, n + 1),
-    )
-    _, up = csgraph.breadth_first_order(virtual, n, directed=True, return_predecessors=True)
+    n = graph.shape[0] - 1
+    _, up = csgraph.breadth_first_order(graph, n, directed=True, return_predecessors=True)
     up[n] = n
     hops = np.ones(n + 1, dtype=up.dtype)
     hops[n] = 0
@@ -129,24 +119,24 @@ def pseudo_diameter(A: SparseSymMatrix) -> int:
     vertex (smallest index on ties), finds a farthest vertex u (smallest
     index on ties), then measures the distance from u to its own farthest
     vertex.  Each sweep covers all components at once, as one breadth-first
-    search in scipy's csgraph from a virtual vertex joined to every
-    component's source, so the whole estimate is O(nnz) plus
-    log2(diameter) vectorised O(n) rounds.  Exact on trees.  The largest
-    value over the components is returned; a matrix with no off-diagonal
-    entries has pseudo-diameter 0.
+    search in scipy's csgraph of one ``_virtual_graph``, A's structure with
+    a vertex joined to every component's source, so the whole estimate is
+    O(nnz) plus log2(diameter) vectorised O(n) rounds.  Exact on trees.
+    The largest value over the components is returned; a matrix with no
+    off-diagonal entries has pseudo-diameter 0.
     """
-    graph = _unit_graph(A)
-    count, labels = csgraph.connected_components(graph, directed=False)
+    count, labels = csgraph.connected_components(A._csr, directed=False)
     degrees = A.row_lengths() - 1  # diagonal entry is always present
-    start = _first_per_component(labels, count, degrees)
-    far = _first_per_component(labels, count, -_hop_distances(graph, start))
-    return int(_hop_distances(graph, far).max())
+    graph = _virtual_graph(A, _first_per_component(labels, count, degrees))
+    far = _first_per_component(labels, count, -_hop_distances(graph))
+    graph.indices[A.nnz:] = far  # row n, one source per component again
+    return int(_hop_distances(graph).max())
 
 
-def _offdiag_rowsums(A: SparseSymMatrix, weights: np.ndarray, on_diag: np.ndarray) -> np.ndarray:
-    """Per-row sums of |a_ij| * weights[j] over off-diagonal entries;
-    ``on_diag`` masks the stored entries on the diagonal."""
-    terms = np.abs(A.values.astype(np.float64)) * weights[A.col_indices]
+def _offdiag_rowsums(A: SparseSymMatrix, magnitudes, weights, on_diag) -> np.ndarray:
+    """Per-row sums of |a_ij| * weights[j] over off-diagonal entries, |a_ij|
+    from ``magnitudes``; ``on_diag`` masks the stored diagonal entries."""
+    terms = magnitudes * weights[A.col_indices]
     terms[on_diag] = 0.0
     return np.add.reduceat(terms, A.row_starts[:-1])
 
@@ -162,16 +152,17 @@ def eigen_estimates(A: SparseSymMatrix) -> EigenIntervalEstimate:
     ``basic`` is the hull of the plain discs |x - a_ii| <= sum_{j!=i} |a_ij|.
     The rescalings are diagonal similarities: ``scaled1`` has radius
     (1/a_ii) * sum_{j!=i} a_jj |a_ij| and ``scaled2`` a_ii * sum_{j!=i}
-    |a_ij| / a_jj, so both need a positive diagonal.  The diagonal and the
-    mask of diagonal entries, an O(nnz) row index per entry, are built once
-    for the three hulls."""
+    |a_ij| / a_jj, so both need a positive diagonal.  The diagonal, the
+    |a_ij| at binary64 and the mask of diagonal entries, an O(nnz) row
+    index per entry, are built once for the three hulls."""
     d = A.diagonal().astype(np.float64)
     if np.any(d <= 0):
         raise NonpositiveDiagonalError("diagonal scaling needs diag > 0")
+    magnitudes = np.abs(A.values.astype(np.float64))
     on_diag = A.col_indices == _entry_rows(A)
-    basic = _hull(d, _offdiag_rowsums(A, np.ones(A.n), on_diag))
-    scaled1 = _hull(d, _offdiag_rowsums(A, d, on_diag) / d)
-    scaled2 = _hull(d, _offdiag_rowsums(A, 1.0 / d, on_diag) * d)
+    basic = _hull(d, _offdiag_rowsums(A, magnitudes, np.ones(A.n), on_diag))
+    scaled1 = _hull(d, _offdiag_rowsums(A, magnitudes, d, on_diag) / d)
+    scaled2 = _hull(d, _offdiag_rowsums(A, magnitudes, 1.0 / d, on_diag) * d)
     lo = max(basic.lo, scaled1.lo, scaled2.lo)
     hi = min(basic.hi, scaled1.hi, scaled2.hi)
     if lo > hi:

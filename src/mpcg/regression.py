@@ -146,22 +146,35 @@ class KnnModel:
             raise ValueError(
                 f"grid_values {grid!r} must be finite positive floats in strictly"
                 " descending order")
-        if np.any((self.labels < 1) | (self.labels > len(self.grid_values))):
-            raise ValueError(f"labels must lie in 1..{len(self.grid_values)}")
-        if not 1 <= self.k <= n:
-            raise ValueError("k must lie in 1..len(points)")
+        labels = self.labels
+        if labels.dtype.kind not in "iu" or np.any((labels < 1) | (labels > len(grid))):
+            raise ValueError(f"labels must be integers in 1..{len(grid)}")
+        if type(self.k) is not int or not 1 <= self.k <= n:
+            raise ValueError("k must be an integer in 1..len(points)")
+
+
+def _usable(records: list[SampleRecord], classes: int) -> list[SampleRecord]:
+    """The valid records; ValueError names one whose label is no int in 1..classes."""
+    usable = [r for r in records if r.valid]
+    for r in usable:
+        if type(r.label) is not int or not 1 <= r.label <= classes:
+            raise ValueError(f"record {r.matrix_id} has label {r.label!r}, no int in 1..{classes}")
+    return usable
 
 
 def fit_knn(
     train: list[SampleRecord], k: int, test_ids: tuple[str, ...] = ()
 ) -> KnnModel:
-    """Build the model from labeled training records."""
-    usable = [r for r in train if r.valid and r.label is not None]
-    if not usable:
+    """Build the model from the valid training records."""
+    grids = {
+        tuple(e.epsilon1 for e in r.costs if e.epsilon1 is not None) for r in train if r.valid
+    }
+    if not grids:
         raise EmptyTrainingSetError("no valid labeled records")
-    grids = {tuple(e.epsilon1 for e in r.costs if e.epsilon1 is not None) for r in usable}
     if len(grids) != 1:
         raise ValueError("training records were swept on different grids")
+    grid = grids.pop()
+    usable = _usable(train, len(grid))
     params = minimax_fit([r.features for r in usable])
     points = np.stack([minimax_apply(params, r.features) for r in usable])
     labels = np.array([r.label for r in usable], dtype=np.int64)
@@ -170,7 +183,7 @@ def fit_knn(
         points=points,
         labels=labels,
         k=k,
-        grid_values=grids.pop(),
+        grid_values=grid,
         train_ids=tuple(r.matrix_id for r in usable),
         test_ids=test_ids,
     )
@@ -213,17 +226,7 @@ class EvalReport:
     confusion: np.ndarray  # true class x predicted class, 1-based labels
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [dataclasses.asdict(r) for r in self.rows],
-            "n_opt": self.n_opt,
-            "n_knn": self.n_knn,
-            "n_wrst": self.n_wrst,
-            "ratio_opt_wrst": self.ratio_opt_wrst,
-            "ratio_knn_wrst": self.ratio_knn_wrst,
-            "diff_knn_opt": self.diff_knn_opt,
-            "diff_wrst_knn": self.diff_wrst_knn,
-            "confusion": self.confusion.tolist(),
-        }
+        return {**dataclasses.asdict(self), "confusion": self.confusion.tolist()}
 
     def format_table(self) -> str:
         lines = [
@@ -264,12 +267,13 @@ def evaluate(model: KnnModel, test: list[SampleRecord]) -> EvalReport:
     """Score predictions against the stored sweeps of the test records.
 
     A record whose stored ``i_opt`` and ``i_wrst`` do not bracket the cost
-    of the predicted class is inconsistent and raises ValueError.
+    of the predicted class is inconsistent and raises ValueError, and so
+    does a valid record whose label is not a class of the model's grid.
     """
-    usable = [r for r in test if r.valid and r.label is not None]
+    n_classes = len(model.grid_values)
+    usable = _usable(test, n_classes)
     if not usable:
         raise SampleTooSmallError("no valid records to evaluate")
-    n_classes = len(model.grid_values)
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     rows = []
     for rec in usable:
@@ -329,7 +333,7 @@ def load_model(path) -> KnnModel:
                 np.array(payload["maxs"], dtype=float),
             ),
             points=np.array(payload["points"], dtype=float),
-            labels=np.array(payload["labels"], dtype=np.int64),
+            labels=np.array(payload["labels"]),
             k=payload["k"],
             grid_values=tuple(payload["grid_values"]),
             train_ids=tuple(payload["train_ids"]),

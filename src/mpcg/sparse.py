@@ -68,11 +68,11 @@ class SparseSymMatrix:
 
     Build one from (row, col, value) triplets with ``from_coordinates``,
     from a file with ``read_matrix_market``, or from CSR arrays with this
-    constructor.  The matrix is one scipy ``csr_matrix``, ``_csr``: every
-    product and the csgraph passes of ``features`` read its arrays, and
-    the three attributes below are those same arrays, read-only.  Their
-    index dtype is scipy's, int32 wherever it fits.  ``downcast`` shares
-    both index arrays and allocates only the binary32 values.
+    constructor.  The matrix is one scipy ``csr_matrix``, ``_csr``, and no
+    cache: validation, every product and the csgraph passes of ``features``
+    read its arrays, and the three attributes below are those same arrays,
+    read-only.  Their index dtype is scipy's, int32 wherever it fits.
+    ``downcast`` shares both index arrays and allocates only its values.
 
     Attributes
     ----------
@@ -81,7 +81,7 @@ class SparseSymMatrix:
     values : float64 or float32 array, length nnz
     """
 
-    __slots__ = ("_csr", "_diag")
+    __slots__ = ("_csr",)
 
     def __init__(self, row_starts, col_indices, values, validate: bool = True):
         values = np.ascontiguousarray(values)
@@ -93,7 +93,6 @@ class SparseSymMatrix:
         self._csr = scipy.sparse.csr_matrix((values, indices, indptr), shape=(n, n))
         for arr in (self.row_starts, self.col_indices, self.values):
             arr.setflags(write=False)
-        self._diag = None
         if validate:
             self._validate(indices.size)
 
@@ -122,11 +121,8 @@ class SparseSymMatrix:
         return (self.n, self.n)
 
     def diagonal(self) -> np.ndarray:
-        """Dense copy of the diagonal, in storage precision."""
-        if self._diag is None:
-            self._diag = self._csr.diagonal()
-            self._diag.setflags(write=False)
-        return self._diag
+        """Fresh dense copy of the diagonal, in storage precision, O(nnz)."""
+        return self._csr.diagonal()
 
     def row_lengths(self) -> np.ndarray:
         return np.diff(self.row_starts)
@@ -142,12 +138,12 @@ class SparseSymMatrix:
 
     def _validate(self, m: int) -> None:
         """Check the arrays; ``m`` is the length of the column indices given,
-        of which scipy keeps only the first ``row_starts[-1]``."""
-        n, rs, cols = self.n, self.row_starts, self.col_indices
-        lengths = np.diff(rs)
+        of which scipy keeps only the first ``row_starts[-1]``.  A^T's arrays
+        come from sparsetools' ``csr_tocsc``, rows increasing per column."""
+        n, rs, cols, values = self.n, self.row_starts, self.col_indices, self.values
         if n < 1:
             raise ValueError("matrix dimension must be at least 1")
-        if rs[0] != 0 or rs[-1] != m or np.any(lengths < 0):
+        if rs[0] != 0 or rs[-1] != m or np.any(np.diff(rs) < 0):
             raise ValueError("row_starts must be nondecreasing from 0 to nnz")
         if m and (cols.min() < 0 or cols.max() >= n):
             raise IndexError("column index out of range")
@@ -160,21 +156,18 @@ class SparseSymMatrix:
                 raise DuplicateEntryError(f"position ({row_of[k]}, {cols[k]}) appears twice")
             if np.any(same_row & (cols[1:] < cols[:-1])):
                 raise ValueError("column indices not sorted within a row")
-        finite = np.isfinite(self.values)
+        finite = np.isfinite(values)
         if not finite.all():
             k = int(finite.argmin())
             raise ValueError(f"value at ({row_of[k]}, {cols[k]}) is not finite")
-        transposed = self._csr.T.tocsr()
-        transposed.sort_indices()
-        if not (
-            np.array_equal(transposed.indptr, rs)
-            and np.array_equal(transposed.indices, cols)
-        ):
+        tp, ti, tx = np.empty_like(rs), np.empty_like(cols), np.empty_like(values)
+        _sparsetools.csr_tocsc(n, n, rs, cols, values, tp, ti, tx)
+        if not (np.array_equal(tp, rs) and np.array_equal(ti, cols)):
             raise AsymmetricInputError("structure is not symmetric")
-        bits = np.dtype(f"u{self.values.itemsize}")
-        if not np.array_equal(self.values.view(bits), transposed.data.view(bits)):
+        bits = np.dtype(f"u{values.itemsize}")
+        if not np.array_equal(values.view(bits), tx.view(bits)):
             raise AsymmetricInputError("mirrored entries differ in value")
-        if np.any(lengths == 0) or np.any(np.add.reduceat(cols == row_of, rs[:-1]) != 1):
+        if np.count_nonzero(cols == row_of) != n:  # past the duplicate scan: one per row
             raise MissingDiagonalError("every row needs an explicit diagonal entry")
 
 

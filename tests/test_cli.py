@@ -82,6 +82,12 @@ def inputs(tmp_path, identity_file):
         "big_model": tmp_path / "big_model.json",
         "big_sample": tmp_path / "big_sample.jsonl",
         "huge": tmp_path / "huge.mtx",
+        "label_beyond": tmp_path / "label_beyond.jsonl",
+        "label_zero": tmp_path / "label_zero.jsonl",
+        "label_half": tmp_path / "label_half.jsonl",
+        "k_half_model": tmp_path / "k_half_model.json",
+        "k_true_model": tmp_path / "k_true_model.json",
+        "label_half_model": tmp_path / "label_half_model.json",
     }
     paths["model"].write_text(model_json())
     paths["sample"].write_text(sample_json())
@@ -98,6 +104,15 @@ def inputs(tmp_path, identity_file):
         "%%MatrixMarket matrix coordinate real symmetric\n"
         "2 2 3\n1 1 1e39\n2 1 1.0\n2 2 3.0\n"
     )
+    # labels outside the two-class grid, and one that is not an integer
+    paths["label_beyond"].write_text(sample_json(label=3))
+    paths["label_zero"].write_text(sample_json(label=0))
+    paths["label_half"].write_text(
+        sample_json(label=2.5) + sample_json(matrix_id="s00001", group_id="s00001", label=2.5))
+    # three points, so that k = 2.5 passes the range check
+    paths["k_half_model"].write_text(model_json(k=2.5, points=[[0.5] * 5] * 3, labels=[2] * 3))
+    paths["k_true_model"].write_text(model_json(k=True))
+    paths["label_half_model"].write_text(model_json(labels=[2.5]))
     return {name: str(path) for name, path in paths.items()}
 
 
@@ -137,6 +152,34 @@ EXIT_CODE_CASES = {
     "train-integer-overflow-sample": (
         ["train", "--sample", "{big_sample}", "--out", "{out}"], 2,
         "{big_sample}:1: ValueError('integer of 402 characters beyond the binary64 range')"),
+    "evaluate-label-beyond-grid": (
+        ["evaluate", "--sample", "{label_beyond}", "--model", "{model}", "--subset", "all"],
+        2, "record s00000 has label 3, no int in 1..2"),
+    "evaluate-label-zero": (
+        ["evaluate", "--sample", "{label_zero}", "--model", "{model}", "--subset", "all"],
+        2, "record s00000 has label 0, no int in 1..2"),
+    "train-fractional-label": (
+        ["train", "--sample", "{label_half}", "--out", "{out}", "--k", "1",
+         "--test-fraction", "0.5"],
+        2, "has label 2.5, no int in 1..2"),
+    "solve-auto-fractional-k-model": (
+        ["solve", "{identity}", "--eps1", "auto", "--model", "{k_half_model}"], 4,
+        "'{k_half_model}': ValueError('k must be an integer in 1..len(points)')"),
+    "evaluate-fractional-k-model": (
+        ["evaluate", "--sample", "{sample}", "--model", "{k_half_model}"], 2,
+        "'{k_half_model}': ValueError('k must be an integer in 1..len(points)')"),
+    "solve-auto-boolean-k-model": (
+        ["solve", "{identity}", "--eps1", "auto", "--model", "{k_true_model}"], 4,
+        "'{k_true_model}': ValueError('k must be an integer in 1..len(points)')"),
+    "evaluate-boolean-k-model": (
+        ["evaluate", "--sample", "{sample}", "--model", "{k_true_model}"], 2,
+        "'{k_true_model}': ValueError('k must be an integer in 1..len(points)')"),
+    "solve-auto-fractional-label-model": (
+        ["solve", "{identity}", "--eps1", "auto", "--model", "{label_half_model}"], 4,
+        "'{label_half_model}': ValueError('labels must be integers in 1..2')"),
+    "evaluate-fractional-label-model": (
+        ["evaluate", "--sample", "{sample}", "--model", "{label_half_model}"], 2,
+        "'{label_half_model}': ValueError('labels must be integers in 1..2')"),
     "generate-variants-minus-one": (
         ["generate", "--out", "{out}", "--count", "30", "--variants", "-1"], 2,
         "variants must be nonnegative"),

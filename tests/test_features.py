@@ -11,7 +11,7 @@ from mpcg.features import (
     EigenIntervalEstimate,
     _first_per_component,
     _hop_distances,
-    _unit_graph,
+    _virtual_graph,
     Interval,
     eigen_estimates,
     extract_features,
@@ -170,29 +170,26 @@ class TestBreadthFirstSweeps:
 
     @pytest.mark.parametrize("name, A", list(sweep_graphs()))
     def test_double_sweep_matches_reference_helpers(self, name, A):
-        graph = _unit_graph(A)
-        count, labels = csgraph.connected_components(graph, directed=False)
+        count, labels = csgraph.connected_components(A._csr, directed=False)
         degrees = A.row_lengths() - 1
         start = _first_per_component(labels, count, degrees)
         np.testing.assert_array_equal(start, first_per_component_reference(labels, count, degrees))
-        dist = _hop_distances(graph, start)
-        np.testing.assert_array_equal(dist, hop_distances_reference(graph, start))
+        dist = _hop_distances(_virtual_graph(A, start))
+        np.testing.assert_array_equal(dist, hop_distances_reference(A._csr, start))
         far = _first_per_component(labels, count, -dist)
         np.testing.assert_array_equal(far, first_per_component_reference(labels, count, -dist))
-        last = _hop_distances(graph, far)
-        np.testing.assert_array_equal(last, hop_distances_reference(graph, far))
+        last = _hop_distances(_virtual_graph(A, far))
+        np.testing.assert_array_equal(last, hop_distances_reference(A._csr, far))
         assert pseudo_diameter(A) == int(last.max())
 
     @pytest.mark.parametrize("name, A", list(sweep_graphs()))
     def test_several_sources_per_component(self, name, A):
-        graph = _unit_graph(A)
-        count, labels = csgraph.connected_components(graph, directed=False)
+        count, labels = csgraph.connected_components(A._csr, directed=False)
         rng = np.random.default_rng(A.n)
         first = first_per_component_reference(labels, count, np.zeros(A.n))
         sources = np.union1d(first, rng.choice(A.n, size=1 + A.n // 10, replace=False))
-        np.testing.assert_array_equal(
-            _hop_distances(graph, sources), hop_distances_reference(graph, sources)
-        )
+        dist = _hop_distances(_virtual_graph(A, sources))
+        np.testing.assert_array_equal(dist, hop_distances_reference(A._csr, sources))
 
     @pytest.mark.parametrize("ties", [1, 2, 5, 1000])
     def test_first_per_component_with_ties(self, ties):

@@ -34,6 +34,9 @@ from oracles import (
 )
 
 
+MM_HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
+
+
 def identity(n, dtype=np.float64):
     return from_coordinates([(i, i, 1.0) for i in range(n)], n, dtype=dtype)
 
@@ -167,7 +170,7 @@ class TestOneCopy:
         assert A.col_indices is A._csr.indices
         assert A.values is A._csr.data
         assert A.row_starts.dtype == A.col_indices.dtype == np.int32
-        assert SparseSymMatrix.__slots__ == ("_csr", "_diag")
+        assert SparseSymMatrix.__slots__ == ("_csr",)
 
     def test_downcast_shares_the_structure(self):
         A = self.matrix()
@@ -187,6 +190,23 @@ class TestOneCopy:
         for M in (A, downcast(A)):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(M, name)[0] = 1
+
+
+class TestConstructorChecks:
+    """The checks ``SparseSymMatrix`` makes of CSR arrays that it is given."""
+
+    def test_empty_row_has_no_diagonal(self):
+        with pytest.raises(MissingDiagonalError):
+            SparseSymMatrix([0, 1, 1], [0], [1.0])
+
+    def test_row_that_skips_the_diagonal(self):
+        # row 1 holds (1, 0) and (1, 2); the structure is symmetric
+        with pytest.raises(MissingDiagonalError):
+            SparseSymMatrix([0, 2, 4, 6], [0, 1, 0, 2, 1, 2], np.ones(6))
+
+    def test_unsorted_columns_rejected(self):
+        with pytest.raises(ValueError, match="column indices not sorted within a row"):
+            SparseSymMatrix([0, 2, 4], [1, 0, 0, 1], np.ones(4))
 
 
 class TestSpmv:
@@ -642,6 +662,22 @@ class TestMatrixMarket:
         )
         with pytest.raises(MatrixMarketParseError):
             read_matrix_market(p)
+
+    @pytest.mark.parametrize("text, message, line", [
+        ("", "empty file", 1),
+        (MM_HEADER + "% no size line\n", "missing size line", 3),
+        (MM_HEADER + "2 2\n", "size line needs 'rows cols entries'", 2),
+        (MM_HEADER + "2 2 x\n", "size line is not integral", 2),
+        (MM_HEADER + "2 3 1\n", "matrix must be square and nonempty", 2),
+        (MM_HEADER + "2 2 -1\n", "matrix must be square and nonempty", 2),
+        (MM_HEADER + "1 1 1\n1 1 1.0\n1 1 2.0\n", "more entries than the size line declares", 4),
+    ])
+    def test_header_and_size_errors(self, tmp_path, text, message, line):
+        p = tmp_path / "bad.mtx"
+        p.write_text(text)
+        with pytest.raises(MatrixMarketParseError) as err:
+            read_matrix_market(p)
+        assert (str(err.value), err.value.line_number) == (f"line {line}: {message}", line)
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "c.mtx"
