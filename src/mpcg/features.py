@@ -125,20 +125,13 @@ def pseudo_diameter(A: SparseSymMatrix) -> int:
     The largest value over the components is returned; a matrix with no
     off-diagonal entries has pseudo-diameter 0.
     """
-    count, labels = csgraph.connected_components(A._csr, directed=False)
+    # On A's symmetric structure: no transpose, unlike directed=False
+    count, labels = csgraph.connected_components(A._csr, directed=True, connection="strong")
     degrees = A.row_lengths() - 1  # diagonal entry is always present
     graph = _virtual_graph(A, _first_per_component(labels, count, degrees))
     far = _first_per_component(labels, count, -_hop_distances(graph))
     graph.indices[A.nnz:] = far  # row n, one source per component again
     return int(_hop_distances(graph).max())
-
-
-def _offdiag_rowsums(A: SparseSymMatrix, magnitudes, weights, on_diag) -> np.ndarray:
-    """Per-row sums of |a_ij| * weights[j] over off-diagonal entries, |a_ij|
-    from ``magnitudes``; ``on_diag`` masks the stored diagonal entries."""
-    terms = magnitudes * weights[A.col_indices]
-    terms[on_diag] = 0.0
-    return np.add.reduceat(terms, A.row_starts[:-1])
 
 
 def _hull(centers: np.ndarray, radii: np.ndarray) -> Interval:
@@ -152,17 +145,20 @@ def eigen_estimates(A: SparseSymMatrix) -> EigenIntervalEstimate:
     ``basic`` is the hull of the plain discs |x - a_ii| <= sum_{j!=i} |a_ij|.
     The rescalings are diagonal similarities: ``scaled1`` has radius
     (1/a_ii) * sum_{j!=i} a_jj |a_ij| and ``scaled2`` a_ii * sum_{j!=i}
-    |a_ij| / a_jj, so both need a positive diagonal.  The diagonal, the
-    |a_ij| at binary64 and the mask of diagonal entries, an O(nnz) row
-    index per entry, are built once for the three hulls."""
+    |a_ij| / a_jj, so both need a positive diagonal.  One |A| at binary64,
+    its diagonal set to 0 through a row index per entry, serves all three."""
     d = A.diagonal().astype(np.float64)
     if np.any(d <= 0):
         raise NonpositiveDiagonalError("diagonal scaling needs diag > 0")
-    magnitudes = np.abs(A.values.astype(np.float64))
-    on_diag = A.col_indices == _entry_rows(A)
-    basic = _hull(d, _offdiag_rowsums(A, magnitudes, np.ones(A.n), on_diag))
-    scaled1 = _hull(d, _offdiag_rowsums(A, magnitudes, d, on_diag) / d)
-    scaled2 = _hull(d, _offdiag_rowsums(A, magnitudes, 1.0 / d, on_diag) * d)
+    cols, starts = A.col_indices, A.row_starts[:-1]
+    on_diag = np.flatnonzero(cols == _entry_rows(A))  # one entry per row
+    offdiag = np.abs(A.values, dtype=np.float64)
+    offdiag[on_diag] = 0.0
+    over_d = offdiag * (1.0 / d)[cols]
+    over_d[on_diag] = 0.0  # 0 * inf where a subnormal a_ii has no finite 1/a_ii
+    basic = _hull(d, np.add.reduceat(offdiag, starts))
+    scaled1 = _hull(d, np.add.reduceat(offdiag * d[cols], starts) / d)
+    scaled2 = _hull(d, np.add.reduceat(over_d, starts) * d)
     lo = max(basic.lo, scaled1.lo, scaled2.lo)
     hi = min(basic.hi, scaled1.hi, scaled2.hi)
     if lo > hi:

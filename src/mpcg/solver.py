@@ -61,27 +61,30 @@ summation", IEEE Trans. Computers 64 (2015); it holds for any thread
 count, though not across BLAS builds.  It also saves the hand-off of
 each dot to a second thread, which at n = 10^5 costs more than it saves.
 
-A run on at most ``_DOT_BLOCK`` unknowns makes its three vector updates
-with scipy's BLAS level-1 kernels ``scal`` and ``axpy`` (Lawson, Hanson,
-Kincaid and Krogh, "Basic Linear Algebra Subprograms for Fortran usage",
-ACM Trans. Math. Softw. 5, 1979), in fewer and cheaper calls than numpy
-ufunc pairs: at these sizes an iteration costs mostly call overhead.
-``x + alpha d`` is ``alpha d`` into scratch, then ``axpy`` onto x;
-``r - alpha Ad`` is ``scal(alpha, Ad)``, then ``axpy`` with ``a = -1``
-onto r; ``z + beta d`` is ``scal(beta, d)``, then ``axpy`` of z onto d.
-``scal`` rounds one IEEE product per entry, and ``axpy`` with
-``a = +-1`` rounds ``y +- x`` whether or not its kernel fuses the
-multiply, since ``1 x`` is exact.  So each step rounds as the ufunc pair
-did, and the iterates keep their bits in both precisions.  Larger runs
-keep the ufuncs: OpenBLAS splits an ``axpy`` of more than 10^4 entries
-across threads, which made binary64 CG on 10^5 unknowns slower.  Updates
-blocked into 8192-entry ``scal`` and ``axpy`` calls were slower there
-too: on a 2-core host one iteration's three updates at n = 10^5 took
-263-266 us against 240-249 us as ufuncs in binary64, and 113-141 us
-against 89-104 us in binary32 (medians of 15 rounds).  Every
-dot stays numpy's ``ndarray.dot``: scipy's ``sdot`` rounds differently
-from numpy's binary32 dot, and the two wheels bundle different OpenBLAS
-builds.  So the iterates rest on the BLAS builds of numpy and scipy both.
+A run on at most ``_DOT_BLOCK`` unknowns makes every level-1 step with
+scipy's BLAS (Lawson, Hanson, Kincaid and Krogh, "Basic Linear Algebra
+Subprograms for Fortran usage", ACM Trans. Math. Softw. 5, 1979), each
+call about half the cost of the numpy call it replaces: at these sizes an
+iteration costs mostly call overhead.  ``dot`` makes every inner product,
+with numpy's bits on the pinned wheels (a test checks it), and ``copy``
+from a zero vector clears a product's buffer.  ``x + alpha d`` is
+``scal(alpha, copy(d, t))``, then ``axpy`` onto x; ``r - alpha Ad`` and a
+true residual ``A x - b``, of the norm of ``b - A x``, are ``axpy`` with
+``a = -1``; ``z + beta d`` is ``axpy`` of z onto ``scal(beta, d)``.
+``scal`` rounds one IEEE product per entry, and ``axpy`` with ``a = +-1``
+one sum or difference, since ``1 x`` is exact.  ``dot`` returns a Python
+float, so a binary32 run divides alpha and beta in binary64 and ``scal``
+rounds the quotient to the binary32 one: double rounding is innocuous for
+division, as 53 >= 2 * 24 + 2 (Figueroa, "When is double rounding
+innocuous?", ACM SIGNUM Newsletter 30, 1995).  ``||b||`` and residual
+norms keep their storage-precision root.  So the iterates keep their bits
+in both precisions.  Larger runs keep numpy's ``fill``, ufuncs and
+``_blocked_dot``: OpenBLAS splits an ``axpy`` of more than 10^4 entries
+across threads, which made binary64 CG on 10^5 unknowns slower, and
+8192-entry blocked ``scal`` and ``axpy`` calls were slower there too (one
+iteration's updates took 263-266 against 240-249 us in binary64, 113-141
+against 89-104 us in binary32, medians of 15 rounds on a 2-core host).
+So the iterates rest on the BLAS builds of numpy and scipy both.
 """
 
 from __future__ import annotations
@@ -275,15 +278,12 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     iteration is alpha, x, r, beta, d.  The vectors live in buffers
     allocated once per run and updated in place, each step rounding as the
     allocating expression in its comment.  Up to ``_DOT_BLOCK`` unknowns
-    the updates call scipy's ``scal`` and ``axpy``, which write into the
-    array they are given and round as the ufuncs did: ``scal`` rounds one
-    product per entry, and ``axpy`` with ``a = +-1`` one sum or difference,
-    since ``1 x`` is exact.  Above, where OpenBLAS would thread a long
-    ``axpy``, they stay numpy ufuncs (see the module notes).  The operands
-    are checked once, and every product (the initial residual, each
-    ``A d`` and each ``b - A x``) zeroes its buffer and calls the one
-    product ``_accumulate_product`` gives for A, the kernel ``spmv`` runs
-    too, so it holds the same bits.  A yielded result holds a copy of x.
+    every level-1 step is a scipy BLAS call, above a numpy one (see the
+    module notes).  The operands are checked once, and every product (the
+    initial residual, each ``A d`` and each true residual) zeroes its
+    buffer and calls the one product ``_accumulate_product`` gives for A,
+    the kernel ``spmv`` runs too, so it holds the same bits.  A yielded
+    result holds a copy of x.
 
     The module notes give the policy for testing the true residual.  Its
     names here: ``recursive`` is ``sqrt(r'r)``, ``near`` is
@@ -294,34 +294,31 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     iteration the guard may stop.  A test at a sample or on the last
     iteration counts for every threshold, one near a threshold only for
     those it is near.
-
-    Every inner product goes through ``dot``: numpy's BLAS dot up to
-    ``_DOT_BLOCK`` unknowns, ``_blocked_dot`` above; never scipy's, whose
-    binary32 ``sdot`` rounds differently from numpy's.
     """
     b, x = _check_operands(A, b, x0)
-    small = A.n <= _DOT_BLOCK
-    dot = np.ndarray.dot if small else _blocked_dot
-    axpy, scal = get_blas_funcs(("axpy", "scal"), (x,))  # axpy(x, y), scal(a, x): in place
+    n, storage = A.n, x.dtype.type
+    small = n <= _DOT_BLOCK
+    axpy, scal, copy, blas_dot = get_blas_funcs(("axpy", "scal", "copy", "dot"), (x,))
+    dot = blas_dot if small else _blocked_dot
+    zeros = np.zeros_like(x) if small else None  # copied to clear a buffer
     product = _accumulate_product(A)  # product(v, out): out += A v, unchecked
     add, subtract, multiply = np.add, np.subtract, np.multiply
     sqrt, inf, nan = math.sqrt, math.inf, math.nan
-    max_iterations = config.max_iterations or 10 * A.n
-    # ||b|| as np.linalg.norm computes it: sqrt(b'b)
-    scale = float(np.sqrt(dot(b, b))) if config.residual_mode == "relative" else 1.0
+    max_iterations = config.max_iterations or 10 * n
+    # ||b|| as np.linalg.norm computes it: sqrt(b'b) at the storage precision
+    scale = float(np.sqrt(storage(dot(b, b)))) if config.residual_mode == "relative" else 1.0
     thresholds = [t * scale for t in tolerances]
     count = len(thresholds)
     window = config.stagnation_window
     guarded = window <= max_iterations
     plain = inv_diag is None
-    zero = x.dtype.type(0)
 
     r, d, Ad, t = (np.empty_like(x) for _ in range(4))  # t: scratch
     z = r if plain else np.empty_like(x)
     t.fill(0)
     product(x, t)
     subtract(b, t, r)  # r = b - A x
-    res = float(np.sqrt(dot(r, r)))
+    res = float(np.sqrt(storage(dot(r, r))))
     if not plain:
         multiply(inv_diag, r, z)
     np.copyto(d, z)
@@ -335,24 +332,27 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     sampled, recursive = True, inf  # of the initial residual
     for k in range(max_iterations + 1):
         if k > 0:
-            Ad.fill(0)
+            if small:
+                copy(zeros, Ad)
+            else:
+                Ad.fill(0)
             product(d, Ad)  # A d
             dAd = dot(d, Ad)
             if not 0 < dAd < inf:  # also rejects NaN
                 raise CgBreakdownError(
-                    f"d'Ad = {dAd} at iteration {k}: operand not SPD at {A.precision}"
+                    f"d'Ad = {storage(dAd)} at iteration {k}: operand not SPD at {A.precision}"
                 )
             alpha = rz / dAd
             if small:
-                axpy(multiply(d, alpha, t), x)  # x + alpha * d
-                axpy(scal(alpha, Ad), r, a=-1.0)  # r - alpha * Ad
+                axpy(scal(alpha, copy(d, t)), x)  # x + alpha * d
+                axpy(scal(alpha, Ad), r, n, -1.0)  # r - alpha * Ad; a keyword a costs 0.1 us
             else:
                 add(x, multiply(d, alpha, t), x)  # x + alpha * d
                 subtract(r, multiply(Ad, alpha, t), r)  # r - alpha * Ad
             if not plain:
                 multiply(inv_diag, r, z)
             rz_next = dot(r, z)
-            beta = rz_next / rz if rz != 0 else zero
+            beta = rz_next / rz if rz != 0 else 0.0
             if small:
                 axpy(z, scal(beta, d))  # z + beta * d
             else:
@@ -374,10 +374,14 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
                     if guarded:
                         bests.append(bests[-1])
                     continue
-            t.fill(0)
-            product(x, t)
-            subtract(b, t, t)  # b - A x
-            res = float(np.sqrt(dot(t, t)))
+            if small:
+                product(x, copy(zeros, t))
+                axpy(b, t, n, -1.0)  # A x - b, of the same norm as b - A x
+            else:
+                t.fill(0)
+                product(x, t)
+                subtract(b, t, t)  # b - A x
+            res = float(np.sqrt(storage(dot(t, t))))
             history.append(res)
             if guarded:
                 bests.append(min(bests[-1], res) if sampled else bests[-1])

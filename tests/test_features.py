@@ -3,6 +3,8 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
 from mpcg.dataset import GraphSpec, generate
@@ -143,6 +145,34 @@ class TestPseudoDiameter:
             assert abs(d0 - d1) <= 1
 
 
+@st.composite
+def multi_component_graphs(draw):
+    """A random symmetric structure on n vertices with at most n - 2 edges,
+    so at least two components, and a full diagonal."""
+    n = draw(st.integers(2, 40))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = {(min(e), max(e)) for e in draw(st.lists(ends, max_size=n - 2)) if e[0] != e[1]}
+    trips = [(i, i, 1.0 + n) for i in range(n)]
+    trips += [t for i, j in edges for t in ((i, j, -1.0), (j, i, -1.0))]
+    return from_coordinates(trips, n)
+
+
+class TestStrongComponents:
+    """pseudo_diameter labels components as a directed graph's strong
+    components, which on A's symmetric structure are its connected ones."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(multi_component_graphs())
+    def test_partition_and_diameter(self, A):
+        count, labels = csgraph.connected_components(A._csr, directed=False)
+        strong, strong_labels = csgraph.connected_components(
+            A._csr, directed=True, connection="strong")
+        assert strong == count >= 2
+        # equal up to relabelling: the label pairs are a one-to-one map
+        assert len(set(zip(labels.tolist(), strong_labels.tolist()))) == count
+        assert pseudo_diameter(A) == double_sweep_diameter(A)
+
+
 def union(*blocks):
     """Block-diagonal union of matrices: one component or more per block."""
     csr = scipy.sparse.block_diag([B._csr for B in blocks], format="csr")
@@ -215,6 +245,14 @@ class TestGershgorin:
         est = eigen_estimates(A)
         assert est.basic == Interval(1.0, 1.0)
         assert est.scaled1 == Interval(1.0, 1.0) and est.scaled2 == Interval(1.0, 1.0)
+
+    def test_subnormal_diagonal_entry(self):
+        # 1/a_11 overflows to inf; row 1's diagonal term stays 0, not 0 * inf = NaN.
+        A = from_coordinates([(0, 0, 1.0), (1, 1, 1e-310), (2, 2, 2.0), (0, 2, 0.5), (2, 0, 0.5)], 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = eigen_estimates(A)
+        assert est.scaled2 == Interval(1e-310, 3.0)
+        assert est.combined == Interval(1e-310, 2.25)
 
     def test_two_by_two(self):
         A = from_coordinates([(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 2)], 2)

@@ -1047,9 +1047,10 @@ for r in results:
 
 
 class TestBlasUpdates:
-    """Up to _DOT_BLOCK unknowns a run updates x, r and d with scipy's
-    scal and axpy; its iterates keep their bits because scal rounds as
-    numpy's multiply and axpy with a = +-1 as numpy's add and subtract."""
+    """Up to _DOT_BLOCK unknowns every level-1 step of a run is one of
+    scipy's BLAS dot, copy, scal and axpy; its iterates keep their bits
+    because dot rounds as numpy's dot, copy copies every bit, scal rounds
+    as numpy's multiply and axpy with a = +-1 as numpy's add and subtract."""
 
     SPECIAL = (-1.0, -0.0, 0.0, math.nan, math.inf, -math.inf)
 
@@ -1066,7 +1067,35 @@ class TestBlasUpdates:
 
     @staticmethod
     def blas(v):
-        return get_blas_funcs(("axpy", "scal"), (v,))
+        return get_blas_funcs(("axpy", "scal", "copy", "dot"), (v,))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 600, solver._DOT_BLOCK])
+    def test_dot_is_numpy_dot(self, n, dtype):
+        # The scaled vectors, and two of unit scale, whose sums show the
+        # summation order; scipy's dot returns a Python float.
+        rng = np.random.default_rng(62)
+        unit = [rng.standard_normal(n).astype(dtype) for _ in range(2)]
+        vectors = self.vectors(n, dtype)[:2] + unit
+        *_, dot = self.blas(vectors[0])
+        for u in vectors:
+            for v in vectors:
+                with np.errstate(all="ignore"):
+                    want = u.dot(v)
+                got = dot(u, v)
+                assert type(got) is float
+                assert np.array_equal(bits(dtype(got)), bits(want)), (n, want, got)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 600, solver._DOT_BLOCK])
+    def test_copy_copies_every_bit(self, n, dtype):
+        # copy(zeros, v) clears a product's buffer, copy(d, t) takes d for x's update.
+        vectors = self.vectors(n, dtype) + [np.zeros(n, dtype)]
+        _, _, copy, _ = self.blas(vectors[0])
+        for v in vectors:
+            y = vectors[0].copy()
+            assert copy(v, y) is y
+            assert np.array_equal(bits(y), bits(v))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n", [1, 600, solver._DOT_BLOCK])
@@ -1074,7 +1103,7 @@ class TestBlasUpdates:
         # beta is 0 where r'z is 0 (the lucky breakdowns of the desk sample).
         scales = (0.0, -0.0, 1.0, -1.0, 3.7e-3, -41.5, 1e-30, 1e30)
         for v in self.vectors(n, dtype):
-            _, scal = self.blas(v)
+            _, scal, _, _ = self.blas(v)
             for a in map(dtype, scales):
                 with np.errstate(all="ignore"):
                     want = np.multiply(v, a)
@@ -1086,14 +1115,14 @@ class TestBlasUpdates:
     @pytest.mark.parametrize("n", [1, 600, solver._DOT_BLOCK])
     def test_unit_axpy_is_numpy_add_and_subtract(self, n, dtype):
         vectors = self.vectors(n, dtype)
-        axpy, _ = self.blas(vectors[0])
+        axpy, *_ = self.blas(vectors[0])
         for x in vectors:
             for v in vectors:
                 for a, op in ((1.0, np.add), (-1.0, np.subtract)):
                     with np.errstate(all="ignore"):
                         want = op(v, x)
                     y = v.copy()
-                    assert axpy(x, y, a=a) is y
+                    assert axpy(x, y, n, a) is y  # a after n, positionally, as the solver calls it
                     assert np.array_equal(bits(y), bits(want)), (n, a)
 
     @staticmethod
@@ -1120,8 +1149,11 @@ class TestBlasUpdates:
         n = solver._DOT_BLOCK
         A, b, config, result, calls = self.counted_run(monkeypatch, n)
         assert result.iterations == 4
-        # Two scal and three axpy calls per iteration, each over n entries.
-        assert sorted(calls) == [("axpy", n)] * 12 + [("scal", n)] * 8
+        # Per iteration two copy, two dot, three scal and three axpy calls;
+        # three dots before the loop (b'b, r'r and r'd) and one copy, axpy
+        # and dot for the true residual of the last iteration; each over n.
+        want = {"axpy": 4 * 3 + 1, "copy": 4 * 2 + 1, "dot": 3 + 4 * 2 + 1, "scal": 4 * 3}
+        assert sorted(calls) == [(name, n) for name, k in want.items() for _ in range(k)]
         (ref,) = cg_reference(A, b, None, config, None, (1e-30,))
         assert_same_run(result, ref)
 
