@@ -78,6 +78,8 @@ class EpsilonGrid:
             raise ValueError("grid values must be distinct")
         if not vals or vals[-1] <= 0:
             raise ValueError("grid values must be positive")
+        if not 0 < self.epsilon2 < math.inf:  # also rejects NaN
+            raise ValueError(f"epsilon2 must be positive and finite, got {self.epsilon2!r}")
         if vals[-1] < self.epsilon2:
             raise ValueError("smallest grid value must be >= epsilon2")
         if not 0 < self.mu < 1:
@@ -550,14 +552,17 @@ def build_sample(
     """Generate, label, and stream every spec's records to ``out_path``.
 
     Records appear in spec order regardless of worker count, so the output
-    file is byte-identical for any ``threads`` value.  Per-matrix failures
-    are logged and skipped.
+    file is byte-identical for any ``threads`` value.  At most one worker
+    process starts per spec, since a pool starts all its workers at once;
+    with one spec or none the specs are labelled in this process.
+    Per-matrix failures are logged and skipped.
     """
     if config is None:
         config = SolveConfig(tolerance=grid.epsilon2)
     jobs = [(spec, grid, config, i) for i, spec in enumerate(specs)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_label_one_spec, jobs, chunksize=1))
     else:
         batches = [_label_one_spec(job) for job in jobs]

@@ -40,7 +40,11 @@ for a threshold only where a run to that threshold alone would make it.
 So each result of a run to several thresholds equals a run to its own
 threshold alone: the stage 1 of every eps1 of a sweep is the stage 1
 ``two_stage_solve`` runs to it.  A run pays one matrix-vector product
-per untested iteration instead of two.  Its iterates are those of an
+per untested iteration instead of two, and records nothing for it: its
+history, ``SolveResult.true_residuals``, is the true residuals it
+computed, each with its iteration, and its product count follows from
+that.  No recursive norm stands in for an untested one, since the two
+part ways (above).  Its iterates are those of an
 every-iteration test, so an unguarded run stops where that test would,
 unless the true residual meets the threshold while the recursive one is
 above the margin; then it stops later, never earlier.  The margin rests
@@ -182,25 +186,25 @@ class SolveConfig:
 class SolveResult:
     """One CG run to one tolerance.
 
-    ``residual_history`` has one entry per iteration: entry ``k - 1`` is
-    the true residual norm after iteration ``k``, or NaN where the run
-    skipped the test (see the module notes on when a run tests).  The
-    last entry of a run that ends on max_iterations is always filled in.
-    ``spmv_calls`` counts the matrix-vector products up to this result,
-    the initial residual's included.
+    ``true_residuals`` holds one ``(k, ||b - A x_k||)`` pair per true
+    residual the run computed up to this result, in order: the initial
+    one at ``k = 0``, then one per tested iteration (see the module notes
+    on when a run tests).  An untested iteration has no entry.  The last
+    entry is always at ``iterations``, and its norm is
+    ``final_residual_norm``.  ``spmv_calls`` counts the matrix-vector
+    products up to this result: one per iteration and one per entry.
     """
 
     x: np.ndarray
     iterations: int
     final_residual_norm: float
     status: str  # converged | max_iterations | stagnated
-    residual_history: np.ndarray
+    true_residuals: tuple[tuple[int, float], ...]
 
     @property
     def spmv_calls(self) -> int:
-        # b - A x0, one A d per iteration, one b - A x per tested iteration.
-        tested = np.count_nonzero(~np.isnan(self.residual_history))
-        return 1 + self.iterations + int(tested)
+        # One A d per iteration, one b - A x per test, b - A x0 included.
+        return self.iterations + len(self.true_residuals)
 
 
 @dataclass
@@ -270,7 +274,7 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     """Yield one SolveResult per tolerance of the descending ``tolerances``:
     the first tested iterate of one CG run that meets it, or the last
     iterate if the run ends first.  Each result equals a separate run to
-    its tolerance alone, but for the NaN entries of its history and its
+    its tolerance alone, but for its ``true_residuals`` and
     ``spmv_calls``, since the other tolerances add tests.
 
     ``inv_diag`` is None for plain CG and 1/diag for Jacobi.  Every vector
@@ -283,17 +287,21 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     initial residual, each ``A d`` and each true residual) zeroes its
     buffer and calls the one product ``_accumulate_product`` gives for A,
     the kernel ``spmv`` runs too, so it holds the same bits.  A yielded
-    result holds a copy of x.
+    result holds a copy of x and of ``history``, the ``(k, norm)`` pair of
+    every test; an untested iteration records nothing.
 
     The module notes give the policy for testing the true residual.  Its
     names here: ``recursive`` is ``sqrt(r'r)``, ``near`` is
     ``TRUE_RESIDUAL_MARGIN`` times the next unmet threshold,
     ``sampled_at`` and ``anchor`` are the iteration and recursive norm of
-    the last sample, ``bests`` holds the best sampled residual per
-    iteration (in guarded runs alone), and ``armed`` is the first
-    iteration the guard may stop.  A test at a sample or on the last
-    iteration counts for every threshold, one near a threshold only for
-    those it is near.
+    the last sample, and ``best`` is the best sampled residual.  ``bests``
+    is None before drift; from the drifted sample on, every iteration is
+    a sample, and it holds ``best`` per iteration, so the guard is armed
+    once it spans a window.  Only a sample can show drift, and only before
+    it: a test near a threshold is no sample, and one at a sample after
+    drift or on the last iteration has no recursive norm (``inf``).  A
+    test at a sample or on the last iteration counts for every threshold,
+    one near a threshold only for those it is near.
     """
     b, x = _check_operands(A, b, x0)
     n, storage = A.n, x.dtype.type
@@ -303,7 +311,7 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     zeros = np.zeros_like(x) if small else None  # copied to clear a buffer
     product = _accumulate_product(A)  # product(v, out): out += A v, unchecked
     add, subtract, multiply = np.add, np.subtract, np.multiply
-    sqrt, inf, nan = math.sqrt, math.inf, math.nan
+    sqrt, inf = math.sqrt, math.inf
     max_iterations = config.max_iterations or 10 * n
     # ||b|| as np.linalg.norm computes it: sqrt(b'b) at the storage precision
     scale = float(np.sqrt(storage(dot(b, b)))) if config.residual_mode == "relative" else 1.0
@@ -323,11 +331,10 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
         multiply(inv_diag, r, z)
     np.copyto(d, z)
     rz = dot(r, d)  # r'M^-1 r; plain r'r when unpreconditioned
-    history = []
-    bests = [res] if guarded else None
+    history = [(0, res)]  # (iteration, ||b - A x||) of every test
+    best, bests = res, None  # best sample; per iteration from the drift sample on
     met, status = 0, "max_iterations"
     near = TRUE_RESIDUAL_MARGIN * thresholds[0] if count else inf
-    armed = None  # first iteration the guard may stop, a window after drift
     sampled_at, anchor = 0, res  # iteration and recursive norm of the last sample
     sampled, recursive = True, inf  # of the initial residual
     for k in range(max_iterations + 1):
@@ -362,7 +369,7 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
             # Samples feed the guard.  They depend on the config and the
             # trajectory alone, so a run to one threshold takes the same.
             recursive = inf
-            sampled = armed is not None or k == max_iterations
+            sampled = bests is not None or k == max_iterations
             if not sampled:
                 recursive = sqrt(rz if plain else dot(r, r))
                 sampled = guarded and (
@@ -370,9 +377,6 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
                 if sampled:
                     sampled_at, anchor = k, recursive
                 elif recursive > near:
-                    history.append(nan)
-                    if guarded:
-                        bests.append(bests[-1])
                     continue
             if small:
                 product(x, copy(zeros, t))
@@ -382,28 +386,30 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
                 product(x, t)
                 subtract(b, t, t)  # b - A x
             res = float(np.sqrt(storage(dot(t, t))))
-            history.append(res)
-            if guarded:
-                bests.append(min(bests[-1], res) if sampled else bests[-1])
-                if sampled and res > TRUE_RESIDUAL_MARGIN * recursive:  # drift
-                    armed = k + window
+            history.append((k, res))
+            if sampled:
+                best = min(best, res)
+                if bests is not None:
+                    bests.append(best)
+                elif res > TRUE_RESIDUAL_MARGIN * recursive:  # drift
+                    bests = [best]
         # A threshold counts this test only where a run to it alone tests.
         while met < count and res <= thresholds[met] and (sampled or recursive <= near):
-            yield SolveResult(x.copy(), k, res, "converged", np.array(history))
+            yield SolveResult(x.copy(), k, res, "converged", tuple(history))
             met += 1
             if met < count:
                 near = TRUE_RESIDUAL_MARGIN * thresholds[met]
         if met == count:
             return
         if (
-            armed is not None
-            and k >= armed
-            and bests[k] > config.stagnation_factor * bests[k - window]
+            bests is not None
+            and len(bests) > window
+            and bests[-1] > config.stagnation_factor * bests[-1 - window]
         ):
             status = "stagnated"
             break
     for _ in thresholds[met:]:
-        yield SolveResult(x.copy(), len(history), res, status, np.array(history))
+        yield SolveResult(x.copy(), k, res, status, tuple(history))
 
 
 def _inverse_diagonal(A: SparseSymMatrix) -> np.ndarray:

@@ -223,7 +223,9 @@ def _from_arrays(
     counting sort by row, and ``csr_sort_indices``, which sorts each row by
     column, order them.  The constructor's validation then finds any
     duplicate as an equal adjacent column within a row, so its error names
-    the first in (row, col) order.
+    the first in (row, col) order.  Fewer mirrored entries than rows
+    cannot hold a diagonal, and fail so before any array of length n is
+    allocated: a size line can declare any n.
     """
     if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)):
         raise TypeError(f"triplet indices must be integers, not {rows.dtype} and {cols.dtype}")
@@ -239,6 +241,8 @@ def _from_arrays(
     if mirror:
         off = rows != cols
         m += int(np.count_nonzero(off))
+    if m < n:
+        raise MissingDiagonalError("every row needs an explicit diagonal entry")
     index_dtype = scipy.sparse.get_index_dtype(maxval=max(n, m))
     rows, cols = rows.astype(index_dtype, copy=False), cols.astype(index_dtype, copy=False)
     if mirror:

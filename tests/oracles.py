@@ -122,8 +122,10 @@ def first_per_component_reference(labels, count, key) -> np.ndarray:
 def from_arrays_reference(rows, cols, vals, n, mirror):
     """CSR assembly of coordinate arrays by a lexsort over int64 indices,
     O(m log m); the matrix is built and validated by ``SparseSymMatrix``,
-    whose scipy container picks the index dtype."""
-    from mpcg.errors import DuplicateEntryError
+    whose scipy container picks the index dtype.  Fewer mirrored entries
+    than rows cannot hold a diagonal, and fail so before any other check
+    of the entries."""
+    from mpcg.errors import DuplicateEntryError, MissingDiagonalError
     from mpcg.sparse import SparseSymMatrix
 
     rows, cols = rows.astype(np.int64), cols.astype(np.int64)
@@ -138,6 +140,8 @@ def from_arrays_reference(rows, cols, vals, n, mirror):
             np.concatenate([cols, rows[off]]),
         )
         vals = np.concatenate([vals, vals[off]])
+    if rows.size < n:
+        raise MissingDiagonalError("every row needs an explicit diagonal entry")
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
     dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
@@ -260,6 +264,13 @@ def blocked_dot(u, v, block):
     slices, at the vectors' precision."""
     parts = [u[k:k + block].dot(v[k:k + block]) for k in range(0, u.size, block)]
     return sum(parts[1:], parts[0])
+
+
+def true_residuals_of(history) -> tuple:
+    """The ``SolveResult.true_residuals`` entries after the initial one
+    that match a ``cg_reference`` history: its non-NaN entries, each as
+    ``(iteration, norm)``."""
+    return tuple((k, float(v)) for k, v in enumerate(history, start=1) if not math.isnan(v))
 
 
 def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None,

@@ -79,6 +79,11 @@ class TestEpsilonGrid:
         with pytest.raises(ValueError, match="grid values must be finite"):
             EpsilonGrid(values=(1e-2, value))
 
+    @pytest.mark.parametrize("epsilon2", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_rejects_epsilon2_outside_zero_to_infinity(self, epsilon2):
+        with pytest.raises(ValueError, match="epsilon2 must be positive and finite"):
+            EpsilonGrid(epsilon2=epsilon2)
+
 
 class TestGenerate:
     def test_path_with_constant_diagonal(self):
@@ -465,6 +470,31 @@ class TestBuildSample:
         assert blobs[0] == blobs[1] == blobs[2]
         manifests = [(tmp_path / f"s{i}.jsonl.manifest.json").read_bytes() for i in range(3)]
         assert manifests[0] == manifests[1] == manifests[2]
+
+    @pytest.mark.parametrize("count, workers", [(0, None), (1, None), (2, 2), (4, 3)])
+    def test_pool_has_at_most_one_worker_per_spec(self, tmp_path, monkeypatch, count, workers):
+        # A pool starts all its workers at once; this one maps in-process.
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(mpcg.dataset, "ProcessPoolExecutor", FakePool)
+        specs = [GraphSpec("path", 20, seed=i) for i in range(count)]
+        build_sample(specs, EpsilonGrid(), tmp_path / "pooled.jsonl", threads=3)
+        build_sample(specs, EpsilonGrid(), tmp_path / "serial.jsonl")
+        assert pools == ([] if workers is None else [workers])
+        assert (tmp_path / "pooled.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
 
     def test_record_json_is_single_line_kv(self, tmp_path):
         specs = [GraphSpec("path", 20, seed=1)]

@@ -41,6 +41,7 @@ from oracles import (
     dd_spd_triplets,
     eigenvalues_of,
     iteration_bound,
+    true_residuals_of,
     two_stage_reference,
 )
 
@@ -81,12 +82,16 @@ class TestCg:
         with pytest.raises(CgBreakdownError):
             cg(A, np.array([0.0, 1.0]), None, CFG)
 
-    def test_residual_history_length_equals_iterations(self):
+    def test_true_residuals_run_from_zero_to_the_last_iteration(self):
         rng = np.random.default_rng(0)
         A = random_dd(30, rng)
-        res = cg(A, rng.standard_normal(30), None, SolveConfig(tolerance=1e-10))
-        assert len(res.residual_history) == res.iterations
+        b = rng.standard_normal(30)
+        res = cg(A, b, None, SolveConfig(tolerance=1e-10))
         assert res.status == "converged"
+        assert res.true_residuals[0] == (0, float(np.linalg.norm(b)))  # b - A 0 = b
+        assert res.true_residuals[-1] == (res.iterations, res.final_residual_norm)
+        tested = [k for k, _ in res.true_residuals]
+        assert tested == sorted(set(tested))
 
     def test_converged_run_satisfies_stopping_test(self):
         rng = np.random.default_rng(1)
@@ -151,7 +156,7 @@ class TestJacobi:
         r2 = cg(A, b, None, JACOBI)
         assert r1.iterations == r2.iterations
         assert np.array_equal(r1.x, r2.x)
-        assert np.array_equal(r1.residual_history, r2.residual_history)
+        assert r1.true_residuals == r2.true_residuals
 
     def test_unit_diagonal_identical_iterate_sequence(self):
         # ring of weight 0.3 keeps row sums below the unit diagonal
@@ -166,8 +171,8 @@ class TestJacobi:
         r1 = cg(A, b, None, config)
         r2 = cg(A, b, None, replace(config, preconditioner="jacobi"))
         assert np.array_equal(r1.x, r2.x)
-        # Both test the true residual at the same iterations, NaN elsewhere.
-        assert np.array_equal(bits(r1.residual_history), bits(r2.residual_history))
+        # Both test the true residual at the same iterations, with the same norms.
+        assert r1.true_residuals == r2.true_residuals
         (ref,) = cg_reference(A, b, None, config, None, (1e-11,))
         assert_same_run(r1, ref)
 
@@ -397,7 +402,8 @@ def assert_same_run(result, ref):
     assert result.iterations == iterations
     assert result.status == status
     assert bits(np.float64(result.final_residual_norm)) == bits(np.float64(residual))
-    assert np.array_equal(bits(result.residual_history), bits(history))
+    assert result.true_residuals[0][0] == 0
+    assert result.true_residuals[1:] == true_residuals_of(history)
 
 
 def _kernel_cases():
@@ -501,7 +507,7 @@ class TestLeanKernel:
         got = run()
         assert len(got) == len(want) == len(tolerances)
         for result, ref in zip(got, want):
-            assert_same_run(result, ref)  # NaN where the test was skipped
+            assert_same_run(result, ref)  # the tested iterations alone
         return got
 
     @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
@@ -520,11 +526,9 @@ class TestLeanKernel:
         if got is None:  # an unguarded binary32 run past the underflow of r
             return
         for result in got:
-            assert len(result.residual_history) == result.iterations
-            if result.status == "max_iterations":
-                assert not np.isnan(result.residual_history[-1])
-        if got[-1].iterations > 5:
-            assert np.isnan(got[-1].residual_history).any()
+            assert result.true_residuals[-1] == (result.iterations, result.final_residual_norm)
+        if got[-1].iterations > 5:  # some iteration was not tested
+            assert len(got[-1].true_residuals) < got[-1].iterations + 1
 
     def test_stagnating_case_stagnates(self):
         A, b, x0, config, tolerances = KERNEL_CASES["b32-none-stagnating"]
@@ -622,10 +626,6 @@ def _until_breakdown(run):
     return results
 
 
-def n_tested(history) -> int:
-    return int(np.count_nonzero(~np.isnan(history)))
-
-
 class TestLazyTrueResidual:
     """Every run tests the true residual once the recursive norm is within
     TRUE_RESIDUAL_MARGIN of the threshold; elsewhere a run whose guard
@@ -647,12 +647,39 @@ class TestLazyTrueResidual:
         monkeypatch.setattr(_sparsetools, "csr_matvec", csr_matvec)
         guarded = cg(A, b, None, CFG)
         assert guarded.iterations == iterations
-        assert guarded.spmv_calls == len(products) == 1 + iterations + n_tested(history)
+        assert guarded.spmv_calls == len(products)
+        assert guarded.true_residuals[1:] == true_residuals_of(history)
         assert guarded.spmv_calls < 2 * guarded.iterations + 1
         products.clear()
         lazy = cg(A, b, None, no_stagnation(CFG))
         assert guarded.iterations == lazy.iterations > 10
         assert lazy.spmv_calls == len(products) < 2 * lazy.iterations + 1
+
+    def test_spmv_counts_on_the_coo_path(self, monkeypatch):
+        # An irregular matrix of more than 8192 rows takes coo_matvec.  Its
+        # 30 iterations still fit the default 25-iteration window.
+        A = generate(GraphSpec("tree_random", 9000, seed=5))
+        b = ones_rhs(A)
+        products = {"coo_matvec": 0, "csr_matvec": 0}
+
+        def counting(name):
+            kernel = getattr(_sparsetools, name)
+
+            def counted(*args):
+                products[name] += 1
+                return kernel(*args)
+            return counted
+
+        for name in products:
+            monkeypatch.setattr(_sparsetools, name, counting(name))
+        guarded = SolveConfig(tolerance=1e-15, max_iterations=30)
+        for config in (guarded, no_stagnation(guarded)):
+            products.update(coo_matvec=0, csr_matvec=0)
+            result = cg(A, b, None, config)
+            assert result.iterations == 30
+            assert result.spmv_calls == products["coo_matvec"] and products["csr_matvec"] == 0
+        # The lazy run tests its initial residual and its last iteration.
+        assert len(result.true_residuals) < result.iterations
 
     def test_stage1_on_two_unknowns_is_lazy(self):
         # The default 10 n = 20 iterations cannot outlast the 25-iteration
@@ -666,7 +693,7 @@ class TestLazyTrueResidual:
             A, b, None, config, None, (1e-6,), eager=True)
         assert (result.iterations, result.status) == (iterations, status) == (2, "converged")
         assert np.array_equal(bits(result.x), bits(x))
-        assert np.isnan(result.residual_history[0]) and not np.isnan(history[0])
+        assert [k for k, _ in result.true_residuals] == [0, 2] and not np.isnan(history[0])
         assert result.spmv_calls == 4
 
     def test_sweep_reports_spmv_per_stage(self):
@@ -686,7 +713,7 @@ class TestLazyTrueResidual:
             else:
                 x, n1, _, _, history = first
                 assert result.n1 == n1
-                assert result.stage1_spmv_calls == 1 + n1 + n_tested(history)
+                assert result.stage1_spmv_calls == 1 + n1 + len(true_residuals_of(history))
                 x0 = upcast_vector(x)
             assert result.stage2_spmv_calls == cg(A, b, x0, refine).spmv_calls
             assert result.stage2_spmv_calls < 2 * result.n2 + 1
@@ -706,7 +733,7 @@ class TestLazyTrueResidual:
         lazy = cg(A32, b, None, lazy_cfg)
         assert (eager[1], eager[3]) == (3, "converged")
         assert (lazy.iterations, lazy.status) == (4, "converged")
-        assert np.isnan(lazy.residual_history[2])  # skipped at the eager stop
+        assert 3 not in dict(lazy.true_residuals)  # skipped at the eager stop
         assert eager[4][2] <= 2e-6 * np.linalg.norm(b)
         # The iterates are those of the eager trajectory.
         capped = replace(lazy_cfg, tolerance=1e-30, max_iterations=4)
@@ -786,8 +813,7 @@ def _sampled_run(name):
         return None
     norms = []
     cg_reference(A, b, x0, config, inv_diag, tolerances, norms=norms)
-    history = results[-1].residual_history
-    tested = [0] + [k for k in range(1, history.size + 1) if not np.isnan(history[k - 1])]
+    tested = [k for k, _ in results[-1].true_residuals]
     drifted = [k for k, (true, recursive, _, sample) in enumerate(norms[:-1], 1)
                if sample and true > solver.TRUE_RESIDUAL_MARGIN * recursive]
     return config, results[-1], tested, (drifted[0] if drifted else None), norms
@@ -957,7 +983,8 @@ class TestBlockedDot:
         assert (result.iterations, result.status) == (iterations, status) == (10, "max_iterations")
         tol = 1000 * np.finfo(dtype).eps
         np.testing.assert_allclose(result.x, x, rtol=0, atol=tol * float(np.abs(x).max()))
-        np.testing.assert_allclose(result.residual_history, history, rtol=tol)
+        np.testing.assert_allclose(
+            result.true_residuals[1:], true_residuals_of(history), rtol=tol)
 
     def test_small_run_makes_plain_dots(self, monkeypatch):
         config = SolveConfig(tolerance=1e-8, max_iterations=4)
@@ -973,8 +1000,8 @@ class TestBlockedDot:
                              stagnation_factor=1.0)
         result, calls = self.counted_run(monkeypatch, n, config)
         (ref,) = cg_reference(*self.system(n), None, config, None, (1e-8,))
-        assert result.iterations == ref[1] == 4 and n_tested(ref[4]) == 4
-        assert calls == [n] * (3 + 2 * 4 + n_tested(ref[4]))
+        assert result.iterations == ref[1] == 4 and len(true_residuals_of(ref[4])) == 4
+        assert calls == [n] * (3 + 2 * 4 + 4)
         # No ||b|| in absolute mode.
         absolute = replace(config, residual_mode="absolute")
         result, calls = self.counted_run(monkeypatch, n, absolute)
@@ -984,7 +1011,7 @@ class TestBlockedDot:
         # that norm is near the threshold, and on the last.
         lazy = no_stagnation(replace(config, max_iterations=3))
         result, calls = self.counted_run(monkeypatch, n, lazy, precondition=True)
-        tested = n_tested(result.residual_history)
+        tested = len(result.true_residuals) - 1
         assert result.iterations == 3 and tested == 1
         assert len(calls) == 3 + 2 * 3 + 2 + tested
         # A guarded Jacobi run far from its threshold, before any drift,
@@ -996,8 +1023,8 @@ class TestBlockedDot:
         A, b = self.system(n)
         (ref,) = cg_reference(A, b, None, sampled, _inverse_diagonal(A), (1e-30,))
         assert result.iterations == ref[1] == 6
-        assert np.array_equal(np.isnan(result.residual_history), np.isnan(ref[4]))
-        assert np.flatnonzero(~np.isnan(ref[4])).tolist() == [0, 2, 4, 5]
+        tested = [k for k, _ in result.true_residuals[1:]]
+        assert tested == [k for k, _ in true_residuals_of(ref[4])] == [1, 3, 5, 6]
         assert len(calls) == 3 + 2 * 6 + 5 + 4
 
     def test_iterates_do_not_depend_on_blas_threads(self):

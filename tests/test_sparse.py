@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,18 @@ def identity(n, dtype=np.float64):
     return from_coordinates([(i, i, 1.0) for i in range(n)], n, dtype=dtype)
 
 
+def traced_peak_mb(call) -> float:
+    """Peak traced allocation of ``call()``, in MB; ``call`` must raise
+    MissingDiagonalError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(MissingDiagonalError, match="every row needs an explicit diagonal"):
+            call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 class TestFromCoordinates:
     def test_one_by_one_identity(self):
         A = from_coordinates([(0, 0, 1.0)], 1)
@@ -68,6 +82,16 @@ class TestFromCoordinates:
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateEntryError):
             from_coordinates([(0, 0, 1.0), (0, 0, 2.0)], 1)
+
+    def test_fewer_entries_than_rows_fail_before_any_array_of_n(self):
+        # Row starts alone would take 8 MB; one entry cannot fill a diagonal.
+        assert traced_peak_mb(lambda: from_coordinates([(0, 0, 1.0)], 2_000_000)) < 1
+        # The count is of mirrored entries: mirrored, one entry makes two
+        # for two rows, which reach the value check.
+        with pytest.raises(MissingDiagonalError):
+            from_coordinates([(0, 1, np.nan)], 2)
+        with pytest.raises(ValueError, match="not finite"):
+            from_coordinates([(0, 1, np.nan)], 2, mirror=True)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -610,6 +634,13 @@ class TestMatrixMarket:
         )
         with pytest.raises(MissingDiagonalError):
             read_matrix_market(p)
+
+    def test_declared_size_beyond_the_entries_fails_small(self, tmp_path):
+        p = tmp_path / "huge.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n20000000 20000000 1\n1 1 1.0\n"
+        )
+        assert traced_peak_mb(lambda: read_matrix_market(p)) < 1
 
     def test_bad_entry_reports_line(self, tmp_path):
         p = tmp_path / "bad.mtx"
