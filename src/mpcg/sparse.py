@@ -30,6 +30,7 @@ least once per ``_COO_ENTRIES_PER_CHANGE`` stored entries; CSR otherwise.
 
 from __future__ import annotations
 
+import re
 import warnings
 from functools import partial
 from operator import attrgetter, index
@@ -211,7 +212,8 @@ def _integral_indices(triplet) -> tuple[int, int]:
 
 
 def _from_arrays(
-    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int, mirror: bool
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int, mirror: bool,
+    validate: bool = True,
 ) -> SparseSymMatrix:
     """CSR assembly of coordinate arrays in O(nnz), as ``from_coordinates``.
 
@@ -225,7 +227,9 @@ def _from_arrays(
     duplicate as an equal adjacent column within a row, so its error names
     the first in (row, col) order.  Fewer mirrored entries than rows
     cannot hold a diagonal, and fail so before any array of length n is
-    allocated: a size line can declare any n.
+    allocated: a size line can declare any n.  ``validate=False`` leaves
+    the validation to a caller that holds the coordinates and lets them go
+    first, as ``read_matrix_market``'s strict path does.
     """
     if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)):
         raise TypeError(f"triplet indices must be integers, not {rows.dtype} and {cols.dtype}")
@@ -261,7 +265,7 @@ def _from_arrays(
     )
     del rows, cols, vals  # validate with only the CSR arrays left
     _sparsetools.csr_sort_indices(n, row_starts, col_indices, values)
-    return SparseSymMatrix(row_starts, col_indices, values)
+    return SparseSymMatrix(row_starts, col_indices, values, validate)
 
 
 def spmv(A: SparseSymMatrix, x: np.ndarray) -> np.ndarray:
@@ -435,15 +439,78 @@ def _parses(line: str) -> bool:
     return True
 
 
+# The strict entry grammar: ``<digits> <digits> <decimal float>\n`` per
+# line, that is ``[0-9]++ [0-9]++ [-+]?+(?:[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)
+# (?:[eE][-+]?+[0-9]++)?+\n``.  The expression runs on the body translated
+# by ``_ENTRY_CLASSES``, which maps every digit to "0", "+" to "-" and "E"
+# to "e" and leaves every other byte as it is: the grammar treats the
+# members of each class alike, so a body matches the grammar exactly when
+# its translation matches ``_STRICT_ENTRIES``, whose single literals sre
+# scans faster than character sets.
+_ENTRY_CLASSES = bytes.maketrans(b"123456789+E", b"000000000-e")
+_STRICT_ENTRIES = re.compile(rb"(?:0++ 0++ -?+(?:0++(?:\.0*+)?+|\.0++)(?:e-?+0++)?+\n)*+")
+_READ_BLOCK = 2**16  # bytes read and translated at a time: one large copy of the body
+
+
+def _strict_read(path, raw, body: int, n_entries: int, n: int, symmetric: bool):
+    """The matrix in the file from scipy's compiled parser, or None.
+
+    ``raw`` is the file at ``path`` in binary mode and ``body`` the offset
+    of the line after the size line.  The body must be exactly
+    ``n_entries`` lines of the strict grammar above, checked on one
+    translated copy that is let go before the parse: ``mmread`` keeps the
+    valid prefix of a token (``1.2.3`` reads as 1.2, ``2_0`` as 2) and
+    reads a fourth column or a second entry on a line without an error.
+    Then ``mmread`` parses the file at ``path`` and appends the mirrors of
+    a symmetric file's off-diagonal entries, as ``_from_arrays`` does.
+    Its result counts only if it holds the size line's shape, the number
+    of entries that count and header imply, and finite values.  None
+    sends the file to the ``np.loadtxt`` path, which gives an index out of
+    range, a value beyond binary64 and every other fault its line-numbered
+    error.
+    """
+    raw.seek(body)
+    text = bytearray()
+    for block in iter(partial(raw.read, _READ_BLOCK), b""):
+        text += block.translate(_ENTRY_CLASSES)
+    if text.count(b"\n") != n_entries or not _STRICT_ENTRIES.fullmatch(text):
+        return None
+    del text
+    from scipy.io import mmread  # on first use: importing mpcg.cli does not pay for it
+
+    try:
+        coo = mmread(path, spmatrix=False)
+    # an index out of range or beyond int64, or a path that mmread reads
+    # otherwise than open(): bytes, a descriptor, a name ending in .gz or .bz2
+    except (ValueError, OverflowError, OSError, TypeError):
+        return None
+    rows, cols, values = coo.row, coo.col, coo.data
+    mirrored = np.count_nonzero(rows[:n_entries] != cols[:n_entries]) if symmetric else 0
+    if coo.shape != (n, n) or rows.size != n_entries + mirrored or not np.isfinite(values).all():
+        return None
+    A = _from_arrays(rows, cols, values, n, mirror=False, validate=False)
+    del coo, rows, cols, values  # validate with only the CSR arrays left
+    A._validate(A.nnz)
+    return A
+
+
 def read_matrix_market(path) -> SparseSymMatrix:
     """Read a coordinate-format file with a symmetric or general header.
 
     Symmetric files are mirrored; general files must already contain both
     halves and are validated for symmetry.  Entry values must be finite.
-    The entries are parsed by one ``np.loadtxt`` call; a file that fails
-    it, or the checks after it, is parsed again line by line, which
-    accepts comment lines among the entries and otherwise raises
-    MatrixMarketParseError at the first offending line.
+    A body of exactly the declared number of ``row col value`` lines, each
+    three tokens split by single spaces, unsigned decimal indices and a
+    decimal value (optional sign, fraction and exponent, no NaN or Inf),
+    every line ending in a line feed, is parsed by ``scipy.io.mmread``'s
+    compiled parser (``_strict_read``); ``write_matrix_market`` writes
+    such files.  Any other file, or one whose parse holds an index
+    out of range or a value that is not finite, is parsed by one
+    ``np.loadtxt`` call, and a file that fails it, or the checks after it,
+    again line by line, which accepts comment lines among the entries and
+    otherwise raises MatrixMarketParseError at the first offending line.
+    Both paths return the same arrays, bit for bit, on every file the
+    first accepts.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         first = fh.readline()
@@ -481,6 +548,10 @@ def read_matrix_market(path) -> SparseSymMatrix:
             raise MatrixMarketParseError("matrix must be square and nonempty", lineno)
 
         body = fh.tell()
+        A = _strict_read(path, fh.buffer, body, n_entries, n_rows, symmetric)
+        if A is not None:
+            return A
+        fh.seek(body)
         try:
             entries = _parse_entries(fh)
         except ValueError:

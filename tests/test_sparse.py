@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +42,93 @@ from oracles import (
 
 
 MM_HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
+
+
+MM_BODY = ["1 1 4.0", "2 1 -1.5", "2 2 4.0", "3 2 0.5", "3 3 4.0"]
+LENIENT_TOKENS = ["1.2.3", "1e5e3", "1-2", "1e", "1e+", "1..2", "1ee2", "2_0", "0x10", "2.0x"]
+MALFORMED = ("line 4: malformed entry", 4)
+OUT_OF_RANGE = ("line 4: index out of range", 4)
+NOT_FINITE = ("line 4: value is not finite", 4)
+
+
+def mm_text(entries, size="3 3 5", sep="\n", end="\n"):
+    return MM_HEADER + size + "\n" + sep.join(entries) + end
+
+
+def entry_at(k, line):
+    """``MM_BODY`` with entry ``k`` (file line ``k + 3``) replaced."""
+    return MM_BODY[:k] + [line] + MM_BODY[k + 1:]
+
+
+# Files next to the strict grammar, each with the outcome of the np.loadtxt
+# path: None for the arrays of mm_text(MM_BODY), else (message, line).
+STRICTNESS_CASES = [
+    *(pytest.param(mm_text(entry_at(1, f"2 1 {tok}")), MALFORMED, id=f"value {tok}")
+      for tok in LENIENT_TOKENS),
+    *(pytest.param(mm_text(entry_at(1, f"{tok} 1 -1.5")), MALFORMED, id=f"row {tok}")
+      for tok in LENIENT_TOKENS),
+    pytest.param(mm_text(entry_at(1, "2 1 -1.5 5")), ("line 4: entry needs 'row col value'", 4),
+                 id="fourth column"),
+    pytest.param(mm_text(["1 1 4.0", "2 1 -1.5 2 2 4.0"] + MM_BODY[3:]),
+                 ("line 4: entry needs 'row col value'", 4), id="two entries on a line"),
+    pytest.param(mm_text(entry_at(0, "+1 1 4.0")), None, id="plus index"),
+    *(pytest.param(mm_text(entry_at(1, f"2 1 {tok}")), NOT_FINITE, id=f"value {tok}")
+      for tok in ["nan", "inf", "-inf", "1e400"]),
+    *(pytest.param(mm_text(entry_at(1, line)), OUT_OF_RANGE, id=f"index {line}")
+      for line in ["0 1 -1.5", "2 0 -1.5", "4 1 -1.5", "2 4 -1.5",
+                   "99999999999 1 -1.5", "2 99999999999 -1.5"]),
+    pytest.param(mm_text(MM_BODY, sep="\r\n", end="\r\n"), None, id="crlf"),
+    pytest.param(mm_text([line.replace(" ", "\t") for line in MM_BODY]), None, id="tabs"),
+    pytest.param(mm_text(entry_at(1, "2 1 -1.5 ")), None, id="trailing space"),
+    pytest.param(mm_text(MM_BODY, end=""), None, id="no final newline"),
+    pytest.param(mm_text(MM_BODY[:2] + ["% note"] + MM_BODY[2:]), None, id="body comment"),
+    pytest.param(mm_text(MM_BODY[:-1]), ("line 7: expected 5 entries, found 4", 7),
+                 id="one entry fewer"),
+    pytest.param(mm_text(MM_BODY + ["3 1 2.0"]),
+                 ("line 8: more entries than the size line declares", 8), id="one entry more"),
+]
+
+
+def read_outcome(path):
+    """The three CSR arrays ``read_matrix_market`` returns, or its error's
+    type, text and line number."""
+    try:
+        A = read_matrix_market(path)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return A.row_starts, A.col_indices, A.values
+
+
+def refuse_loadtxt(lines):
+    raise AssertionError("the np.loadtxt path ran")
+
+
+def without_fast_path(*args):
+    return None
+
+
+# Values next to the ends of binary64: subnormals, both zeros, the largest.
+EXTREME_VALUES = [5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                  -0.0, 0.0, 1.7976931348623157e308, -1.7976931348623157e308, 1e-300]
+
+
+@st.composite
+def extreme_matrices(draw):
+    """Symmetric binary64 matrices with a full diagonal, values drawn from
+    all finite floats and from ``EXTREME_VALUES``."""
+    n = draw(st.integers(1, 8))
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from(EXTREME_VALUES))
+    upper = draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1]),
+        max_size=2 * n,
+    ))
+    trips = [(i, i, draw(value)) for i in range(n)]
+    for i, j in sorted(upper):
+        v = draw(value)
+        trips += [(i, j, v), (j, i, v)]
+    return from_coordinates(trips, n)
+
 
 
 def identity(n, dtype=np.float64):
@@ -640,6 +732,9 @@ class TestMatrixMarket:
         p.write_text(
             "%%MatrixMarket matrix coordinate real symmetric\n20000000 20000000 1\n1 1 1.0\n"
         )
+        # untraced first: the first strict read in a process imports scipy.io (1 MB)
+        with pytest.raises(MissingDiagonalError):
+            read_matrix_market(p)
         assert traced_peak_mb(lambda: read_matrix_market(p)) < 1
 
     def test_bad_entry_reports_line(self, tmp_path):
@@ -717,3 +812,73 @@ class TestMatrixMarket:
             "% a comment\n\n1 1 1\n\n% another\n1 1 1.0\n"
         )
         assert read_matrix_market(p).n == 1
+
+    @pytest.mark.parametrize("text, error", STRICTNESS_CASES)
+    def test_strict_grammar_keeps_the_loadtxt_outcome(self, tmp_path, monkeypatch, text, error):
+        p = tmp_path / "m.mtx"
+        p.write_bytes(text.encode("ascii"))
+        got = read_outcome(p)
+        if error is None:
+            clean = tmp_path / "clean.mtx"
+            clean.write_text(mm_text(MM_BODY))
+            assert_same_outcome(got, read_outcome(clean))
+        else:
+            assert got == (MatrixMarketParseError, *error)
+        monkeypatch.setattr(sparse_module, "_strict_read", without_fast_path)
+        assert_same_outcome(got, read_outcome(p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(extreme_matrices())
+    def test_fast_path_round_trip_matches_loadtxt_path(self, A):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            p = Path(tmp) / "m.mtx"
+            write_matrix_market(A, p)
+            mp.setattr(sparse_module, "_parse_entries", refuse_loadtxt)
+            fast = read_outcome(p)
+            mp.undo()
+            mp.setattr(sparse_module, "_strict_read", without_fast_path)
+            slow = read_outcome(p)
+        assert_same_outcome(fast, slow)
+        assert_same_outcome(fast, (A.row_starts, A.col_indices, A.values))
+
+    def test_symmetric_file_with_both_halves_names_the_duplicate(self, tmp_path, monkeypatch):
+        p = tmp_path / "dup.mtx"
+        p.write_text(mm_text(["1 1 2.0", "3 2 1.0", "3 1 4", "2 3 1.0", "2 2 2.0", "3 3 1"],
+                             size="3 3 6"))
+        want = (DuplicateEntryError, "position (1, 2) appears twice", None)
+        monkeypatch.setattr(sparse_module, "_strict_read", without_fast_path)
+        assert read_outcome(p) == want
+        monkeypatch.undo()
+        monkeypatch.setattr(sparse_module, "_parse_entries", refuse_loadtxt)
+        assert read_outcome(p) == want
+
+    @pytest.mark.parametrize("kind", ["str", "bytes", "gz name", "descriptor"])
+    def test_every_path_kind_reads_alike(self, tmp_path, kind):
+        # mmread opens a path itself and takes no bytes path or descriptor,
+        # and it decompresses a name ending in .gz: such files take np.loadtxt
+        p = tmp_path / "m.mtx"
+        p.write_text(mm_text(MM_BODY))
+        if kind == "gz name":
+            source = p.rename(tmp_path / "m.mtx.gz")
+        elif kind == "descriptor":
+            source = os.open(p, os.O_RDONLY)  # the reader's open() closes it
+        else:
+            source = {"str": str(p), "bytes": os.fsencode(p)}[kind]
+        A = from_coordinates(
+            [(0, 0, 4.0), (1, 0, -1.5), (1, 1, 4.0), (2, 1, 0.5), (2, 2, 4.0)], 3, mirror=True
+        )
+        assert_same_outcome(read_outcome(source), (A.row_starts, A.col_indices, A.values))
+
+    def test_cli_import_leaves_scipy_io_to_the_first_read(self, tmp_path):
+        p = tmp_path / "one.mtx"
+        p.write_text(mm_text(["1 1 1.0"], size="1 1 1"))
+        script = (
+            "import sys\nimport mpcg.cli\nprint('scipy.io' in sys.modules)\n"
+            f"mpcg.cli.read_matrix_market({str(p)!r})\nprint('scipy.io' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(sparse_module.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.split() == ["False", "True"]
