@@ -30,6 +30,7 @@ least once per ``_COO_ENTRIES_PER_CHANGE`` stored entries; CSR otherwise.
 
 from __future__ import annotations
 
+import os
 import re
 import warnings
 from functools import partial
@@ -439,54 +440,67 @@ def _parses(line: str) -> bool:
     return True
 
 
-# The strict entry grammar: ``<digits> <digits> <decimal float>\n`` per
-# line, that is ``[0-9]++ [0-9]++ [-+]?+(?:[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)
-# (?:[eE][-+]?+[0-9]++)?+\n``.  The expression runs on the body translated
-# by ``_ENTRY_CLASSES``, which maps every digit to "0", "+" to "-" and "E"
-# to "e" and leaves every other byte as it is: the grammar treats the
-# members of each class alike, so a body matches the grammar exactly when
-# its translation matches ``_STRICT_ENTRIES``, whose single literals sre
-# scans faster than character sets.
-_ENTRY_CLASSES = bytes.maketrans(b"123456789+E", b"000000000-e")
-_STRICT_ENTRIES = re.compile(rb"(?:0++ 0++ -?+(?:0++(?:\.0*+)?+|\.0++)(?:e-?+0++)?+\n)*+")
-_READ_BLOCK = 2**16  # bytes read and translated at a time: one large copy of the body
+# The strict entry grammar, ``<digits> <digits> <decimal float>\n`` per
+# line.  Its possessive quantifiers (Python 3.11 on) never give back what
+# they matched, so sre checks a body of any size in one pass.
+_STRICT_ENTRIES = re.compile(
+    rb"(?:[0-9]++ [0-9]++ [-+]?+(?:[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE][-+]?+[0-9]++)?+\n)*+"
+)
+_FILE_VERSION = attrgetter("st_size", "st_mtime_ns")  # both change when a file is written
 
 
-def _strict_read(path, raw, body: int, n_entries: int, n: int, symmetric: bool):
+def _strict_read(fh, body: int, lines: int, n_entries: int, n: int, symmetric: bool):
     """The matrix in the file from scipy's compiled parser, or None.
 
-    ``raw`` is the file at ``path`` in binary mode and ``body`` the offset
-    of the line after the size line.  The body must be exactly
-    ``n_entries`` lines of the strict grammar above, checked on one
-    translated copy that is let go before the parse: ``mmread`` keeps the
-    valid prefix of a token (``1.2.3`` reads as 1.2, ``2_0`` as 2) and
-    reads a fourth column or a second entry on a line without an error.
-    Then ``mmread`` parses the file at ``path`` and appends the mirrors of
-    a symmetric file's off-diagonal entries, as ``_from_arrays`` does.
-    Its result counts only if it holds the size line's shape, the number
-    of entries that count and header imply, and finite values.  None
-    sends the file to the ``np.loadtxt`` path, which gives an index out of
+    ``fh`` is the file in text mode and ``body`` its ``tell()`` after its
+    first ``lines`` lines, the last of them the size line.  The file's
+    bytes are read once, and the body after their ``lines``-th line feed
+    must start at ``body`` (text mode also ends a line at a lone carriage
+    return, and its ``tell()`` is an opaque cookie, not always a byte
+    offset, once it has read one) and be exactly ``n_entries`` lines of
+    the strict grammar above: ``mmread`` keeps the valid prefix of a token
+    (``1.2.3`` reads as 1.2, ``2_0`` as 2) and reads a fourth column or a
+    second entry on a line without an error.  The copy is let go before
+    ``mmread`` parses the same open file and appends the mirrors of a
+    symmetric file's off-diagonal entries, as ``_from_arrays`` does.  Its
+    result counts only if the file's size and time stamp did not change
+    meanwhile, and the result holds the size line's shape, the number of
+    entries that count and header imply, and finite values.  None sends
+    the file to the ``np.loadtxt`` path, which gives an index out of
     range, a value beyond binary64 and every other fault its line-numbered
     error.
     """
-    raw.seek(body)
-    text = bytearray()
-    for block in iter(partial(raw.read, _READ_BLOCK), b""):
-        text += block.translate(_ENTRY_CLASSES)
-    if text.count(b"\n") != n_entries or not _STRICT_ENTRIES.fullmatch(text):
+    raw = fh.buffer
+    version = _FILE_VERSION(os.fstat(raw.fileno()))
+    raw.seek(0)
+    text = raw.read()
+    start = 0
+    for _ in range(lines):
+        start = text.find(b"\n", start) + 1
+        if start == 0:
+            return None
+    if (
+        start != body
+        or text.count(b"\n", start) != n_entries
+        or not _STRICT_ENTRIES.fullmatch(text, start)
+    ):
         return None
     del text
     from scipy.io import mmread  # on first use: importing mpcg.cli does not pay for it
 
+    raw.seek(0)
     try:
-        coo = mmread(path, spmatrix=False)
-    # an index out of range or beyond int64, or a path that mmread reads
-    # otherwise than open(): bytes, a descriptor, a name ending in .gz or .bz2
-    except (ValueError, OverflowError, OSError, TypeError):
+        coo = mmread(raw, spmatrix=False)
+    except (ValueError, OverflowError):  # an index out of range or beyond int64
         return None
     rows, cols, values = coo.row, coo.col, coo.data
     mirrored = np.count_nonzero(rows[:n_entries] != cols[:n_entries]) if symmetric else 0
-    if coo.shape != (n, n) or rows.size != n_entries + mirrored or not np.isfinite(values).all():
+    if (
+        _FILE_VERSION(os.fstat(raw.fileno())) != version
+        or coo.shape != (n, n)
+        or rows.size != n_entries + mirrored
+        or not np.isfinite(values).all()
+    ):
         return None
     A = _from_arrays(rows, cols, values, n, mirror=False, validate=False)
     del coo, rows, cols, values  # validate with only the CSR arrays left
@@ -548,7 +562,7 @@ def read_matrix_market(path) -> SparseSymMatrix:
             raise MatrixMarketParseError("matrix must be square and nonempty", lineno)
 
         body = fh.tell()
-        A = _strict_read(path, fh.buffer, body, n_entries, n_rows, symmetric)
+        A = _strict_read(fh, body, lineno, n_entries, n_rows, symmetric)
         if A is not None:
             return A
         fh.seek(body)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.io
 from scipy.sparse import _sparsetools
 
 import mpcg.sparse as sparse_module
@@ -49,6 +50,11 @@ LENIENT_TOKENS = ["1.2.3", "1e5e3", "1-2", "1e", "1e+", "1..2", "1ee2", "2_0", "
 MALFORMED = ("line 4: malformed entry", 4)
 OUT_OF_RANGE = ("line 4: index out of range", 4)
 NOT_FINITE = ("line 4: value is not finite", 4)
+MM_ARRAYS = (  # the CSR arrays of the file mm_text(MM_BODY)
+    np.array([0, 2, 5, 7], dtype=np.int32),
+    np.array([0, 1, 0, 1, 2, 1, 2], dtype=np.int32),
+    np.array([4.0, -1.5, -1.5, 4.0, 0.5, 0.5, 4.0]),
+)
 
 
 def mm_text(entries, size="3 3 5", sep="\n", end="\n"):
@@ -853,9 +859,8 @@ class TestMatrixMarket:
         assert read_outcome(p) == want
 
     @pytest.mark.parametrize("kind", ["str", "bytes", "gz name", "descriptor"])
-    def test_every_path_kind_reads_alike(self, tmp_path, kind):
-        # mmread opens a path itself and takes no bytes path or descriptor,
-        # and it decompresses a name ending in .gz: such files take np.loadtxt
+    def test_every_path_kind_takes_the_fast_path(self, tmp_path, monkeypatch, kind):
+        # mmread parses the file the reader opened, whatever named it
         p = tmp_path / "m.mtx"
         p.write_text(mm_text(MM_BODY))
         if kind == "gz name":
@@ -864,10 +869,46 @@ class TestMatrixMarket:
             source = os.open(p, os.O_RDONLY)  # the reader's open() closes it
         else:
             source = {"str": str(p), "bytes": os.fsencode(p)}[kind]
-        A = from_coordinates(
-            [(0, 0, 4.0), (1, 0, -1.5), (1, 1, 4.0), (2, 1, 0.5), (2, 2, 4.0)], 3, mirror=True
-        )
-        assert_same_outcome(read_outcome(source), (A.row_starts, A.col_indices, A.values))
+        monkeypatch.setattr(sparse_module, "_parse_entries", refuse_loadtxt)
+        assert_same_outcome(read_outcome(source), MM_ARRAYS)
+
+    @pytest.mark.parametrize("ending", ["\r", "\r\n"])
+    def test_header_lines_across_the_text_buffer(self, tmp_path, ending):
+        # Text mode reads 8 KiB at a time and also ends a line at a lone
+        # carriage return; with one at the end of such a block its tell() is
+        # an opaque cookie, not a byte offset.  Every alignment of the
+        # comment and size line ends with that block reads alike.
+        p = tmp_path / "m.mtx"
+        for pad in range(8170, 8200):
+            comment = "%" + "x" * (pad - len(MM_HEADER)) + "\n%c" + ending
+            p.write_text(MM_HEADER + comment + "3 3 5" + ending + "\n".join(MM_BODY) + "\n")
+            assert_same_outcome(read_outcome(p), MM_ARRAYS)
+
+    def test_file_replaced_before_the_parse_reads_as_checked(self, tmp_path, monkeypatch):
+        p, other = tmp_path / "m.mtx", tmp_path / "other.mtx"
+        p.write_text(mm_text(MM_BODY))
+        other.write_text(mm_text(entry_at(1, "2 1 7.0")))
+        parse = scipy.io.mmread
+
+        def replace_then_parse(source, **kwargs):
+            os.replace(other, p)
+            return parse(source, **kwargs)
+
+        monkeypatch.setattr(scipy.io, "mmread", replace_then_parse)
+        monkeypatch.setattr(sparse_module, "_parse_entries", refuse_loadtxt)
+        assert_same_outcome(read_outcome(p), MM_ARRAYS)
+
+    def test_file_rewritten_before_the_parse_takes_the_loadtxt_path(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.mtx"
+        p.write_text(mm_text(MM_BODY))
+        parse = scipy.io.mmread
+
+        def rewrite_then_parse(source, **kwargs):
+            p.write_text(mm_text(entry_at(1, "2 1 -1.5.3")))  # mmread reads -1.5
+            return parse(source, **kwargs)
+
+        monkeypatch.setattr(scipy.io, "mmread", rewrite_then_parse)
+        assert read_outcome(p) == (MatrixMarketParseError, *MALFORMED)
 
     def test_cli_import_leaves_scipy_io_to_the_first_read(self, tmp_path):
         p = tmp_path / "one.mtx"
