@@ -516,13 +516,14 @@ def read_matrix_market(path) -> SparseSymMatrix:
     A body of exactly the declared number of ``row col value`` lines, each
     three tokens split by single spaces, unsigned decimal indices and a
     decimal value (optional sign, fraction and exponent, no NaN or Inf),
-    every line ending in a line feed, is parsed by ``scipy.io.mmread``'s
-    compiled parser (``_strict_read``); ``write_matrix_market`` writes
-    such files.  Any other file, or one whose parse holds an index
-    out of range or a value that is not finite, is parsed by one
-    ``np.loadtxt`` call, and a file that fails it, or the checks after it,
-    again line by line, which accepts comment lines among the entries and
-    otherwise raises MatrixMarketParseError at the first offending line.
+    every line ending in a line feed, header lines included, is parsed by
+    ``scipy.io.mmread``'s compiled parser (``_strict_read``);
+    ``write_matrix_market`` writes such files.  Any other file, or one
+    whose parse holds an index out of range or a value that is not finite,
+    is parsed by one ``np.loadtxt`` call, and a file that fails it, or the
+    checks after it, again line by line, which accepts comment lines among
+    the entries and otherwise raises MatrixMarketParseError at the first
+    offending line.
     Both paths return the same arrays, bit for bit, on every file the
     first accepts.
     """
