@@ -7,7 +7,6 @@ import contextlib
 import json
 import math
 import os
-import secrets
 import stat
 import sys
 
@@ -36,7 +35,7 @@ def atomic_write(path):
         return
     real = os.path.realpath(path)
     head, tail = os.path.split(real)
-    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:  # name the file asked for, not the hidden one

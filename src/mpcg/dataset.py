@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -554,14 +553,21 @@ def build_sample(
     Records appear in spec order regardless of worker count, so the output
     file is byte-identical for any ``threads`` value.  At most one worker
     process starts per spec, since a pool starts all its workers at once;
-    with one spec or none the specs are labelled in this process.
-    Per-matrix failures are logged and skipped.
+    with one spec or none the specs are labelled in this process.  The
+    labelling engine's scipy modules are imported before a pool starts,
+    so its forked workers inherit them and a process that labels several
+    times imports them once.  Per-matrix failures are logged and skipped.
     """
     if config is None:
         config = SolveConfig(tolerance=grid.epsilon2)
     jobs = [(spec, grid, config, i) for i, spec in enumerate(specs)]
     workers = min(threads, len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        import scipy.linalg.blas  # noqa: F401 - for the workers, see above
+        import scipy.sparse.csgraph  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_label_one_spec, jobs, chunksize=1))
     else:

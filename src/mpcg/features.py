@@ -6,16 +6,18 @@ from a double sweep of scipy's compiled breadth-first search over the
 matrix structure, every component at once from one virtual source, with
 hop counts read off the search tree by pointer doubling; the two eigenvalue
 estimates come from Gershgorin discs of the matrix itself and of two
-diagonal rescalings of it.  None of these touch an eigensolver.
+diagonal rescalings of it.  None of these touch an eigensolver.  csgraph,
+which brings scipy.sparse.linalg and scipy.linalg with it, is imported by
+the functions that search a graph, so only a command that computes
+features loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse import csgraph
 
 from .errors import (
     DegenerateIntervalError,
@@ -23,6 +25,9 @@ from .errors import (
     NonpositiveDiagonalError,
 )
 from .sparse import SparseSymMatrix, _entry_rows
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "Interval",
@@ -73,6 +78,8 @@ class FeatureVector:
 def _virtual_graph(A: SparseSymMatrix, sources: np.ndarray) -> scipy.sparse.csr_matrix:
     """A's structure plus a vertex n joined to each of ``sources``, its last
     row; csgraph reads only the structure, so the values are ones."""
+    import scipy.sparse
+
     m = A.nnz + sources.size
     indices = np.concatenate([A.col_indices, sources.astype(A.col_indices.dtype)])
     indptr = np.append(A.row_starts, m)
@@ -89,6 +96,8 @@ def _hop_distances(graph: scipy.sparse.csr_matrix) -> np.ndarray:
     each vertex holds its ancestor 2**r levels up and the hops to it, so
     log2(depth) vectorised rounds reach the root.
     """
+    from scipy.sparse import csgraph
+
     n = graph.shape[0] - 1
     _, up = csgraph.breadth_first_order(graph, n, directed=True, return_predecessors=True)
     up[n] = n
@@ -125,6 +134,8 @@ def pseudo_diameter(A: SparseSymMatrix) -> int:
     The largest value over the components is returned; a matrix with no
     off-diagonal entries has pseudo-diameter 0.
     """
+    from scipy.sparse import csgraph
+
     # On A's symmetric structure: no transpose, unlike directed=False
     count, labels = csgraph.connected_components(A._csr, directed=True, connection="strong")
     degrees = A.row_lengths() - 1  # diagonal entry is always present

@@ -89,6 +89,8 @@ across threads, which made binary64 CG on 10^5 unknowns slower, and
 iteration's updates took 263-266 against 240-249 us in binary64, 113-141
 against 89-104 us in binary32, medians of 15 rounds on a 2-core host).
 So the iterates rest on the BLAS builds of numpy and scipy both.
+scipy's BLAS is imported by the first CG run, not by this module, so a
+command that solves nothing starts without scipy.
 """
 
 from __future__ import annotations
@@ -98,7 +100,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.blas import get_blas_funcs
 
 from .errors import (
     CgBreakdownError,
@@ -303,6 +304,8 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     test at a sample or on the last iteration counts for every threshold,
     one near a threshold only for those it is near.
     """
+    from scipy.linalg.blas import get_blas_funcs  # deferred: see the module notes
+
     b, x = _check_operands(A, b, x0)
     n, storage = A.n, x.dtype.type
     small = n <= _DOT_BLOCK

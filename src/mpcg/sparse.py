@@ -26,6 +26,10 @@ the predictor learns a short sequence; COO wins from between 2000 and
 Hence the rule: COO when A has more than ``_COO_MIN_ROWS`` rows, past
 the crossover and every desk-size matrix, and its row length changes at
 least once per ``_COO_ENTRIES_PER_CHANGE`` stored entries; CSR otherwise.
+
+scipy.sparse is imported by the functions that build or multiply a
+matrix, not by this module, so a command that never holds one (``mpcg
+generate``, ``train``, ``evaluate``) starts without scipy.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ from operator import attrgetter, index
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse import _sparsetools
 
 from .errors import (
     AsymmetricInputError,
@@ -86,6 +88,8 @@ class SparseSymMatrix:
     __slots__ = ("_csr",)
 
     def __init__(self, row_starts, col_indices, values, validate: bool = True):
+        import scipy.sparse  # deferred, as every scipy import here: see the module notes
+
         values = np.ascontiguousarray(values)
         if values.dtype not in _VALUE_DTYPES:
             values = values.astype(np.float64)
@@ -142,6 +146,8 @@ class SparseSymMatrix:
         """Check the arrays; ``m`` is the length of the column indices given,
         of which scipy keeps only the first ``row_starts[-1]``.  A^T's arrays
         come from sparsetools' ``csr_tocsc``, rows increasing per column."""
+        from scipy.sparse import _sparsetools
+
         n, rs, cols, values = self.n, self.row_starts, self.col_indices, self.values
         if n < 1:
             raise ValueError("matrix dimension must be at least 1")
@@ -232,6 +238,8 @@ def _from_arrays(
     the validation to a caller that holds the coordinates and lets them go
     first, as ``read_matrix_market``'s strict path does.
     """
+    from scipy.sparse import _sparsetools, get_index_dtype
+
     if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)):
         raise TypeError(f"triplet indices must be integers, not {rows.dtype} and {cols.dtype}")
     if not rows.ndim == 1 or not rows.shape == cols.shape == vals.shape:
@@ -248,7 +256,7 @@ def _from_arrays(
         m += int(np.count_nonzero(off))
     if m < n:
         raise MissingDiagonalError("every row needs an explicit diagonal entry")
-    index_dtype = scipy.sparse.get_index_dtype(maxval=max(n, m))
+    index_dtype = get_index_dtype(maxval=max(n, m))
     rows, cols = rows.astype(index_dtype, copy=False), cols.astype(index_dtype, copy=False)
     if mirror:
         rows, cols = (
@@ -310,6 +318,8 @@ def _accumulate_product(A: SparseSymMatrix):
     int32) cost O(nnz) per call of this helper, not per product: a CG run
     calls it once, for its initial residual and its loop alike.
     """
+    from scipy.sparse import _sparsetools
+
     n, csr = A.n, A._csr
     if n > _COO_MIN_ROWS:
         changes = np.count_nonzero(np.diff(A.row_lengths()))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -489,12 +490,33 @@ class TestBuildSample:
             def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(mpcg.dataset, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         specs = [GraphSpec("path", 20, seed=i) for i in range(count)]
         build_sample(specs, EpsilonGrid(), tmp_path / "pooled.jsonl", threads=3)
         build_sample(specs, EpsilonGrid(), tmp_path / "serial.jsonl")
         assert pools == ([] if workers is None else [workers])
         assert (tmp_path / "pooled.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+
+    def test_pool_starts_with_the_engine_imported(self, tmp_path):
+        # Workers fork from a parent that holds the engine's scipy modules,
+        # which a fresh interpreter's import of mpcg does not load.
+        script = (
+            "import concurrent.futures, sys\n"
+            "from mpcg.dataset import EpsilonGrid, GraphSpec, build_sample\n"
+            "ENGINE = ('scipy.sparse.csgraph', 'scipy.linalg.blas')\n"
+            "def FakePool(max_workers):  # ends the run where the pool would start\n"
+            "    sys.exit(print(max_workers, *(m in sys.modules for m in ENGINE)))\n"
+            "concurrent.futures.ProcessPoolExecutor = FakePool\n"
+            "print(*(m in sys.modules for m in ENGINE))\n"
+            "specs = [GraphSpec('path', 20, seed=i) for i in range(2)]\n"
+            "build_sample(specs, EpsilonGrid(), sys.argv[1], threads=3)\n"
+        )
+        src = os.path.dirname(os.path.dirname(mpcg.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "pooled.jsonl")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.splitlines() == ["False False", "2 True True"]
 
     def test_record_json_is_single_line_kv(self, tmp_path):
         specs = [GraphSpec("path", 20, seed=1)]

@@ -8,6 +8,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg.blas
 from scipy.linalg.blas import get_blas_funcs
 from scipy.sparse import _sparsetools
 
@@ -1156,7 +1157,7 @@ class TestBlasUpdates:
     def counted_run(monkeypatch, n):
         """A four-iteration run on n unknowns and the (routine, length) of
         each call it makes to the BLAS routines ``get_blas_funcs`` gives."""
-        calls, lookup = [], solver.get_blas_funcs
+        calls, lookup = [], scipy.linalg.blas.get_blas_funcs
 
         def counting(names, arrays):
             def wrap(name, f):
@@ -1166,7 +1167,7 @@ class TestBlasUpdates:
                 return counted
             return [wrap(*pair) for pair in zip(names, lookup(names, arrays))]
 
-        monkeypatch.setattr(solver, "get_blas_funcs", counting)
+        monkeypatch.setattr(scipy.linalg.blas, "get_blas_funcs", counting)
         A, b = TestBlockedDot.system(n)
         config = SolveConfig(tolerance=1e-30, max_iterations=4)
         (result,) = _run_cg(A, b, None, config, None, (1e-30,))

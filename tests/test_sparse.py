@@ -13,6 +13,7 @@ import scipy.io
 from scipy.sparse import _sparsetools
 
 import mpcg.sparse as sparse_module
+from mpcg.cli import main as cli_main
 from mpcg.dataset import FAMILIES, GraphSpec, generate
 from mpcg.errors import (
     AsymmetricInputError,
@@ -910,16 +911,54 @@ class TestMatrixMarket:
         monkeypatch.setattr(scipy.io, "mmread", rewrite_then_parse)
         assert read_outcome(p) == (MatrixMarketParseError, *MALFORMED)
 
-    def test_cli_import_leaves_scipy_io_to_the_first_read(self, tmp_path):
-        p = tmp_path / "one.mtx"
-        p.write_text(mm_text(["1 1 1.0"], size="1 1 1"))
-        script = (
-            "import sys\nimport mpcg.cli\nprint('scipy.io' in sys.modules)\n"
-            f"mpcg.cli.read_matrix_market({str(p)!r})\nprint('scipy.io' in sys.modules)\n"
-        )
-        src = os.path.dirname(os.path.dirname(sparse_module.__file__))
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True, text=True, check=True,
-        ).stdout
-        assert out.split() == ["False", "True"]
+
+# Each command's argv, and the scipy modules it must have loaded: none at
+# all for a command that holds no matrix.  ``features`` and ``solve`` load
+# scipy.io with their first read, ``features`` and ``label`` csgraph,
+# ``label`` and ``solve`` scipy's BLAS.
+SCIPY_BY_COMMAND = {
+    "import": ([], set()),
+    "generate": (["generate", "--out", "{out}", "--count", "20"], set()),
+    "train": (["train", "--sample", "{sample}", "--out", "{out}"], set()),
+    "evaluate": (["evaluate", "--sample", "{sample}", "--model", "{model}"], set()),
+    "features": (["features", "{matrix}"], {"scipy.io", "scipy.sparse.csgraph"}),
+    "label": (["label", "--specs", "{specs}", "--out", "{out}"],
+              {"scipy.sparse.csgraph", "scipy.linalg.blas"}),
+    "solve": (["solve", "{matrix}", "--eps1", "1e-4"], {"scipy.io", "scipy.linalg.blas"}),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A specs file, its labelled sample, a model and a matrix file."""
+    d = tmp_path_factory.mktemp("cli")
+    paths = {name: str(d / name) for name in ("specs", "sample", "model", "matrix", "out")}
+    plan = ["--count", "20", "--n-min", "20", "--n-max", "40", "--variants", "4"]
+    assert cli_main(["generate", "--out", paths["specs"], *plan]) == 0
+    assert cli_main(["label", "--specs", paths["specs"], "--out", paths["sample"]]) == 0
+    assert cli_main(["train", "--sample", paths["sample"], "--out", paths["model"]]) == 0
+    write_matrix_market(generate(GraphSpec("grid2d", 25, seed=1)), paths["matrix"])
+    return paths
+
+
+@pytest.mark.parametrize("command", list(SCIPY_BY_COMMAND))
+def test_cli_loads_scipy_only_for_a_matrix(cli_inputs, command):
+    template, want = SCIPY_BY_COMMAND[command]
+    argv = [arg.format(**cli_inputs) for arg in template]
+    # In a fresh interpreter: the test process has loaded scipy long ago.
+    script = (
+        "import sys\nimport mpcg.cli\n"
+        "code = mpcg.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(sparse_module.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    code, *loaded = out.splitlines()[-1].split()
+    assert code == "0"
+    if want:
+        assert want <= set(loaded)
+    else:
+        assert loaded == []
