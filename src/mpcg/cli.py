@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -88,7 +89,11 @@ def _load_rhs(args, A) -> np.ndarray:
     if args.b == "random":
         rng = np.random.default_rng(args.seed)
         return rng.standard_normal(A.n)
-    b = np.loadtxt(args.b, dtype=np.float64).ravel()
+    with warnings.catch_warnings():  # an empty file is reported below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        b = np.loadtxt(args.b, dtype=np.float64).ravel()
+    if not b.size:
+        raise ValueError(f"--b {args.b}: the file holds no values")
     bad = np.flatnonzero(~np.isfinite(b))
     if bad.size:
         raise ValueError(f"--b {args.b}: component {bad[0] + 1} is not finite")

@@ -88,7 +88,12 @@ class EpsilonGrid:
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Recipe for one generated matrix (or one base-plus-variants group)."""
+    """Recipe for one generated matrix (or one base-plus-variants group).
+
+    A spec checks itself when it is built, by any route: an inconsistent
+    one raises InvalidSpecError, so every spec in hand can be generated.
+    ``delta_range`` is stored as a tuple, whatever sequence it was given as.
+    """
 
     family: str
     n: int
@@ -101,62 +106,57 @@ class GraphSpec:
     variants: int = 0  # >0: perturbation group of this size
     edges_to_add: int | None = None  # None: 1% of base edges, at least 1
 
+    def __post_init__(self):
+        object.__setattr__(self, "delta_range", tuple(self.delta_range))
+        if self.family not in FAMILIES:
+            raise InvalidSpecError(f"unknown family '{self.family}'")
+        for name in ("n", "seed", "variants", "degree", "m_target", "edges_to_add"):
+            value = getattr(self, name)
+            required = name in ("n", "seed", "variants")
+            if type(value) is not int and (required or value is not None):  # bool is not int
+                raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
+        n = self.n
+        if n < 1:
+            raise InvalidSpecError("n must be at least 1")
+        if self.family == "cycle" and n < 3:
+            raise InvalidSpecError("a cycle needs n >= 3")
+        if self.family == "random_gnm":
+            if self.m_target is None or self.m_target < 0:
+                raise InvalidSpecError("random_gnm needs m_target >= 0")
+            if self.m_target > n * (n - 1) // 2:
+                raise InvalidSpecError("m_target exceeds the number of vertex pairs")
+        if self.family == "random_regular":
+            d = self.degree
+            if d is None or d < 0 or d >= n or (d * n) % 2:
+                raise InvalidSpecError("random_regular needs 0 <= degree < n, n*degree even")
+        if self.diagonal_strategy == "degree_plus_delta":
+            lo, hi = self.delta_range
+            if not 0 < lo <= hi < math.inf:
+                raise InvalidSpecError("delta_range must satisfy 0 < lo <= hi < inf")
+        elif self.diagonal_strategy == "uniform_constant":
+            c = self.constant
+            if type(c) not in (int, float) or not math.isfinite(c):
+                raise InvalidSpecError(f"uniform_constant needs a finite constant, got {c!r}")
+            top = _max_degree(self)
+            if top is not None and not c > top:
+                raise InvalidSpecError(
+                    f"uniform_constant {c} must exceed the maximum degree {top}"
+                )
+        else:
+            raise InvalidSpecError(f"unknown diagonal strategy '{self.diagonal_strategy}'")
+        if self.seed < 0:
+            raise InvalidSpecError("seed must be nonnegative")
+        if self.variants < 0:
+            raise InvalidSpecError("variants must be nonnegative")
+        if self.edges_to_add is not None and self.edges_to_add < 1:
+            raise InvalidSpecError("edges_to_add must be at least 1")
+
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["delta_range"] = list(self.delta_range)
-        return d
+        return {**vars(self), "delta_range": list(self.delta_range)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraphSpec":
-        d = dict(d)
-        d["delta_range"] = tuple(d.get("delta_range", (0.1, 2.0)))
         return cls(**d)
-
-
-def _validate_spec(spec: GraphSpec) -> GraphSpec:
-    """``spec`` itself; an inconsistent one raises InvalidSpecError."""
-    if spec.family not in FAMILIES:
-        raise InvalidSpecError(f"unknown family '{spec.family}'")
-    for name in ("n", "seed", "variants", "degree", "m_target", "edges_to_add"):
-        value = getattr(spec, name)
-        required = name in ("n", "seed", "variants")
-        if type(value) is not int and (required or value is not None):  # bool is not int
-            raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
-    if spec.n < 1:
-        raise InvalidSpecError("n must be at least 1")
-    if spec.family == "cycle" and spec.n < 3:
-        raise InvalidSpecError("a cycle needs n >= 3")
-    if spec.family == "random_gnm":
-        if spec.m_target is None or spec.m_target < 0:
-            raise InvalidSpecError("random_gnm needs m_target >= 0")
-        if spec.m_target > spec.n * (spec.n - 1) // 2:
-            raise InvalidSpecError("m_target exceeds the number of vertex pairs")
-    if spec.family == "random_regular":
-        d = spec.degree
-        if d is None or d < 0 or d >= spec.n or (d * spec.n) % 2:
-            raise InvalidSpecError("random_regular needs 0 <= degree < n, n*degree even")
-    if spec.diagonal_strategy not in ("degree_plus_delta", "uniform_constant"):
-        raise InvalidSpecError(f"unknown diagonal strategy '{spec.diagonal_strategy}'")
-    if spec.diagonal_strategy == "degree_plus_delta":
-        lo, hi = spec.delta_range
-        if not 0 < lo <= hi < math.inf:
-            raise InvalidSpecError("delta_range must satisfy 0 < lo <= hi < inf")
-    if spec.diagonal_strategy == "uniform_constant":
-        c = spec.constant
-        if type(c) not in (int, float) or not math.isfinite(c):
-            raise InvalidSpecError(f"uniform_constant needs a finite constant, got {c!r}")
-        top = _max_degree(spec)
-        if top is not None and not c > top:
-            raise InvalidSpecError(
-                f"uniform_constant {c} must exceed the maximum degree {top}"
-            )
-    if spec.seed < 0:
-        raise InvalidSpecError("seed must be nonnegative")
-    if spec.variants < 0:
-        raise InvalidSpecError("variants must be nonnegative")
-    if spec.edges_to_add is not None and spec.edges_to_add < 1:
-        raise InvalidSpecError("edges_to_add must be at least 1")
-    return spec
 
 
 def _grid_shape(n: int) -> tuple[int, int]:
@@ -290,11 +290,9 @@ def _family_edges(spec: GraphSpec, rng: np.random.Generator) -> np.ndarray:
         rand = random.Random(int(rng.integers(0, 2**31 - 1)))
         edges = sorted(_random_regular_edges(spec.degree, n, rand))
         return np.array(edges, dtype=np.int64).reshape(-1, 2)
-    if spec.family == "random_gnm":
-        pick = rng.choice(n * (n - 1) // 2, size=spec.m_target, replace=False)
-        pick.sort()
-        return _decode_pairs(pick, n)
-    raise InvalidSpecError(f"unknown family '{spec.family}'")
+    pick = rng.choice(n * (n - 1) // 2, size=spec.m_target, replace=False)  # random_gnm
+    pick.sort()
+    return _decode_pairs(pick, n)
 
 
 def _dominant_diagonal(
@@ -327,7 +325,6 @@ def _assemble(n: int, edges: np.ndarray, diag: np.ndarray) -> SparseSymMatrix:
 
 def generate(spec: GraphSpec) -> SparseSymMatrix:
     """Deterministically build the strictly diagonally dominant SPD matrix."""
-    _validate_spec(spec)
     rng = np.random.default_rng(spec.seed)
     edges = _family_edges(spec, rng)
     degrees = np.bincount(edges.ravel(), minlength=spec.n)
@@ -418,32 +415,23 @@ class SampleRecord:
 
     def to_dict(self) -> dict:
         return {
-            "matrix_id": self.matrix_id,
-            "group_id": self.group_id,
-            "spec": self.spec.to_dict() if self.spec else None,
-            "features": dataclasses.asdict(self.features),
-            "costs": [dataclasses.asdict(c) for c in self.costs],
-            "label": self.label,
-            "i_opt": self.i_opt,
-            "i_wrst": self.i_wrst,
-            "valid": self.valid,
-            "invalid_reason": self.invalid_reason,
+            **vars(self),
+            "spec": None if self.spec is None else self.spec.to_dict(),
+            "features": dict(vars(self.features)),
+            "costs": [dict(vars(c)) for c in self.costs],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SampleRecord":
-        return cls(
-            matrix_id=d["matrix_id"],
-            group_id=d["group_id"],
-            spec=GraphSpec.from_dict(d["spec"]) if d.get("spec") else None,
-            features=FeatureVector(**d["features"]),
-            costs=[CostEntry(**c) for c in d["costs"]],
-            label=d["label"],
-            i_opt=d["i_opt"],
-            i_wrst=d["i_wrst"],
-            valid=d["valid"],
-            invalid_reason=d.get("invalid_reason"),  # absent from older samples
-        )
+        """The record of ``to_dict``'s layout; an unknown or missing key,
+        or an invalid spec, raises.  Older samples lack ``invalid_reason``."""
+        spec = d["spec"]
+        return cls(**{
+            **d,
+            "spec": None if spec is None else GraphSpec.from_dict(spec),
+            "features": FeatureVector(**d["features"]),
+            "costs": [CostEntry(**c) for c in d["costs"]],
+        })
 
 
 def ones_rhs(A: SparseSymMatrix) -> np.ndarray:
@@ -468,8 +456,6 @@ def label_matrix(
     entries before the first failing eps1, that downstream consumers skip;
     its ``invalid_reason`` holds the exception's class and message.
     """
-    if config is None:
-        config = SolveConfig(tolerance=grid.epsilon2)
     features = extract_features(A)
     epsilons = grid.values + (None,)
     results, failure = sweep(A, b, epsilons, grid.epsilon2, grid.mu, config)
@@ -614,11 +600,9 @@ def write_specs(specs: list[GraphSpec], path) -> None:
 
 
 def read_specs(path) -> list[GraphSpec]:
-    """Specs of a JSON-lines file, each validated; a bad one raises
-    ValueError naming its ``path:line``."""
-    return _read_json_lines(
-        path, lambda d: _validate_spec(GraphSpec.from_dict(d)), "bad spec at {where}: {exc}"
-    )
+    """Specs of a JSON-lines file; a bad one raises ValueError naming its
+    ``path:line``."""
+    return _read_json_lines(path, GraphSpec.from_dict, "bad spec at {where}: {exc}")
 
 
 def write_sample(

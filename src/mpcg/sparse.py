@@ -34,6 +34,7 @@ generate``, ``train``, ``evaluate``) starts without scipy.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import warnings
@@ -411,8 +412,10 @@ def _entries_by_line(fh, lineno: int, n_entries: int, n: int) -> np.ndarray:
     The slow path behind ``read_matrix_market``, taken when the single
     parse of the whole body failed or its checks did not pass.  It skips
     comment lines among the entries and otherwise raises at the first
-    offending line.  Lines are parsed one at a time only up to the first
-    line that does not parse.
+    offending line.  When the L lines do not parse as a whole, the first
+    one that does not is found in blocks of about sqrt(L) lines, and then
+    line by line within the first block that fails: about 2 sqrt(L)
+    parses, not one per line before it.
     """
     linenos, lines = [], []
     for lineno, line in enumerate(fh, start=lineno + 1):
@@ -423,8 +426,9 @@ def _entries_by_line(fh, lineno: int, n_entries: int, n: int) -> np.ndarray:
         entries, stop = _parse_entries(lines), len(lines)
     except ValueError:
         stop = 0
-        while _parses(lines[stop]):
-            stop += 1
+        for step in (math.isqrt(len(lines)), 1):
+            while stop < len(lines) and _parses(lines[stop : stop + step]):
+                stop += step
         entries = _parse_entries(lines[:stop])
     errors = _entry_errors(entries, n)
     if len(lines) > n_entries:
@@ -442,9 +446,9 @@ def _entries_by_line(fh, lineno: int, n_entries: int, n: int) -> np.ndarray:
     return entries
 
 
-def _parses(line: str) -> bool:
+def _parses(lines: list[str]) -> bool:
     try:
-        _parse_entries([line])
+        _parse_entries(lines)
     except ValueError:
         return False
     return True

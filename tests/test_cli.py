@@ -48,6 +48,14 @@ MALFORMED_MODELS = (
 
 BAD_GRIDS = {"string": ["a", "b"], "ascending": [0.01, 0.1], "repeated": [0.1, 0.1]}
 
+# ``label --grid`` values that fail, and what the error says
+BAD_LABEL_GRIDS = {
+    "1e-2,nan": "grid values must be finite",
+    "1e-2,inf": "grid values must be finite",
+    "1e-2,x": "cannot parse grid '1e-2,x'",
+    ",": "grid is empty",
+}
+
 
 def sample_json(**changes) -> str:
     """One valid record swept over ``model_json``'s grid, whose one point
@@ -288,6 +296,20 @@ class TestSolveCommand:
         x = np.loadtxt(out)
         np.testing.assert_allclose(x, np.ones(4))
 
+    def test_rhs_file_solves(self, identity_file, tmp_path):
+        b, x = tmp_path / "b.txt", tmp_path / "x.txt"
+        b.write_text("1.0\n2.0\n3.0\n4.0\n")
+        argv = ["solve", str(identity_file), "--eps1", "0.1", "--b", str(b), "--write-x", str(x)]
+        assert main(argv) == 0
+        np.testing.assert_array_equal(np.loadtxt(x), [1.0, 2.0, 3.0, 4.0])
+
+    def test_empty_rhs_file_exits_2(self, identity_file, tmp_path, capsys):
+        # np.loadtxt warns on an empty file; the CLI reports it instead
+        b = tmp_path / "b.txt"
+        b.write_text("")
+        assert main(["solve", str(identity_file), "--eps1", "0.1", "--b", str(b)]) == 2
+        assert f"--b {b}: the file holds no values" in capsys.readouterr().err
+
     def test_non_finite_rhs_exits_2(self, identity_file, tmp_path, capsys):
         b = tmp_path / "b.txt"
         b.write_text("1.0\n1.0\nnan\n1.0\n")
@@ -397,14 +419,14 @@ class TestBadInputFiles:
         assert main(argv) == 0
         assert json.loads(Path(manifest_path(out)).read_text())["grid_values"] == [0.1, 0.01]
 
-    @pytest.mark.parametrize("grid", ["1e-2,nan", "1e-2,inf"])
+    @pytest.mark.parametrize("grid", sorted(BAD_LABEL_GRIDS))
     def test_label_with_non_finite_grid_exits_2(self, tmp_path, capsys, grid):
         specs = tmp_path / "specs.jsonl"
         specs.write_text('{"family": "path", "n": 10}\n')
         out = tmp_path / "sample.jsonl"
         argv = ["label", "--specs", str(specs), "--out", str(out), "--grid", grid]
         assert main(argv) == 2
-        assert "grid values must be finite" in capsys.readouterr().err
+        assert BAD_LABEL_GRIDS[grid] in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [specs]  # no sample, no manifest
 
     @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -74,6 +74,8 @@ class TestEpsilonGrid:
             EpsilonGrid(values=(0.1, 1e-12), epsilon2=1e-10)
         with pytest.raises(ValueError):
             EpsilonGrid(mu=1.0)
+        with pytest.raises(ValueError, match="grid values must be positive"):
+            EpsilonGrid(values=(0.1, 0.0))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_values(self, value):
@@ -84,6 +86,51 @@ class TestEpsilonGrid:
     def test_rejects_epsilon2_outside_zero_to_infinity(self, epsilon2):
         with pytest.raises(ValueError, match="epsilon2 must be positive and finite"):
             EpsilonGrid(epsilon2=epsilon2)
+
+
+# Inconsistent spec fields and the InvalidSpecError message each gets.
+BAD_SPECS = {
+    "n-float": ({"family": "path", "n": 10.5}, "n must be an integer"),
+    "n-bool": ({"family": "path", "n": True}, "n must be an integer"),
+    "n-zero": ({"family": "path", "n": 0}, "n must be at least 1"),
+    "seed-float": ({"family": "path", "n": 10, "seed": 1.5}, "seed must be an integer"),
+    "seed-negative": ({"family": "path", "n": 10, "seed": -1}, "seed must be nonnegative"),
+    "variants-float": ({"family": "path", "n": 10, "variants": 2.0},
+                       "variants must be an integer"),
+    "variants-negative": ({"family": "path", "n": 10, "variants": -1},
+                          "variants must be nonnegative"),
+    "degree-float": ({"family": "random_regular", "n": 10, "degree": 3.0},
+                     "degree must be an integer"),
+    "m_target-str": ({"family": "random_gnm", "n": 10, "m_target": "9"},
+                     "m_target must be an integer"),
+    "m_target-missing": ({"family": "random_gnm", "n": 10}, "random_gnm needs m_target >= 0"),
+    "edges_to_add-bool": ({"family": "path", "n": 10, "variants": 2, "edges_to_add": False},
+                          "edges_to_add must be an integer"),
+    "edges_to_add-zero": ({"family": "path", "n": 10, "variants": 2, "edges_to_add": 0},
+                          "edges_to_add must be at least 1"),
+    "strategy-unknown": ({"family": "path", "n": 10, "diagonal_strategy": "identity"},
+                         "unknown diagonal strategy 'identity'"),
+    "constant-missing": ({"family": "tree_random", "n": 10,
+                          "diagonal_strategy": "uniform_constant"},
+                         "needs a finite constant, got None"),
+    "constant-inf": ({"family": "tree_random", "n": 10, "diagonal_strategy": "uniform_constant",
+                      "constant": math.inf}, "needs a finite constant"),
+    "constant-str": ({"family": "random_gnm", "n": 10, "m_target": 9, "constant": "5",
+                      "diagonal_strategy": "uniform_constant"}, "needs a finite constant"),
+    "delta-inf": ({"family": "path", "n": 10, "delta_range": (0.1, math.inf)}, "delta_range"),
+    "grid2d-constant": ({"family": "grid2d", "n": 12, "diagonal_strategy": "uniform_constant",
+                         "constant": 3.0}, "maximum degree 4"),
+    "random_regular-constant": ({"family": "random_regular", "n": 10, "degree": 4,
+                                 "constant": 4.0, "diagonal_strategy": "uniform_constant"},
+                                "maximum degree 4"),
+}
+
+
+def sample_line(tmp_path) -> str:
+    """One labelled record of a small path matrix, as its sample file holds it."""
+    out = tmp_path / "one.jsonl"
+    build_sample([GraphSpec("path", 20, seed=1)], EpsilonGrid(), out)
+    return out.read_text()
 
 
 class TestGenerate:
@@ -138,43 +185,35 @@ class TestGenerate:
         with pytest.raises(InvalidSpecError):
             generate(GraphSpec("path", 5, delta_range=(0.0, 1.0)))
 
-    @pytest.mark.parametrize(
-        "spec, message",
-        [
-            pytest.param(GraphSpec("path", 10.5), "n must be an integer", id="n-float"),
-            pytest.param(GraphSpec("path", True), "n must be an integer", id="n-bool"),
-            pytest.param(GraphSpec("path", 10, seed=1.5), "seed must be an integer",
-                         id="seed-float"),
-            pytest.param(GraphSpec("path", 10, seed=-1), "seed must be nonnegative",
-                         id="seed-negative"),
-            pytest.param(GraphSpec("path", 10, variants=2.0), "variants must be an integer",
-                         id="variants-float"),
-            pytest.param(GraphSpec("random_regular", 10, degree=3.0),
-                         "degree must be an integer", id="degree-float"),
-            pytest.param(GraphSpec("random_gnm", 10, m_target="9"),
-                         "m_target must be an integer", id="m_target-str"),
-            pytest.param(GraphSpec("path", 10, variants=2, edges_to_add=False),
-                         "edges_to_add must be an integer", id="edges_to_add-bool"),
-            pytest.param(GraphSpec("tree_random", 10, diagonal_strategy="uniform_constant"),
-                         "needs a finite constant, got None", id="constant-missing"),
-            pytest.param(GraphSpec("tree_random", 10, diagonal_strategy="uniform_constant",
-                                   constant=math.inf), "needs a finite constant",
-                         id="constant-inf"),
-            pytest.param(GraphSpec("random_gnm", 10, m_target=9, constant="5",
-                                   diagonal_strategy="uniform_constant"),
-                         "needs a finite constant", id="constant-str"),
-            pytest.param(GraphSpec("path", 10, delta_range=(0.1, math.inf)),
-                         "delta_range", id="delta-inf"),
-            pytest.param(GraphSpec("grid2d", 12, diagonal_strategy="uniform_constant",
-                                   constant=3.0), "maximum degree 4", id="grid2d-constant"),
-            pytest.param(GraphSpec("random_regular", 10, degree=4, constant=4.0,
-                                   diagonal_strategy="uniform_constant"),
-                         "maximum degree 4", id="random_regular-constant"),
-        ],
-    )
-    def test_spec_rejected_before_generation(self, spec, message):
+    @pytest.mark.parametrize("fields, message", BAD_SPECS.values(), ids=BAD_SPECS.keys())
+    def test_spec_rejected_before_generation(self, fields, message):
         with pytest.raises(InvalidSpecError, match=message):
-            generate(spec)
+            generate(GraphSpec(**fields))
+
+    @pytest.mark.parametrize("fields, message", BAD_SPECS.values(), ids=BAD_SPECS.keys())
+    def test_replace_and_from_dict_reject_a_bad_spec(self, fields, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            dataclasses.replace(GraphSpec("path", 10), **fields)
+        with pytest.raises(InvalidSpecError, match=message):
+            GraphSpec.from_dict(fields)
+
+    @pytest.mark.parametrize("reader", ["read_specs", "read_sample"])
+    @pytest.mark.parametrize("fields, message", BAD_SPECS.values(), ids=BAD_SPECS.keys())
+    def test_readers_reject_a_bad_spec_at_its_line(self, tmp_path, reader, fields, message):
+        line = json.dumps(fields)
+        if reader == "read_sample":
+            line = json.dumps({**json.loads(sample_line(tmp_path)), "spec": fields})
+        path = tmp_path / "in.jsonl"
+        path.write_text("\n" + line + "\n")
+        with pytest.raises(ValueError) as info:
+            {"read_specs": read_specs, "read_sample": read_sample}[reader](path)
+        if "Infinity" in line:  # JSON holds no inf: the finite-number check comes first
+            message = "non-finite number Infinity"
+        assert f"{path}:2: " in str(info.value) and message in str(info.value)
+
+    def test_tree_random_of_one_vertex(self):
+        A = generate(GraphSpec("tree_random", 1, seed=3))
+        assert (A.n, A.nnz) == (1, 1) and 0.1 <= A.diagonal()[0] <= 2.0
 
     @pytest.mark.parametrize(
         "spec",
@@ -291,6 +330,22 @@ class TestPerturb:
         for v in variants:
             assert np.all(v.diagonal() > offdiag_abs_rowsums(v))
             assert v.nnz == base.nnz + 6
+
+    def test_constant_that_stops_dominating_is_raised(self):
+        # path(5) has maximum degree 2; a new edge at an inner vertex lifts it to 3.
+        base = generate(GraphSpec("path", 5, diagonal_strategy="uniform_constant", constant=2.5))
+        diagonals = set()
+        for v in perturb(base, variants=4, edges_to_add=1, seed=1,
+                         diagonal_strategy="uniform_constant", constant=2.5):
+            top = int(np.diff(v.row_starts).max()) - 1
+            assert np.all(v.diagonal() == (2.5 if top < 2.5 else top + 1.0))
+            diagonals.add(float(v.diagonal()[0]))
+        assert 4.0 in diagonals  # a variant of maximum degree 3 was raised
+
+    def test_no_edge_to_add_is_rejected(self):
+        base = generate(GraphSpec("path", 10))
+        with pytest.raises(ValueError, match="edges_to_add must be at least 1"):
+            perturb(base, variants=2, edges_to_add=0)
 
     def test_deterministic(self):
         base = generate(GraphSpec("random_gnm", 40, seed=2, m_target=80))
@@ -540,6 +595,27 @@ class TestBuildSample:
         (back,) = read_sample(out, include_invalid=True)
         assert back == rec
 
+    def test_generation_failure_is_logged_and_skipped(self, tmp_path, caplog):
+        # A tree's maximum degree is known only once it is drawn; this one
+        # reaches more than 2, so the constant does not dominate.
+        tree = GraphSpec("tree_random", 30, seed=1, diagonal_strategy="uniform_constant",
+                         constant=2.0)
+        out = tmp_path / "s.jsonl"
+        manifest = build_sample([tree, GraphSpec("path", 20, seed=1)], EpsilonGrid(), out)
+        assert manifest.records_total == 1
+        assert [r.matrix_id for r in read_sample(out)] == ["s00001"]
+        assert "generation failed for s00000: uniform_constant diagonal must exceed" in caplog.text
+
+    @pytest.mark.parametrize("where", ["top", "costs"])
+    def test_unknown_record_key_is_malformed(self, tmp_path, where):
+        record = json.loads(sample_line(tmp_path))
+        (record if where == "top" else record["costs"][0])["bogus"] = 1
+        out = tmp_path / "s.jsonl"
+        out.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=f"malformed record at {out}:1: TypeError") as info:
+            read_sample(out)
+        assert "unexpected keyword argument 'bogus'" in str(info.value)
+
     def test_sample_without_reasons_still_reads(self, tmp_path):
         specs = [GraphSpec("path", 20, seed=1)]
         out = tmp_path / "old.jsonl"
@@ -588,6 +664,19 @@ class TestPlanSpecs:
         assert matrices >= 520
         assert abs(structured / matrices - 0.27) < 0.03
         assert all(s.family == "random_gnm" for s in specs if s.variants > 0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"total": 0}, "total must be positive"),
+            ({"structured_fraction": 0.0}, "structured_fraction must lie in"),
+            ({"structured_fraction": 1.0}, "structured_fraction must lie in"),
+            ({"n_range": (1, 5)}, "n_range must satisfy"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            plan_specs(**kwargs)
 
     def test_deterministic(self):
         assert plan_specs(total=50, seed=4) == plan_specs(total=50, seed=4)

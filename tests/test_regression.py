@@ -123,6 +123,8 @@ class TestSplit:
             split(records, 0.9, seed=0)  # train side would be empty
         with pytest.raises(SampleTooSmallError):
             split([], 0.5, seed=0)
+        with pytest.raises(SampleTooSmallError, match="test side would be empty"):
+            split(records, 0.1, seed=0)  # round(0.1 * 2) = 0 records
 
     def test_fraction_validated(self):
         with pytest.raises(ValueError):
@@ -182,6 +184,19 @@ class TestKnnPredict:
         with pytest.raises(ValueError):
             self._model([feat()], [1], k=2)
 
+    def test_fit_needs_a_valid_record(self):
+        rec = make_record("m0", "m0", feat(), sloped_costs(1))
+        rec.valid = False
+        with pytest.raises(EmptyTrainingSetError, match="no valid labeled records"):
+            fit_knn([rec], k=1)
+
+    def test_fit_needs_one_grid(self):
+        a = make_record("m0", "m0", feat(), sloped_costs(1))
+        b = make_record("m1", "m1", feat(n=20), sloped_costs(2))
+        b.costs = b.costs[1:]  # swept without the first grid value
+        with pytest.raises(ValueError, match="swept on different grids"):
+            fit_knn([a, b], k=1)
+
 
 class TestEvaluate:
     def test_perfect_classifier_matches_optimal(self):
@@ -237,6 +252,13 @@ class TestEvaluate:
         model = fit_knn([rec], k=1)
         model.grid_values = tuple(v / 3 for v in model.grid_values)
         with pytest.raises(MissingCostEntryError):
+            evaluate(model, [rec])
+
+    def test_needs_a_valid_record(self):
+        rec = make_record("m0", "m0", feat(), sloped_costs(1))
+        model = fit_knn([rec], k=1)
+        rec.valid = False
+        with pytest.raises(SampleTooSmallError, match="no valid records to evaluate"):
             evaluate(model, [rec])
 
     def test_inconsistent_record_raises_value_error(self):

@@ -16,6 +16,7 @@ from mpcg.dataset import GraphSpec, generate, ones_rhs
 from mpcg import solver, sparse
 from mpcg.errors import (
     CgBreakdownError,
+    DimensionMismatchError,
     NonpositiveDiagonalError,
     PrecisionMismatchError,
 )
@@ -127,6 +128,17 @@ class TestCg:
         A = diag_matrix([1.0, 2.0])
         with pytest.raises(PrecisionMismatchError):
             cg(A, np.ones(2, dtype=np.float32), None, CFG)
+        with pytest.raises(PrecisionMismatchError, match="x0 is float32, matrix stores float64"):
+            cg(A, np.ones(2), np.zeros(2, dtype=np.float32), CFG)
+
+    def test_operand_lengths_and_config_checked(self):
+        A = diag_matrix([1.0, 2.0])
+        with pytest.raises(DimensionMismatchError, match="b must have length 2"):
+            cg(A, np.ones(3), None, CFG)
+        with pytest.raises(DimensionMismatchError, match="x0 must have length 2"):
+            cg(A, np.ones(2), np.zeros(3), CFG)
+        with pytest.raises(ValueError, match="config with a tolerance is required"):
+            cg(A, np.ones(2))
 
     def test_max_iterations_status(self):
         rng = np.random.default_rng(4)
@@ -238,6 +250,21 @@ class TestTwoStage:
         r = two_stage_solve(A, b, 1e-3, 1e-10, mu=0.5)
         assert r.cost == 0.5 * r.n1 + r.n2
 
+    def test_sweep_rejects_a_binary32_matrix(self):
+        A = downcast(diag_matrix([1.0, 2.0]))
+        with pytest.raises(PrecisionMismatchError, match="expects a binary64 matrix"):
+            sweep(A, np.ones(2), (0.1, None), 1e-10)
+
+    def test_sweep_returns_a_stage2_exception(self, monkeypatch):
+        A = random_dd(40, np.random.default_rng(6))
+        failure = CgBreakdownError("stage 2 fails")
+
+        def failing_cg(*args):
+            raise failure
+
+        monkeypatch.setattr(solver, "cg", failing_cg)
+        assert sweep(A, A @ np.ones(40), (1e-3, None), 1e-10) == ([], failure)
+
     def test_validates_tolerances(self):
         A = diag_matrix([1.0])
         with pytest.raises(ValueError):
@@ -331,6 +358,10 @@ class TestConfig:
             SolveConfig(tolerance=1e-6, stagnation_factor=1.5)
         with pytest.raises(ValueError):
             SolveConfig(tolerance=1e-6, preconditioner="ilu")
+        with pytest.raises(ValueError, match="max_iterations must be positive"):
+            SolveConfig(tolerance=1e-6, max_iterations=0)
+        with pytest.raises(ValueError, match="residual_mode must be 'relative' or 'absolute'"):
+            SolveConfig(tolerance=1e-6, residual_mode="scaled")
 
     @pytest.mark.parametrize("name", ["max_iterations", "stagnation_window"])
     @pytest.mark.parametrize("value", [2.5, 30.0, True, "30"])

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -85,6 +86,7 @@ STRICTNESS_CASES = [
       for line in ["0 1 -1.5", "2 0 -1.5", "4 1 -1.5", "2 4 -1.5",
                    "99999999999 1 -1.5", "2 99999999999 -1.5"]),
     pytest.param(mm_text(MM_BODY, sep="\r\n", end="\r\n"), None, id="crlf"),
+    pytest.param(mm_text(MM_BODY).replace("\n", "\r"), None, id="cr"),
     pytest.param(mm_text([line.replace(" ", "\t") for line in MM_BODY]), None, id="tabs"),
     pytest.param(mm_text(entry_at(1, "2 1 -1.5 ")), None, id="trailing space"),
     pytest.param(mm_text(MM_BODY, end=""), None, id="no final newline"),
@@ -159,6 +161,10 @@ class TestFromCoordinates:
         A = from_coordinates([(0, 0, 1.0)], 1)
         assert A.n == 1 and A.nnz == 1
         assert A.values[0] == 1.0
+
+    def test_no_triplet_rejected(self):
+        with pytest.raises(ValueError, match="at least one triplet is required"):
+            from_coordinates([], 1)
 
     def test_symmetric_pair_accepted(self):
         A = from_coordinates([(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 2)], 2)
@@ -330,6 +336,22 @@ class TestConstructorChecks:
     def test_unsorted_columns_rejected(self):
         with pytest.raises(ValueError, match="column indices not sorted within a row"):
             SparseSymMatrix([0, 2, 4], [1, 0, 0, 1], np.ones(4))
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="matrix dimension must be at least 1"):
+            SparseSymMatrix([0], np.array([], dtype=np.int32), np.array([]))
+
+    def test_column_out_of_range_rejected(self):
+        with pytest.raises(IndexError, match="column index out of range"):
+            SparseSymMatrix([0, 1, 2], [0, 2], [1.0, 1.0])
+
+    def test_integer_values_become_binary64(self):
+        A = SparseSymMatrix([0, 1, 2], [0, 1], np.array([1, 2]))
+        B = sparse_module._from_arrays(np.array([0, 1]), np.array([0, 1]), np.array([1, 2]),
+                                       2, False)
+        for M in (A, B):
+            assert M.dtype == np.float64
+            np.testing.assert_array_equal(M.values, [1.0, 2.0])
 
 
 class TestSpmv:
@@ -632,6 +654,14 @@ class TestPrecisionConversion:
         with pytest.raises(SinglePrecisionOverflowError):
             downcast(A)
 
+    def test_downcast_of_binary32_rejected(self):
+        with pytest.raises(ValueError, match="already binary32"):
+            downcast(identity(2, np.float32))
+
+    def test_upcast_of_binary64_rejected(self):
+        with pytest.raises(PrecisionMismatchError, match="expects a binary32 vector"):
+            upcast_vector(np.ones(2))
+
     def test_downcast_exact_for_small_integers(self):
         rng = np.random.default_rng(3)
         ints = rng.integers(1, 2**24, size=30)
@@ -778,6 +808,24 @@ class TestMatrixMarket:
         with pytest.raises(MatrixMarketParseError) as err:
             read_matrix_market(p)
         assert err.value.line_number == 5
+
+    def test_late_malformed_line_is_found_in_blocks(self, tmp_path, monkeypatch):
+        # Entry L of L is malformed: blocks of isqrt(L) lines, then one
+        # block line by line, about 2 sqrt(L) parses, not L.
+        L = 10_000
+        p = tmp_path / "late.mtx"
+        p.write_text(mm_text([f"{i} {i} 1.0" for i in range(1, L)] + ["1 1 x"],
+                             size=f"{L} {L} {L}"))
+        calls = []
+        parse = sparse_module._parse_entries
+
+        def counting(lines):
+            calls.append(1)
+            return parse(lines)
+
+        monkeypatch.setattr(sparse_module, "_parse_entries", counting)
+        assert read_outcome(p) == (MatrixMarketParseError, f"line {L + 2}: malformed entry", L + 2)
+        assert len(calls) <= 2 * math.isqrt(L) + 3
 
     def test_float_index_rejected(self, tmp_path):
         p = tmp_path / "floatidx.mtx"
