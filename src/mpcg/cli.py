@@ -101,7 +101,14 @@ def _load_rhs(args, A) -> np.ndarray:
 
 
 def cmd_solve(args) -> int:
-    if args.eps1 != "auto":
+    if args.eps1 == "auto":  # the flags first, so no bad one waits for a large read
+        if not args.model:
+            return _fail(EXIT_NO_MODEL, "--eps1 auto requires --model")
+        try:
+            model = regression.load_model(args.model)
+        except (OSError, ValueError) as exc:
+            return _fail(EXIT_NO_MODEL, f"cannot read model: {exc}")
+    else:
         try:
             eps1 = float(args.eps1)
         except ValueError:
@@ -115,12 +122,6 @@ def cmd_solve(args) -> int:
     b = _load_rhs(args, A)
     config = _config_from_args(args)
     if args.eps1 == "auto":
-        if not args.model:
-            return _fail(EXIT_NO_MODEL, "--eps1 auto requires --model")
-        try:
-            model = regression.load_model(args.model)
-        except (OSError, ValueError) as exc:
-            return _fail(EXIT_NO_MODEL, f"cannot read model: {exc}")
         label = regression.knn_predict(model, extract_features(A))
         eps1 = model.grid_values[label - 1]
         print(f"predicted class = {label} (eps1 = {eps1:g})")

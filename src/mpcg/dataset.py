@@ -20,7 +20,7 @@ import numpy as np
 
 from ._fileio import atomic_write, finite_json
 from .errors import GraphFullError, InvalidSpecError
-from .features import FeatureVector, extract_features
+from .features import FeatureVector, _check_numbers, extract_features
 from .solver import SolveConfig, sweep
 from .sparse import SparseSymMatrix, _entry_rows, _from_arrays
 
@@ -392,12 +392,16 @@ def perturb(
 @dataclass(frozen=True)
 class CostEntry:
     """Outcome of one solve during the sweep; eps1 None marks the pure
-    binary64 baseline (N1 = 0 by definition)."""
+    binary64 baseline (N1 = 0 by definition).  A field of another type,
+    or a number that is not finite, raises ValueError."""
 
     epsilon1: float | None
     n1: int
     n2: int
     cost: float
+
+    def __post_init__(self):
+        _check_numbers(self, ("n1", "n2"), ("epsilon1", "cost"), optional=("epsilon1",))
 
 
 @dataclass
@@ -413,6 +417,10 @@ class SampleRecord:
     valid: bool = True
     invalid_reason: str | None = None  # class and message of the failure
 
+    def __post_init__(self):
+        unset = () if self.valid else ("label", "i_opt", "i_wrst")  # a failed sweep has none
+        _check_numbers(self, ("label",), ("i_opt", "i_wrst"), optional=unset)
+
     def to_dict(self) -> dict:
         return {
             **vars(self),
@@ -423,8 +431,9 @@ class SampleRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SampleRecord":
-        """The record of ``to_dict``'s layout; an unknown or missing key,
-        or an invalid spec, raises.  Older samples lack ``invalid_reason``."""
+        """The record of ``to_dict``'s layout; an unknown or missing key, an
+        invalid spec, or a number of the wrong type or not finite, raises.
+        Older samples lack ``invalid_reason``."""
         spec = d["spec"]
         return cls(**{
             **d,
@@ -596,7 +605,7 @@ def write_specs(specs: list[GraphSpec], path) -> None:
     """One JSON line per spec; the file is replaced whole."""
     with atomic_write(path) as fh:
         for spec in specs:
-            fh.write(json.dumps(spec.to_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(spec.to_dict(), sort_keys=True, allow_nan=False) + "\n")
 
 
 def read_specs(path) -> list[GraphSpec]:
@@ -612,10 +621,11 @@ def write_sample(
     replaced whole, so an interrupted write leaves the previous one."""
     with atomic_write(path) as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(rec.to_dict(), sort_keys=True, allow_nan=False) + "\n")
     if manifest is not None:
         with atomic_write(manifest_path(path)) as fh:
-            fh.write(json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n")
+            payload = json.dumps(manifest.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+            fh.write(payload + "\n")
 
 
 def read_sample(path, include_invalid: bool = False) -> list[SampleRecord]:

@@ -154,10 +154,11 @@ class KnnModel:
 
 
 def _usable(records: list[SampleRecord], classes: int) -> list[SampleRecord]:
-    """The valid records; ValueError names one whose label is no int in 1..classes."""
+    """The valid records, whose labels are ints (``SampleRecord`` checks);
+    ValueError names one whose label is not in 1..classes."""
     usable = [r for r in records if r.valid]
     for r in usable:
-        if type(r.label) is not int or not 1 <= r.label <= classes:
+        if not 1 <= r.label <= classes:
             raise ValueError(f"record {r.matrix_id} has label {r.label!r}, no int in 1..{classes}")
     return usable
 
@@ -318,7 +319,7 @@ def save_model(model: KnnModel, path, split: dict | None = None) -> None:
         "split": split,
     }
     with atomic_write(path) as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n")
 
 
 def load_model(path) -> KnnModel:
@@ -348,4 +349,4 @@ def save_report(report: EvalReport, path, meta: dict | None = None) -> None:
     if meta:
         payload["meta"] = meta
     with atomic_write(path) as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        fh.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")

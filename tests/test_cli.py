@@ -169,7 +169,7 @@ EXIT_CODE_CASES = {
     "train-fractional-label": (
         ["train", "--sample", "{label_half}", "--out", "{out}", "--k", "1",
          "--test-fraction", "0.5"],
-        2, "has label 2.5, no int in 1..2"),
+        2, "{label_half}:1: ValueError('label must be an integer, got 2.5')"),
     "solve-auto-fractional-k-model": (
         ["solve", "{identity}", "--eps1", "auto", "--model", "{k_half_model}"], 4,
         "'{k_half_model}': ValueError('k must be an integer in 1..len(points)')"),
@@ -188,12 +188,33 @@ EXIT_CODE_CASES = {
     "evaluate-fractional-label-model": (
         ["evaluate", "--sample", "{sample}", "--model", "{label_half_model}"], 2,
         "'{label_half_model}': ValueError('labels must be integers in 1..2')"),
+    "solve-auto-without-model-before-matrix": (
+        ["solve", "{missing}", "--eps1", "auto"], 4, "--eps1 auto requires --model"),
+    "solve-auto-unreadable-model-before-matrix": (
+        ["solve", "{missing}", "--eps1", "auto", "--model", "{missing}"], 4,
+        "cannot read model"),
     "generate-variants-minus-one": (
         ["generate", "--out", "{out}", "--count", "30", "--variants", "-1"], 2,
         "variants must be nonnegative"),
     "generate-variants-minus-two": (
         ["generate", "--out", "{out}", "--count", "30", "--variants", "-2"], 2,
         "variants must be nonnegative"),
+}
+
+# Sample records with a number of the wrong type: each is rejected where the
+# sample is read, as the ValueError below, at its path:line.
+SAMPLE_FEATURES = json.loads(sample_json())["features"]
+SAMPLE_COSTS = json.loads(sample_json())["costs"]
+BAD_RECORDS = {
+    "cost-string": (sample_json(costs=[{**SAMPLE_COSTS[0], "cost": "5"}, *SAMPLE_COSTS[1:]]),
+                    "cost must be a finite number, got '5'"),
+    "spread-null": (sample_json(features={**SAMPLE_FEATURES, "spread": None}),
+                    "spread must be a finite number, got None"),
+    "n-string": (sample_json(features={**SAMPLE_FEATURES, "n": "abc"}),
+                 "n must be an integer, got 'abc'"),
+    "n2-bool": (sample_json(costs=[*SAMPLE_COSTS[:2], {**SAMPLE_COSTS[2], "n2": True}]),
+                "n2 must be an integer, got True"),
+    "i-opt-string": (sample_json(i_opt="9.0"), "i_opt must be a finite number, got '9.0'"),
 }
 
 BAD_SPECS = {
@@ -500,6 +521,20 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert named.format(**inputs) in captured.err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("record, message", BAD_RECORDS.values(), ids=BAD_RECORDS.keys())
+    def test_bad_record_number_exits_2(self, inputs, tmp_path, capsys, command, record, message):
+        sample, model = tmp_path / "bad.jsonl", tmp_path / "trained.json"
+        sample.write_text(sample_json(matrix_id="s00001", group_id="s00001") + record)
+        argv = {
+            "train": ["train", "--sample", str(sample), "--out", str(model)],
+            "evaluate": ["evaluate", "--sample", str(sample), "--model", inputs["model"]],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: malformed record at {sample}:2: {ValueError(message)!r}\n"
+        assert not model.exists()
 
     def test_consistent_record_evaluates(self, inputs, capsys):
         argv = ["evaluate", "--sample", inputs["sample"], "--model", inputs["model"]]

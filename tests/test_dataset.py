@@ -16,6 +16,8 @@ import pytest
 import mpcg
 from mpcg.dataset import (
     DEFAULT_GRID,
+    CostEntry,
+    DatasetManifest,
     EpsilonGrid,
     GraphSpec,
     build_sample,
@@ -41,7 +43,7 @@ from mpcg.errors import (
     SinglePrecisionOverflowError,
     Stage2NotConvergedError,
 )
-from mpcg.features import extract_features
+from mpcg.features import FeatureVector, extract_features
 from mpcg.regression import minimax_apply, minimax_fit
 from mpcg.solver import SolveConfig, sweep, two_stage_solve
 from mpcg.sparse import from_coordinates
@@ -123,6 +125,29 @@ BAD_SPECS = {
     "random_regular-constant": ({"family": "random_regular", "n": 10, "degree": 4,
                                  "constant": 4.0, "diagonal_strategy": "uniform_constant"},
                                 "maximum degree 4"),
+}
+
+
+# A sample record's number of the wrong type: where it sits, its value, and
+# the error that names it.  A bool is no number; a valid record's outcome
+# may not be null.
+BAD_RECORD_NUMBERS = {
+    "n-string": (("features", "n"), "abc", "n must be an integer, got 'abc'"),
+    "nnz-float": (("features", "nnz"), 40.0, "nnz must be an integer, got 40.0"),
+    "pseudo-diameter-bool": (("features", "pseudo_diameter"), True,
+                             "pseudo_diameter must be an integer, got True"),
+    "spread-null": (("features", "spread"), None, "spread must be a finite number, got None"),
+    "lambda-max-string": (("features", "lambda_max"), "4.0",
+                          "lambda_max must be a finite number, got '4.0'"),
+    "epsilon1-bool": (("costs", 0, "epsilon1"), False,
+                      "epsilon1 must be a finite number, got False"),
+    "n1-float": (("costs", 0, "n1"), 1.5, "n1 must be an integer, got 1.5"),
+    "n2-null": (("costs", 0, "n2"), None, "n2 must be an integer, got None"),
+    "cost-string": (("costs", 0, "cost"), "5", "cost must be a finite number, got '5'"),
+    "label-float": (("label",), 2.5, "label must be an integer, got 2.5"),
+    "label-null": (("label",), None, "label must be an integer, got None"),
+    "i-opt-bool": (("i_opt",), True, "i_opt must be a finite number, got True"),
+    "i-wrst-null": (("i_wrst",), None, "i_wrst must be a finite number, got None"),
 }
 
 
@@ -615,6 +640,42 @@ class TestBuildSample:
         with pytest.raises(ValueError, match=f"malformed record at {out}:1: TypeError") as info:
             read_sample(out)
         assert "unexpected keyword argument 'bogus'" in str(info.value)
+
+    @pytest.mark.parametrize("where, value, message", BAD_RECORD_NUMBERS.values(),
+                             ids=BAD_RECORD_NUMBERS.keys())
+    def test_bad_record_number_names_its_line(self, tmp_path, where, value, message):
+        line = sample_line(tmp_path)
+        record = json.loads(line)
+        *parents, key = where
+        target = record
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        out = tmp_path / "s.jsonl"
+        out.write_text(line + json.dumps(record) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_sample(out)
+        assert str(info.value) == f"malformed record at {out}:2: {ValueError(message)!r}"
+
+    @pytest.mark.parametrize("build", [
+        lambda v: FeatureVector(20, 40, 5, v, 4.0),
+        lambda v: FeatureVector(20, 40, 5, 0.5, v),
+        lambda v: CostEntry(v, 1, 2, 2.5),
+        lambda v: CostEntry(0.1, 1, 2, v),
+    ], ids=["spread", "lambda_max", "epsilon1", "cost"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_rejected_when_built(self, build, value):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            build(value)
+
+    def test_writer_refuses_a_non_finite_number(self, tmp_path):
+        # json.dumps writes NaN unless told not to, and no reader takes it
+        out = tmp_path / "s.jsonl"
+        manifest = DatasetManifest(1, 0, 0, 0, 0, [0.1], 1e-10, math.nan, "none",
+                                   "relative", [])
+        with pytest.raises(ValueError, match="Out of range float values"):
+            write_sample([], out, manifest)
+        assert not os.path.exists(manifest_path(out))
 
     def test_sample_without_reasons_still_reads(self, tmp_path):
         specs = [GraphSpec("path", 20, seed=1)]

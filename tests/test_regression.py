@@ -297,6 +297,16 @@ class TestModelIO:
         q = feat(n=14)
         assert knn_predict(loaded, q) == knn_predict(model, q)
 
+    def test_non_finite_model_is_not_written(self, tmp_path):
+        # load_model refuses NaN, so save_model must not write it
+        records = [make_record(f"m{i}", f"m{i}", feat(n=i), sloped_costs(1)) for i in range(3)]
+        model = fit_knn(records, k=1)
+        model.normalization.mins[3] = np.nan
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="Out of range float values"):
+            save_model(model, path)
+        assert not path.exists()
+
     def test_report_serialization(self, tmp_path):
         records = [
             make_record(f"m{i}", f"m{i}", feat(n=10 + i), sloped_costs(1 + i % 3))
