@@ -418,6 +418,12 @@ class SampleRecord:
     invalid_reason: str | None = None  # class and message of the failure
 
     def __post_init__(self):
+        if type(self.valid) is not bool:  # "false" would read as true
+            raise ValueError(f"valid must be a bool, got {self.valid!r}")
+        for name in ("matrix_id", "group_id", "invalid_reason"):
+            value = getattr(self, name)
+            if not isinstance(value, str) and not (value is None and name == "invalid_reason"):
+                raise ValueError(f"{name} must be a string, got {value!r}")
         unset = () if self.valid else ("label", "i_opt", "i_wrst")  # a failed sweep has none
         _check_numbers(self, ("label",), ("i_opt", "i_wrst"), optional=unset)
 

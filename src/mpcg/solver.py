@@ -15,28 +15,29 @@ recursively updated one: in binary32 the recursion drifts away from the
 truth, and the stopping decision is what the whole eps1 trade-off rests
 on.  A run recomputes it only where a decision needs it.  Every run
 tests it when the recursive norm is at most ``TRUE_RESIDUAL_MARGIN`` (2)
-times a threshold, and on its last iteration.  A run whose stagnation
-guard can never fire, ``stagnation_window > max_iterations``, tests it
-nowhere else: every ``no_stagnation`` run (binary64 stage 2 and the pure
-binary64 baseline), and any run whose ``max_iterations`` is below its
-window, such as stage 1 at the default ``10 n`` on a matrix with
-``n <= 2``.  A guarded run (binary32 stage 1 by default) also samples it
-``stagnation_window`` iterations after its previous sample, and where
-the recursive norm has fallen by ``SAMPLE_FACTOR`` (10) since then.  From
-the first sample that shows drift, a true residual more than the margin
-times the recursive norm, it tests every iteration.  Its guard is armed
-one window after that sample, so it always compares a full window of
-tested residuals.  The guard cannot read the recursive norm instead: in
-finite precision it keeps falling after the true residual has levelled
-off (Greenbaum, "Estimating the attainable accuracy of recursively
-computed residual methods", SIAM J. Matrix Anal. Appl. 18, 1997), so it
-would never fire.  Nor can it read sparse samples alone: they miss the
-dips of the non-monotone true residual norm and stop runs falsely early.
-Before drift the guard cannot fire, so a run whose true and recursive
-residuals level off together runs on to max_iterations.
+times a threshold, on its last iteration, and where ``r'z`` underflows
+to 0.  There it ends "underflow": its next direction would be 0, and
+``d'Ad = 0`` would be no sign of an operand that is not SPD.  A run
+whose stagnation guard can never fire, ``stagnation_window >
+max_iterations``, tests it nowhere else: every ``no_stagnation`` run
+(binary64 stage 2 and the pure binary64 baseline), and any run whose
+``max_iterations`` is below its window, such as stage 1 at the default
+``10 n`` on a matrix with ``n <= 2``.  A guarded run (binary32 stage 1 by
+default) also samples it ``stagnation_window`` iterations after its
+previous sample, and where the recursive norm has fallen by
+``SAMPLE_FACTOR`` (10) since then.  It ends "stagnated" at the first
+sample that shows drift, a true residual more than the margin times the
+recursive norm.  By then the true residual has levelled off near the
+attainable accuracy of the precision, while the recursive norm keeps
+falling (Greenbaum, "Estimating the attainable accuracy of recursively
+computed residual methods", SIAM J. Matrix Anal. Appl. 18, 1997), so the
+recursive norm alone would never show the stall.  Without drift the
+guard cannot fire, so a run whose true and recursive residuals level off
+together runs on to max_iterations.
 
-Samples and the guard read nothing of the thresholds, and a test counts
-for a threshold only where a run to that threshold alone would make it.
+Samples read nothing of the thresholds, a test counts for a threshold
+only where a run to that threshold alone would make it, and a run ends
+at drift or underflow only after the thresholds its test there meets.
 So each result of a run to several thresholds equals a run to its own
 threshold alone: the stage 1 of every eps1 of a sweep is the stage 1
 ``two_stage_solve`` runs to it.  A run pays one matrix-vector product
@@ -146,14 +147,14 @@ __all__ = [
 class SolveConfig:
     """Stopping and safeguard parameters for a single CG run.
 
-    ``max_iterations=None`` resolves to ``10 * n`` at solve time.  The run
-    is declared stagnated when the best tested true-residual norm has not
-    improved by at least ``stagnation_factor`` over the last
-    ``stagnation_window`` iterations; binary32 runs can stall above a tight
-    tolerance forever, and an unbounded loop would poison every sweep.
-    The module notes say which residuals the guard reads and when it is
-    armed.  A window longer than max_iterations switches the guard off.
-    The tolerance must be finite and both counts plain ints.
+    ``max_iterations=None`` resolves to ``10 * n`` at solve time.
+    ``stagnation_window`` is the guard's sampling cadence: the run samples
+    the true residual at least once per window and is declared stagnated
+    at the first sample that has drifted from the recursive residual;
+    binary32 runs can stall above a tight tolerance forever, and an
+    unbounded loop would poison every sweep.  The module notes say where
+    else it samples.  A window longer than max_iterations switches the
+    guard off.  The tolerance must be finite and both counts plain ints.
     """
 
     tolerance: float
@@ -161,7 +162,6 @@ class SolveConfig:
     preconditioner: str = "none"
     residual_mode: str = "relative"
     stagnation_window: int = 25
-    stagnation_factor: float = 0.99
 
     def __post_init__(self):
         if not 0 < self.tolerance < math.inf:
@@ -179,8 +179,6 @@ class SolveConfig:
             raise ValueError("residual_mode must be 'relative' or 'absolute'")
         if self.stagnation_window < 1:
             raise ValueError("stagnation_window must be at least 1")
-        if not 0 < self.stagnation_factor <= 1:
-            raise ValueError("stagnation_factor must lie in (0, 1]")
 
 
 @dataclass
@@ -199,7 +197,7 @@ class SolveResult:
     x: np.ndarray
     iterations: int
     final_residual_norm: float
-    status: str  # converged | max_iterations | stagnated
+    status: str  # converged | max_iterations | stagnated | underflow
     true_residuals: tuple[tuple[int, float], ...]
 
     @property
@@ -294,15 +292,12 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     The module notes give the policy for testing the true residual.  Its
     names here: ``recursive`` is ``sqrt(r'r)``, ``near`` is
     ``TRUE_RESIDUAL_MARGIN`` times the next unmet threshold,
-    ``sampled_at`` and ``anchor`` are the iteration and recursive norm of
-    the last sample, and ``best`` is the best sampled residual.  ``bests``
-    is None before drift; from the drifted sample on, every iteration is
-    a sample, and it holds ``best`` per iteration, so the guard is armed
-    once it spans a window.  Only a sample can show drift, and only before
-    it: a test near a threshold is no sample, and one at a sample after
-    drift or on the last iteration has no recursive norm (``inf``).  A
-    test at a sample or on the last iteration counts for every threshold,
-    one near a threshold only for those it is near.
+    and ``sampled_at`` and ``anchor`` are the iteration and recursive norm
+    of the last sample.  Only a sample can show drift: a test near a
+    threshold is no sample, and one on the last iteration or where ``r'z``
+    is 0 has no recursive norm (``inf``).  A test at a sample, on the last
+    iteration or where ``r'z`` is 0 counts for every threshold, one near a
+    threshold only for those it is near.
     """
     from scipy.linalg.blas import get_blas_funcs  # deferred: see the module notes
 
@@ -335,7 +330,6 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     np.copyto(d, z)
     rz = dot(r, d)  # r'M^-1 r; plain r'r when unpreconditioned
     history = [(0, res)]  # (iteration, ||b - A x||) of every test
-    best, bests = res, None  # best sample; per iteration from the drift sample on
     met, status = 0, "max_iterations"
     near = TRUE_RESIDUAL_MARGIN * thresholds[0] if count else inf
     sampled_at, anchor = 0, res  # iteration and recursive norm of the last sample
@@ -362,17 +356,17 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
             if not plain:
                 multiply(inv_diag, r, z)
             rz_next = dot(r, z)
-            beta = rz_next / rz if rz != 0 else 0.0
+            beta = rz_next / rz  # rz != 0: the run ended where it was 0
             if small:
                 axpy(z, scal(beta, d))  # z + beta * d
             else:
                 add(z, multiply(d, beta, d), d)  # z + beta * d
             rz = rz_next
 
-            # Samples feed the guard.  They depend on the config and the
-            # trajectory alone, so a run to one threshold takes the same.
+            # Samples depend on the config and the trajectory alone, so a
+            # run to one threshold takes the same.
             recursive = inf
-            sampled = bests is not None or k == max_iterations
+            sampled = k == max_iterations or rz == 0
             if not sampled:
                 recursive = sqrt(rz if plain else dot(r, r))
                 sampled = guarded and (
@@ -390,12 +384,6 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
                 subtract(b, t, t)  # b - A x
             res = float(np.sqrt(storage(dot(t, t))))
             history.append((k, res))
-            if sampled:
-                best = min(best, res)
-                if bests is not None:
-                    bests.append(best)
-                elif res > TRUE_RESIDUAL_MARGIN * recursive:  # drift
-                    bests = [best]
         # A threshold counts this test only where a run to it alone tests.
         while met < count and res <= thresholds[met] and (sampled or recursive <= near):
             yield SolveResult(x.copy(), k, res, "converged", tuple(history))
@@ -404,11 +392,10 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
                 near = TRUE_RESIDUAL_MARGIN * thresholds[met]
         if met == count:
             return
-        if (
-            bests is not None
-            and len(bests) > window
-            and bests[-1] > config.stagnation_factor * bests[-1 - window]
-        ):
+        if rz == 0:  # d would be 0 and d'Ad = 0
+            status = "underflow"
+            break
+        if sampled and res > TRUE_RESIDUAL_MARGIN * recursive:  # drift
             status = "stagnated"
             break
     for _ in thresholds[met:]:
@@ -429,8 +416,9 @@ def cg(A: SparseSymMatrix, b, x0=None, config: SolveConfig | None = None) -> Sol
 
     Stops when the true residual ``||b - A x||`` (divided by ``||b||`` in
     relative mode) falls to the configured tolerance, when max_iterations
-    is reached, or when progress stagnates.  The module notes say where a
-    run recomputes the true residual.
+    is reached, when a sample of the true residual has drifted from the
+    recursive one, or when ``r'z`` underflows to 0.  The module notes say
+    where a run recomputes the true residual.
     """
     if config is None:
         raise ValueError("config with a tolerance is required")
@@ -440,8 +428,8 @@ def cg(A: SparseSymMatrix, b, x0=None, config: SolveConfig | None = None) -> Sol
 
 def no_stagnation(config: SolveConfig) -> SolveConfig:
     """Copy of ``config`` whose stagnation window can never trigger, so
-    its runs test the true residual only near the threshold and on the
-    last iteration."""
+    its runs test the true residual only near the threshold, on the last
+    iteration and where ``r'z`` underflows to 0."""
     return replace(config, stagnation_window=2**31 - 1)
 
 
@@ -530,8 +518,9 @@ def two_stage_solve(
 
     Stage 1 starts from zero on the rounded system; its last iterate is
     upcast and used as the starting point of stage 2 even when stage 1
-    stagnated short of eps1.  The returned cost is ``mu * N1 + N2``.  This
-    is ``sweep`` over the one value eps1; a failed solve raises.
+    stagnated or underflowed short of eps1.  The returned cost is
+    ``mu * N1 + N2``.  This is ``sweep`` over the one value eps1; a failed
+    solve raises.
     """
     results, failure = sweep(A, b, (epsilon1,), epsilon2, mu, config)
     if failure is not None:

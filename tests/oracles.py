@@ -282,21 +282,23 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
     ``csr_matrix @ x``; the update order per iteration is alpha, x, r,
     beta, d.  The true residual norm and the recursive one (``sqrt(r'z)``,
     or ``sqrt(r'r)`` under Jacobi) are computed at every iteration; a
-    schedule then decides which true residuals the stopping test and the
-    stagnation guard see.  An unseen one is NaN in the history.
+    schedule then decides which true residuals the stopping test sees.
+    An unseen one is NaN in the history.
 
-    - ``eager``: every one; the guard compares the best residual with the
-      best one a window earlier from iteration ``window`` on.
-    - Otherwise the guard sees samples: the last iteration max_iterations
-      allows and, in a run whose window fits in max_iterations (a guarded
-      run), the iteration a window after the previous sample, the one
-      where the recursive norm has fallen by ``SAMPLE_FACTOR`` since the
-      previous sample, and every iteration from the first sample above
-      the margin times the recursive norm (drift) on.
-      A tolerance sees the samples and the iterations where the recursive
-      norm is within the margin of it; the history holds what the next
-      unmet tolerance sees.  The guard compares the best sample with the
-      best one a window earlier from a window after drift on.
+    - ``eager``: every one.
+    - Otherwise samples: the last iteration max_iterations allows, an
+      iteration whose r'z is 0 and, in a run whose window fits in
+      max_iterations (a guarded run), the iteration a window after the
+      previous sample and the one where the recursive norm has fallen by
+      ``SAMPLE_FACTOR`` since the previous sample.  A tolerance sees the
+      samples and the iterations where the recursive norm is within the
+      margin of it; the history holds what the next unmet tolerance sees.
+      The run ends "stagnated" at the first sample before the last
+      iteration whose true residual is above the margin times the
+      recursive norm (drift).
+
+    Either way the run ends "underflow" at the first iteration whose r'z
+    is 0, and both stops come after the tolerances met there.
 
     ``norms``, a list, receives (true, recursive, r'z, sample) of every
     iteration.  Inner products and norms are plain dots, or with an int
@@ -324,9 +326,9 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
     res = norm(r)
     d = inv_diag * r if inv_diag is not None else r.copy()
     rz = dot(r, d)
-    history, bests, out = [], [res], []
+    history, out = [], []
     met, status = 0, "max_iterations"
-    drift, last_sample, anchor = None, 0, res
+    last_sample, anchor = 0, res
     for k in range(max_iterations + 1):
         sample, recursive = True, math.inf  # the initial residual
         if k > 0:
@@ -339,13 +341,13 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
             r = r - alpha * Ad
             z = inv_diag * r if inv_diag is not None else r
             rz_next = dot(r, z)
-            beta = rz_next / rz if rz != 0 else z.dtype.type(0)
+            beta = rz_next / rz
             d = z + beta * d
             rz = rz_next
 
             true_norm = norm(b - A_csr @ x)
             recursive = math.sqrt(dot(r, r) if inv_diag is not None else rz)
-            sample = eager or k == max_iterations or (guarded and drift is not None)
+            sample = eager or k == max_iterations or rz == 0
             if not sample and guarded and (
                     k - last_sample >= window or recursive <= anchor / factor):
                 sample, last_sample, anchor = True, k, recursive
@@ -353,25 +355,19 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
                 norms.append((true_norm, recursive, float(rz), sample))
             if not (sample or recursive <= margin * thresholds[met]):
                 history.append(math.nan)
-                bests.append(bests[-1])
                 continue
             res = true_norm
             history.append(res)
-            bests.append(min(bests[-1], res) if sample else bests[-1])
-            if (not eager and guarded and drift is None and sample
-                    and k < max_iterations and res > margin * recursive):
-                drift = k
         while (met < len(thresholds) and res <= thresholds[met]
                and (sample or recursive <= margin * thresholds[met])):
             out.append((x, k, res, "converged", np.array(history)))
             met += 1
         if met == len(thresholds):
             return out
-        if eager:
-            guard_from = window
-        else:
-            guard_from = math.inf if drift is None else drift + window
-        if k >= guard_from and bests[k] > config.stagnation_factor * bests[k - window]:
+        if rz == 0:
+            status = "underflow"
+            break
+        if not eager and sample and k < max_iterations and res > margin * recursive:
             status = "stagnated"
             break
     for _ in thresholds[met:]:

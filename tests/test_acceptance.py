@@ -31,10 +31,9 @@ DESK_SEED = 42
 SPLIT_SEED = 3
 K = 5
 # sha256 of the desk sample.jsonl.  A deliberate change to what labelling
-# records (such as the fix for the lucky-breakdown records on the roadmap)
-# re-baselines this constant; the sampled stage-1 guard and the
-# invalid_reason field of the records last did.
-DESK_SAMPLE_SHA256 = "5e7c9defeef96dcb59c004bf5099a2ee55d760ffc1d15ef9e820877083192043"
+# records re-baselines this constant; stage 1 ending at its first drifted
+# sample last did, and with it every record of the sample became valid.
+DESK_SAMPLE_SHA256 = "40fa7afa746c2f7ead176c6b9d3bdbe04dc13df95be8e5490542a3b9ccc3ca8e"
 
 
 def announce(num: int, ok: bool, text: str) -> None:
@@ -293,6 +292,8 @@ def test_criterion_7_k1_self_consistency(desk_pipeline):
 def test_desk_sample_digest(desk_pipeline):
     digest = hashlib.sha256(desk_pipeline["sample"].read_bytes()).hexdigest()
     assert digest == DESK_SAMPLE_SHA256
+    records = read_sample(desk_pipeline["sample"], include_invalid=True)
+    assert (sum(r.valid for r in records), len(records)) == (525, 525)
 
 
 def test_desk_sample_digest_with_two_workers(desk_pipeline, tmp_path):
@@ -300,6 +301,8 @@ def test_desk_sample_digest_with_two_workers(desk_pipeline, tmp_path):
     argv = ["label", "--specs", str(desk_pipeline["specs"]), "--out", str(sample)]
     assert cli_main(argv + ["--threads", "2"]) == 0
     assert hashlib.sha256(sample.read_bytes()).hexdigest() == DESK_SAMPLE_SHA256
+    records = read_sample(sample, include_invalid=True)
+    assert (sum(r.valid for r in records), len(records)) == (525, 525)
 
 
 def test_criterion_8_determinism(desk_pipeline, tmp_path_factory):

@@ -215,6 +215,7 @@ BAD_RECORDS = {
     "n2-bool": (sample_json(costs=[*SAMPLE_COSTS[:2], {**SAMPLE_COSTS[2], "n2": True}]),
                 "n2 must be an integer, got True"),
     "i-opt-string": (sample_json(i_opt="9.0"), "i_opt must be a finite number, got '9.0'"),
+    "valid-string": (sample_json(valid="false"), "valid must be a bool, got 'false'"),
 }
 
 BAD_SPECS = {

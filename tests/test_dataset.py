@@ -128,10 +128,15 @@ BAD_SPECS = {
 }
 
 
-# A sample record's number of the wrong type: where it sits, its value, and
+# A sample record's field of the wrong type: where it sits, its value, and
 # the error that names it.  A bool is no number; a valid record's outcome
 # may not be null.
-BAD_RECORD_NUMBERS = {
+BAD_RECORD_FIELDS = {
+    "valid-string": (("valid",), "false", "valid must be a bool, got 'false'"),
+    "valid-int": (("valid",), 1, "valid must be a bool, got 1"),
+    "matrix-id-int": (("matrix_id",), 7, "matrix_id must be a string, got 7"),
+    "group-id-null": (("group_id",), None, "group_id must be a string, got None"),
+    "invalid-reason-int": (("invalid_reason",), 3, "invalid_reason must be a string, got 3"),
     "n-string": (("features", "n"), "abc", "n must be an integer, got 'abc'"),
     "nnz-float": (("features", "nnz"), 40.0, "nnz must be an integer, got 40.0"),
     "pseudo-diameter-bool": (("features", "pseudo_diameter"), True,
@@ -611,10 +616,11 @@ class TestBuildSample:
         assert d["valid"] and d["invalid_reason"] is None
 
     def test_invalid_record_keeps_its_reason(self, tmp_path):
-        A, config = SWEEP_CASES["lucky_breakdown"]
+        A, config = SWEEP_CASES["indefinite"]
         rec = label_matrix(A, ones_rhs(A), EpsilonGrid(), config, "s", "s")
         assert not rec.valid
-        assert rec.invalid_reason.startswith("CgBreakdownError: d'Ad = 0.0 at iteration ")
+        assert rec.invalid_reason == (
+            "CgBreakdownError: d'Ad = -16.0 at iteration 1: operand not SPD at binary32")
         out = tmp_path / "s.jsonl"
         write_sample([rec], out)
         (back,) = read_sample(out, include_invalid=True)
@@ -641,8 +647,8 @@ class TestBuildSample:
             read_sample(out)
         assert "unexpected keyword argument 'bogus'" in str(info.value)
 
-    @pytest.mark.parametrize("where, value, message", BAD_RECORD_NUMBERS.values(),
-                             ids=BAD_RECORD_NUMBERS.keys())
+    @pytest.mark.parametrize("where, value, message", BAD_RECORD_FIELDS.values(),
+                             ids=BAD_RECORD_FIELDS.keys())
     def test_bad_record_number_names_its_line(self, tmp_path, where, value, message):
         line = sample_line(tmp_path)
         record = json.loads(line)
@@ -746,11 +752,16 @@ class TestPlanSpecs:
 
 def _sweep_cases():
     thin = GraphSpec("path", 400, seed=21, delta_range=(1e-4, 1e-3))
+    # Once a false breakdown: stage 1 to class 7 drifts at iteration 2 and
+    # its r'z underflows to 0 at 21, before a guard that waited a window
+    # after drift could fire; it now ends at that drift.
     lucky = GraphSpec(
         "cycle", 439, diagonal_strategy="uniform_constant", constant=7.404224964402027
     )
     gnm = generate(GraphSpec("random_gnm", 150, seed=22, m_target=330))
     huge = from_coordinates([(0, 0, 1e39), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)], 2)
+    # Eigenvalues -2 and 4; b = A 1 lies in the eigenspace of -2.
+    indefinite = from_coordinates([(0, 0, 1.0), (0, 1, -3.0), (1, 1, 1.0)], 2, mirror=True)
     return {
         "default": (gnm, SolveConfig(tolerance=1e-10)),
         "jacobi": (gnm, SolveConfig(tolerance=1e-10, preconditioner="jacobi")),
@@ -759,6 +770,7 @@ def _sweep_cases():
         "stagnating": (generate(thin), SolveConfig(tolerance=1e-10)),
         "lucky_breakdown": (generate(lucky), SolveConfig(tolerance=1e-10)),
         "binary32_overflow": (huge, SolveConfig(tolerance=1e-10)),
+        "indefinite": (indefinite, SolveConfig(tolerance=1e-10)),
     }
 
 
@@ -788,7 +800,9 @@ class TestSweepAgainstReference:
         results, failure = run("stagnating")
         assert failure is None and "stagnated" in {r.stage1_status for r in results}
         results, failure = run("lucky_breakdown")
-        assert isinstance(failure, CgBreakdownError) and len(results) == 6
+        assert failure is None and len(results) == len(grid.values) + 1
+        results, failure = run("indefinite")
+        assert isinstance(failure, CgBreakdownError) and results == []
         results, failure = run("max_iterations")
         assert isinstance(failure, Stage2NotConvergedError)
         results, failure = run("binary32_overflow")

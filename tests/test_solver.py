@@ -18,6 +18,7 @@ from mpcg.errors import (
     DimensionMismatchError,
     NonpositiveDiagonalError,
     PrecisionMismatchError,
+    Stage2NotConvergedError,
 )
 from mpcg.solver import (
     SolveConfig,
@@ -354,8 +355,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolveConfig(tolerance=1e-6, stagnation_window=0)
         with pytest.raises(ValueError):
-            SolveConfig(tolerance=1e-6, stagnation_factor=1.5)
-        with pytest.raises(ValueError):
             SolveConfig(tolerance=1e-6, preconditioner="ilu")
         with pytest.raises(ValueError, match="max_iterations must be positive"):
             SolveConfig(tolerance=1e-6, max_iterations=0)
@@ -516,26 +515,15 @@ class TestLeanKernel:
         return _inverse_diagonal(A) if config.preconditioner == "jacobi" else None
 
     @staticmethod
-    def _matches_reference(A, b, x0, config, tolerances, solve=None, breakdown=False):
+    def _matches_reference(A, b, x0, config, tolerances, solve=None):
         """Results of ``_run_cg`` (or ``solve``, for one tolerance) equal to
-        the oracle's bit for bit; with ``breakdown``, None when both break
-        down at the same iteration."""
+        the oracle's bit for bit."""
         inv_diag = TestLeanKernel._inv(A, config)
-
-        def run():
-            if solve is None:
-                return list(_run_cg(A, b, x0, config, inv_diag, tolerances))
-            return [solve(A, b, x0, config)]
-
-        try:
-            want = cg_reference(A, b, x0, config, inv_diag, tolerances)
-        except CgBreakdownError as exc:
-            if not breakdown:
-                raise
-            with pytest.raises(CgBreakdownError, match=re.escape(f"{exc}: ")):
-                run()
-            return None
-        got = run()
+        want = cg_reference(A, b, x0, config, inv_diag, tolerances)
+        if solve is None:
+            got = list(_run_cg(A, b, x0, config, inv_diag, tolerances))
+        else:
+            got = [solve(A, b, x0, config)]
         assert len(got) == len(want) == len(tolerances)
         for result, ref in zip(got, want):
             assert_same_run(result, ref)  # the tested iterations alone
@@ -553,9 +541,7 @@ class TestLeanKernel:
 
     @pytest.mark.parametrize("name", sorted(LAZY_CASES))
     def test_lazy_run_matches_reference_bits(self, name):
-        got = self._matches_reference(*LAZY_CASES[name], breakdown=True)
-        if got is None:  # an unguarded binary32 run past the underflow of r
-            return
+        got = self._matches_reference(*LAZY_CASES[name])
         for result in got:
             assert result.true_residuals[-1] == (result.iterations, result.final_residual_norm)
         if got[-1].iterations > 5:  # some iteration was not tested
@@ -645,16 +631,6 @@ class TestKernelAliasing:
         assert np.array_equal(bits(b), b_bits)
         assert np.array_equal(bits(x0), x0_bits)
         assert not np.shares_memory(result.x, x0)
-
-
-def _until_breakdown(run):
-    """The results a run yields before it ends or breaks down."""
-    results = []
-    try:
-        results.extend(run)
-    except CgBreakdownError:
-        pass
-    return results
 
 
 class TestLazyTrueResidual:
@@ -785,18 +761,22 @@ class TestLazyTrueResidual:
             for pre in ("none", "jacobi"):
                 lazy_cfg = no_stagnation(
                     SolveConfig(tolerance=1e-9, preconditioner=pre, max_iterations=3 * n))
-                # A guard that cannot fire, since the best residual never
-                # grows, but that makes the kernel test every iteration.
-                eager_cfg = replace(lazy_cfg, stagnation_window=1, stagnation_factor=1.0)
                 inv_diag = TestLeanKernel._inv(M, lazy_cfg)
-                lazy = _until_breakdown(_run_cg(M, v, None, lazy_cfg, inv_diag, tolerances))
-                eager = _until_breakdown(_run_cg(M, v, None, eager_cfg, inv_diag, tolerances))
-                assert len(lazy) <= len(eager)
+                run = _run_cg(M, v, None, lazy_cfg, inv_diag, tolerances)
+                try:  # the oracle's schedule that tests every iteration
+                    eager = cg_reference(M, v, None, lazy_cfg, inv_diag, tolerances, eager=True)
+                except CgBreakdownError as exc:
+                    # r'z went subnormal but not 0, then d'Ad underflowed to 0.
+                    with pytest.raises(CgBreakdownError, match=re.escape(f"{exc}: ")):
+                        list(run)
+                    continue
+                lazy = list(run)
+                assert len(lazy) == len(eager) == len(tolerances)
                 scale = float(np.linalg.norm(v))
-                for tol, result, ref in zip(tolerances, lazy, eager):
-                    assert result.iterations >= ref.iterations
-                    if result.iterations == ref.iterations:
-                        assert np.array_equal(bits(result.x), bits(ref.x))
+                for tol, result, (x, iterations, *_) in zip(tolerances, lazy, eager):
+                    assert result.iterations >= iterations
+                    if result.iterations == iterations:
+                        assert np.array_equal(bits(result.x), bits(x))
                     if result.status == "converged":
                         true = float(np.linalg.norm(v - M._csr @ result.x))
                         assert true <= tol * scale
@@ -835,92 +815,76 @@ SAMPLED_CASES = _sampled_cases()
 
 def _sampled_run(name):
     """(config, final result, iterations tested, first drifted sample or
-    None, oracle norms) of a sampled case; None if the run breaks down.
-    Samples and drift are read from the oracle."""
+    None, oracle norms) of a sampled case.  Samples and drift are read
+    from the oracle's norms: no sample on the last iteration or where r'z
+    is 0 counts as drift."""
     A, b, x0, config, tolerances = SAMPLED_CASES[name]
     inv_diag = TestLeanKernel._inv(A, config)
-    results = _until_breakdown(_run_cg(A, b, x0, config, inv_diag, tolerances))
-    if len(results) < len(tolerances):
-        return None
+    results = list(_run_cg(A, b, x0, config, inv_diag, tolerances))
     norms = []
     cg_reference(A, b, x0, config, inv_diag, tolerances, norms=norms)
     tested = [k for k, _ in results[-1].true_residuals]
-    drifted = [k for k, (true, recursive, _, sample) in enumerate(norms[:-1], 1)
-               if sample and true > solver.TRUE_RESIDUAL_MARGIN * recursive]
+    last = config.max_iterations or 10 * A.n
+    drifted = [k for k, (true, recursive, rz, sample) in enumerate(norms, 1)
+               if sample and k < last and rz != 0
+               and true > solver.TRUE_RESIDUAL_MARGIN * recursive]
     return config, results[-1], tested, (drifted[0] if drifted else None), norms
 
 
 class TestSampledGuard:
     """A guarded run samples the true residual a window after its previous
     sample and where the recursive norm has fallen by SAMPLE_FACTOR since
-    then, tests it near a threshold and on its last iteration, and from
-    the first drifted sample on, every iteration; the guard reads samples
-    only and waits a window after that first drifted one."""
+    then, and tests it near a threshold and on its last iteration; it ends
+    "stagnated" at its first sample that shows drift."""
 
     def test_tests_before_drift_are_at_most_a_window_apart(self):
-        widest, runs = 0, 0
+        widest = 0
         for name in sorted(SAMPLED_CASES):
-            run = _sampled_run(name)
-            if run is None:
-                continue
-            config, result, tested, drift, norms = run
-            runs += 1
-            window = config.stagnation_window
-            before = [k for k in tested if drift is None or k <= drift]
-            samples = [k for k, norm in enumerate(norms, 1) if norm[3] and k <= before[-1]]
-            assert set(samples) <= set(before), name
-            gaps = np.diff(before)
-            assert gaps.max() <= window, name
+            config, _, tested, _, norms = _sampled_run(name)
+            samples = [k for k, norm in enumerate(norms, 1) if norm[3]]
+            assert set(samples) <= set(tested), name
+            gaps = np.diff(tested)
+            assert gaps.max() <= config.stagnation_window, name
             widest = max(widest, int(gaps.max()))
-            if drift is not None:
-                assert tested[tested.index(drift):] == list(range(drift, result.iterations + 1))
-        assert runs >= 12
         assert widest == SolveConfig(tolerance=1).stagnation_window  # tests were skipped
 
-    def test_guard_waits_a_window_after_the_first_drift(self):
-        stagnated = earlier_before = 0
+    def test_run_ends_at_its_first_drifted_sample(self):
+        stagnated = 0
         for name in sorted(SAMPLED_CASES):
-            run = _sampled_run(name)
-            if run is None or run[1].status != "stagnated":
+            _, result, tested, drift, _ = _sampled_run(name)
+            if drift is None:
+                assert result.status != "stagnated", name
                 continue
-            config, result, _, drift, norms = run
             stagnated += 1
-            assert drift is not None and result.iterations >= drift
-            if result.iterations < drift + config.stagnation_window:
-                assert norms[result.iterations - 1][2] == 0, name  # r'z underflowed
-                continue
-            A, b, x0, _, tolerances = SAMPLED_CASES[name]
-            eager = cg_reference(A, b, x0, config, TestLeanKernel._inv(A, config),
-                                 tolerances, eager=True)[-1]
-            if eager[3] == "stagnated" and eager[1] < drift + config.stagnation_window:
-                earlier_before += 1
-        assert stagnated >= 5
-        assert earlier_before >= 1  # where the every-iteration guard fired sooner
+            assert (result.iterations, result.status) == (drift, "stagnated"), name
+            assert tested[-1] == drift
+        assert stagnated >= 12
 
     def test_binary32_stagnating_case_still_stagnates(self):
         config, result, _, drift, _ = _sampled_run("b32-none-stagnating")
-        assert result.status == "stagnated" and drift is not None
+        assert (result.iterations, result.status) == (drift, "stagnated") == (24, "stagnated")
 
     def test_binary32_jacobi_stagnating_case_returns(self):
-        # Its r'z underflows to 0 at iteration 46 and d'Ad is 0 at 47, where
-        # an unguarded run breaks down; the guard stops it first.
+        # The guarded run ends at its drifted sample.  An unguarded one runs
+        # on until its r'z underflows to 0 at iteration 46, and ends there
+        # rather than break down on d'Ad = 0 at 47.
         config, result, _, drift, _ = _sampled_run("b32-jacobi-stagnating")
-        assert result.status == "stagnated"
-        assert result.iterations == drift + config.stagnation_window < 46
+        assert (result.iterations, result.status) == (drift, "stagnated") == (18, "stagnated")
         A, b, x0, _, tolerances = SAMPLED_CASES["b32-jacobi-stagnating"]
         inv_diag, norms = TestLeanKernel._inv(A, config), []
-        with pytest.raises(CgBreakdownError, match="d'Ad = 0.0 at iteration 47"):
-            list(_run_cg(A, b, x0, no_stagnation(config), inv_diag, tolerances))
-        with pytest.raises(CgBreakdownError):
-            cg_reference(A, b, x0, no_stagnation(config), inv_diag, tolerances, norms=norms)
-        assert norms[45][2] == 0
+        lazy = list(_run_cg(A, b, x0, no_stagnation(config), inv_diag, tolerances))
+        assert [(r.iterations, r.status) for r in lazy] == [(7, "converged"), (46, "underflow")]
+        assert lazy[-1].true_residuals[-1] == (46, lazy[-1].final_residual_norm)
+        cg_reference(A, b, x0, no_stagnation(config), inv_diag, tolerances, norms=norms)
+        assert len(norms) == 46 and norms[45][2] == 0
 
     @pytest.mark.parametrize("name", sorted(SAMPLED_CASES) + sorted(LAZY_CASES))
     def test_each_result_equals_a_run_to_its_tolerance_alone(self, name):
         cases = SAMPLED_CASES if name in SAMPLED_CASES else LAZY_CASES
         A, b, x0, config, tolerances = cases[name]
         inv_diag = TestLeanKernel._inv(A, config)
-        grid = _until_breakdown(_run_cg(A, b, x0, config, inv_diag, tolerances))
+        grid = list(_run_cg(A, b, x0, config, inv_diag, tolerances))
+        assert len(grid) == len(tolerances)
         for tol, result in zip(tolerances, grid):
             (alone,) = _run_cg(A, b, x0, config, inv_diag, (tol,))
             assert (alone.iterations, alone.status) == (result.iterations, result.status)
@@ -928,19 +892,19 @@ class TestSampledGuard:
             assert np.array_equal(bits(alone.x), bits(result.x))
 
     def test_desk_group_168_base_reaches_1e5(self):
-        # g00168b of the desk sample: the every-iteration guard stopped its
-        # stage 1 at N1 = 57, short of eps1 = 1e-5, on a dip of the
-        # non-monotone true residual.  Its first drift shows at 275.
+        # g00168b of the desk sample: its true residual is not monotone, and
+        # a guard that compared the best tested residual with the best one
+        # a window earlier stopped its stage 1 at N1 = 57, short of
+        # eps1 = 1e-5.  Its first drift shows at 275, where the run ends.
         spec = GraphSpec("random_gnm", 204, seed=2794336669971157239, m_target=229,
                          delta_range=(1e-4, 1e-3), variants=10)
         A = generate(spec)
         A32, b = downcast(A), downcast_vector(ones_rhs(A))
         config = SolveConfig(tolerance=1e-10)
         grid = tuple(10.0 ** -e for e in range(1, 8))
-        eager = cg_reference(A32, b, None, config, None, grid, eager=True)
-        assert (eager[4][1], eager[4][3]) == (57, "stagnated")
         results = list(_run_cg(A32, b, None, config, None, grid))
         assert (results[4].iterations, results[4].status) == (133, "converged")
+        assert (results[6].iterations, results[6].status) == (275, "stagnated")
         true = float(np.linalg.norm(b - A32._csr @ results[4].x))
         assert true <= 1e-5 * float(np.linalg.norm(b))
         # Without drift a plateau is no stagnation: capped short of 1e-5,
@@ -948,6 +912,66 @@ class TestSampledGuard:
         capped = replace(config, max_iterations=120)
         (result,) = _run_cg(A32, b, None, capped, None, (1e-5,))
         assert (result.iterations, result.status) == (120, "max_iterations")
+
+
+def _underflow_system(kind, n, seed, m_target=None, single=False):
+    """A generated matrix and a standard normal b, both rounded to binary32
+    with ``single``."""
+    A = generate(GraphSpec(kind, n, seed=seed, m_target=m_target))
+    b = np.random.default_rng(0).standard_normal(n)
+    return (downcast(A), downcast_vector(b)) if single else (A, b)
+
+
+UNDERFLOW = no_stagnation(SolveConfig(1e-300, max_iterations=2000))
+
+
+class TestUnderflow:
+    """A run whose r'z underflows to 0 tests the true residual there,
+    counts it for every threshold and ends "underflow": the next d would
+    be 0, and d'Ad = 0 no breakdown of an SPD operand."""
+
+    @pytest.mark.parametrize("system, iterations, residual", [
+        (("random_gnm", 600, 2, 1500), 712, 1.6326149389889445e-14),
+        (("tree_random", 800, 3, None, True), 132, 8.438827535428572e-06),
+    ], ids=["binary64-random-gnm", "binary32-tree"])
+    def test_run_ends_where_rz_underflows(self, system, iterations, residual):
+        A, b = _underflow_system(*system)
+        result = cg(A, b, None, UNDERFLOW)
+        assert (result.iterations, result.status) == (iterations, "underflow")
+        assert result.final_residual_norm == residual
+        assert result.true_residuals == ((0, result.true_residuals[0][1]), (iterations, residual))
+        (ref,) = cg_reference(A, b, None, UNDERFLOW, None, (1e-300,))
+        assert_same_run(result, ref)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_initial_rz_of_zero(self, dtype):
+        # Under Jacobi r'z = sum r_i^2 / a_ii is 0 while ||r|| is not.
+        tiny = np.finfo(dtype).tiny
+        A = diag_matrix([1 / tiny] * 3)
+        A = A if dtype == np.float64 else downcast(A)
+        b = np.full(3, np.sqrt(tiny) / 4, dtype=dtype)
+        config = no_stagnation(replace(JACOBI, tolerance=tiny, residual_mode="absolute"))
+        result = cg(A, b, None, config)
+        assert (result.iterations, result.status) == (0, "underflow")
+        assert result.true_residuals == ((0, result.final_residual_norm),)
+        assert result.final_residual_norm > tiny and not result.x.any()
+        (ref,) = cg_reference(A, b, None, config, _inverse_diagonal(A), (tiny,))
+        assert_same_run(result, ref)
+
+    def test_stage2_underflow_is_not_converged(self):
+        A, b = _underflow_system("random_gnm", 600, 2, 1500)
+        results, failure = sweep(A, b, (None,), 1e-300, config=UNDERFLOW)
+        assert results == [] and isinstance(failure, Stage2NotConvergedError)
+        assert "status 'underflow' after 712 iterations" in str(failure)
+
+    def test_stage1_underflow_hands_its_iterate_on(self):
+        A, b = _underflow_system("tree_random", 800, 3)
+        config = no_stagnation(SolveConfig(1e-12, max_iterations=2000))
+        result = two_stage_solve(A, b, 1e-12, 1e-12, config=config)
+        assert (result.n1, result.stage1_status) == (132, "underflow")
+        assert result.stage2_status == "converged"
+        n1, n2, x = two_stage_reference(A, b, 1e-12, 1e-12, 0.5, config)
+        assert (n1, n2) == (result.n1, result.n2) and np.array_equal(bits(x), bits(result.x))
 
 
 class TestBlockedDot:
@@ -1006,11 +1030,13 @@ class TestBlockedDot:
     def test_large_run_agrees_with_reference_to_rounding(self, dtype):
         # The blocked sums round differently from the oracle's plain dots;
         # on a well-conditioned system ten iterates stay within 1000 ulps.
+        # A one-iteration window samples every iteration, as the oracle's
+        # every-iteration schedule tests; no sample shows drift.
         A, b = self.system(3 * self.B + 5, dtype)
-        config = SolveConfig(tolerance=1e-30, max_iterations=10, stagnation_window=1,
-                             stagnation_factor=1.0)
+        config = SolveConfig(tolerance=1e-30, max_iterations=10, stagnation_window=1)
         (result,) = _run_cg(A, b, None, config, None, (1e-30,))
-        ((x, iterations, _, status, history),) = cg_reference(A, b, None, config, None, (1e-30,))
+        ((x, iterations, _, status, history),) = cg_reference(
+            A, b, None, config, None, (1e-30,), eager=True)
         assert (result.iterations, result.status) == (iterations, status) == (10, "max_iterations")
         tol = 1000 * np.finfo(dtype).eps
         np.testing.assert_allclose(result.x, x, rtol=0, atol=tol * float(np.abs(x).max()))
@@ -1026,11 +1052,11 @@ class TestBlockedDot:
         n = self.B + 1
         # ||b||, r'r and r'd before the loop; d'Ad, r'z and the true
         # residual in each iteration of a run whose one-iteration window
-        # makes it test every iteration, as the oracle does.
-        config = SolveConfig(tolerance=1e-8, max_iterations=4, stagnation_window=1,
-                             stagnation_factor=1.0)
+        # makes it sample every iteration, as the oracle's every-iteration
+        # schedule tests.
+        config = SolveConfig(tolerance=1e-8, max_iterations=4, stagnation_window=1)
         result, calls = self.counted_run(monkeypatch, n, config)
-        (ref,) = cg_reference(*self.system(n), None, config, None, (1e-8,))
+        (ref,) = cg_reference(*self.system(n), None, config, None, (1e-8,), eager=True)
         assert result.iterations == ref[1] == 4 and len(true_residuals_of(ref[4])) == 4
         assert calls == [n] * (3 + 2 * 4 + 4)
         # No ||b|| in absolute mode.
@@ -1158,7 +1184,7 @@ class TestBlasUpdates:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n", [1, 600, solver._DOT_BLOCK])
     def test_scal_is_numpy_multiply(self, n, dtype):
-        # beta is 0 where r'z is 0 (the lucky breakdowns of the desk sample).
+        # beta is 0 where r'z underflows to 0, the iteration a run ends on.
         scales = (0.0, -0.0, 1.0, -1.0, 3.7e-3, -41.5, 1e-30, 1e30)
         for v in self.vectors(n, dtype):
             _, scal, _, _ = self.blas(v)
