@@ -22,7 +22,7 @@ from ._fileio import atomic_write, finite_json
 from .errors import GraphFullError, InvalidSpecError
 from .features import FeatureVector, _check_numbers, extract_features
 from .solver import SolveConfig, sweep
-from .sparse import SparseSymMatrix, _entry_rows, _from_arrays
+from .sparse import SparseSymMatrix, _entry_rows, from_coordinates
 
 __all__ = [
     "DEFAULT_GRID",
@@ -314,7 +314,7 @@ def _dominant_diagonal(
 
 def _assemble(n: int, edges: np.ndarray, diag: np.ndarray) -> SparseSymMatrix:
     vertices = np.arange(n)
-    return _from_arrays(
+    return from_coordinates(
         np.concatenate([edges[:, 0], vertices]),
         np.concatenate([edges[:, 1], vertices]),
         np.concatenate([np.ones(edges.shape[0]), diag]),

@@ -39,12 +39,13 @@ Samples read nothing of the thresholds, a test counts for a threshold
 only where a run to that threshold alone would make it, and a run ends
 at drift or underflow only after the thresholds its test there meets.
 So each result of a run to several thresholds equals a run to its own
-threshold alone: the stage 1 of every eps1 of a sweep is the stage 1
-``two_stage_solve`` runs to it.  A run pays one matrix-vector product
-per untested iteration instead of two, and records nothing for it: its
-history, ``SolveResult.true_residuals``, is the true residuals it
-computed, each with its iteration, and its product count follows from
-that.  No recursive norm stands in for an untested one, since the two
+threshold alone, its history and product count included, since it keeps
+only the tests that run makes: the stage 1 of every eps1 of a sweep is
+the stage 1 ``two_stage_solve`` runs to it.  A run pays one
+matrix-vector product per untested iteration instead of two, and records
+nothing for it: its history, ``SolveResult.true_residuals``, is the true
+residuals it computed, each with its iteration, and its product count
+follows from that.  No recursive norm stands in for an untested one, since the two
 part ways (above).  Its iterates are those of an
 every-iteration test, so an unguarded run stops where that test would,
 unless the true residual meets the threshold while the recursive one is
@@ -273,8 +274,7 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     """Yield one SolveResult per tolerance of the descending ``tolerances``:
     the first tested iterate of one CG run that meets it, or the last
     iterate if the run ends first.  Each result equals a separate run to
-    its tolerance alone, but for its ``true_residuals`` and
-    ``spmv_calls``, since the other tolerances add tests.
+    its tolerance alone.
 
     ``inv_diag`` is None for plain CG and 1/diag for Jacobi.  Every vector
     operation runs at the matrix's storage precision.  The update order per
@@ -285,9 +285,12 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     module notes).  The operands are checked once, and every product (the
     initial residual, each ``A d`` and each true residual) zeroes its
     buffer and calls the one product ``_accumulate_product`` gives for A,
-    the kernel ``spmv`` runs too, so it holds the same bits.  A yielded
-    result holds a copy of x and of ``history``, the ``(k, norm)`` pair of
-    every test; an untested iteration records nothing.
+    the kernel ``spmv`` runs too, so it holds the same bits.  ``history``
+    holds the ``(k, norm)`` pair of every test, and ``made_at`` the
+    recursive norm it was made at, 0 where it counts for every threshold;
+    an untested iteration records nothing.  A yielded result holds a copy
+    of x and the tests of ``history`` that a run to its tolerance alone
+    makes: those made at most ``TRUE_RESIDUAL_MARGIN`` times it.
 
     The module notes give the policy for testing the true residual.  Its
     names here: ``recursive`` is ``sqrt(r'r)``, ``near`` is
@@ -330,6 +333,12 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     np.copyto(d, z)
     rz = dot(r, d)  # r'M^-1 r; plain r'r when unpreconditioned
     history = [(0, res)]  # (iteration, ||b - A x||) of every test
+    made_at = [0.0]  # the recursive norm of each test, 0 where every threshold counts it
+
+    def tests_for(threshold):  # the tests a run to threshold alone makes
+        bound = TRUE_RESIDUAL_MARGIN * threshold
+        return tuple(test for test, at in zip(history, made_at) if at <= bound)
+
     met, status = 0, "max_iterations"
     near = TRUE_RESIDUAL_MARGIN * thresholds[0] if count else inf
     sampled_at, anchor = 0, res  # iteration and recursive norm of the last sample
@@ -384,9 +393,10 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
                 subtract(b, t, t)  # b - A x
             res = float(np.sqrt(storage(dot(t, t))))
             history.append((k, res))
+            made_at.append(0.0 if sampled else recursive)
         # A threshold counts this test only where a run to it alone tests.
         while met < count and res <= thresholds[met] and (sampled or recursive <= near):
-            yield SolveResult(x.copy(), k, res, "converged", tuple(history))
+            yield SolveResult(x.copy(), k, res, "converged", tests_for(thresholds[met]))
             met += 1
             if met < count:
                 near = TRUE_RESIDUAL_MARGIN * thresholds[met]
@@ -398,8 +408,8 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
         if sampled and res > TRUE_RESIDUAL_MARGIN * recursive:  # drift
             status = "stagnated"
             break
-    for _ in thresholds[met:]:
-        yield SolveResult(x.copy(), k, res, status, tuple(history))
+    for threshold in thresholds[met:]:
+        yield SolveResult(x.copy(), k, res, status, tests_for(threshold))
 
 
 def _inverse_diagonal(A: SparseSymMatrix) -> np.ndarray:

@@ -39,8 +39,7 @@ import os
 import re
 import warnings
 from functools import partial
-from operator import attrgetter, index
-from typing import Iterable
+from operator import attrgetter
 
 import numpy as np
 
@@ -71,8 +70,8 @@ _VALUE_DTYPES = (np.float32, np.float64)
 class SparseSymMatrix:
     """Square symmetric matrix stored in CSR with full (two-sided) structure.
 
-    Build one from (row, col, value) triplets with ``from_coordinates``,
-    from a file with ``read_matrix_market``, or from CSR arrays with this
+    Build one from coordinate arrays with ``from_coordinates``, from a
+    file with ``read_matrix_market``, or from CSR arrays with this
     constructor.  The matrix is one scipy ``csr_matrix``, ``_csr``, and no
     cache: validation, every product and the csgraph passes of ``features``
     read its arrays, and the three attributes below are those same arrays,
@@ -186,47 +185,20 @@ def _entry_rows(A: SparseSymMatrix) -> np.ndarray:
 
 
 def from_coordinates(
-    triplets: Iterable[tuple[int, int, float]],
-    n: int,
-    mirror: bool = False,
-    dtype=np.float64,
+    rows, cols, vals, n: int, mirror: bool = False, validate: bool = True
 ) -> SparseSymMatrix:
-    """Build a matrix from (row, col, value) triplets.
+    """Build a matrix from coordinate arrays in O(nnz): entry k is
+    ``vals[k]`` at ``(rows[k], cols[k])``.
 
-    The input must contain both symmetric halves of each off-diagonal entry,
-    or ``mirror=True`` to add the missing (col, row, value) copies.
-    Duplicated positions and non-finite values are errors, and so is an
-    index that is not a Python or numpy integer (a float ``1.0`` included),
-    as in ``read_matrix_market``: the ValueError names the first such
-    triplet.  The triplets are unpacked into arrays and assembled by
-    ``_from_arrays`` in O(nnz), which code that already holds arrays calls
-    directly.
-    """
-    triplets = list(triplets)
-    pairs = np.fromiter(
-        (i for t in triplets for i in _integral_indices(t)),
-        dtype=np.int64,
-        count=2 * len(triplets),
-    )
-    vals = np.fromiter((t[2] for t in triplets), dtype=dtype, count=len(triplets))
-    return _from_arrays(pairs[0::2], pairs[1::2], vals, n, mirror)
+    ``rows``, ``cols`` and ``vals`` are vectors of one length, or
+    sequences that convert to such; the first two must be of an integer
+    dtype (a float index, ``1.0`` included, is a TypeError), since the
+    compiled kernels below trust them.  The values keep their dtype,
+    binary64 or binary32; any other becomes binary64.  The input must
+    contain both symmetric halves of each off-diagonal entry, or
+    ``mirror=True`` to add the missing (col, row, value) copies.
+    Duplicated positions and non-finite values are errors.
 
-
-def _integral_indices(triplet) -> tuple[int, int]:
-    try:
-        return index(triplet[0]), index(triplet[1])
-    except TypeError:
-        raise ValueError(f"triplet {tuple(triplet)} has a non-integral index") from None
-
-
-def _from_arrays(
-    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int, mirror: bool,
-    validate: bool = True,
-) -> SparseSymMatrix:
-    """CSR assembly of coordinate arrays in O(nnz), as ``from_coordinates``.
-
-    ``rows``, ``cols`` and ``vals`` are vectors of one length, the first
-    two of an integer dtype, since the compiled kernels below trust them.
     Once in range, the indices are cast to scipy's index dtype, int32
     wherever n and the mirrored nnz fit, before mirroring, so no wider copy
     is mirrored or sorted.  Then sparsetools' ``coo_tocsr``, a stable
@@ -241,6 +213,7 @@ def _from_arrays(
     """
     from scipy.sparse import _sparsetools, get_index_dtype
 
+    rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals)
     if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)):
         raise TypeError(f"triplet indices must be integers, not {rows.dtype} and {cols.dtype}")
     if not rows.ndim == 1 or not rows.shape == cols.shape == vals.shape:
@@ -382,7 +355,7 @@ _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
 
 def _parse_entries(lines) -> np.ndarray:
-    """Parse 'row col value' lines, an open file or a list of strings.
+    """Parse a list of 'row col value' lines.
 
     The one parser for every entry line: an index such as ``1.0`` or a
     line with other than three fields raises ValueError.
@@ -406,13 +379,13 @@ def _entry_errors(entries: np.ndarray, n: int) -> list[tuple[int, int, str]]:
 def _entries_by_line(fh, lineno: int, n_entries: int, n: int) -> np.ndarray:
     """Parse the lines after the size line ``lineno`` with their line numbers.
 
-    The slow path behind ``read_matrix_market``, taken when the single
-    parse of the whole body failed or its checks did not pass.  It skips
-    comment lines among the entries and otherwise raises at the first
-    offending line.  When the L lines do not parse as a whole, the first
-    one that does not is found in blocks of about sqrt(L) lines, and then
-    line by line within the first block that fails: about 2 sqrt(L)
-    parses, not one per line before it.
+    The path behind ``read_matrix_market`` for a file that fails the
+    strict check.  It skips comment lines among the entries, parses the
+    L lines left in one call, and raises at the first offending line.
+    When they do not parse as a whole, the first one that does not is
+    found in blocks of about sqrt(L) lines, and then line by line within
+    the first block that fails: about 2 sqrt(L) parses, not one per line
+    before it.
     """
     linenos, lines = [], []
     for lineno, line in enumerate(fh, start=lineno + 1):
@@ -473,7 +446,7 @@ def _strict_read(fh, body: int, lines: int, n_entries: int, n: int, symmetric: b
     (``1.2.3`` reads as 1.2, ``2_0`` as 2) and reads a fourth column or a
     second entry on a line without an error.  The copy is let go before
     ``mmread`` parses the same open file and appends the mirrors of a
-    symmetric file's off-diagonal entries, as ``_from_arrays`` does.  Its
+    symmetric file's off-diagonal entries, as ``from_coordinates`` does.  Its
     result counts only if the file's size and time stamp did not change
     meanwhile, and the result holds the size line's shape, the number of
     entries that count and header imply, and finite values.  None sends
@@ -513,7 +486,7 @@ def _strict_read(fh, body: int, lines: int, n_entries: int, n: int, symmetric: b
         or not np.isfinite(values).all()
     ):
         return None
-    A = _from_arrays(rows, cols, values, n, mirror=False, validate=False)
+    A = from_coordinates(rows, cols, values, n, validate=False)
     del coo, rows, cols, values  # validate with only the CSR arrays left
     A._validate(A.nnz)
     return A
@@ -531,10 +504,10 @@ def read_matrix_market(path) -> SparseSymMatrix:
     ``scipy.io.mmread``'s compiled parser (``_strict_read``);
     ``write_matrix_market`` writes such files.  Any other file, or one
     whose parse holds an index out of range or a value that is not finite,
-    is parsed by one ``np.loadtxt`` call, and a file that fails it, or the
-    checks after it, again line by line, which accepts comment lines among
-    the entries and otherwise raises MatrixMarketParseError at the first
-    offending line.
+    is parsed with its line numbers by ``_entries_by_line``: comment lines
+    among the entries are skipped, the rest go to one ``np.loadtxt`` call,
+    and a fault raises MatrixMarketParseError at the first offending
+    line.
     Both paths return the same arrays, bit for bit, on every file the
     first accepts.
     """
@@ -578,13 +551,7 @@ def read_matrix_market(path) -> SparseSymMatrix:
         if A is not None:
             return A
         fh.seek(body)
-        try:
-            entries = _parse_entries(fh)
-        except ValueError:
-            entries = None
-        if entries is None or entries.size != n_entries or _entry_errors(entries, n_rows):
-            fh.seek(body)
-            entries = _entries_by_line(fh, lineno, n_entries, n_rows)
-    return _from_arrays(
+        entries = _entries_by_line(fh, lineno, n_entries, n_rows)
+    return from_coordinates(
         entries["row"] - 1, entries["col"] - 1, entries["value"], n_rows, symmetric
     )

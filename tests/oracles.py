@@ -4,7 +4,8 @@ Every oracle here deliberately avoids the library's own code paths:
 matvecs run over raw triplets, distances come from scipy's csgraph or a
 plain-Python BFS, and eigenvalues come from LAPACK on a dense copy.  The
 exceptions are references for code that was replaced: they keep the
-replaced algorithm and call the library only for what it kept.
+replaced algorithm and call the library only for what it kept, and
+``from_triplets``, the tests' shorthand for a small matrix.
 """
 
 import functools
@@ -15,6 +16,18 @@ from dataclasses import asdict, replace
 import numpy as np
 import scipy.sparse
 from scipy.sparse.csgraph import dijkstra, shortest_path
+
+
+def from_triplets(triplets, n, mirror=False, dtype=np.float64):
+    """``from_coordinates`` of (row, col, value) triplets: int64 indices
+    and ``dtype`` values, one entry per triplet."""
+    from mpcg.sparse import from_coordinates
+
+    triplets = list(triplets)
+    rows = np.array([t[0] for t in triplets], dtype=np.int64)
+    cols = np.array([t[1] for t in triplets], dtype=np.int64)
+    vals = np.array([t[2] for t in triplets], dtype=dtype)
+    return from_coordinates(rows, cols, vals, n, mirror)
 
 
 def inorder_matvec(triplets, n, x):
@@ -119,7 +132,7 @@ def first_per_component_reference(labels, count, key) -> np.ndarray:
     return order[np.searchsorted(labels[order], np.arange(count))]
 
 
-def from_arrays_reference(rows, cols, vals, n, mirror):
+def from_coordinates_reference(rows, cols, vals, n, mirror):
     """CSR assembly of coordinate arrays by a lexsort over int64 indices,
     O(m log m); the matrix is built and validated by ``SparseSymMatrix``,
     whose scipy container picks the index dtype.  Fewer mirrored entries
@@ -292,7 +305,8 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
       previous sample and the one where the recursive norm has fallen by
       ``SAMPLE_FACTOR`` since the previous sample.  A tolerance sees the
       samples and the iterations where the recursive norm is within the
-      margin of it; the history holds what the next unmet tolerance sees.
+      margin of it, and its history holds what it sees: a run to several
+      tolerances tests what the next unmet one sees.
       The run ends "stagnated" at the first sample before the last
       iteration whose true residual is above the margin times the
       recursive norm (drift).
@@ -326,7 +340,11 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
     res = norm(r)
     d = inv_diag * r if inv_diag is not None else r.copy()
     rz = dot(r, d)
-    history, out = [], []
+    steps, out = [], []  # (true, recursive, sample) of every iteration
+
+    def history(t):  # the true residuals tolerance t sees, NaN elsewhere
+        return np.array([v if s or rec <= margin * t else math.nan for v, rec, s in steps])
+
     met, status = 0, "max_iterations"
     last_sample, anchor = 0, res
     for k in range(max_iterations + 1):
@@ -353,14 +371,13 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
                 sample, last_sample, anchor = True, k, recursive
             if norms is not None:
                 norms.append((true_norm, recursive, float(rz), sample))
+            steps.append((true_norm, recursive, sample))
             if not (sample or recursive <= margin * thresholds[met]):
-                history.append(math.nan)
                 continue
             res = true_norm
-            history.append(res)
         while (met < len(thresholds) and res <= thresholds[met]
                and (sample or recursive <= margin * thresholds[met])):
-            out.append((x, k, res, "converged", np.array(history)))
+            out.append((x, k, res, "converged", history(thresholds[met])))
             met += 1
         if met == len(thresholds):
             return out
@@ -370,6 +387,6 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
         if not eager and sample and k < max_iterations and res > margin * recursive:
             status = "stagnated"
             break
-    for _ in thresholds[met:]:
-        out.append((x, len(history), res, status, np.array(history)))
+    for t in thresholds[met:]:
+        out.append((x, len(steps), res, status, history(t)))
     return out

@@ -23,9 +23,15 @@ from mpcg.dataset import (
 from mpcg.features import eigen_estimates, pseudo_diameter
 from mpcg.regression import evaluate, fit_knn, load_model, split
 from mpcg.solver import SolveConfig, cg, two_stage_solve
-from mpcg.sparse import from_coordinates
 
-from oracles import dd_spd_triplets, dense_of, eigenvalues_of, iteration_bound, true_diameter
+from oracles import (
+    dd_spd_triplets,
+    dense_of,
+    eigenvalues_of,
+    from_triplets,
+    iteration_bound,
+    true_diameter,
+)
 
 DESK_SEED = 42
 SPLIT_SEED = 3
@@ -104,7 +110,7 @@ def test_criterion_1_gershgorin_containment():
     for seed in range(200):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 51))
-        A = from_coordinates(
+        A = from_triplets(
             dd_spd_triplets(
                 n,
                 rng,
@@ -167,7 +173,7 @@ def test_criterion_3_cg_iteration_bounds():
             rng = np.random.default_rng(1000 * k + rep)
             distinct = np.geomspace(1.0, 50.0, k)
             values = np.repeat(distinct, 5)
-            A = from_coordinates(
+            A = from_triplets(
                 [(i, i, float(v)) for i, v in enumerate(values)], values.size
             )
             res = cg(A, rng.standard_normal(values.size), None, cfg)
@@ -177,7 +183,7 @@ def test_criterion_3_cg_iteration_bounds():
     for seed in range(50):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 51))
-        A = from_coordinates(dd_spd_triplets(n, rng, density=0.2), n)
+        A = from_triplets(dd_spd_triplets(n, rng, density=0.2), n)
         ev = eigenvalues_of(A)
         res = cg(A, rng.standard_normal(n), None, cfg)
         assert res.status == "converged"

@@ -15,7 +15,7 @@ LAYERS = ("sparse", "solver", "features", "dataset", "regression")
 # Public names the program no longer has; a test that needs one keeps its
 # own copy (iteration_bound lives in oracles.py).
 RETIRED = ("pcg_jacobi", "iteration_bound", "grid_cost", "value_of_class", "read_manifest",
-           "gershgorin_basic", "gershgorin_scaled", "stagnation_factor")
+           "gershgorin_basic", "gershgorin_scaled", "stagnation_factor", "_from_arrays")
 
 
 def _package_modules():

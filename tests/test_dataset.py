@@ -46,9 +46,8 @@ from mpcg.errors import (
 from mpcg.features import FeatureVector, extract_features
 from mpcg.regression import minimax_apply, minimax_fit
 from mpcg.solver import SolveConfig, sweep, two_stage_solve
-from mpcg.sparse import from_coordinates
 
-from oracles import eigenvalues_of, label_matrix_reference, two_stage_reference
+from oracles import eigenvalues_of, from_triplets, label_matrix_reference, two_stage_reference
 
 
 def offdiag_abs_rowsums(A):
@@ -348,7 +347,7 @@ class TestPerturb:
         n = 4
         trips = [(i, j, 1.0) for i in range(n) for j in range(n) if i != j]
         trips += [(i, i, float(n)) for i in range(n)]
-        K = from_coordinates(trips, n)
+        K = from_triplets(trips, n)
         with pytest.raises(GraphFullError):
             perturb(K, variants=2, edges_to_add=1, seed=0)
 
@@ -475,7 +474,7 @@ class TestSparseGraphMemory:
 
 class TestLabelMatrix:
     def test_identity_labels_class_one(self):
-        A = from_coordinates([(i, i, 1.0) for i in range(6)], 6)
+        A = from_triplets([(i, i, 1.0) for i in range(6)], 6)
         rec = label_matrix(A, ones_rhs(A), EpsilonGrid(), matrix_id="id")
         assert rec.valid and rec.label == 1
         for e in rec.costs:
@@ -501,7 +500,7 @@ class TestLabelMatrix:
         assert [e.cost for e in rec1.costs] == [e.cost for e in rec2.costs]
 
     def test_tie_break_prefers_larger_eps1(self):
-        A = from_coordinates([(i, i, 2.0) for i in range(5)], 5)
+        A = from_triplets([(i, i, 2.0) for i in range(5)], 5)
         rec = label_matrix(A, ones_rhs(A), EpsilonGrid())
         costs = [e.cost for e in rec.costs if e.epsilon1 is not None]
         assert costs.count(min(costs)) > 1
@@ -759,9 +758,9 @@ def _sweep_cases():
         "cycle", 439, diagonal_strategy="uniform_constant", constant=7.404224964402027
     )
     gnm = generate(GraphSpec("random_gnm", 150, seed=22, m_target=330))
-    huge = from_coordinates([(0, 0, 1e39), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)], 2)
+    huge = from_triplets([(0, 0, 1e39), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)], 2)
     # Eigenvalues -2 and 4; b = A 1 lies in the eigenspace of -2.
-    indefinite = from_coordinates([(0, 0, 1.0), (0, 1, -3.0), (1, 1, 1.0)], 2, mirror=True)
+    indefinite = from_triplets([(0, 0, 1.0), (0, 1, -3.0), (1, 1, 1.0)], 2, mirror=True)
     return {
         "default": (gnm, SolveConfig(tolerance=1e-10)),
         "jacobi": (gnm, SolveConfig(tolerance=1e-10, preconditioner="jacobi")),

@@ -20,13 +20,14 @@ from mpcg.features import (
     pseudo_diameter,
     spread,
 )
-from mpcg.sparse import SparseSymMatrix, from_coordinates
+from mpcg.sparse import SparseSymMatrix
 
 from oracles import (
     dd_spd_triplets,
     double_sweep_diameter,
     eigenvalues_of,
     first_per_component_reference,
+    from_triplets,
     hop_distances_reference,
     true_diameter,
 )
@@ -36,7 +37,7 @@ def path_matrix(n, diag=3.0):
     trips = [(i, i, diag) for i in range(n)]
     for i in range(n - 1):
         trips += [(i, i + 1, 1.0), (i + 1, i, 1.0)]
-    return from_coordinates(trips, n)
+    return from_triplets(trips, n)
 
 
 def cycle_matrix(n, diag=3.0):
@@ -44,7 +45,7 @@ def cycle_matrix(n, diag=3.0):
     for i in range(n):
         j = (i + 1) % n
         trips += [(i, j, 1.0), (j, i, 1.0)]
-    return from_coordinates(trips, n)
+    return from_triplets(trips, n)
 
 
 def relabeled(A, perm):
@@ -53,7 +54,7 @@ def relabeled(A, perm):
     for i in range(A.n):
         for k in range(rs[i], rs[i + 1]):
             trips.append((int(perm[i]), int(perm[cols[k]]), float(vals[k])))
-    return from_coordinates(trips, A.n)
+    return from_triplets(trips, A.n)
 
 
 class TestPseudoDiameter:
@@ -66,7 +67,7 @@ class TestPseudoDiameter:
         assert pseudo_diameter(A) == 3
 
     def test_edgeless(self):
-        A = from_coordinates([(i, i, 1.0) for i in range(4)], 4)
+        A = from_triplets([(i, i, 1.0) for i in range(4)], 4)
         assert pseudo_diameter(A) == 0
 
     def test_exact_on_random_trees(self):
@@ -93,7 +94,7 @@ class TestPseudoDiameter:
             trips.append((i, i, 3.0))
         for i in range(4, 10):
             trips += [(i, i + 1, 1.0), (i + 1, i, 1.0)]
-        A = from_coordinates(trips, 11)
+        A = from_triplets(trips, 11)
         assert pseudo_diameter(A) == 6
 
     def test_matches_loop_reference_on_general_graphs(self):
@@ -108,7 +109,7 @@ class TestPseudoDiameter:
         # one component per vertex: a per-component sweep must not cost
         # a pass over the whole matrix per component
         n = 20_000
-        A = from_coordinates([(i, i, 1.0) for i in range(n)], n)
+        A = from_triplets([(i, i, 1.0) for i in range(n)], n)
         t0 = time.perf_counter()
         assert pseudo_diameter(A) == 0
         assert time.perf_counter() - t0 < 1.0
@@ -154,7 +155,7 @@ def multi_component_graphs(draw):
     edges = {(min(e), max(e)) for e in draw(st.lists(ends, max_size=n - 2)) if e[0] != e[1]}
     trips = [(i, i, 1.0 + n) for i in range(n)]
     trips += [t for i, j in edges for t in ((i, j, -1.0), (j, i, -1.0))]
-    return from_coordinates(trips, n)
+    return from_triplets(trips, n)
 
 
 class TestStrongComponents:
@@ -183,7 +184,7 @@ def union(*blocks):
 def sweep_graphs():
     """Graphs for the sweep helpers: several components with isolated
     vertices, a star, a cycle, and random graphs and trees up to n = 5000."""
-    isolated = from_coordinates([(i, i, 1.0) for i in range(3)], 3)
+    isolated = from_triplets([(i, i, 1.0) for i in range(3)], 3)
     yield "components", union(
         isolated, path_matrix(7), cycle_matrix(5), isolated, generate(GraphSpec("star", 6)),
         generate(GraphSpec("random_gnm", 50, seed=4, m_target=30)),
@@ -241,21 +242,21 @@ class TestBreadthFirstSweeps:
 
 class TestGershgorin:
     def test_identity(self):
-        A = from_coordinates([(i, i, 1.0) for i in range(5)], 5)
+        A = from_triplets([(i, i, 1.0) for i in range(5)], 5)
         est = eigen_estimates(A)
         assert est.basic == Interval(1.0, 1.0)
         assert est.scaled1 == Interval(1.0, 1.0) and est.scaled2 == Interval(1.0, 1.0)
 
     def test_subnormal_diagonal_entry(self):
         # 1/a_11 overflows to inf; row 1's diagonal term stays 0, not 0 * inf = NaN.
-        A = from_coordinates([(0, 0, 1.0), (1, 1, 1e-310), (2, 2, 2.0), (0, 2, 0.5), (2, 0, 0.5)], 3)
+        A = from_triplets([(0, 0, 1.0), (1, 1, 1e-310), (2, 2, 2.0), (0, 2, 0.5), (2, 0, 0.5)], 3)
         with np.errstate(over="ignore", invalid="ignore"):
             est = eigen_estimates(A)
         assert est.scaled2 == Interval(1e-310, 3.0)
         assert est.combined == Interval(1e-310, 2.25)
 
     def test_two_by_two(self):
-        A = from_coordinates([(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 2)], 2)
+        A = from_triplets([(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 2)], 2)
         est = eigen_estimates(A)
         assert est.basic == Interval(1.0, 3.0)
         ev = eigenvalues_of(A)
@@ -264,11 +265,11 @@ class TestGershgorin:
         assert est.scaled1 == Interval(1.0, 3.0) and est.scaled2 == Interval(1.0, 3.0)
 
     def test_pure_diagonal(self):
-        A = from_coordinates([(i, i, float(2 + i)) for i in range(4)], 4)
+        A = from_triplets([(i, i, float(2 + i)) for i in range(4)], 4)
         assert eigen_estimates(A).basic == Interval(2.0, 5.0)
 
     def test_scaled_hulls_4_1(self):
-        A = from_coordinates([(0, 0, 4), (0, 1, 1), (1, 0, 1), (1, 1, 1)], 2)
+        A = from_triplets([(0, 0, 4), (0, 1, 1), (1, 0, 1), (1, 1, 1)], 2)
         est = eigen_estimates(A)
         assert est.scaled1 == Interval(-3.0, 5.0)
         assert est.scaled2 == Interval(0.0, 8.0)
@@ -280,7 +281,7 @@ class TestGershgorin:
             assert hull.lo <= ev[0] and ev[-1] <= hull.hi
 
     def test_scaled_needs_positive_diagonal(self):
-        A = from_coordinates([(0, 0, -1.0)], 1)
+        A = from_triplets([(0, 0, -1.0)], 1)
         with pytest.raises(NonpositiveDiagonalError):
             eigen_estimates(A)
 
@@ -288,7 +289,7 @@ class TestGershgorin:
         for seed in range(60):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 50))
-            A = from_coordinates(
+            A = from_triplets(
                 dd_spd_triplets(n, rng, density=0.2, signed=bool(seed % 2)), n
             )
             est = eigen_estimates(A)
@@ -319,7 +320,7 @@ class TestSpread:
 
 class TestExtractFeatures:
     def test_identity_four(self):
-        A = from_coordinates([(i, i, 1.0) for i in range(4)], 4)
+        A = from_triplets([(i, i, 1.0) for i in range(4)], 4)
         chi = extract_features(A)
         assert (chi.n, chi.nnz, chi.pseudo_diameter) == (4, 4, 0)
         assert chi.spread == 0.0 and chi.lambda_max == 1.0
@@ -347,10 +348,10 @@ class TestExtractFeatures:
 
     def test_scale_invariance_of_spread(self):
         rng = np.random.default_rng(21)
-        A = from_coordinates(dd_spd_triplets(30, rng), 30)
+        A = from_triplets(dd_spd_triplets(30, rng), 30)
         chi = extract_features(A)
         for c in (2.0, 3.0):
-            scaled = from_coordinates(
+            scaled = from_triplets(
                 [
                     (int(i), int(j), float(c * v))
                     for i, j, v in zip(

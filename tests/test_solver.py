@@ -11,7 +11,7 @@ import scipy.linalg.blas
 from scipy.linalg.blas import get_blas_funcs
 from scipy.sparse import _sparsetools
 
-from mpcg.dataset import GraphSpec, generate, ones_rhs
+from mpcg.dataset import DEFAULT_GRID, FAMILIES, GraphSpec, generate, ones_rhs
 from mpcg import solver, sparse
 from mpcg.errors import (
     CgBreakdownError,
@@ -31,10 +31,10 @@ from mpcg.solver import (
     two_stage_solve,
 )
 from mpcg.sparse import (
+    SparseSymMatrix,
     _accumulate_product,
     downcast,
     downcast_vector,
-    from_coordinates,
     upcast_vector,
 )
 
@@ -42,6 +42,7 @@ from oracles import (
     cg_reference,
     dd_spd_triplets,
     eigenvalues_of,
+    from_triplets,
     iteration_bound,
     true_residuals_of,
     two_stage_reference,
@@ -49,13 +50,13 @@ from oracles import (
 
 
 def diag_matrix(values):
-    return from_coordinates(
+    return from_triplets(
         [(i, i, float(v)) for i, v in enumerate(values)], len(values)
     )
 
 
 def random_dd(n, rng, **kw):
-    return from_coordinates(dd_spd_triplets(n, rng, **kw), n)
+    return from_triplets(dd_spd_triplets(n, rng, **kw), n)
 
 
 CFG = SolveConfig(tolerance=1e-12)
@@ -178,7 +179,7 @@ class TestJacobi:
         for i in range(n):
             j = (i + 1) % n
             trips += [(i, j, 0.3), (j, i, 0.3)]
-        A = from_coordinates(trips, n)
+        A = from_triplets(trips, n)
         b = np.cos(np.arange(n))
         config = SolveConfig(tolerance=1e-11)
         r1 = cg(A, b, None, config)
@@ -633,6 +634,31 @@ class TestKernelAliasing:
         assert not np.shares_memory(result.x, x0)
 
 
+def family_matrix(family, n, seed, delta):
+    """A generated matrix; random_gnm with m = 1.5 n edges, random_regular of degree 4."""
+    extra = {"random_gnm": {"m_target": 3 * n // 2}, "random_regular": {"degree": 4}}
+    return generate(GraphSpec(family, n, seed=seed, delta_range=delta, **extra.get(family, {})))
+
+
+def _sweep_cases():
+    """(A, b, config) of binary64 systems for a sweep over the desk grid:
+    every kernel case that starts from zero, whose binary32 system is the
+    stage 1 here, but those capped at one iteration, whose stage 2 cannot
+    converge, and one thin-margin desk-size matrix of each family."""
+    cases = {}
+    for name, (A, b, x0, config, _) in KERNEL_CASES.items():
+        if x0 is None and config.max_iterations is None:
+            A64 = SparseSymMatrix(A.row_starts, A.col_indices, A.values.astype(np.float64))
+            cases[name] = (A64, b.astype(np.float64), config)
+    for family in FAMILIES:
+        A = family_matrix(family, 300, 7, (1e-4, 1e-3))
+        cases[family] = (A, ones_rhs(A), SolveConfig(tolerance=1e-10))
+    return cases
+
+
+SWEEP_CASES = _sweep_cases()
+
+
 class TestLazyTrueResidual:
     """Every run tests the true residual once the recursive norm is within
     TRUE_RESIDUAL_MARGIN of the threshold; elsewhere a run whose guard
@@ -692,7 +718,7 @@ class TestLazyTrueResidual:
         # The default 10 n = 20 iterations cannot outlast the 25-iteration
         # window, so the guard of this binary32 run cannot fire, and the run
         # tests only near the threshold and on its last iteration.
-        A = downcast(from_coordinates([(0, 0, 4.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)], 2))
+        A = downcast(from_triplets([(0, 0, 4.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)], 2))
         b = np.array([1.0, 2.0], dtype=np.float32)
         config = SolveConfig(tolerance=1e-6)
         result = cg(A, b, None, config)
@@ -725,6 +751,25 @@ class TestLazyTrueResidual:
             assert result.stage2_spmv_calls == cg(A, b, x0, refine).spmv_calls
             assert result.stage2_spmv_calls < 2 * result.n2 + 1
         assert results[1].stage1_spmv_calls < 2 * results[1].n1 + 1
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+    def test_sweep_prices_each_class_as_two_stage_solve(self, name):
+        A, b, config = SWEEP_CASES[name]
+        A32, b32 = downcast(A), downcast_vector(b)
+        inv_diag = TestLeanKernel._inv(A32, config)
+        stage1 = _run_cg(A32, b32, None, config, inv_diag, DEFAULT_GRID)
+        for eps1, result in zip(DEFAULT_GRID, stage1, strict=True):
+            alone = cg(A32, b32, None, replace(config, tolerance=eps1))
+            assert result.true_residuals == alone.true_residuals
+            assert result.spmv_calls == alone.spmv_calls
+        results, failure = sweep(A, b, DEFAULT_GRID, 1e-10, 0.5, config)
+        assert failure is None and len(results) == len(DEFAULT_GRID)
+        for eps1, result in zip(DEFAULT_GRID, results):
+            solo = two_stage_solve(A, b, eps1, 1e-10, 0.5, config)
+            assert (result.n1, result.stage1_status) == (solo.n1, solo.stage1_status)
+            assert result.stage1_spmv_calls == solo.stage1_spmv_calls
+            assert (result.n2, result.stage2_spmv_calls) == (solo.n2, solo.stage2_spmv_calls)
+            assert np.array_equal(bits(result.x), bits(solo.x))
 
     def test_binary32_lazy_stop_is_later_than_eager(self):
         # A star at the binary32 floor: after iteration 3 the true relative
@@ -890,6 +935,20 @@ class TestSampledGuard:
             assert (alone.iterations, alone.status) == (result.iterations, result.status)
             assert alone.final_residual_norm == result.final_residual_norm
             assert np.array_equal(bits(alone.x), bits(result.x))
+            assert alone.true_residuals == result.true_residuals
+            assert alone.spmv_calls == result.spmv_calls
+
+    @pytest.mark.parametrize("n", [1000, 10_000])
+    @pytest.mark.parametrize("delta", [(1e-4, 1e-3), (0.1, 2.0)], ids=["thin", "wide"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_run_to_drift_ends_well_before_the_cap(self, family, delta, n):
+        # Binary32 cannot reach 1e-10: the run must end on drift (or
+        # underflow), never run on to 10 n.  Each ends "stagnated" today,
+        # tree_random with thin margins at n = 10^4 the latest, at 532.
+        A = family_matrix(family, n, 1, delta)
+        result = cg(downcast(A), downcast_vector(ones_rhs(A)), None, SolveConfig(1e-10))
+        assert result.status != "max_iterations"
+        assert result.iterations < n
 
     def test_desk_group_168_base_reaches_1e5(self):
         # g00168b of the desk sample: its true residual is not monotone, and
@@ -1008,7 +1067,7 @@ class TestBlockedDot:
     def system(n, dtype=np.float64):
         """A well-conditioned tridiagonal SPD system."""
         diagonal = np.linspace(3.0, 50.0, n)
-        A = from_coordinates(
+        A = from_triplets(
             [(i, i, diagonal[i]) for i in range(n)] + [(i, i + 1, -1.0) for i in range(n - 1)],
             n, mirror=True, dtype=dtype)
         return A, np.cos(np.arange(n)).astype(dtype)

@@ -38,7 +38,8 @@ from mpcg.sparse import (
 
 from oracles import (
     dd_spd_triplets,
-    from_arrays_reference,
+    from_coordinates_reference,
+    from_triplets,
     inorder_matvec,
     write_matrix_market_reference,
 )
@@ -142,12 +143,12 @@ def extreme_matrices(draw, dtype):
     for i, j in sorted(upper):
         v = draw(value)
         trips += [(i, j, v), (j, i, v)]
-    return from_coordinates(trips, n, dtype=dtype)
+    return from_triplets(trips, n, dtype=dtype)
 
 
 
 def identity(n, dtype=np.float64):
-    return from_coordinates([(i, i, 1.0) for i in range(n)], n, dtype=dtype)
+    return from_triplets([(i, i, 1.0) for i in range(n)], n, dtype=dtype)
 
 
 def traced_peak_mb(call) -> float:
@@ -164,53 +165,53 @@ def traced_peak_mb(call) -> float:
 
 class TestFromCoordinates:
     def test_one_by_one_identity(self):
-        A = from_coordinates([(0, 0, 1.0)], 1)
-        assert A.n == 1 and A.nnz == 1
-        assert A.values[0] == 1.0
+        for A in (from_triplets([(0, 0, 1.0)], 1), from_coordinates([0], [0], [1.0], 1)):
+            assert A.n == 1 and A.nnz == 1
+            assert A.values[0] == 1.0
 
     def test_no_triplet_rejected(self):
         with pytest.raises(ValueError, match="at least one triplet is required"):
-            from_coordinates([], 1)
+            from_triplets([], 1)
 
     def test_symmetric_pair_accepted(self):
-        A = from_coordinates([(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 2)], 2)
+        A = from_triplets([(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 2)], 2)
         assert A.nnz == 4
         np.testing.assert_array_equal(A.row_starts, [0, 2, 4])
         np.testing.assert_array_equal(A.col_indices, [0, 1, 0, 1])
 
     def test_mismatched_mirror_value_rejected(self):
         with pytest.raises(AsymmetricInputError):
-            from_coordinates([(0, 1, 1.0), (1, 0, 2.0)], 2)
+            from_triplets([(0, 1, 1.0), (1, 0, 2.0)], 2)
 
     def test_missing_mirror_rejected(self):
         with pytest.raises(AsymmetricInputError):
-            from_coordinates([(0, 0, 1.0), (1, 1, 1.0), (0, 1, 1.0)], 2)
+            from_triplets([(0, 0, 1.0), (1, 1, 1.0), (0, 1, 1.0)], 2)
 
     def test_missing_diagonal_rejected(self):
         with pytest.raises(MissingDiagonalError):
-            from_coordinates([(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0)], 2)
+            from_triplets([(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0)], 2)
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateEntryError):
-            from_coordinates([(0, 0, 1.0), (0, 0, 2.0)], 1)
+            from_triplets([(0, 0, 1.0), (0, 0, 2.0)], 1)
 
     def test_fewer_entries_than_rows_fail_before_any_array_of_n(self):
         # Row starts alone would take 8 MB; one entry cannot fill a diagonal.
-        assert traced_peak_mb(lambda: from_coordinates([(0, 0, 1.0)], 2_000_000)) < 1
+        assert traced_peak_mb(lambda: from_triplets([(0, 0, 1.0)], 2_000_000)) < 1
         # The count is of mirrored entries: mirrored, one entry makes two
         # for two rows, which reach the value check.
         with pytest.raises(MissingDiagonalError):
-            from_coordinates([(0, 1, np.nan)], 2)
+            from_triplets([(0, 1, np.nan)], 2)
         with pytest.raises(ValueError, match="not finite"):
-            from_coordinates([(0, 1, np.nan)], 2, mirror=True)
+            from_triplets([(0, 1, np.nan)], 2, mirror=True)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            from_coordinates([(0, 5, 1.0), (0, 0, 1.0)], 2)
+            from_triplets([(0, 5, 1.0), (0, 0, 1.0)], 2)
 
     def test_mirror_flag_builds_both_halves(self):
-        A = from_coordinates([(0, 0, 2.0), (1, 1, 2.0), (0, 1, 1.0)], 2, mirror=True)
-        B = from_coordinates([(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 2)], 2)
+        A = from_triplets([(0, 0, 2.0), (1, 1, 2.0), (0, 1, 1.0)], 2, mirror=True)
+        B = from_triplets([(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 2)], 2)
         np.testing.assert_array_equal(A.col_indices, B.col_indices)
         np.testing.assert_array_equal(A.values, B.values)
 
@@ -219,63 +220,49 @@ class TestFromCoordinates:
     def test_non_finite_value_rejected(self, bad, dtype):
         triplets = [(0, 0, 2.0), (0, 1, bad), (1, 0, bad), (1, 1, 2.0)]
         with pytest.raises(ValueError, match=r"\(0, 1\) is not finite"):
-            from_coordinates(triplets, 2, dtype=dtype)
+            from_triplets(triplets, 2, dtype=dtype)
         with pytest.raises(ValueError, match=r"\(0, 1\) is not finite"):
-            from_coordinates(triplets[:2] + triplets[3:], 2, mirror=True, dtype=dtype)
+            from_triplets(triplets[:2] + triplets[3:], 2, mirror=True, dtype=dtype)
 
     def test_first_non_finite_value_is_named(self):
         with pytest.raises(ValueError, match=r"\(0, 0\) is not finite"):
-            from_coordinates([(0, 0, np.inf), (1, 1, np.nan)], 2)
+            from_triplets([(0, 0, np.inf), (1, 1, np.nan)], 2)
         with pytest.raises(ValueError, match=r"\(1, 1\) is not finite"):
-            from_coordinates([(0, 0, 1.0), (1, 1, np.nan), (2, 2, np.inf)], 3)
+            from_triplets([(0, 0, 1.0), (1, 1, np.nan), (2, 2, np.inf)], 3)
 
     def test_non_finite_value_rejected_from_arrays(self):
         rows, cols = np.array([0, 1, 2]), np.array([0, 1, 2])
         vals = np.array([1.0, 1.0, -np.inf])
         with pytest.raises(ValueError, match=r"\(2, 2\) is not finite"):
-            sparse_module._from_arrays(rows, cols, vals, 3, False)
-
-    def test_fractional_index_rejected(self):
-        with pytest.raises(ValueError, match=r"triplet \(0\.7, 0\.2, 2\.0\) has a non-integral index"):
-            from_coordinates([(0.7, 0.2, 2.0), (1, 1, 2.0)], 2)
-
-    @pytest.mark.parametrize("index", [1.0, np.float64(1.0), np.float32(1.0)])
-    def test_integral_float_index_rejected(self, index):
-        with pytest.raises(ValueError, match="non-integral index"):
-            from_coordinates([(0, 0, 2.0), (index, 1, 2.0)], 2)
-        with pytest.raises(ValueError, match="non-integral index"):
-            from_coordinates([(0, 0, 2.0), (1, index, 2.0)], 2)
-
-    def test_first_non_integral_triplet_is_named(self):
-        triplets = [(0, 0, 1.0), (1, 1.5, 1.0), (2.0, 2, 1.0)]
-        with pytest.raises(ValueError, match=r"triplet \(1, 1\.5, 1\.0\)"):
-            from_coordinates(triplets, 3)
+            from_coordinates(rows, cols, vals, 3, False)
 
     def test_numpy_integer_indices_accepted(self):
-        A = from_coordinates(
-            [(np.int32(0), np.int64(0), 2.0), (np.uint8(0), 1, 1.0),
-             (np.intp(1), np.int16(0), 1.0), (True, True, 2.0)],
-            2,
-        )
-        B = from_coordinates([(0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 2.0)], 2)
-        for got, want in zip(
-            (A.row_starts, A.col_indices, A.values), (B.row_starts, B.col_indices, B.values)
-        ):
-            assert same_bytes(got, want)
+        # Shuffled entries of [[2, 1], [1, 3]] build the arrays that
+        # SparseSymMatrix keeps of its CSR, values in their own dtype.
+        for index in (np.int32, np.int64, np.intp, np.uint8, np.int16):
+            for dtype in (np.float32, np.float64):
+                rows = np.array([1, 0, 1, 0], dtype=index)
+                cols = np.array([1, 1, 0, 0], dtype=index)
+                A = from_coordinates(rows, cols, np.array([3, 1, 1, 2], dtype=dtype), 2)
+                B = SparseSymMatrix([0, 2, 4], [0, 1, 0, 1], np.array([2, 1, 1, 3], dtype=dtype))
+                assert A.values.dtype == dtype
+                for got, want in zip((A.row_starts, A.col_indices, A.values),
+                                     (B.row_starts, B.col_indices, B.values)):
+                    assert same_bytes(got, want)
 
     @pytest.mark.parametrize("float_rows", [True, False])
     def test_float_index_arrays_rejected(self, float_rows):
         ints, floats = np.array([0, 1]), np.array([0.0, 1.0])
         rows, cols = (floats, ints) if float_rows else (ints, floats)
         with pytest.raises(TypeError, match="indices must be integers"):
-            sparse_module._from_arrays(rows, cols, np.ones(2), 2, False)
+            from_coordinates(rows, cols, np.ones(2), 2, False)
 
     def test_index_arrays_of_other_lengths_rejected(self):
         ints = np.array([0, 1])
         for rows, cols, vals in [(ints, ints[:1], np.ones(2)), (ints, ints, np.ones(3)),
                                  (ints[None], ints[None], np.ones((1, 2)))]:
             with pytest.raises(ValueError, match="vectors of one length"):
-                sparse_module._from_arrays(rows, cols, vals, 2, False)
+                from_coordinates(rows, cols, vals, 2, False)
 
     def test_non_finite_value_rejected_by_constructor(self):
         with pytest.raises(ValueError, match=r"\(1, 1\) is not finite"):
@@ -297,7 +284,7 @@ class TestOneCopy:
 
     @staticmethod
     def matrix():
-        return from_coordinates(dd_spd_triplets(40, np.random.default_rng(5)), 40)
+        return from_triplets(dd_spd_triplets(40, np.random.default_rng(5)), 40)
 
     def test_attributes_are_the_csr_arrays(self):
         A = self.matrix()
@@ -353,7 +340,7 @@ class TestConstructorChecks:
 
     def test_integer_values_become_binary64(self):
         A = SparseSymMatrix([0, 1, 2], [0, 1], np.array([1, 2]))
-        B = sparse_module._from_arrays(np.array([0, 1]), np.array([0, 1]), np.array([1, 2]),
+        B = from_coordinates(np.array([0, 1]), np.array([0, 1]), np.array([1, 2]),
                                        2, False)
         for M in (A, B):
             assert M.dtype == np.float64
@@ -367,14 +354,14 @@ class TestSpmv:
         np.testing.assert_array_equal(spmv(A, x), x)
 
     def test_hand_arithmetic(self):
-        A = from_coordinates([(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 2)], 2)
+        A = from_triplets([(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 2)], 2)
         np.testing.assert_array_equal(A @ np.ones(2), [3.0, 3.0])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_inorder_oracle_binary64(self, seed):
         rng = np.random.default_rng(seed)
         trips = dd_spd_triplets(50, rng, density=0.15, signed=True)
-        A = from_coordinates(trips, 50)
+        A = from_triplets(trips, 50)
         x = rng.standard_normal(50)
         got = spmv(A, x)
         want = inorder_matvec(trips, 50, x)
@@ -384,7 +371,7 @@ class TestSpmv:
     def test_matches_inorder_oracle_binary32(self, seed):
         rng = np.random.default_rng(100 + seed)
         trips = dd_spd_triplets(50, rng, density=0.15, signed=True)
-        A32 = downcast(from_coordinates(trips, 50))
+        A32 = downcast(from_triplets(trips, 50))
         x = rng.standard_normal(50).astype(np.float32)
         got = spmv(A32, x)
         want = inorder_matvec(trips, 50, x)
@@ -402,7 +389,7 @@ class TestSpmv:
     def test_symmetry_inner_product(self, dtype):
         rng = np.random.default_rng(7)
         n = 60
-        A = from_coordinates(dd_spd_triplets(n, rng, signed=True), n)
+        A = from_triplets(dd_spd_triplets(n, rng, signed=True), n)
         if dtype == np.float32:
             A = downcast(A)
         eps = np.finfo(dtype).eps
@@ -430,7 +417,7 @@ class TestSpmvInto:
         trips = dd_spd_triplets(n, rng, density=0.2, signed=True)
         # explicit zeros, off the diagonal and on it
         trips = [(i, j, 0.0 if (i + j) % 5 == 0 else v) for i, j, v in trips]
-        A = from_coordinates(trips, n)
+        A = from_triplets(trips, n)
         A = A if dtype == np.float64 else downcast(A)
         assert np.any(A.values == 0)
         x = rng.standard_normal(n).astype(dtype)
@@ -509,14 +496,14 @@ def symmetric_coordinates(draw):
 
 
 class TestAssembly:
-    """``_from_arrays`` (counting sort) builds the same bytes, in the same
+    """``from_coordinates`` (counting sort) builds the same bytes, in the same
     dtypes, as the lexsort assembly it replaced, and fails the same way."""
 
     @settings(max_examples=150, deadline=None)
     @given(symmetric_coordinates())
     def test_matches_lexsort_assembly(self, case):
-        got = assembly_outcome(sparse_module._from_arrays, *case)
-        want = assembly_outcome(from_arrays_reference, *case)
+        got = assembly_outcome(from_coordinates, *case)
+        want = assembly_outcome(from_coordinates_reference, *case)
         assert not isinstance(want[0], type), want
         assert got[0].dtype == got[1].dtype == np.int32
         assert got[2].dtype == case[2].dtype
@@ -537,8 +524,8 @@ class TestAssembly:
     )
     def test_same_error_as_lexsort_assembly(self, n, entries, mirror):
         rows, cols, vals = (np.array(column) for column in zip(*entries))
-        got = assembly_outcome(sparse_module._from_arrays, rows, cols, vals, n, mirror)
-        want = assembly_outcome(from_arrays_reference, rows, cols, vals, n, mirror)
+        got = assembly_outcome(from_coordinates, rows, cols, vals, n, mirror)
+        want = assembly_outcome(from_coordinates_reference, rows, cols, vals, n, mirror)
         assert_same_outcome(got, want)
 
     def test_duplicate_error_names_first_in_row_col_order(self):
@@ -546,20 +533,20 @@ class TestAssembly:
         rows = np.array([3, 0, 3, 2, 1, 2, 1, 1, 0])
         cols = np.array([3, 0, 3, 1, 2, 2, 1, 2, 0])
         with pytest.raises(DuplicateEntryError, match=r"position \(0, 0\) appears twice"):
-            sparse_module._from_arrays(rows, cols, np.ones(9), 4, False)
+            from_coordinates(rows, cols, np.ones(9), 4, False)
         keep = np.arange(9) != 1  # one (0, 0) left
         with pytest.raises(DuplicateEntryError, match=r"position \(1, 2\) appears twice"):
-            sparse_module._from_arrays(rows[keep], cols[keep], np.ones(8), 4, False)
+            from_coordinates(rows[keep], cols[keep], np.ones(8), 4, False)
 
     def test_equal_columns_across_a_row_end_are_no_duplicate(self):
         # row 0 ends and row 1 starts with column 1
         with pytest.raises(AsymmetricInputError):
-            from_coordinates([(0, 1, 1.0), (1, 1, 1.0)], 2)
+            from_triplets([(0, 1, 1.0), (1, 1, 1.0)], 2)
 
     def test_mirror_duplicate_named(self):
         # (0, 1) given and also made by mirroring (1, 0)
         with pytest.raises(DuplicateEntryError, match=r"position \(0, 1\) appears twice"):
-            from_coordinates([(0, 0, 2.0), (1, 1, 2.0), (0, 1, 1.0), (1, 0, 1.0)], 2, mirror=True)
+            from_triplets([(0, 0, 2.0), (1, 1, 2.0), (0, 1, 1.0), (1, 0, 1.0)], 2, mirror=True)
 
     @pytest.mark.parametrize("family", ["grid2d", "tree_random", "star"])
     def test_generated_matrix_matches_lexsort_assembly(self, family):
@@ -570,8 +557,8 @@ class TestAssembly:
         order = rng.permutation(int(lower.sum()))
         case = (rows[lower][order], A.col_indices[lower][order].astype(np.int64),
                 A.values[lower][order], A.n, True)
-        got = assembly_outcome(sparse_module._from_arrays, *case)
-        want = assembly_outcome(from_arrays_reference, *case)
+        got = assembly_outcome(from_coordinates, *case)
+        want = assembly_outcome(from_coordinates_reference, *case)
         assert_same_outcome(got, want)
         assert_same_outcome(got, (A.row_starts, A.col_indices, A.values))
 
@@ -593,7 +580,7 @@ class TestProductKernels:
         trips = dd_spd_triplets(n, rng, density=density, signed=True)
         if zeros:  # explicit zeros off the diagonal
             trips = [(i, j, 0.0 if i != j and (i + j) % 3 == 0 else v) for i, j, v in trips]
-        A = from_coordinates(trips, n)
+        A = from_triplets(trips, n)
         for M in (A, downcast(A)):
             x = (rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)).astype(M.dtype)
             y_csr, y_coo = kernel_products(M, x)
@@ -633,7 +620,7 @@ class TestProductKernels:
         n = 9000
         edges = [(i, i + 1) for i in range(n - 1) if i % 3 != 2]
         trips = [(i, j, -1.0) for i, j in edges] + [(i, i, 3.0) for i in range(n)]
-        paths = from_coordinates(trips, n, mirror=True)
+        paths = from_triplets(trips, n, mirror=True)
         assert sparse_module._accumulate_product(paths).func is _sparsetools.coo_matvec
         path = family_matrix("path", n)
         assert sparse_module._accumulate_product(path).func is _sparsetools.csr_matvec
@@ -642,7 +629,7 @@ class TestProductKernels:
 
 class TestPrecisionConversion:
     def test_downcast_exact_for_adjacency_values(self):
-        A = from_coordinates(
+        A = from_triplets(
             [(0, 0, 3.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 4.0)], 2
         )
         R = downcast(A)
@@ -652,11 +639,11 @@ class TestPrecisionConversion:
         np.testing.assert_array_equal(R.col_indices, A.col_indices)
 
     def test_downcast_rounds_tiny_offset_away(self):
-        A = from_coordinates([(0, 0, 1.0 + 2.0**-30)], 1)
+        A = from_triplets([(0, 0, 1.0 + 2.0**-30)], 1)
         assert downcast(A).values[0] == np.float32(1.0)
 
     def test_downcast_overflow(self):
-        A = from_coordinates([(0, 0, 1e39)], 1)
+        A = from_triplets([(0, 0, 1e39)], 1)
         with pytest.raises(SinglePrecisionOverflowError):
             downcast(A)
 
@@ -671,7 +658,7 @@ class TestPrecisionConversion:
     def test_downcast_exact_for_small_integers(self):
         rng = np.random.default_rng(3)
         ints = rng.integers(1, 2**24, size=30)
-        A = from_coordinates(
+        A = from_triplets(
             [(i, i, float(v)) for i, v in enumerate(ints)], 30
         )
         np.testing.assert_array_equal(downcast(A).values.astype(np.float64), A.values)
@@ -709,7 +696,7 @@ class TestMatrixMarket:
 
     def test_roundtrip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(5)
-        A = from_coordinates(dd_spd_triplets(40, rng, signed=True), 40)
+        A = from_triplets(dd_spd_triplets(40, rng, signed=True), 40)
         p = tmp_path / "m.mtx"
         write_matrix_market(A, p)
         B = read_matrix_market(p)
@@ -722,7 +709,7 @@ class TestMatrixMarket:
         # The text differs from the reference's %.17g lines (a % line after
         # the header, shortest round-trip decimals); the matrix does not.
         rng = np.random.default_rng(6)
-        A = from_coordinates(dd_spd_triplets(60, rng, signed=True), 60, dtype=dtype)
+        A = from_triplets(dd_spd_triplets(60, rng, signed=True), 60, dtype=dtype)
         write_matrix_market(A, tmp_path / "new.mtx")
         write_matrix_market_reference(A, tmp_path / "old.mtx")
         new = read_outcome(tmp_path / "new.mtx")
@@ -842,6 +829,28 @@ class TestMatrixMarket:
         monkeypatch.setattr(sparse_module, "_parse_entries", counting)
         assert read_outcome(p) == (MatrixMarketParseError, f"line {L + 2}: malformed entry", L + 2)
         assert len(calls) <= 2 * math.isqrt(L) + 3
+
+    @pytest.mark.parametrize("body", [
+        [line.replace(" ", "\t") for line in MM_BODY],
+        MM_BODY[:2] + ["% note"] + MM_BODY[2:],
+    ], ids=["tabs", "body comment"])
+    def test_file_without_a_fault_is_parsed_once(self, tmp_path, body, monkeypatch):
+        # Neither file passes the strict check; each goes straight to the
+        # line-numbered path, whose first parse takes every entry.
+        clean, p = tmp_path / "clean.mtx", tmp_path / "lenient.mtx"
+        clean.write_text(mm_text(MM_BODY))
+        p.write_text(mm_text(body))
+        want = read_outcome(clean)
+        calls = []
+        parse = sparse_module._parse_entries
+
+        def counting(lines):
+            calls.append(1)
+            return parse(lines)
+
+        monkeypatch.setattr(sparse_module, "_parse_entries", counting)
+        assert_same_outcome(read_outcome(p), want)
+        assert len(calls) == 1
 
     def test_float_index_rejected(self, tmp_path):
         p = tmp_path / "floatidx.mtx"
