@@ -24,6 +24,7 @@ def atomic_write(path):
     owner becomes the writer.  A symbolic link is followed and its target
     replaced.  A target that exists but is not a regular file, such as
     ``/dev/stdout`` or a pipe, cannot be replaced and is written directly.
+    The handle's ``buffer`` takes bytes, for a writer that refuses text.
     """
     try:
         target = os.stat(path)  # follows links, /proc/self/fd ones included

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fileio import atomic_write, finite_json
-from .errors import GraphFullError, InvalidSpecError
-from .features import FeatureVector, _check_numbers, extract_features
+from .errors import GraphFullError, InvalidSpecError, check_fields
+from .features import FeatureVector, extract_features
 from .solver import SolveConfig, sweep
 from .sparse import SparseSymMatrix, _entry_rows, from_coordinates
 
@@ -110,11 +110,9 @@ class GraphSpec:
         object.__setattr__(self, "delta_range", tuple(self.delta_range))
         if self.family not in FAMILIES:
             raise InvalidSpecError(f"unknown family '{self.family}'")
-        for name in ("n", "seed", "variants", "degree", "m_target", "edges_to_add"):
-            value = getattr(self, name)
-            required = name in ("n", "seed", "variants")
-            if type(value) is not int and (required or value is not None):  # bool is not int
-                raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
+        optional = ("degree", "m_target", "edges_to_add")
+        check_fields(self, ("n", "seed", "variants", *optional), optional=optional,
+                     error=InvalidSpecError)
         n = self.n
         if n < 1:
             raise InvalidSpecError("n must be at least 1")
@@ -401,7 +399,7 @@ class CostEntry:
     cost: float
 
     def __post_init__(self):
-        _check_numbers(self, ("n1", "n2"), ("epsilon1", "cost"), optional=("epsilon1",))
+        check_fields(self, ("n1", "n2"), ("epsilon1", "cost"), optional=("epsilon1",))
 
 
 @dataclass
@@ -420,12 +418,10 @@ class SampleRecord:
     def __post_init__(self):
         if type(self.valid) is not bool:  # "false" would read as true
             raise ValueError(f"valid must be a bool, got {self.valid!r}")
-        for name in ("matrix_id", "group_id", "invalid_reason"):
-            value = getattr(self, name)
-            if not isinstance(value, str) and not (value is None and name == "invalid_reason"):
-                raise ValueError(f"{name} must be a string, got {value!r}")
         unset = () if self.valid else ("label", "i_opt", "i_wrst")  # a failed sweep has none
-        _check_numbers(self, ("label",), ("i_opt", "i_wrst"), optional=unset)
+        check_fields(self, ("label",), ("i_opt", "i_wrst"),
+                     strings=("matrix_id", "group_id", "invalid_reason"),
+                     optional=("invalid_reason", *unset))
 
     def to_dict(self) -> dict:
         return {

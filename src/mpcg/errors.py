@@ -1,4 +1,29 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and ``check_fields``, the
+one type check of the fields of a record read from a file or built in
+code: a spec, a solve configuration, a feature vector, a cost entry or a
+sample record."""
+
+import math
+
+
+def check_fields(obj, integers=(), reals=(), strings=(), optional=(), error=ValueError) -> None:
+    """Raise ``error`` at the first field of ``obj`` named in ``strings``
+    that is no str, then in ``integers`` that is no int, then in ``reals``
+    that is no finite int or float; a bool is neither number, and a field
+    named in ``optional`` may also be None."""
+    for names, kind, ok in (
+        (strings, "a string", lambda value: isinstance(value, str)),
+        (integers, "an integer", lambda value: type(value) is int),
+        (reals, "a finite number", _finite_real),
+    ):
+        for name in names:
+            value = getattr(obj, name)
+            if not ok(value) and not (value is None and name in optional):
+                raise error(f"{name} must be {kind}, got {value!r}")
+
+
+def _finite_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 class AsymmetricInputError(ValueError):

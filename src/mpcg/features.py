@@ -14,7 +14,6 @@ features loads it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -24,6 +23,7 @@ from .errors import (
     DegenerateIntervalError,
     EmptyIntersectionError,
     NonpositiveDiagonalError,
+    check_fields,
 )
 from .sparse import SparseSymMatrix, _entry_rows
 
@@ -61,21 +61,6 @@ class EigenIntervalEstimate:
     combined: Interval
 
 
-def _check_numbers(obj, integers=(), reals=(), optional=()) -> None:
-    """Raise ValueError at the first field of ``obj`` named in ``integers``
-    that is no int, or in ``reals`` that is no finite int or float; a bool
-    is neither, and a field named in ``optional`` may also be None."""
-    for name in integers:
-        value = getattr(obj, name)
-        if type(value) is not int and not (value is None and name in optional):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    for name in reals:
-        value = getattr(obj, name)
-        real = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (real and math.isfinite(value)) and not (value is None and name in optional):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class FeatureVector:
     """The five features; a count that is no int, or a spread or
@@ -88,7 +73,7 @@ class FeatureVector:
     lambda_max: float
 
     def __post_init__(self):
-        _check_numbers(self, ("n", "nnz", "pseudo_diameter"), ("spread", "lambda_max"))
+        check_fields(self, ("n", "nnz", "pseudo_diameter"), ("spread", "lambda_max"))
 
     def as_array(self) -> np.ndarray:
         return np.array(

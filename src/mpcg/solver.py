@@ -15,9 +15,11 @@ recursively updated one: in binary32 the recursion drifts away from the
 truth, and the stopping decision is what the whole eps1 trade-off rests
 on.  A run recomputes it only where a decision needs it.  Every run
 tests it when the recursive norm is at most ``TRUE_RESIDUAL_MARGIN`` (2)
-times a threshold, on its last iteration, and where ``r'z`` underflows
-to 0.  There it ends "underflow": its next direction would be 0, and
-``d'Ad = 0`` would be no sign of an operand that is not SPD.  A run
+times a threshold, on its last iteration, and where ``r'z`` underflows,
+below the smallest normal of the storage precision (``np.finfo(dtype).tiny``).
+There it ends "underflow": a subnormal ``r'z`` has lost its relative
+precision, the next ``d'Ad``, of its order, may underflow to 0, and that
+would be no sign of an operand that is not SPD.  A run
 whose stagnation guard can never fire, ``stagnation_window >
 max_iterations``, tests it nowhere else: every ``no_stagnation`` run
 (binary64 stage 2 and the pure binary64 baseline), and any run whose
@@ -109,6 +111,7 @@ from .errors import (
     NonpositiveDiagonalError,
     PrecisionMismatchError,
     Stage2NotConvergedError,
+    check_fields,
 )
 from .sparse import (
     SparseSymMatrix,
@@ -167,11 +170,7 @@ class SolveConfig:
     def __post_init__(self):
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        for name in ("max_iterations", "stagnation_window"):
-            value = getattr(self, name)
-            optional = name == "max_iterations" and value is None
-            if type(value) is not int and not optional:  # bool is not int
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_fields(self, ("max_iterations", "stagnation_window"), optional=("max_iterations",))
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.preconditioner not in ("none", "jacobi"):
@@ -198,7 +197,7 @@ class SolveResult:
     x: np.ndarray
     iterations: int
     final_residual_norm: float
-    status: str  # converged | max_iterations | stagnated | underflow
+    status: str  # converged | max_iterations | stagnated | underflow (r'z below tiny)
     true_residuals: tuple[tuple[int, float], ...]
 
     @property
@@ -234,23 +233,19 @@ class TwoStageResult:
 def _check_operands(A: SparseSymMatrix, b, x0):
     """b as a contiguous vector and a fresh copy of x0 (zeros for None),
     each of length n at A's dtype and finite, else an error naming it."""
-    b = np.ascontiguousarray(b)  # a strided dot may round differently
-    if b.ndim != 1 or b.size != A.n:
-        raise DimensionMismatchError(f"b must have length {A.n}")
-    if b.dtype != A.dtype:
-        raise PrecisionMismatchError(f"b is {b.dtype}, matrix stores {A.dtype}")
-    _check_finite("b", b)
-    if x0 is None:
-        x = np.zeros(A.n, dtype=A.dtype)
-    else:
-        x0 = np.asarray(x0)
-        if x0.ndim != 1 or x0.size != A.n:
-            raise DimensionMismatchError(f"x0 must have length {A.n}")
-        if x0.dtype != A.dtype:
-            raise PrecisionMismatchError(f"x0 is {x0.dtype}, matrix stores {A.dtype}")
-        _check_finite("x0", x0)
-        x = x0.copy()
-    return b, x
+    operands = []
+    for name, v in (("b", b), ("x0", x0)):
+        if v is None and name == "x0":
+            operands.append(np.zeros(A.n, dtype=A.dtype))
+            continue
+        v = np.ascontiguousarray(v)  # a strided dot may round differently
+        if v.ndim != 1 or v.size != A.n:
+            raise DimensionMismatchError(f"{name} must have length {A.n}")
+        if v.dtype != A.dtype:
+            raise PrecisionMismatchError(f"{name} is {v.dtype}, matrix stores {A.dtype}")
+        _check_finite(name, v)
+        operands.append(v if name == "b" else v.copy())
+    return operands
 
 
 def _check_finite(name: str, v: np.ndarray) -> None:
@@ -298,9 +293,9 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     and ``sampled_at`` and ``anchor`` are the iteration and recursive norm
     of the last sample.  Only a sample can show drift: a test near a
     threshold is no sample, and one on the last iteration or where ``r'z``
-    is 0 has no recursive norm (``inf``).  A test at a sample, on the last
-    iteration or where ``r'z`` is 0 counts for every threshold, one near a
-    threshold only for those it is near.
+    underflows has no recursive norm (``inf``).  A test at a sample, on the
+    last iteration or where ``r'z`` underflows counts for every threshold,
+    one near a threshold only for those it is near.
     """
     from scipy.linalg.blas import get_blas_funcs  # deferred: see the module notes
 
@@ -313,6 +308,7 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     product = _accumulate_product(A)  # product(v, out): out += A v, unchecked
     add, subtract, multiply = np.add, np.subtract, np.multiply
     sqrt, inf = math.sqrt, math.inf
+    tiny = float(np.finfo(storage).tiny)  # a smaller r'z has underflowed
     max_iterations = config.max_iterations or 10 * n
     # ||b|| as np.linalg.norm computes it: sqrt(b'b) at the storage precision
     scale = float(np.sqrt(storage(dot(b, b)))) if config.residual_mode == "relative" else 1.0
@@ -365,7 +361,7 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
             if not plain:
                 multiply(inv_diag, r, z)
             rz_next = dot(r, z)
-            beta = rz_next / rz  # rz != 0: the run ended where it was 0
+            beta = rz_next / rz  # rz >= tiny: the run ended where it underflowed
             if small:
                 axpy(z, scal(beta, d))  # z + beta * d
             else:
@@ -375,7 +371,7 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
             # Samples depend on the config and the trajectory alone, so a
             # run to one threshold takes the same.
             recursive = inf
-            sampled = k == max_iterations or rz == 0
+            sampled = k == max_iterations or rz < tiny
             if not sampled:
                 recursive = sqrt(rz if plain else dot(r, r))
                 sampled = guarded and (
@@ -402,7 +398,7 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
                 near = TRUE_RESIDUAL_MARGIN * thresholds[met]
         if met == count:
             return
-        if rz == 0:  # d would be 0 and d'Ad = 0
+        if rz < tiny:  # d would be 0 or subnormal, and d'Ad may be 0
             status = "underflow"
             break
         if sampled and res > TRUE_RESIDUAL_MARGIN * recursive:  # drift
@@ -427,8 +423,8 @@ def cg(A: SparseSymMatrix, b, x0=None, config: SolveConfig | None = None) -> Sol
     Stops when the true residual ``||b - A x||`` (divided by ``||b||`` in
     relative mode) falls to the configured tolerance, when max_iterations
     is reached, when a sample of the true residual has drifted from the
-    recursive one, or when ``r'z`` underflows to 0.  The module notes say
-    where a run recomputes the true residual.
+    recursive one, or when ``r'z`` underflows (below the smallest normal).
+    The module notes say where a run recomputes the true residual.
     """
     if config is None:
         raise ValueError("config with a tolerance is required")
@@ -439,7 +435,7 @@ def cg(A: SparseSymMatrix, b, x0=None, config: SolveConfig | None = None) -> Sol
 def no_stagnation(config: SolveConfig) -> SolveConfig:
     """Copy of ``config`` whose stagnation window can never trigger, so
     its runs test the true residual only near the threshold, on the last
-    iteration and where ``r'z`` underflows to 0."""
+    iteration and where ``r'z`` underflows (below the smallest normal)."""
     return replace(config, stagnation_window=2**31 - 1)
 
 

@@ -43,6 +43,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from ._fileio import atomic_write
 from .errors import (
     AsymmetricInputError,
     DimensionMismatchError,
@@ -337,8 +338,10 @@ def upcast_vector(x: np.ndarray) -> np.ndarray:
 def write_matrix_market(A: SparseSymMatrix, path) -> None:
     """Write the lower triangle in coordinate format with a symmetric header.
 
-    One call of ``scipy.io.mmwrite``'s compiled writer on the file opened
-    here (given a path, it would add ``.mtx`` to a name without one).  It
+    One call of ``scipy.io.mmwrite``'s compiled writer on the binary buffer
+    of an ``atomic_write`` handle (given a path, it would add ``.mtx`` to a
+    name without one, and it refuses a text stream), so the file replaces
+    ``path`` whole or not at all, like every file the package writes.  It
     keeps the entries on and below the diagonal in row-major order, writes
     a ``%`` line after the header, and writes each value as the shortest
     decimal that reads back as the same binary64.  A binary32 matrix is
@@ -347,8 +350,8 @@ def write_matrix_market(A: SparseSymMatrix, path) -> None:
     """
     from scipy.io import mmwrite
 
-    with open(path, "wb") as fh:
-        mmwrite(fh, A._csr.astype(np.float64, copy=False), symmetry="symmetric")
+    with atomic_write(path) as fh:
+        mmwrite(fh.buffer, A._csr.astype(np.float64, copy=False), symmetry="symmetric")
 
 
 _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])

@@ -300,7 +300,7 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
 
     - ``eager``: every one.
     - Otherwise samples: the last iteration max_iterations allows, an
-      iteration whose r'z is 0 and, in a run whose window fits in
+      iteration whose r'z underflows and, in a run whose window fits in
       max_iterations (a guarded run), the iteration a window after the
       previous sample and the one where the recursive norm has fallen by
       ``SAMPLE_FACTOR`` since the previous sample.  A tolerance sees the
@@ -312,7 +312,8 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
       recursive norm (drift).
 
     Either way the run ends "underflow" at the first iteration whose r'z
-    is 0, and both stops come after the tolerances met there.
+    is below the smallest normal of the storage precision, and both stops
+    come after the tolerances met there.
 
     ``norms``, a list, receives (true, recursive, r'z, sample) of every
     iteration.  Inner products and norms are plain dots, or with an int
@@ -335,6 +336,7 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
     thresholds = [t * scale for t in tolerances]
     window = config.stagnation_window
     guarded = window <= max_iterations
+    tiny = np.finfo(A.dtype).tiny  # a smaller r'z has underflowed
 
     r = b - A_csr @ x
     res = norm(r)
@@ -365,7 +367,7 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
 
             true_norm = norm(b - A_csr @ x)
             recursive = math.sqrt(dot(r, r) if inv_diag is not None else rz)
-            sample = eager or k == max_iterations or rz == 0
+            sample = eager or k == max_iterations or rz < tiny
             if not sample and guarded and (
                     k - last_sample >= window or recursive <= anchor / factor):
                 sample, last_sample, anchor = True, k, recursive
@@ -381,7 +383,7 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
             met += 1
         if met == len(thresholds):
             return out
-        if rz == 0:
+        if rz < tiny:
             status = "underflow"
             break
         if not eager and sample and k < max_iterations and res > margin * recursive:

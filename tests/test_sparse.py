@@ -724,6 +724,21 @@ class TestMatrixMarket:
         assert p.read_text() == MM_HEADER + "%\n3 3 3\n1 1 1\n2 2 1\n3 3 1\n"
         assert_same_outcome(read_outcome(p), (I.row_starts, I.col_indices, I.values))
 
+    def test_failed_write_leaves_the_previous_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.mtx"
+        write_matrix_market(identity(3), p)
+        before = p.read_bytes()
+
+        def fail_part_way(target, *args, **kwargs):
+            target.write(MM_HEADER.encode())
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(scipy.io, "mmwrite", fail_part_way)
+        with pytest.raises(OSError, match="no space left"):
+            write_matrix_market(identity(5), p)
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]  # no .m.mtx.*.tmp beside it
+
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "bad.mtx"
         p.write_text("%%MatrixMarket matrix array real general\n")
