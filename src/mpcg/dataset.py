@@ -390,16 +390,25 @@ def perturb(
 @dataclass(frozen=True)
 class CostEntry:
     """Outcome of one solve during the sweep; eps1 None marks the pure
-    binary64 baseline (N1 = 0 by definition).  A field of another type,
-    or a number that is not finite, raises ValueError."""
+    binary64 baseline (N1 = 0 by definition).  ``p1`` and ``p2`` count
+    the matrix-vector products of each stage of a solve to this eps1
+    alone (P1 = 0 for the baseline); they are None in an entry read from
+    a sample written before they were recorded.  A field of another type,
+    a negative count, or a number that is not finite, raises ValueError."""
 
     epsilon1: float | None
     n1: int
     n2: int
     cost: float
+    p1: int | None = None
+    p2: int | None = None
 
     def __post_init__(self):
-        check_fields(self, ("n1", "n2"), ("epsilon1", "cost"), optional=("epsilon1",))
+        counts = ("n1", "n2", "p1", "p2")
+        check_fields(self, counts, ("epsilon1", "cost"), optional=("epsilon1", "p1", "p2"))
+        for name in counts:
+            if (getattr(self, name) or 0) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass
@@ -470,7 +479,10 @@ def label_matrix(
     features = extract_features(A)
     epsilons = grid.values + (None,)
     results, failure = sweep(A, b, epsilons, grid.epsilon2, grid.mu, config)
-    entries = [CostEntry(r.epsilon1, r.n1, r.n2, r.cost) for r in results]
+    entries = [
+        CostEntry(r.epsilon1, r.n1, r.n2, r.cost, r.stage1_spmv_calls, r.stage2_spmv_calls)
+        for r in results
+    ]
     if failure is not None:
         eps1 = epsilons[len(results)]
         log.warning("sweep failed for %s at eps1=%s: %s", matrix_id, eps1, failure)

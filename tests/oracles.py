@@ -207,8 +207,10 @@ def write_matrix_market_reference(A, path) -> None:
 
 
 def two_stage_reference(A, b, epsilon1, epsilon2, mu, config, block=None):
-    """(n1, n2, x) of a two-stage solve with its own stage 1 from zero, both
-    stages run by ``cg_reference`` (with ``block`` as there)."""
+    """(n1, n2, x, p1, p2) of a two-stage solve with its own stage 1 from
+    zero, both stages run by ``cg_reference`` (with ``block`` as there);
+    p1 and p2 count each stage's products: one per iteration, one for the
+    initial residual and one per true residual its history holds."""
     from mpcg.errors import Stage2NotConvergedError
     from mpcg.solver import _inverse_diagonal, no_stagnation
     from mpcg.sparse import downcast, downcast_vector, upcast_vector
@@ -218,14 +220,15 @@ def two_stage_reference(A, b, epsilon1, epsilon2, mu, config, block=None):
 
     b = np.asarray(b, dtype=np.float64)
     A32 = downcast(A)
-    ((x1, n1, *_),) = cg_reference(
+    ((x1, n1, _, _, history1),) = cg_reference(
         A32, downcast_vector(b), None, config, inv_diag(A32), (epsilon1,), block=block)
     refine = no_stagnation(config)
-    ((x, n2, _, status, _),) = cg_reference(
+    ((x, n2, _, status, history2),) = cg_reference(
         A, b, upcast_vector(x1), refine, inv_diag(A), (epsilon2,), block=block)
     if status != "converged":
         raise Stage2NotConvergedError(status)
-    return n1, n2, x
+    p1, p2 = (1 + n + len(true_residuals_of(h)) for n, h in ((n1, history1), (n2, history2)))
+    return n1, n2, x, p1, p2
 
 
 def label_matrix_reference(A, b, grid, config, matrix_id="", group_id="", spec=None):
@@ -239,18 +242,18 @@ def label_matrix_reference(A, b, grid, config, matrix_id="", group_id="", spec=N
     valid, reason = True, None
     for eps1 in grid.values:
         try:
-            n1, n2, _ = two_stage_reference(A, b, eps1, grid.epsilon2, grid.mu, config)
+            n1, n2, _, p1, p2 = two_stage_reference(A, b, eps1, grid.epsilon2, grid.mu, config)
         except Exception as exc:  # noqa: BLE001 - any solver failure voids the record
             valid, reason = False, type(exc).__name__
             break
-        costs.append({"epsilon1": eps1, "n1": n1, "n2": n2, "cost": grid.mu * n1 + n2})
+        costs.append({"epsilon1": eps1, "n1": n1, "n2": n2, "cost": grid.mu * n1 + n2,
+                      "p1": p1, "p2": p2})
     if valid:
         base = cg(A, b, None, no_stagnation(replace(config, tolerance=grid.epsilon2)))
         valid = base.status == "converged"
         if valid:
-            costs.append(
-                {"epsilon1": None, "n1": 0, "n2": base.iterations, "cost": float(base.iterations)}
-            )
+            costs.append({"epsilon1": None, "n1": 0, "n2": base.iterations,
+                          "cost": float(base.iterations), "p1": 0, "p2": base.spmv_calls})
         else:
             reason = "Stage2NotConvergedError"
     label = i_opt = i_wrst = None
@@ -304,9 +307,9 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
       max_iterations (a guarded run), the iteration a window after the
       previous sample and the one where the recursive norm has fallen by
       ``SAMPLE_FACTOR`` since the previous sample.  A tolerance sees the
-      samples and the iterations where the recursive norm is within the
-      margin of it, and its history holds what it sees: a run to several
-      tolerances tests what the next unmet one sees.
+      samples and the iterations where the recursive norm is at or below
+      it, and its history holds what it sees: a run to several tolerances
+      tests what the next unmet one sees.
       The run ends "stagnated" at the first sample before the last
       iteration whose true residual is above the margin times the
       recursive norm (drift).
@@ -345,7 +348,7 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
     steps, out = [], []  # (true, recursive, sample) of every iteration
 
     def history(t):  # the true residuals tolerance t sees, NaN elsewhere
-        return np.array([v if s or rec <= margin * t else math.nan for v, rec, s in steps])
+        return np.array([v if s or rec <= t else math.nan for v, rec, s in steps])
 
     met, status = 0, "max_iterations"
     last_sample, anchor = 0, res
@@ -374,11 +377,11 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
             if norms is not None:
                 norms.append((true_norm, recursive, float(rz), sample))
             steps.append((true_norm, recursive, sample))
-            if not (sample or recursive <= margin * thresholds[met]):
+            if not (sample or recursive <= thresholds[met]):
                 continue
             res = true_norm
         while (met < len(thresholds) and res <= thresholds[met]
-               and (sample or recursive <= margin * thresholds[met])):
+               and (sample or recursive <= thresholds[met])):
             out.append((x, k, res, "converged", history(thresholds[met])))
             met += 1
         if met == len(thresholds):

@@ -372,7 +372,7 @@ class TestSolveCommand:
         assert main(["solve", str(identity_file), "--eps1", "0.1"]) == 0
         out = capsys.readouterr().out
         # Stage 1 meets eps1 at its first iteration, whose recursive residual
-        # is near the threshold, so it tests there: b - A x0, then A d and
+        # is at or below the threshold, so it tests there: b - A x0, then A d and
         # b - A x.  Stage 2 starts at the exact solution.
         assert "spmv_stage1    = 3" in out
         assert "spmv_stage2    = 1" in out
@@ -646,6 +646,32 @@ class TestPipeline:
             blobs.append(
                 tuple(p.read_bytes() for p in (specs, sample, model, report))
             )
+        assert blobs[0] == blobs[1]
+
+    def test_products_leave_model_and_report_unchanged(self, tmp_path):
+        # train and evaluate read the costs alone: a sample whose cost
+        # entries lack p1 and p2, as older samples do, gives the same bytes.
+        specs, sample = tmp_path / "specs.jsonl", tmp_path / "sample.jsonl"
+        argv = ["generate", "--out", str(specs), "--count", "18", "--n-min", "25",
+                "--n-max", "60", "--variants", "3", "--seed", "5"]
+        assert main(argv) == 0
+        assert main(["label", "--specs", str(specs), "--out", str(sample)]) == 0
+        old = tmp_path / "old.jsonl"
+        records = [json.loads(line) for line in sample.read_text().splitlines()]
+        for record in records:
+            for entry in record["costs"]:
+                del entry["p1"], entry["p2"]
+        old.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        blobs = []
+        for source in (sample, old):
+            model, report = tmp_path / f"{source.stem}.model", tmp_path / f"{source.stem}.report"
+            argv = ["train", "--sample", str(source), "--out", str(model), "--k", "3"]
+            assert main(argv) == 0
+            argv = ["evaluate", "--sample", str(source), "--model", str(model),
+                    "--out", str(report)]
+            assert main(argv) == 0
+            table = tmp_path / f"{report.name}.txt"
+            blobs.append((model.read_bytes(), report.read_bytes(), table.read_bytes()))
         assert blobs[0] == blobs[1]
 
     def test_solve_auto_round_trip(self, tmp_path, capsys):

@@ -148,11 +148,32 @@ BAD_RECORD_FIELDS = {
     "n1-float": (("costs", 0, "n1"), 1.5, "n1 must be an integer, got 1.5"),
     "n2-null": (("costs", 0, "n2"), None, "n2 must be an integer, got None"),
     "cost-string": (("costs", 0, "cost"), "5", "cost must be a finite number, got '5'"),
+    "p1-float": (("costs", 0, "p1"), 3.0, "p1 must be an integer, got 3.0"),
+    "p2-bool": (("costs", 0, "p2"), True, "p2 must be an integer, got True"),
+    "p2-negative": (("costs", 0, "p2"), -1, "p2 must be nonnegative, got -1"),
+    "n1-negative": (("costs", 0, "n1"), -2, "n1 must be nonnegative, got -2"),
     "label-float": (("label",), 2.5, "label must be an integer, got 2.5"),
     "label-null": (("label",), None, "label must be an integer, got None"),
     "i-opt-bool": (("i_opt",), True, "i_opt must be a finite number, got True"),
     "i-wrst-null": (("i_wrst",), None, "i_wrst must be a finite number, got None"),
 }
+
+
+# The record of GraphSpec("path", 12, seed=1) as labelling wrote it before
+# cost entries recorded their products.
+RECORD_WITHOUT_PRODUCTS = (
+    '{"costs": [{"cost": 12.5, "epsilon1": 0.1, "n1": 1, "n2": 12}, {"cost": 14.0, "epsilon1": '
+    '0.01, "n1": 4, "n2": 12}, {"cost": 15.0, "epsilon1": 0.001, "n1": 6, "n2": 12}, {"cost": '
+    '15.5, "epsilon1": 0.0001, "n1": 9, "n2": 11}, {"cost": 12.5, "epsilon1": 1e-05, "n1": 11, '
+    '"n2": 7}, {"cost": 12.5, "epsilon1": 1e-06, "n1": 11, "n2": 7}, {"cost": 13.0, "epsilon1": '
+    '1e-07, "n1": 12, "n2": 7}, {"cost": 12.0, "epsilon1": null, "n1": 0, "n2": 12}], '
+    '"features": {"lambda_max": 5.663133743960662, "n": 12, "nnz": 34, "pseudo_diameter": 11, '
+    '"spread": 0.9229564457209224}, "group_id": "s00000", "i_opt": 12.5, "i_wrst": 15.5, '
+    '"invalid_reason": null, "label": 1, "matrix_id": "s00000", "spec": {"constant": null, '
+    '"degree": null, "delta_range": [0.1, 2.0], "diagonal_strategy": "degree_plus_delta", '
+    '"edges_to_add": null, "family": "path", "m_target": null, "n": 12, "seed": 1, "variants": '
+    '0}, "valid": true}\n'
+)
 
 
 def sample_line(tmp_path) -> str:
@@ -693,6 +714,29 @@ class TestBuildSample:
         (got,) = read_sample(out)
         assert got == want and got.invalid_reason is None
 
+    def test_sample_without_products_still_reads(self, tmp_path):
+        old = tmp_path / "old.jsonl"
+        old.write_text(RECORD_WITHOUT_PRODUCTS)
+        (got,) = read_sample(old)
+        assert all(c.p1 is None and c.p2 is None for c in got.costs)
+        out = tmp_path / "new.jsonl"
+        build_sample([GraphSpec("path", 12, seed=1)], EpsilonGrid(), out)
+        (new,) = read_sample(out)
+        stripped = [{k: v for k, v in vars(c).items() if k not in ("p1", "p2")}
+                    for c in new.costs]
+        assert got == dataclasses.replace(new, costs=[CostEntry(**c) for c in stripped])
+
+    def test_products_cover_iterations(self, tmp_path):
+        specs = [GraphSpec("path", 20, seed=1), GraphSpec("random_gnm", 60, seed=2, m_target=90),
+                 GraphSpec("tree_random", 50, seed=3, delta_range=(1e-4, 1e-3))]
+        out = tmp_path / "s.jsonl"
+        build_sample(specs, EpsilonGrid(), out)
+        for rec in read_sample(out):
+            *grid, base = rec.costs
+            assert (base.n1, base.p1) == (0, 0) and base.p2 > base.n2
+            # The initial residual and the test that stops each stage.
+            assert all(c.p1 > c.n1 and c.p2 > c.n2 for c in grid)
+
 
 class TestSpecFiles:
     def test_round_trip(self, tmp_path):
@@ -817,8 +861,9 @@ class TestSweepAgainstReference:
             one = two_stage_solve(A, b, r.epsilon1, 1e-10, 0.5, config)
             assert (one.n1, one.n2) == (r.n1, r.n2)
             assert np.array_equal(one.x, r.x)
-            n1, n2, x = two_stage_reference(A, b, r.epsilon1, 1e-10, 0.5, config)
+            n1, n2, x, p1, p2 = two_stage_reference(A, b, r.epsilon1, 1e-10, 0.5, config)
             assert (n1, n2) == (r.n1, r.n2) and np.array_equal(x, r.x)
+            assert (p1, p2) == (r.stage1_spmv_calls, r.stage2_spmv_calls)
 
     def test_stage_two_runs_once_per_distinct_n1(self, monkeypatch):
         import mpcg.solver as solver
