@@ -30,12 +30,9 @@ from .features import (
 from .regression import (
     EvalReport,
     KnnModel,
-    NormalizationParams,
     evaluate,
     fit_knn,
     knn_predict,
-    minimax_apply,
-    minimax_fit,
     split,
 )
 from .solver import (

@@ -1,5 +1,8 @@
-"""Output files that are either complete or not written at all, and JSON
-input that holds finite numbers only."""
+"""The package's file boundary: output files that are either complete or
+not written at all, and the one JSON convention of every spec, sample,
+manifest, model and report file.  Writers emit sorted keys, no NaN or
+Infinity and a trailing newline; readers take finite numbers only and
+name a bad line of a JSON-lines file by its ``path:line``."""
 
 from __future__ import annotations
 
@@ -75,3 +78,41 @@ def _finite_int(text: str) -> int:
     if abs(value) > sys.float_info.max:
         raise ValueError(f"integer of {len(text)} characters beyond the binary64 range")
     return value
+
+
+def write_json(path, payload, indent=None) -> None:
+    """``payload`` as one JSON document with sorted keys and a trailing
+    newline, replacing ``path`` whole; ``indent`` is ``json.dumps``'s.  A
+    NaN or Infinity raises ValueError and leaves ``path`` as it was."""
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False) + "\n")
+
+
+def write_json_lines(path, payloads) -> None:
+    """One JSON line with sorted keys per payload, replacing ``path`` whole;
+    a NaN or Infinity raises ValueError and leaves ``path`` as it was."""
+    with atomic_write(path) as fh:
+        for payload in payloads:
+            fh.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+
+
+def read_json(path):
+    """``finite_json`` of the whole ASCII file ``path``."""
+    with open(path, "r", encoding="ascii") as fh:
+        return finite_json(fh.read())
+
+
+def read_json_lines(path, parse, error: str) -> list:
+    """``parse`` of every non-blank JSON line of ``path``.  A line that
+    does not parse, or holds a non-finite number, raises ValueError with
+    ``error`` formatted with ``where`` (``path:line``) and ``exc``."""
+    items = []
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                items.append(parse(finite_json(line)))
+            except (ValueError, KeyError, TypeError) as exc:  # TypeError: unknown key
+                raise ValueError(error.format(where=f"{path}:{lineno}", exc=exc)) from None
+    return items

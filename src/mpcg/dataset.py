@@ -10,7 +10,6 @@ which grid value minimizes the weighted cost mu*N1 + N2.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import math
 import random
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write, finite_json
+from ._fileio import read_json_lines, write_json, write_json_lines
 from .errors import GraphFullError, InvalidSpecError, check_fields
 from .features import FeatureVector, extract_features
 from .solver import SolveConfig, sweep
@@ -45,6 +44,10 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 DEFAULT_GRID = tuple(10.0 ** -l for l in range(1, 8))
+
+# Largest n of a spec: every pair code of n vertices fits in int64, and a
+# grid2d spec's divisor search takes milliseconds, not hours.
+MAX_N = 2**31 - 1
 
 FAMILIES = (
     "path",
@@ -116,6 +119,8 @@ class GraphSpec:
         n = self.n
         if n < 1:
             raise InvalidSpecError("n must be at least 1")
+        if n > MAX_N:
+            raise InvalidSpecError(f"n must be at most {MAX_N}")
         if self.family == "cycle" and n < 3:
             raise InvalidSpecError("a cycle needs n >= 3")
         if self.family == "random_gnm":
@@ -599,33 +604,15 @@ def build_sample(
     return manifest
 
 
-def _read_json_lines(path, parse, error: str) -> list:
-    """``parse`` of every non-blank JSON line of ``path``.  A line that
-    does not parse, or holds a non-finite number, raises ValueError with
-    ``error`` formatted with ``where`` (``path:line``) and ``exc``."""
-    items = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                items.append(parse(finite_json(line)))
-            except (ValueError, KeyError, TypeError) as exc:  # TypeError: unknown key
-                raise ValueError(error.format(where=f"{path}:{lineno}", exc=exc)) from None
-    return items
-
-
 def write_specs(specs: list[GraphSpec], path) -> None:
     """One JSON line per spec; the file is replaced whole."""
-    with atomic_write(path) as fh:
-        for spec in specs:
-            fh.write(json.dumps(spec.to_dict(), sort_keys=True, allow_nan=False) + "\n")
+    write_json_lines(path, (spec.to_dict() for spec in specs))
 
 
 def read_specs(path) -> list[GraphSpec]:
     """Specs of a JSON-lines file; a bad one raises ValueError naming its
     ``path:line``."""
-    return _read_json_lines(path, GraphSpec.from_dict, "bad spec at {where}: {exc}")
+    return read_json_lines(path, GraphSpec.from_dict, "bad spec at {where}: {exc}")
 
 
 def write_sample(
@@ -633,18 +620,14 @@ def write_sample(
 ) -> None:
     """One JSON line per record, then the manifest beside it; each file is
     replaced whole, so an interrupted write leaves the previous one."""
-    with atomic_write(path) as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True, allow_nan=False) + "\n")
+    write_json_lines(path, (rec.to_dict() for rec in records))
     if manifest is not None:
-        with atomic_write(manifest_path(path)) as fh:
-            payload = json.dumps(manifest.to_dict(), sort_keys=True, indent=2, allow_nan=False)
-            fh.write(payload + "\n")
+        write_json(manifest_path(path), manifest.to_dict(), indent=2)
 
 
 def read_sample(path, include_invalid: bool = False) -> list[SampleRecord]:
     """Records of a sample file; a malformed line raises ValueError."""
-    records = _read_json_lines(
+    records = read_json_lines(
         path, SampleRecord.from_dict, "malformed record at {where}: {exc!r}"
     )
     return [rec for rec in records if rec.valid or include_invalid]

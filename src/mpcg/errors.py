@@ -88,7 +88,7 @@ class GraphFullError(ValueError):
 
 
 class EmptyTrainingSetError(ValueError):
-    """Normalization or model fitting received no training vectors."""
+    """Model fitting received no valid labeled record."""
 
 
 class SampleTooSmallError(ValueError):

@@ -10,13 +10,12 @@ predicted class is read straight from the sweep stored in each record.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write, finite_json
+from ._fileio import read_json, write_json
 from .dataset import SampleRecord
 from .errors import (
     EmptyTrainingSetError,
@@ -26,12 +25,9 @@ from .errors import (
 from .features import FeatureVector
 
 __all__ = [
-    "NormalizationParams",
     "KnnModel",
     "EvalRow",
     "EvalReport",
-    "minimax_fit",
-    "minimax_apply",
     "split",
     "fit_knn",
     "knn_predict",
@@ -40,43 +36,6 @@ __all__ = [
     "load_model",
     "save_report",
 ]
-
-
-@dataclass(frozen=True)
-class NormalizationParams:
-    mins: np.ndarray
-    maxs: np.ndarray
-
-
-def _feature_matrix(features) -> np.ndarray:
-    rows = [
-        f.as_array() if isinstance(f, FeatureVector) else np.asarray(f, dtype=float)
-        for f in features
-    ]
-    if not rows:
-        raise EmptyTrainingSetError("no feature vectors supplied")
-    return np.stack(rows)
-
-
-def minimax_fit(train_features) -> NormalizationParams:
-    """Per-feature minima and maxima over the training vectors."""
-    mat = _feature_matrix(train_features)
-    return NormalizationParams(mat.min(axis=0), mat.max(axis=0))
-
-
-def minimax_apply(params: NormalizationParams, chi) -> np.ndarray:
-    """Map a feature vector onto [0, 1]^5.
-
-    A feature that was constant on the training sample maps to 0.5; test
-    values outside the training range clamp to the nearest endpoint.
-    """
-    chi = chi.as_array() if isinstance(chi, FeatureVector) else np.asarray(chi, float)
-    span = params.maxs - params.mins
-    degenerate = span == 0
-    scaled = np.where(
-        degenerate, 0.5, (chi - params.mins) / np.where(degenerate, 1.0, span)
-    )
-    return np.clip(scaled, 0.0, 1.0)
 
 
 def split(
@@ -120,9 +79,11 @@ def split(
 
 @dataclass
 class KnnModel:
-    """Normalization, normalized training points with labels, and k."""
+    """Per-feature minima and maxima of the training vectors, the training
+    points scaled by them onto [0, 1]^5 with their labels, and k."""
 
-    normalization: NormalizationParams
+    mins: np.ndarray  # (5,)
+    maxs: np.ndarray  # (5,)
     points: np.ndarray  # (N, 5) in [0, 1]
     labels: np.ndarray  # (N,) grid class labels
     k: int
@@ -132,8 +93,7 @@ class KnnModel:
 
     def __post_init__(self):
         n, width = self.labels.size, len(dataclasses.fields(FeatureVector))
-        norm = self.normalization
-        shapes = (self.points.shape, self.labels.shape, norm.mins.shape, norm.maxs.shape)
+        shapes = (self.points.shape, self.labels.shape, self.mins.shape, self.maxs.shape)
         if shapes != ((n, width), (n,), (width,), (width,)):
             raise ValueError(f"array shapes {shapes} do not fit {n} labels of {width} features")
         grid = self.grid_values
@@ -151,6 +111,21 @@ class KnnModel:
             raise ValueError(f"labels must be integers in 1..{len(grid)}")
         if type(self.k) is not int or not 1 <= self.k <= n:
             raise ValueError("k must be an integer in 1..len(points)")
+
+
+def _as_array(chi) -> np.ndarray:
+    return chi.as_array() if isinstance(chi, FeatureVector) else np.asarray(chi, dtype=float)
+
+
+def _scale(mins: np.ndarray, maxs: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """Feature vectors ``chi``, one or a row each, mapped onto [0, 1] per
+    feature.  A feature that was constant on the training sample maps to
+    0.5; values outside the training range clamp to the nearest endpoint.
+    """
+    span = maxs - mins
+    degenerate = span == 0
+    scaled = np.where(degenerate, 0.5, (chi - mins) / np.where(degenerate, 1.0, span))
+    return np.clip(scaled, 0.0, 1.0)
 
 
 def _usable(records: list[SampleRecord], classes: int) -> list[SampleRecord]:
@@ -176,12 +151,13 @@ def fit_knn(
         raise ValueError("training records were swept on different grids")
     grid = grids.pop()
     usable = _usable(train, len(grid))
-    params = minimax_fit([r.features for r in usable])
-    points = np.stack([minimax_apply(params, r.features) for r in usable])
+    raw = np.stack([_as_array(r.features) for r in usable])
+    mins, maxs = raw.min(axis=0), raw.max(axis=0)
     labels = np.array([r.label for r in usable], dtype=np.int64)
     return KnnModel(
-        normalization=params,
-        points=points,
+        mins=mins,
+        maxs=maxs,
+        points=_scale(mins, maxs, raw),
         labels=labels,
         k=k,
         grid_values=grid,
@@ -197,7 +173,7 @@ def knn_predict(model: KnnModel, chi) -> int:
     vote goes to the class with the larger eps1, matching how labels break
     their own ties.
     """
-    q = minimax_apply(model.normalization, chi)
+    q = _scale(model.mins, model.maxs, _as_array(chi))
     d2 = np.einsum("ij,ij->i", model.points - q, model.points - q)
     nearest = np.argsort(d2, kind="stable")[: model.k]
     votes = np.bincount(model.labels[nearest], minlength=len(model.grid_values) + 1)
@@ -310,29 +286,25 @@ def save_model(model: KnnModel, path, split: dict | None = None) -> None:
         "format_version": 1,
         "k": model.k,
         "grid_values": list(model.grid_values),
-        "mins": model.normalization.mins.tolist(),
-        "maxs": model.normalization.maxs.tolist(),
+        "mins": model.mins.tolist(),
+        "maxs": model.maxs.tolist(),
         "points": model.points.tolist(),
         "labels": model.labels.tolist(),
         "train_ids": list(model.train_ids),
         "test_ids": list(model.test_ids),
         "split": split,
     }
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n")
+    write_json(path, payload, indent=1)
 
 
 def load_model(path) -> KnnModel:
     """Model written by ``save_model``; a malformed file, a non-finite
     number among them, raises ValueError."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            payload = finite_json(fh.read())
+        payload = read_json(path)
         return KnnModel(
-            normalization=NormalizationParams(
-                np.array(payload["mins"], dtype=float),
-                np.array(payload["maxs"], dtype=float),
-            ),
+            mins=np.array(payload["mins"], dtype=float),
+            maxs=np.array(payload["maxs"], dtype=float),
             points=np.array(payload["points"], dtype=float),
             labels=np.array(payload["labels"]),
             k=payload["k"],
@@ -348,5 +320,4 @@ def save_report(report: EvalReport, path, meta: dict | None = None) -> None:
     payload = report.to_dict()
     if meta:
         payload["meta"] = meta
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+    write_json(path, payload)

@@ -129,7 +129,7 @@ from .sparse import (
 )
 
 # A sampled true residual more than this factor above the recursive norm
-# is drift.  A test near a threshold waits for the recursive norm to reach it.
+# is drift.
 TRUE_RESIDUAL_MARGIN = 2.0
 
 # Before drift a guarded run samples the true residual each time the

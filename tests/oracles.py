@@ -10,7 +10,7 @@ replaced algorithm and call the library only for what it kept, and
 
 import functools
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -273,6 +273,34 @@ def label_matrix_reference(A, b, grid, config, matrix_id="", group_id="", spec=N
         "valid": valid,
         "invalid_reason": reason,
     }
+
+
+def minimax_reference(train_features, queries):
+    """Per-feature minima and maxima of ``train_features``, the training
+    vectors and the ``queries`` each scaled onto [0, 1]^5 one vector at a
+    time, as the regression layer did before it kept its bounds on the
+    model: (mins, maxs, points, scaled queries).  A feature constant in
+    training maps to 0.5 and an out-of-range value clamps."""
+    mat = np.stack([f.as_array() for f in train_features])
+    mins, maxs = mat.min(axis=0), mat.max(axis=0)
+    span = maxs - mins
+    degenerate = span == 0
+
+    def apply(chi):
+        scaled = (chi.as_array() - mins) / np.where(degenerate, 1.0, span)
+        return np.clip(np.where(degenerate, 0.5, scaled), 0.0, 1.0)
+
+    points = np.stack([apply(f) for f in train_features])
+    return mins, maxs, points, [apply(q) for q in queries]
+
+
+def knn_vote_reference(points, labels, k, q) -> int:
+    """Majority class among the ``k`` points nearest ``q``, distance ties
+    by training order, a tied vote to the smaller class number."""
+    d2 = np.einsum("ij,ij->i", points - q, points - q)
+    nearest = sorted(range(len(d2)), key=lambda i: (d2[i], i))[:k]
+    votes = Counter(int(labels[i]) for i in nearest)
+    return min(c for c, v in votes.items() if v == max(votes.values()))
 
 
 def blocked_dot(u, v, block):

@@ -7,6 +7,7 @@ criteria that score it.
 
 import hashlib
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +17,13 @@ from mpcg.dataset import (
     EpsilonGrid,
     GraphSpec,
     generate,
+    manifest_path,
     perturb,
     plan_specs,
     read_sample,
 )
 from mpcg.features import eigen_estimates, pseudo_diameter
-from mpcg.regression import evaluate, fit_knn, load_model, split
+from mpcg.regression import evaluate, fit_knn, knn_predict, load_model, split
 from mpcg.solver import SolveConfig, cg, two_stage_solve
 
 from oracles import (
@@ -30,6 +32,8 @@ from oracles import (
     eigenvalues_of,
     from_triplets,
     iteration_bound,
+    knn_vote_reference,
+    minimax_reference,
     true_diameter,
 )
 
@@ -42,6 +46,15 @@ K = 5
 # residual near a threshold only at or below it, which moved two cost
 # entries and no label.
 DESK_SAMPLE_SHA256 = "ce4747bc382f6f49a8e54f8417cd1995dc185c7392bdc74b156e35f2cb013e9f"
+# sha256 of the other files of the same run; a change to how a file is
+# written, or to what the model or report computes, re-baselines its line.
+DESK_OUTPUT_SHA256 = {
+    "specs": "fc68192b580dc7663e24e2bbe1b282e5307f21389a61695567cd7fd58a477218",
+    "manifest": "1e50ea9b7e7f63da3ad5b1e1b147a49e035a0767c9edac8b90902997b94ab1f6",
+    "model": "0712e755242f52d04cecc039a18d4984a5eaa1ee2363c4ff3eb776913a457df0",
+    "report": "edb732f1facbefcada109f9e45889dfccf8db71d7e8014e38059eef1e46c2faf",
+    "table": "8b405267f29838d97dd99f67145df06e48d5ce6bf30920819798d9869eab866e",
+}
 
 
 def announce(num: int, ok: bool, text: str) -> None:
@@ -94,7 +107,10 @@ def run_pipeline(root, seed=DESK_SEED):
         ]
     )
     assert rc == 0
-    return {"specs": specs, "sample": sample, "model": model, "report": report}
+    return {
+        "specs": specs, "sample": sample, "manifest": Path(manifest_path(sample)),
+        "model": model, "report": report, "table": Path(f"{report}.txt"),
+    }
 
 
 @pytest.fixture(scope="session")
@@ -311,6 +327,29 @@ def test_desk_sample_digest_with_two_workers(desk_pipeline, tmp_path):
     assert hashlib.sha256(sample.read_bytes()).hexdigest() == DESK_SAMPLE_SHA256
     records = read_sample(sample, include_invalid=True)
     assert (sum(r.valid for r in records), len(records)) == (525, 525)
+
+
+@pytest.mark.parametrize("name", DESK_OUTPUT_SHA256)
+def test_desk_output_digest(desk_pipeline, name):
+    digest = hashlib.sha256(desk_pipeline[name].read_bytes()).hexdigest()
+    assert digest == DESK_OUTPUT_SHA256[name]
+
+
+def test_model_matches_per_record_scaling(desk_pipeline):
+    """The bounds, points and predictions of the desk model, bit for bit
+    those of scaling one feature vector at a time."""
+    records = read_sample(desk_pipeline["sample"])
+    model = load_model(desk_pipeline["model"])
+    train = [r for r in records if r.matrix_id in set(model.train_ids)]
+    mins, maxs, points, queries = minimax_reference(
+        [r.features for r in train], [r.features for r in records])
+    for fitted in (model, fit_knn(train, K)):
+        for got, want in ((fitted.mins, mins), (fitted.maxs, maxs), (fitted.points, points)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    labels = np.array([r.label for r in train])
+    for rec, q in zip(records, queries):
+        want = knn_vote_reference(points, labels, K, q)
+        assert knn_predict(model, rec.features) == want, rec.matrix_id
 
 
 def test_criterion_8_determinism(desk_pipeline, tmp_path_factory):

@@ -1,6 +1,7 @@
 """The public API resolves: every exported name exists, the package root
 re-exports only exported names, and retired names stay gone.  Every file
-the package writes goes through ``_fileio.atomic_write``."""
+the package writes goes through ``_fileio.atomic_write``, and only
+``_fileio`` speaks JSON."""
 
 import ast
 import importlib
@@ -17,7 +18,8 @@ LAYERS = ("sparse", "solver", "features", "dataset", "regression")
 # own copy (iteration_bound lives in oracles.py).
 RETIRED = ("pcg_jacobi", "iteration_bound", "grid_cost", "value_of_class", "read_manifest",
            "gershgorin_basic", "gershgorin_scaled", "stagnation_factor", "_from_arrays",
-           "_check_numbers")
+           "_check_numbers", "NormalizationParams", "minimax_fit", "minimax_apply",
+           "_feature_matrix", "_read_json_lines")
 
 
 def _package_modules():
@@ -87,3 +89,19 @@ def test_only_fileio_opens_a_file_for_writing():
         if lines:
             writers[path.name] = lines
     assert set(writers) == {"_fileio.py"}, writers
+
+
+def test_only_fileio_imports_json():
+    root = Path(mpcg.__file__).parent
+    importers = set()
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "json" for name in names):
+                importers.add(path.name)
+    assert importers == {"_fileio.py"}, importers

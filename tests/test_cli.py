@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,10 @@ BAD_SPECS = {
     "seed-float": '{"family": "path", "n": 10, "seed": 1.5}',
     "constant-not-dominant": '{"family": "grid2d", "n": 12, '
     '"diagonal_strategy": "uniform_constant", "constant": 3.0}',
+    # a divisor search over 10**10 candidates, unless the size bound comes first
+    "grid2d-huge": '{"family": "grid2d", "n": 100000000000000000000}',
+    "grid2d-huge-constant": '{"family": "grid2d", "n": 100000000000000000000, '
+    '"diagonal_strategy": "uniform_constant", "constant": 5.0}',
 }
 
 
@@ -429,7 +434,9 @@ class TestBadInputFiles:
         specs = tmp_path / "specs.jsonl"
         specs.write_text(spec + "\n")
         out = tmp_path / "sample.jsonl"
+        start = time.perf_counter()
         assert main(["label", "--specs", str(specs), "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
         assert f"bad spec at {specs}:1: " in capsys.readouterr().err
         assert not out.exists()
 

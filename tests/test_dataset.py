@@ -44,10 +44,15 @@ from mpcg.errors import (
     Stage2NotConvergedError,
 )
 from mpcg.features import FeatureVector, extract_features
-from mpcg.regression import minimax_apply, minimax_fit
 from mpcg.solver import SolveConfig, sweep, two_stage_solve
 
-from oracles import eigenvalues_of, from_triplets, label_matrix_reference, two_stage_reference
+from oracles import (
+    eigenvalues_of,
+    from_triplets,
+    label_matrix_reference,
+    minimax_reference,
+    two_stage_reference,
+)
 
 
 def offdiag_abs_rowsums(A):
@@ -94,6 +99,9 @@ BAD_SPECS = {
     "n-float": ({"family": "path", "n": 10.5}, "n must be an integer"),
     "n-bool": ({"family": "path", "n": True}, "n must be an integer"),
     "n-zero": ({"family": "path", "n": 0}, "n must be at least 1"),
+    "n-huge": ({"family": "grid2d", "n": 10**20}, "n must be at most 2147483647"),
+    "n-huge-constant": ({"family": "grid2d", "n": 10**20, "diagonal_strategy": "uniform_constant",
+                         "constant": 5.0}, "n must be at most 2147483647"),
     "seed-float": ({"family": "path", "n": 10, "seed": 1.5}, "seed must be an integer"),
     "seed-negative": ({"family": "path", "n": 10, "seed": -1}, "seed must be nonnegative"),
     "variants-float": ({"family": "path", "n": 10, "variants": 2.0},
@@ -234,6 +242,13 @@ class TestGenerate:
             )
         with pytest.raises(InvalidSpecError):
             generate(GraphSpec("path", 5, delta_range=(0.0, 1.0)))
+
+    def test_largest_n_is_a_valid_spec(self):
+        # 2**31 - 1 is prime: the grid is one row, of maximum degree 2
+        spec = GraphSpec("grid2d", 2**31 - 1, diagonal_strategy="uniform_constant", constant=2.5)
+        assert _max_degree(spec) == 2
+        with pytest.raises(InvalidSpecError, match="maximum degree 2"):
+            dataclasses.replace(spec, constant=2.0)
 
     @pytest.mark.parametrize("fields, message", BAD_SPECS.values(), ids=BAD_SPECS.keys())
     def test_spec_rejected_before_generation(self, fields, message):
@@ -418,8 +433,7 @@ class TestPerturb:
                 [base] + perturb(base, variants=5, edges_to_add=2, seed=100 + g)
             )
         feats = [extract_features(M) for grp in groups for M in grp]
-        params = minimax_fit(feats)
-        pts = np.stack([minimax_apply(params, f) for f in feats])
+        pts = minimax_reference(feats, [])[2]
         d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         overall_median = np.median(d[np.triu_indices(len(pts), 1)])
         k = 0

@@ -18,13 +18,10 @@ from mpcg.errors import (
 from mpcg.features import FeatureVector
 from mpcg.regression import (
     KnnModel,
-    NormalizationParams,
     evaluate,
     fit_knn,
     knn_predict,
     load_model,
-    minimax_apply,
-    minimax_fit,
     save_model,
     save_report,
     split,
@@ -60,25 +57,41 @@ def sloped_costs(best_class):
     return [10.0 + abs(i + 1 - best_class) for i in range(7)]
 
 
-class TestMinimax:
-    def test_single_vector_is_all_degenerate(self):
-        params = minimax_fit([feat()])
-        np.testing.assert_array_equal(minimax_apply(params, feat()), [0.5] * 5)
+class TestScaling:
+    """The bounds and scaled points ``fit_knn`` keeps, and the query
+    scaling of ``knn_predict``."""
+
+    def test_single_record_is_all_degenerate(self):
+        model = fit_knn([make_record("m0", "m0", feat(), sloped_costs(3))], k=1)
+        np.testing.assert_array_equal(model.mins, model.maxs)
+        np.testing.assert_array_equal(model.points, [[0.5] * 5])
+        assert knn_predict(model, feat(n=99, lam=-1.0)) == 3
 
     def test_three_values_map_affinely(self):
-        params = minimax_fit([np.full(5, 2.0), np.full(5, 4.0), np.full(5, 6.0)])
-        np.testing.assert_array_equal(minimax_apply(params, np.full(5, 4.0)), [0.5] * 5)
-        np.testing.assert_array_equal(minimax_apply(params, np.full(5, 2.0)), [0.0] * 5)
-        np.testing.assert_array_equal(minimax_apply(params, np.full(5, 6.0)), [1.0] * 5)
+        records = [
+            make_record(f"m{i}", f"m{i}", np.full(5, v), sloped_costs(i + 1))
+            for i, v in enumerate((2.0, 4.0, 6.0))
+        ]
+        model = fit_knn(records, k=1)
+        np.testing.assert_array_equal(model.mins, [2.0] * 5)
+        np.testing.assert_array_equal(model.maxs, [6.0] * 5)
+        np.testing.assert_array_equal(model.points, [[0.0] * 5, [0.5] * 5, [1.0] * 5])
 
-    def test_out_of_range_clamps(self):
-        params = minimax_fit([np.full(5, 2.0), np.full(5, 6.0)])
-        np.testing.assert_array_equal(minimax_apply(params, np.full(5, 0.0)), [0.0] * 5)
-        np.testing.assert_array_equal(minimax_apply(params, np.full(5, 9.0)), [1.0] * 5)
+    def test_out_of_range_query_clamps(self):
+        # Features 0 and 1 span [0, 1], the others are constant.  Unclamped,
+        # (3, 0) would be nearest the first point and (-5, 1) the second.
+        rows = [(1.0, 1.0), (0.0, 0.0), (0.6, 0.0)]
+        records = [
+            make_record(f"m{i}", f"m{i}", np.array([*row, 0.0, 0.0, 0.0]), sloped_costs(i + 1))
+            for i, row in enumerate(rows)
+        ]
+        model = fit_knn(records, k=1)
+        assert knn_predict(model, np.array([3.0, 0.0, 0.0, 0.0, 0.0])) == 3  # at (1, 0)
+        assert knn_predict(model, np.array([-5.0, 1.0, 7.0, 7.0, 7.0])) == 1  # at (0, 1), a tie
 
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSetError):
-            minimax_fit([])
+            fit_knn([], k=1)
 
 
 class TestSplit:
@@ -301,7 +314,7 @@ class TestModelIO:
         # load_model refuses NaN, so save_model must not write it
         records = [make_record(f"m{i}", f"m{i}", feat(n=i), sloped_costs(1)) for i in range(3)]
         model = fit_knn(records, k=1)
-        model.normalization.mins[3] = np.nan
+        model.mins[3] = np.nan
         path = tmp_path / "model.json"
         with pytest.raises(ValueError, match="Out of range float values"):
             save_model(model, path)
