@@ -100,8 +100,17 @@ def _load_rhs(args, A) -> np.ndarray:
     return b
 
 
+def _check_eps1(eps1: float, eps2: float) -> None:
+    if eps1 < eps2:
+        raise ValueError(f"eps1={eps1:g} must be >= eps2={eps2:g}")
+
+
 def cmd_solve(args) -> int:
-    if args.eps1 == "auto":  # the flags first, so no bad one waits for a large read
+    # Every flag before the matrix, so no bad one waits for a large read:
+    # the solve configuration checks --eps2, and a grid of eps2 alone --mu.
+    config = _config_from_args(args)
+    dataset.EpsilonGrid((args.eps2,), args.eps2, args.mu)
+    if args.eps1 == "auto":
         if not args.model:
             return _fail(EXIT_NO_MODEL, "--eps1 auto requires --model")
         try:
@@ -118,15 +127,14 @@ def cmd_solve(args) -> int:
                 EXIT_CONFIG,
                 f"--eps1 must be a finite positive number or 'auto', got '{args.eps1}'",
             )
+        _check_eps1(eps1, args.eps2)
     A = read_matrix_market(args.matrix)
     b = _load_rhs(args, A)
-    config = _config_from_args(args)
     if args.eps1 == "auto":
         label = regression.knn_predict(model, extract_features(A))
         eps1 = model.grid_values[label - 1]
         print(f"predicted class = {label} (eps1 = {eps1:g})")
-    if eps1 < args.eps2:
-        return _fail(EXIT_CONFIG, f"eps1={eps1:g} must be >= eps2={args.eps2:g}")
+        _check_eps1(eps1, args.eps2)
 
     result = two_stage_solve(A, b, eps1, args.eps2, args.mu, config)
     print(f"N1             = {result.n1} ({result.stage1_status})")

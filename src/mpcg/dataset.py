@@ -13,7 +13,8 @@ import dataclasses
 import logging
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,6 +49,11 @@ DEFAULT_GRID = tuple(10.0 ** -l for l in range(1, 8))
 # Largest n of a spec: every pair code of n vertices fits in int64, and a
 # grid2d spec's divisor search takes milliseconds, not hours.
 MAX_N = 2**31 - 1
+
+# Dead ends after which a random_regular spec counts as one that cannot be
+# generated.  No desk spec restarts more than twice; at n = 200, degree 170
+# restarts about 1400 times, and degree 190 ends here after about 5 s.
+RANDOM_REGULAR_RESTARTS = 100
 
 FAMILIES = (
     "path",
@@ -217,11 +223,13 @@ def _random_regular_edges(d: int, n: int, rand: random.Random) -> set[tuple[int,
     and pairs them off; a pair that is a loop or an existing edge returns
     both stubs to the pool, in the order their vertices first failed.  An
     attempt restarts from scratch when no pool vertex can still be joined
-    to another.  Requires 0 <= d < n with n*d even.
+    to another; after ``RANDOM_REGULAR_RESTARTS`` restarts, where networkx
+    goes on without end, InvalidSpecError is raised.  Requires 0 <= d < n
+    with n*d even.
     """
     if d == 0:
         return set()
-    while True:
+    for _ in range(RANDOM_REGULAR_RESTARTS + 1):
         edges: set[tuple[int, int]] = set()
         stubs = list(range(n)) * d
         while stubs:
@@ -241,6 +249,8 @@ def _random_regular_edges(d: int, n: int, rand: random.Random) -> set[tuple[int,
             stubs = [v for v, k in failed.items() for _ in range(k)]
         else:
             return edges
+    raise InvalidSpecError(f"no random {d}-regular graph on n = {n} vertices after "
+                           f"{RANDOM_REGULAR_RESTARTS} restarts")
 
 
 def _pool_joinable(edges: set[tuple[int, int]], pool: dict[int, int]) -> bool:
@@ -416,26 +426,51 @@ class CostEntry:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
+# The fields of a sample record that its costs give, stored as a cache.
+_DERIVED = ("label", "i_opt", "i_wrst")
+
+
 @dataclass
 class SampleRecord:
+    """One matrix's sweep: its cost entries, the grid values of eps1 in the
+    order swept and then the binary64 baseline, and what they give.
+
+    ``label``, ``i_opt`` and ``i_wrst`` are worked out from the grid
+    entries when the record is built, never passed: the class of least
+    cost, ties going to the larger eps1, and the least and greatest grid
+    costs.  A record with ``valid=False`` has None for all three; a valid
+    one without a grid entry raises ValueError.
+    """
+
     matrix_id: str
     group_id: str
     spec: GraphSpec | None
     features: FeatureVector
     costs: list[CostEntry]
-    label: int | None
-    i_opt: float | None
-    i_wrst: float | None
+    label: int | None = field(init=False)
+    i_opt: float | None = field(init=False)
+    i_wrst: float | None = field(init=False)
     valid: bool = True
     invalid_reason: str | None = None  # class and message of the failure
 
     def __post_init__(self):
         if type(self.valid) is not bool:  # "false" would read as true
             raise ValueError(f"valid must be a bool, got {self.valid!r}")
-        unset = () if self.valid else ("label", "i_opt", "i_wrst")  # a failed sweep has none
-        check_fields(self, ("label",), ("i_opt", "i_wrst"),
-                     strings=("matrix_id", "group_id", "invalid_reason"),
-                     optional=("invalid_reason", *unset))
+        check_fields(self, strings=("matrix_id", "group_id", "invalid_reason"),
+                     optional=("invalid_reason",))
+        self.label = self.i_opt = self.i_wrst = None
+        if self.valid:
+            grid = self.grid_entries
+            if not grid:
+                raise ValueError("a valid record needs a cost entry for a grid value of eps1")
+            best = min(grid, key=lambda e: (e.cost, -e.epsilon1))
+            self.label = grid.index(best) + 1
+            self.i_opt, self.i_wrst = best.cost, max(e.cost for e in grid)
+
+    @property
+    def grid_entries(self) -> list[CostEntry]:
+        """The cost entries of grid values of eps1, the baseline left out."""
+        return [e for e in self.costs if e.epsilon1 is not None]
 
     def to_dict(self) -> dict:
         return {
@@ -449,14 +484,23 @@ class SampleRecord:
     def from_dict(cls, d: dict) -> "SampleRecord":
         """The record of ``to_dict``'s layout; an unknown or missing key, an
         invalid spec, or a number of the wrong type or not finite, raises.
-        Older samples lack ``invalid_reason``."""
+        Older samples lack ``invalid_reason``.  The stored ``label``,
+        ``i_opt`` and ``i_wrst`` are a cache of what the costs give: one of
+        the wrong type, or that differs from the record's own, raises
+        ValueError naming it."""
         spec = d["spec"]
-        return cls(**{
-            **d,
+        cached = SimpleNamespace(**{name: d[name] for name in _DERIVED})
+        rec = cls(**{
+            **{key: value for key, value in d.items() if key not in _DERIVED},
             "spec": None if spec is None else GraphSpec.from_dict(spec),
             "features": FeatureVector(**d["features"]),
             "costs": [CostEntry(**c) for c in d["costs"]],
         })
+        check_fields(cached, ("label",), ("i_opt", "i_wrst"), optional=() if rec.valid else _DERIVED)
+        for name, value in vars(cached).items():
+            if value != getattr(rec, name):
+                raise ValueError(f"{name} {value} is not the {getattr(rec, name)} its costs give")
+        return rec
 
 
 def ones_rhs(A: SparseSymMatrix) -> np.ndarray:
@@ -475,11 +519,11 @@ def label_matrix(
 ) -> SampleRecord:
     """Sweep every grid value of eps1 plus the pure binary64 baseline.
 
-    The label is the grid class of minimum cost, ties resolved toward the
-    larger eps1 (fewer reduced-precision iterations for the same price).
-    A failed sweep yields a record with ``valid=False``, keeping the cost
-    entries before the first failing eps1, that downstream consumers skip;
-    its ``invalid_reason`` holds the exception's class and message.
+    The record works out its label, ``i_opt`` and ``i_wrst`` from the
+    grid entries (see ``SampleRecord``).  A failed sweep yields a record
+    with ``valid=False``, keeping the cost entries before the first
+    failing eps1, that downstream consumers skip; its ``invalid_reason``
+    holds the exception's class and message.
     """
     features = extract_features(A)
     epsilons = grid.values + (None,)
@@ -488,21 +532,12 @@ def label_matrix(
         CostEntry(r.epsilon1, r.n1, r.n2, r.cost, r.stage1_spmv_calls, r.stage2_spmv_calls)
         for r in results
     ]
-    if failure is not None:
-        eps1 = epsilons[len(results)]
-        log.warning("sweep failed for %s at eps1=%s: %s", matrix_id, eps1, failure)
-        reason = f"{type(failure).__name__}: {failure}"
-        return SampleRecord(
-            matrix_id, group_id, spec, features, entries, None, None, None, False, reason
-        )
-    grid_entries = entries[:-1]
-    best = min(grid_entries, key=lambda e: (e.cost, -e.epsilon1))
-    label = grid_entries.index(best) + 1
-    i_opt = best.cost
-    i_wrst = max(e.cost for e in grid_entries)
-    return SampleRecord(
-        matrix_id, group_id, spec, features, entries, label, i_opt, i_wrst, True
-    )
+    if failure is None:
+        return SampleRecord(matrix_id, group_id, spec, features, entries)
+    eps1 = epsilons[len(results)]
+    log.warning("sweep failed for %s at eps1=%s: %s", matrix_id, eps1, failure)
+    reason = f"{type(failure).__name__}: {failure}"
+    return SampleRecord(matrix_id, group_id, spec, features, entries, False, reason)
 
 
 @dataclass

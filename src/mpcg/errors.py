@@ -96,4 +96,5 @@ class SampleTooSmallError(ValueError):
 
 
 class MissingCostEntryError(LookupError):
-    """A record lacks the stored cost entry for the predicted class."""
+    """An evaluated record was not swept on the model's grid of eps1
+    values, so it lacks the cost entry of some class the model predicts."""

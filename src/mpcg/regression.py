@@ -128,29 +128,27 @@ def _scale(mins: np.ndarray, maxs: np.ndarray, chi: np.ndarray) -> np.ndarray:
     return np.clip(scaled, 0.0, 1.0)
 
 
-def _usable(records: list[SampleRecord], classes: int) -> list[SampleRecord]:
-    """The valid records, whose labels are ints (``SampleRecord`` checks);
-    ValueError names one whose label is not in 1..classes."""
+def _usable(records: list[SampleRecord], grid=None) -> tuple[list[SampleRecord], tuple]:
+    """The valid records and the grid of eps1 values they were swept on,
+    ``grid`` or else the first one's.  A record swept on another raises
+    MissingCostEntryError against ``grid``, ValueError against the first."""
     usable = [r for r in records if r.valid]
+    error = ValueError if grid is None else MissingCostEntryError
     for r in usable:
-        if not 1 <= r.label <= classes:
-            raise ValueError(f"record {r.matrix_id} has label {r.label!r}, no int in 1..{classes}")
-    return usable
+        swept = tuple(e.epsilon1 for e in r.grid_entries)
+        grid = swept if grid is None else grid
+        if swept != grid:
+            raise error(f"records swept on different grids: {r.matrix_id} on {swept}, not {grid}")
+    return usable, grid
 
 
 def fit_knn(
     train: list[SampleRecord], k: int, test_ids: tuple[str, ...] = ()
 ) -> KnnModel:
     """Build the model from the valid training records."""
-    grids = {
-        tuple(e.epsilon1 for e in r.costs if e.epsilon1 is not None) for r in train if r.valid
-    }
-    if not grids:
+    usable, grid = _usable(train)
+    if not usable:
         raise EmptyTrainingSetError("no valid labeled records")
-    if len(grids) != 1:
-        raise ValueError("training records were swept on different grids")
-    grid = grids.pop()
-    usable = _usable(train, len(grid))
     raw = np.stack([_as_array(r.features) for r in usable])
     mins, maxs = raw.min(axis=0), raw.max(axis=0)
     labels = np.array([r.label for r in usable], dtype=np.int64)
@@ -230,40 +228,21 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _cost_of_class(rec: SampleRecord, label: int, grid_values) -> float:
-    eps1 = grid_values[label - 1]
-    for entry in rec.costs:
-        if entry.epsilon1 == eps1:
-            return entry.cost
-    raise MissingCostEntryError(
-        f"record {rec.matrix_id} has no cost entry for eps1={eps1}"
-    )
-
-
 def evaluate(model: KnnModel, test: list[SampleRecord]) -> EvalReport:
-    """Score predictions against the stored sweeps of the test records.
-
-    A record whose stored ``i_opt`` and ``i_wrst`` do not bracket the cost
-    of the predicted class is inconsistent and raises ValueError, and so
-    does a valid record whose label is not a class of the model's grid.
-    """
+    """Score predictions against the stored sweeps of the valid test
+    records, which must be swept on the model's grid: the predicted
+    class's cost is the record's grid entry at that class."""
     n_classes = len(model.grid_values)
-    usable = _usable(test, n_classes)
+    usable, _ = _usable(test, model.grid_values)
     if not usable:
         raise SampleTooSmallError("no valid records to evaluate")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     rows = []
     for rec in usable:
         pred = knn_predict(model, rec.features)
-        i_knn = _cost_of_class(rec, pred, model.grid_values)
-        row = EvalRow(rec.matrix_id, rec.label, pred, rec.i_opt, i_knn, rec.i_wrst)
-        if not row.i_opt <= row.i_knn <= row.i_wrst:
-            raise ValueError(
-                f"cost ordering violated for record {rec.matrix_id}: "
-                f"{row.i_opt} / {row.i_knn} / {row.i_wrst}"
-            )
+        i_knn = rec.grid_entries[pred - 1].cost
+        rows.append(EvalRow(rec.matrix_id, rec.label, pred, rec.i_opt, i_knn, rec.i_wrst))
         confusion[rec.label - 1, pred - 1] += 1
-        rows.append(row)
     n_opt = float(sum(r.i_opt for r in rows))
     n_knn = float(sum(r.i_knn for r in rows))
     n_wrst = float(sum(r.i_wrst for r in rows))

@@ -329,6 +329,20 @@ def test_desk_sample_digest_with_two_workers(desk_pipeline, tmp_path):
     assert (sum(r.valid for r in records), len(records)) == (525, 525)
 
 
+def test_tampered_label_is_refused_where_read(desk_pipeline, tmp_path, capsys):
+    # s00000's costs pick class 7; a stored label of 1 contradicts them.
+    first, *rest = desk_pipeline["sample"].read_text().splitlines(keepends=True)
+    assert '"label": 7,' in first and '"matrix_id": "s00000"' in first
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text(first.replace('"label": 7,', '"label": 1,') + "".join(rest))
+    argv = ["train", "--sample", str(tampered), "--out", str(tmp_path / "model.json")]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed record at {tampered}:1: "
+        "ValueError('label 1 is not the 7 its costs give')\n")
+    assert not (tmp_path / "model.json").exists()
+
+
 @pytest.mark.parametrize("name", DESK_OUTPUT_SHA256)
 def test_desk_output_digest(desk_pipeline, name):
     digest = hashlib.sha256(desk_pipeline[name].read_bytes()).hexdigest()

@@ -97,6 +97,8 @@ def inputs(tmp_path, identity_file):
         "k_half_model": tmp_path / "k_half_model.json",
         "k_true_model": tmp_path / "k_true_model.json",
         "label_half_model": tmp_path / "label_half_model.json",
+        "one_class": tmp_path / "one_class.jsonl",
+        "two_grids": tmp_path / "two_grids.jsonl",
     }
     paths["model"].write_text(model_json())
     paths["sample"].write_text(sample_json())
@@ -122,6 +124,12 @@ def inputs(tmp_path, identity_file):
     paths["k_half_model"].write_text(model_json(k=2.5, points=[[0.5] * 5] * 3, labels=[2] * 3))
     paths["k_true_model"].write_text(model_json(k=True))
     paths["label_half_model"].write_text(model_json(labels=[2.5]))
+    # a record swept on 0.01 alone; and two such, two on the model's grid
+    paths["one_class"].write_text(sample_json(costs=SAMPLE_COSTS[1:], label=1, i_wrst=9.0))
+    paths["two_grids"].write_text("".join(
+        sample_json(matrix_id=f"s0000{i}", group_id=f"s0000{i}",
+                    **({"costs": SAMPLE_COSTS[1:], "label": 1, "i_wrst": 9.0} if i % 2 else {}))
+        for i in range(4)))
     return {name: str(path) for name, path in paths.items()}
 
 
@@ -142,7 +150,7 @@ EXIT_CODE_CASES = {
     "solve-binary32-overflow": (["solve", "{huge}", "--eps1", "0.1"], 3, "value 1e+39"),
     "evaluate-inconsistent-record": (
         ["evaluate", "--sample", "{inconsistent}", "--model", "{model}", "--subset", "all"],
-        2, "record s00000"),
+        2, "{inconsistent}:1: ValueError('i_opt 10.5 is not the 9.0 its costs give')"),
     "solve-auto-non-finite-model": (
         ["solve", "{identity}", "--eps1", "auto", "--model", "{nan_model}"], 4,
         "'{nan_model}': ValueError('non-finite number Infinity')"),
@@ -163,10 +171,17 @@ EXIT_CODE_CASES = {
         "{big_sample}:1: ValueError('integer of 402 characters beyond the binary64 range')"),
     "evaluate-label-beyond-grid": (
         ["evaluate", "--sample", "{label_beyond}", "--model", "{model}", "--subset", "all"],
-        2, "record s00000 has label 3, no int in 1..2"),
+        2, "{label_beyond}:1: ValueError('label 3 is not the 2 its costs give')"),
     "evaluate-label-zero": (
         ["evaluate", "--sample", "{label_zero}", "--model", "{model}", "--subset", "all"],
-        2, "record s00000 has label 0, no int in 1..2"),
+        2, "{label_zero}:1: ValueError('label 0 is not the 2 its costs give')"),
+    "train-different-grids": (
+        ["train", "--sample", "{two_grids}", "--out", "{out}", "--k", "1",
+         "--test-fraction", "0.25"],
+        2, "records swept on different grids: s00001 on (0.01,), not (0.1, 0.01)"),
+    "evaluate-other-grid": (
+        ["evaluate", "--sample", "{one_class}", "--model", "{model}", "--subset", "all"],
+        3, "records swept on different grids: s00000 on (0.01,), not (0.1, 0.01)"),
     "train-fractional-label": (
         ["train", "--sample", "{label_half}", "--out", "{out}", "--k", "1",
          "--test-fraction", "0.5"],
@@ -194,6 +209,25 @@ EXIT_CODE_CASES = {
     "solve-auto-unreadable-model-before-matrix": (
         ["solve", "{missing}", "--eps1", "auto", "--model", "{missing}"], 4,
         "cannot read model"),
+    # each bad flag of solve exits 2 before the matrix is read
+    "solve-mu-above-one-before-matrix": (
+        ["solve", "{missing}", "--eps1", "1e-3", "--mu", "2"], 2, "mu must lie in (0, 1)"),
+    "solve-mu-nan-before-matrix": (
+        ["solve", "{missing}", "--eps1", "1e-3", "--mu", "nan"], 2, "mu must lie in (0, 1)"),
+    "solve-eps2-negative-before-matrix": (
+        ["solve", "{missing}", "--eps1", "1e-3", "--eps2", "-1"], 2,
+        "tolerance must be positive and finite"),
+    "solve-eps2-nan-before-matrix": (
+        ["solve", "{missing}", "--eps1", "1e-3", "--eps2", "nan"], 2,
+        "tolerance must be positive and finite"),
+    "solve-eps1-below-eps2-before-matrix": (
+        ["solve", "{missing}", "--eps1", "1e-12"], 2, "eps1=1e-12 must be >= eps2=1e-10"),
+    "solve-auto-mu-before-matrix": (
+        ["solve", "{missing}", "--eps1", "auto", "--model", "{model}", "--mu", "0"], 2,
+        "mu must lie in (0, 1)"),
+    "solve-auto-eps2-before-matrix": (
+        ["solve", "{missing}", "--eps1", "auto", "--model", "{model}", "--eps2", "inf"], 2,
+        "tolerance must be positive and finite"),
     "generate-variants-minus-one": (
         ["generate", "--out", "{out}", "--count", "30", "--variants", "-1"], 2,
         "variants must be nonnegative"),

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from mpcg.dataset import (
     DatasetManifest,
     EpsilonGrid,
     GraphSpec,
+    SampleRecord,
     build_sample,
     generate,
     label_matrix,
@@ -164,6 +166,16 @@ BAD_RECORD_FIELDS = {
     "label-null": (("label",), None, "label must be an integer, got None"),
     "i-opt-bool": (("i_opt",), True, "i_opt must be a finite number, got True"),
     "i-wrst-null": (("i_wrst",), None, "i_wrst must be a finite number, got None"),
+    # The stored label, i_opt and i_wrst are a cache of what the costs give
+    # (grid costs 20.5, 21.0, 21.5, 21.0, 20.0, 19.0, 18.5): class 7, 18.5
+    # and 21.5; an invalid record's costs give None.
+    "label-not-least-cost": (("label",), 1, "label 1 is not the 7 its costs give"),
+    "label-true": (("label",), True, "label must be an integer, got True"),
+    "i-opt-not-least": (("i_opt",), 20.0, "i_opt 20.0 is not the 18.5 its costs give"),
+    "i-wrst-not-greatest": (("i_wrst",), 21.0, "i_wrst 21.0 is not the 21.5 its costs give"),
+    "invalid-with-label": (("valid",), False, "label 7 is not the None its costs give"),
+    "baseline-only": (("costs",), [{"epsilon1": None, "n1": 0, "n2": 20, "cost": 20.0}],
+                      "a valid record needs a cost entry for a grid value of eps1"),
 }
 
 
@@ -361,6 +373,19 @@ class TestRandomRegular:
     def test_pinned_matrix_digest(self, spec, digest):
         assert csr_digest(generate(spec)) == digest
 
+    def test_spec_that_keeps_dead_ending_is_skipped(self, tmp_path, caplog):
+        # At n = 200, degree 190 dead-ends attempt after attempt, about 50 ms
+        # each; networkx would go on trying without end.
+        dense = GraphSpec("random_regular", 200, seed=1, degree=190)
+        out = tmp_path / "s.jsonl"
+        start = time.perf_counter()
+        manifest = build_sample([dense, GraphSpec("path", 20, seed=1)], EpsilonGrid(), out)
+        assert time.perf_counter() - start < 15
+        assert [r.matrix_id for r in read_sample(out)] == ["s00001"]
+        assert manifest.records_total == 1
+        assert ("generation failed for s00000: no random 190-regular graph on n = 200 "
+                "vertices after 100 restarts") in caplog.text
+
     def test_generate_and_label_never_load_networkx(self):
         src = os.path.dirname(os.path.dirname(mpcg.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -540,6 +565,13 @@ class TestLabelMatrix:
         costs = [e.cost for e in rec.costs if e.epsilon1 is not None]
         assert costs.count(min(costs)) > 1
         assert rec.label == 1
+        # Classes 3 and 5 tie at the least cost, listed in either order.
+        costs = [CostEntry(eps1, 1, 1, c) for eps1, c in zip(DEFAULT_GRID, (9, 8, 5, 7, 5, 6, 9))]
+        costs.append(CostEntry(None, 0, 9, 9.0))
+        for entries in (costs, costs[::-1]):
+            rec = SampleRecord("m", "m", None, FeatureVector(5, 5, 0, 0.0, 2.0), entries)
+            assert (rec.grid_entries[rec.label - 1].epsilon1, rec.i_opt, rec.i_wrst) == (
+                DEFAULT_GRID[2], 5, 9)
 
     def test_failed_refinement_yields_invalid_record(self):
         A = generate(GraphSpec("random_gnm", 80, seed=14, m_target=160))

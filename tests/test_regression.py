@@ -37,20 +37,8 @@ def make_record(mid, gid, chi, grid_costs):
         CostEntry(DEFAULT_GRID[i], i + 1, 1, float(c))
         for i, c in enumerate(grid_costs)
     ]
-    best_cost = min(grid_costs)
-    label = grid_costs.index(best_cost) + 1
     costs.append(CostEntry(None, 0, int(max(grid_costs)), float(max(grid_costs))))
-    return SampleRecord(
-        matrix_id=mid,
-        group_id=gid,
-        spec=None,
-        features=chi,
-        costs=costs,
-        label=label,
-        i_opt=float(best_cost),
-        i_wrst=float(max(grid_costs)),
-        valid=True,
-    )
+    return SampleRecord(matrix_id=mid, group_id=gid, spec=None, features=chi, costs=costs)
 
 
 def sloped_costs(best_class):
@@ -272,13 +260,6 @@ class TestEvaluate:
         model = fit_knn([rec], k=1)
         rec.valid = False
         with pytest.raises(SampleTooSmallError, match="no valid records to evaluate"):
-            evaluate(model, [rec])
-
-    def test_inconsistent_record_raises_value_error(self):
-        rec = make_record("m0", "m0", feat(), sloped_costs(1))
-        model = fit_knn([rec], k=1)
-        rec.i_opt = rec.i_wrst + 1
-        with pytest.raises(ValueError, match="cost ordering violated for record m0"):
             evaluate(model, [rec])
 
     def test_k1_self_consistency_on_real_sample(self, tmp_path):
