@@ -168,9 +168,10 @@ def cmd_generate(args) -> int:
 def cmd_label(args) -> int:
     if args.threads < 1:
         return _fail(EXIT_CONFIG, f"--threads must be at least 1, got {args.threads}")
-    specs = dataset.read_specs(args.specs)
+    # Every flag before the specs, as in solve.
     grid = _grid_from_args(args)
     config = _config_from_args(args)
+    specs = dataset.read_specs(args.specs)
     manifest = dataset.build_sample(
         specs, grid, args.out, config=config, threads=args.threads
     )
@@ -182,6 +183,10 @@ def cmd_label(args) -> int:
 
 
 def cmd_train(args) -> int:
+    # Every flag before the sample, as in solve: the split's and the model's
+    # own checks, k's upper bound aside, which needs the training records.
+    regression._check_test_fraction(args.test_fraction)
+    regression._check_k(args.k)
     records = dataset.read_sample(args.sample)
     train, test = regression.split(
         records,

@@ -25,7 +25,7 @@ from .errors import (
     NonpositiveDiagonalError,
     check_fields,
 )
-from .sparse import SparseSymMatrix, _entry_rows
+from .sparse import SparseSymMatrix, _entry_rows, _scipy_csr
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -144,7 +144,8 @@ def pseudo_diameter(A: SparseSymMatrix) -> int:
     from scipy.sparse import csgraph
 
     # On A's symmetric structure: no transpose, unlike directed=False
-    count, labels = csgraph.connected_components(A._csr, directed=True, connection="strong")
+    count, labels = csgraph.connected_components(
+        _scipy_csr(A), directed=True, connection="strong")
     degrees = A.row_lengths() - 1  # diagonal entry is always present
     graph = _virtual_graph(A, _first_per_component(labels, count, degrees))
     far = _first_per_component(labels, count, -_hop_distances(graph))

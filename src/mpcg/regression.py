@@ -52,8 +52,7 @@ def split(
     shuffled groups move to the test side until it holds round(fraction*N)
     records.  ``group_aware=False`` treats every record as its own group.
     """
-    if not 0 < test_fraction < 1:
-        raise ValueError("test_fraction must lie in (0, 1)")
+    _check_test_fraction(test_fraction)
     if not records:
         raise SampleTooSmallError("no records to split")
     members: dict = {}
@@ -75,6 +74,17 @@ def split(
     if not train:
         raise SampleTooSmallError("train side would be empty")
     return train, test
+
+
+def _check_test_fraction(test_fraction: float) -> None:
+    if not 0 < test_fraction < 1:
+        raise ValueError("test_fraction must lie in (0, 1)")
+
+
+def _check_k(k: int, points: float = math.inf) -> None:
+    """k must be an int from 1 to the number of training points."""
+    if type(k) is not int or not 1 <= k <= points:
+        raise ValueError("k must be an integer in 1..len(points)")
 
 
 @dataclass
@@ -109,8 +119,7 @@ class KnnModel:
         labels = self.labels
         if labels.dtype.kind not in "iu" or np.any((labels < 1) | (labels > len(grid))):
             raise ValueError(f"labels must be integers in 1..{len(grid)}")
-        if type(self.k) is not int or not 1 <= self.k <= n:
-            raise ValueError("k must be an integer in 1..len(points)")
+        _check_k(self.k, n)
 
 
 def _as_array(chi) -> np.ndarray:

@@ -101,6 +101,17 @@ against 89-104 us in binary32, medians of 15 rounds on a 2-core host).
 So the iterates rest on the BLAS builds of numpy and scipy both.
 scipy's BLAS is imported by the first CG run, not by this module, so a
 command that solves nothing starts without scipy.
+
+A solve's set-up, which ``mu * N1 + N2`` does not charge, is paid as
+rarely as it can be.  Per precision, once per process: the four BLAS
+routines and the smallest normal (``_level1``).  Per stage-1 config and
+eps2: the stage-1 config and the ``no_stagnation`` stage-2 one
+(``_stage_configs``, a small cache of frozen values).  Per sweep: the
+check of ``b``, the binary32 copies of A (``downcast``, which shares A's
+index arrays and builds no scipy object) and of b, and one stage-1 run,
+which takes those operands unchecked.  Per ``cg`` call, each stage 2 and
+the baseline among them: the check of its operands.  Per run: the
+product ``_accumulate_product`` binds and the run's buffers.
 """
 
 from __future__ import annotations
@@ -108,6 +119,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -236,21 +248,23 @@ class TwoStageResult:
 
 
 def _check_operands(A: SparseSymMatrix, b, x0):
-    """b as a contiguous vector and a fresh copy of x0 (zeros for None),
-    each of length n at A's dtype and finite, else an error naming it."""
-    operands = []
-    for name, v in (("b", b), ("x0", x0)):
-        if v is None and name == "x0":
-            operands.append(np.zeros(A.n, dtype=A.dtype))
-            continue
-        v = np.ascontiguousarray(v)  # a strided dot may round differently
-        if v.ndim != 1 or v.size != A.n:
-            raise DimensionMismatchError(f"{name} must have length {A.n}")
-        if v.dtype != A.dtype:
-            raise PrecisionMismatchError(f"{name} is {v.dtype}, matrix stores {A.dtype}")
-        _check_finite(name, v)
-        operands.append(v if name == "b" else v.copy())
-    return operands
+    """b and a fresh copy of x0 (zeros for None), the operands ``_run_cg``
+    takes; ``_check_vector`` checks each one."""
+    b = _check_vector(A, "b", b)
+    x = np.zeros(A.n, dtype=A.dtype) if x0 is None else _check_vector(A, "x0", x0).copy()
+    return b, x
+
+
+def _check_vector(A: SparseSymMatrix, name: str, v) -> np.ndarray:
+    """v as a contiguous vector of length n at A's dtype and finite, else
+    an error naming it."""
+    v = np.ascontiguousarray(v)  # a strided dot may round differently
+    if v.ndim != 1 or v.size != A.n:
+        raise DimensionMismatchError(f"{name} must have length {A.n}")
+    if v.dtype != A.dtype:
+        raise PrecisionMismatchError(f"{name} is {v.dtype}, matrix stores {A.dtype}")
+    _check_finite(name, v)
+    return v
 
 
 def _check_finite(name: str, v: np.ndarray) -> None:
@@ -270,27 +284,38 @@ def _blocked_dot(u: np.ndarray, v: np.ndarray):
     return total
 
 
-def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
+@cache
+def _level1(dtype: np.dtype):
+    """scipy's BLAS ``axpy``, ``scal``, ``copy`` and ``dot`` at ``dtype``
+    and its smallest normal, looked up on the first run at that precision."""
+    from scipy.linalg.blas import get_blas_funcs  # deferred: see the module notes
+
+    axpy, scal, copy, dot = get_blas_funcs(("axpy", "scal", "copy", "dot"), dtype=dtype)
+    return axpy, scal, copy, dot, float(np.finfo(dtype).tiny)
+
+
+def _run_cg(A, b, x, config: SolveConfig, inv_diag, tolerances):
     """Yield one SolveResult per tolerance of the descending ``tolerances``:
     the first tested iterate of one CG run that meets it, or the last
     iterate if the run ends first.  Each result equals a separate run to
     its tolerance alone.
 
+    ``b`` and ``x``, the start, are operands as ``_check_operands`` gives
+    them, unchecked here; x is updated in place.
     ``inv_diag`` is None for plain CG and 1/diag for Jacobi.  Every vector
     operation runs at the matrix's storage precision.  The update order per
     iteration is alpha, x, r, beta, d.  The vectors live in buffers
     allocated once per run and updated in place, each step rounding as the
     allocating expression in its comment.  Up to ``_DOT_BLOCK`` unknowns
     every level-1 step is a scipy BLAS call, above a numpy one (see the
-    module notes).  The operands are checked once, and every product (the
-    initial residual, each ``A d`` and each true residual) zeroes its
-    buffer and calls the one product ``_accumulate_product`` gives for A,
-    the kernel ``spmv`` runs too, so it holds the same bits.  ``history``
-    holds the ``(k, norm)`` pair of every test, and ``made_at`` the
-    recursive norm it was made at, 0 where it counts for every threshold;
-    an untested iteration records nothing.  A yielded result holds a copy
-    of x and the tests of ``history`` that a run to its tolerance alone
-    makes: those made at or below it.
+    module notes).  Every product (the initial residual, each ``A d`` and
+    each true residual) zeroes its buffer and calls the one product
+    ``_accumulate_product`` gives for A, the kernel ``spmv`` runs too, so it
+    holds the same bits.  ``history`` holds the ``(k, norm)`` pair of every
+    test, and ``made_at`` the recursive norm it was made at, 0 where it
+    counts for every threshold; an untested iteration records nothing.  A
+    yielded result holds a copy of x and the tests of ``history`` that a
+    run to its tolerance alone makes: those made at or below it.
 
     The module notes give the policy for testing the true residual.  Its
     names here: ``recursive`` is ``sqrt(r'r)``, ``target`` is the next
@@ -303,18 +328,14 @@ def _run_cg(A, b, x0, config: SolveConfig, inv_diag, tolerances):
     made at or below a threshold only for those its recursive norm has
     reached.
     """
-    from scipy.linalg.blas import get_blas_funcs  # deferred: see the module notes
-
-    b, x = _check_operands(A, b, x0)
     n, storage = A.n, x.dtype.type
     small = n <= _DOT_BLOCK
-    axpy, scal, copy, blas_dot = get_blas_funcs(("axpy", "scal", "copy", "dot"), (x,))
+    axpy, scal, copy, blas_dot, tiny = _level1(x.dtype)  # tiny: a smaller r'z has underflowed
     dot = blas_dot if small else _blocked_dot
     zeros = np.zeros_like(x) if small else None  # copied to clear a buffer
     product = _accumulate_product(A)  # product(v, out): out += A v, unchecked
     add, subtract, multiply = np.add, np.subtract, np.multiply
     sqrt, inf = math.sqrt, math.inf
-    tiny = float(np.finfo(storage).tiny)  # a smaller r'z has underflowed
     max_iterations = config.max_iterations or 10 * n
     # ||b|| as np.linalg.norm computes it: sqrt(b'b) at the storage precision
     scale = float(np.sqrt(storage(dot(b, b)))) if config.residual_mode == "relative" else 1.0
@@ -432,8 +453,9 @@ def cg(A: SparseSymMatrix, b, x0=None, config: SolveConfig | None = None) -> Sol
     """
     if config is None:
         raise ValueError("config with a tolerance is required")
+    b, x = _check_operands(A, b, x0)
     inv_diag = _inverse_diagonal(A) if config.preconditioner == "jacobi" else None
-    return next(_run_cg(A, b, x0, config, inv_diag, (config.tolerance,)))
+    return next(_run_cg(A, b, x, config, inv_diag, (config.tolerance,)))
 
 
 def no_stagnation(config: SolveConfig) -> SolveConfig:
@@ -442,6 +464,19 @@ def no_stagnation(config: SolveConfig) -> SolveConfig:
     below the threshold, on the last iteration and where ``r'z``
     underflows (below the smallest normal)."""
     return replace(config, stagnation_window=2**31 - 1)
+
+
+@lru_cache(maxsize=32)
+def _stage_configs(config: SolveConfig | None, epsilon2: float) -> tuple[SolveConfig, SolveConfig]:
+    """The config of a sweep's binary32 stage 1 (``config``, or the default
+    one at eps2) and of its binary64 stage 2, built once per pair.
+
+    The stagnation guard exists for the binary32 stage, whose residual can
+    floor out far above the target.  Refinement in binary64 is bounded by
+    max_iterations alone; its long plateaus are ordinary CG behavior.
+    """
+    config = config or SolveConfig(tolerance=epsilon2)
+    return config, no_stagnation(replace(config, tolerance=epsilon2))
 
 
 def sweep(
@@ -457,8 +492,8 @@ def sweep(
     ``None`` stands for the pure binary64 baseline: stage 2 from zero,
     N1 = 0, stage-1 status "skipped".  Returns the results and None, or
     the results before the first failing eps1 and the exception that
-    failed it; invalid arguments, a non-finite b or eps1 among them,
-    raise.
+    failed it; invalid arguments, a non-finite eps1 or a b that is not a
+    finite vector of length n among them, raise.
     """
     tolerances = sorted({e for e in epsilons if e is not None}, reverse=True)
     if not all(math.isfinite(e) for e in tolerances):
@@ -467,11 +502,10 @@ def sweep(
         raise ValueError("epsilon2 must be positive and not exceed epsilon1")
     if not 0 < mu < 1:
         raise ValueError("mu must lie in (0, 1)")
-    config = config or SolveConfig(tolerance=epsilon2)
+    config, refine = _stage_configs(config, epsilon2)
     if A.dtype != np.float64:
         raise PrecisionMismatchError("two-stage solve expects a binary64 matrix")
-    b = np.asarray(b, dtype=np.float64)
-    _check_finite("b", b)
+    b = _check_vector(A, "b", np.asarray(b, dtype=np.float64))
     jacobi = config.preconditioner == "jacobi"
 
     stage1, stage1_failure = {}, None  # eps1 -> (result, seconds)
@@ -480,16 +514,13 @@ def sweep(
             start = time.perf_counter()
             A32, b32 = downcast(A), downcast_vector(b)
             inv_diag = _inverse_diagonal(A32) if jacobi else None
-            run = _run_cg(A32, b32, None, config, inv_diag, tolerances)
+            x32 = np.zeros(A.n, dtype=np.float32)  # the zero start, as cg's x0=None
+            run = _run_cg(A32, b32, x32, config, inv_diag, tolerances)
             for eps1, result in zip(tolerances, run):
                 stage1[eps1] = result, time.perf_counter() - start
     except Exception as exc:  # noqa: BLE001 - fails every eps1 left unmet
         stage1_failure = exc
 
-    # The stagnation guard exists for the binary32 stage, whose residual can
-    # floor out far above the target.  Refinement in binary64 is bounded by
-    # max_iterations alone; its long plateaus are ordinary CG behavior.
-    refine = no_stagnation(replace(config, tolerance=epsilon2))
     stage2, results = {}, []
     try:
         for eps1 in epsilons:

@@ -27,9 +27,15 @@ Hence the rule: COO when A has more than ``_COO_MIN_ROWS`` rows, past
 the crossover and every desk-size matrix, and its row length changes at
 least once per ``_COO_ENTRIES_PER_CHANGE`` stored entries; CSR otherwise.
 
-scipy.sparse is imported by the functions that build or multiply a
-matrix, not by this module, so a command that never holds one (``mpcg
-generate``, ``train``, ``evaluate``) starts without scipy.
+A matrix is its three CSR arrays and nothing else.  Validation,
+products and the diagonal read them directly, and a scipy ``csr_matrix``
+over them is built only for the scipy functions that take one
+(``_scipy_csr``: ``mmwrite``, ``toarray`` and the csgraph searches of
+``features``).  So the binary32 copy of a validated matrix, which shares
+its index arrays, costs one rounding pass over the values.  scipy.sparse
+is imported by the functions that build or multiply a matrix, not by
+this module, so a command that never holds one (``mpcg generate``,
+``train``, ``evaluate``) starts without scipy.
 """
 
 from __future__ import annotations
@@ -71,13 +77,16 @@ _VALUE_DTYPES = (np.float32, np.float64)
 class SparseSymMatrix:
     """Square symmetric matrix stored in CSR with full (two-sided) structure.
 
-    Build one from coordinate arrays with ``from_coordinates``, from a
-    file with ``read_matrix_market``, or from CSR arrays with this
-    constructor.  The matrix is one scipy ``csr_matrix``, ``_csr``, and no
-    cache: validation, every product and the csgraph passes of ``features``
-    read its arrays, and the three attributes below are those same arrays,
-    read-only.  Their index dtype is scipy's, int32 wherever it fits.
-    ``downcast`` shares both index arrays and allocates only its values.
+    Build one from coordinate arrays with ``from_coordinates``, from a file
+    with ``read_matrix_market``, or from CSR arrays with this constructor.
+    The matrix is its three arrays below, read-only, and nothing else: no
+    scipy object and no cache.  Validation and every product read them
+    directly, and a scipy ``csr_matrix`` over the same arrays is built only
+    where scipy itself takes one, by ``write_matrix_market``, ``toarray``
+    and the csgraph searches of ``features`` (``_scipy_csr``).  The index
+    dtype is the one scipy's ``csr_matrix`` would pick, int32 wherever it
+    fits.  ``downcast`` shares both index arrays and allocates only its
+    values.
 
     Attributes
     ----------
@@ -86,26 +95,25 @@ class SparseSymMatrix:
     values : float64 or float32 array, length nnz
     """
 
-    __slots__ = ("_csr",)
+    __slots__ = ("row_starts", "col_indices", "values")
 
     def __init__(self, row_starts, col_indices, values, validate: bool = True):
-        import scipy.sparse  # deferred, as every scipy import here: see the module notes
+        from scipy.sparse import get_index_dtype  # deferred, as every scipy import here
 
         values = np.ascontiguousarray(values)
         if values.dtype not in _VALUE_DTYPES:
             values = values.astype(np.float64)
-        indices = np.ascontiguousarray(col_indices)
-        indptr = np.ascontiguousarray(row_starts)
-        n = indptr.size - 1
-        self._csr = scipy.sparse.csr_matrix((values, indices, indptr), shape=(n, n))
+        row_starts, col_indices = np.asarray(row_starts), np.asarray(col_indices)
+        index = get_index_dtype(
+            (col_indices, row_starts), maxval=max(row_starts.size - 1, 0), check_contents=True
+        )
+        self.row_starts = np.ascontiguousarray(row_starts, dtype=index)
+        self.col_indices = np.ascontiguousarray(col_indices, dtype=index)
+        self.values = values
         for arr in (self.row_starts, self.col_indices, self.values):
             arr.setflags(write=False)
         if validate:
-            self._validate(indices.size)
-
-    row_starts = property(attrgetter("_csr.indptr"))
-    col_indices = property(attrgetter("_csr.indices"))
-    values = property(attrgetter("_csr.data"))
+            self._validate()
 
     @property
     def n(self) -> int:
@@ -117,7 +125,7 @@ class SparseSymMatrix:
 
     @property
     def dtype(self):
-        return self._csr.data.dtype
+        return self.values.dtype
 
     @property
     def precision(self) -> str:
@@ -128,14 +136,19 @@ class SparseSymMatrix:
         return (self.n, self.n)
 
     def diagonal(self) -> np.ndarray:
-        """Fresh dense copy of the diagonal, in storage precision, O(nnz)."""
-        return self._csr.diagonal()
+        """Fresh dense copy of the diagonal, in storage precision, O(nnz):
+        sparsetools' ``csr_diagonal``, the kernel of scipy's ``diagonal()``."""
+        from scipy.sparse import _sparsetools
+
+        n, diag = self.n, np.empty(self.n, dtype=self.dtype)
+        _sparsetools.csr_diagonal(0, n, n, self.row_starts, self.col_indices, self.values, diag)
+        return diag
 
     def row_lengths(self) -> np.ndarray:
         return np.diff(self.row_starts)
 
     def toarray(self) -> np.ndarray:
-        return self._csr.toarray()
+        return _scipy_csr(self).toarray()
 
     def __matmul__(self, x) -> np.ndarray:
         return spmv(self, x)
@@ -143,13 +156,15 @@ class SparseSymMatrix:
     def __repr__(self) -> str:
         return f"SparseSymMatrix(n={self.n}, nnz={self.nnz}, {self.precision})"
 
-    def _validate(self, m: int) -> None:
-        """Check the arrays; ``m`` is the length of the column indices given,
-        of which scipy keeps only the first ``row_starts[-1]``.  A^T's arrays
-        come from sparsetools' ``csr_tocsc``, rows increasing per column."""
+    def _validate(self) -> None:
+        """Check the arrays.  A^T's arrays come from sparsetools'
+        ``csr_tocsc``, rows increasing per column."""
         from scipy.sparse import _sparsetools
 
-        n, rs, cols, values = self.n, self.row_starts, self.col_indices, self.values
+        rs, cols, values = self.row_starts, self.col_indices, self.values
+        if not rs.ndim == cols.ndim == values.ndim == 1 or cols.size != values.size:
+            raise ValueError("col_indices and values must be vectors of one length")
+        n, m = self.n, cols.size
         if n < 1:
             raise ValueError("matrix dimension must be at least 1")
         if rs[0] != 0 or rs[-1] != m or np.any(np.diff(rs) < 0):
@@ -178,6 +193,14 @@ class SparseSymMatrix:
             raise AsymmetricInputError("mirrored entries differ in value")
         if np.count_nonzero(cols == row_of) != n:  # past the duplicate scan: one per row
             raise MissingDiagonalError("every row needs an explicit diagonal entry")
+
+
+def _scipy_csr(A: SparseSymMatrix):
+    """A scipy ``csr_matrix`` over A's own arrays, for the scipy functions
+    that take one; scipy's constructor checks them again."""
+    import scipy.sparse
+
+    return scipy.sparse.csr_matrix((A.values, A.col_indices, A.row_starts), shape=A.shape)
 
 
 def _entry_rows(A: SparseSymMatrix) -> np.ndarray:
@@ -295,29 +318,48 @@ def _accumulate_product(A: SparseSymMatrix):
     """
     from scipy.sparse import _sparsetools
 
-    n, csr = A.n, A._csr
+    n = A.n
     if n > _COO_MIN_ROWS:
         changes = np.count_nonzero(np.diff(A.row_lengths()))
         if _COO_ENTRIES_PER_CHANGE * changes >= A.nnz:
-            return partial(_sparsetools.coo_matvec, A.nnz, _entry_rows(A), csr.indices, csr.data)
-    return partial(_sparsetools.csr_matvec, n, n, csr.indptr, csr.indices, csr.data)
+            return partial(_sparsetools.coo_matvec, A.nnz, _entry_rows(A), A.col_indices, A.values)
+    return partial(_sparsetools.csr_matvec, n, n, A.row_starts, A.col_indices, A.values)
 
 
 def downcast(A: SparseSymMatrix) -> SparseSymMatrix:
     """Round every value to the nearest binary32, sharing A's index arrays.
 
-    Raises SinglePrecisionOverflowError if any finite value lands outside
-    the binary32 range, which means the reduced-precision stage cannot run.
+    The copy is array work alone: one rounding pass over the values, no
+    scipy object and no second validation, since A's arrays were validated
+    when A was built and rounding keeps mirrored values equal and finite
+    ones finite or raises.  Raises SinglePrecisionOverflowError if any
+    finite value lands outside the binary32 range, which means the
+    reduced-precision stage cannot run.
     """
     if A.dtype == np.float32:
         raise ValueError("matrix is already binary32")
-    values32 = downcast_vector(A.values)
-    return SparseSymMatrix(A.row_starts, A.col_indices, values32, validate=False)
+    values = downcast_vector(A.values)
+    values.setflags(write=False)
+    R = SparseSymMatrix.__new__(SparseSymMatrix)  # no constructor: nothing to check
+    R.row_starts, R.col_indices, R.values = A.row_starts, A.col_indices, values
+    return R
+
+
+_BINARY32_MAX = (2 - 2.0**-23) * 2.0**127  # the largest binary32; nothing within it rounds to inf
 
 
 def downcast_vector(x: np.ndarray) -> np.ndarray:
-    """Round a binary64 vector to binary32, rejecting overflow to infinity."""
+    """Round a binary64 vector to binary32, rejecting overflow to infinity.
+
+    A vector whose largest and smallest values lie within the binary32
+    range, the common case, is rounded in one pass.  Any other, one with a
+    NaN (which compares false) or an infinity included, is rounded with
+    the overflow warning silenced and searched for a finite value that
+    became infinite.
+    """
     x = np.asarray(x, dtype=np.float64)
+    if x.max(initial=0.0) <= _BINARY32_MAX and x.min(initial=0.0) >= -_BINARY32_MAX:
+        return x.astype(np.float32)
     with np.errstate(over="ignore"):
         x32 = x.astype(np.float32)
     overflow = np.isinf(x32) & np.isfinite(x)
@@ -351,14 +393,14 @@ def write_matrix_market(A: SparseSymMatrix, path) -> None:
     from scipy.io import mmwrite
 
     with atomic_write(path) as fh:
-        mmwrite(fh.buffer, A._csr.astype(np.float64, copy=False), symmetry="symmetric")
+        mmwrite(fh.buffer, _scipy_csr(A).astype(np.float64, copy=False), symmetry="symmetric")
 
 
 _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
 
 def _parse_entries(lines) -> np.ndarray:
-    """Parse a list of 'row col value' lines.
+    """Parse 'row col value' lines, a list of them or an open text file.
 
     The one parser for every entry line: an index such as ``1.0`` or a
     line with other than three fields raises ValueError.
@@ -379,17 +421,31 @@ def _entry_errors(entries: np.ndarray, n: int) -> list[tuple[int, int, str]]:
     return [(int(bad.argmax()), rank, msg) for bad, rank, msg in checks if bad.any()]
 
 
-def _entries_by_line(fh, lineno: int, n_entries: int, n: int) -> np.ndarray:
-    """Parse the lines after the size line ``lineno`` with their line numbers.
+def _entries_by_line(fh, body, lineno: int, n_entries: int, n: int) -> np.ndarray:
+    """Parse the lines after the size line ``lineno``, which ends at
+    ``body``, a ``tell()`` of the text file ``fh``.
 
     The path behind ``read_matrix_market`` for a file that fails the
-    strict check.  It skips comment lines among the entries, parses the
-    L lines left in one call, and raises at the first offending line.
-    When they do not parse as a whole, the first one that does not is
-    found in blocks of about sqrt(L) lines, and then line by line within
-    the first block that fails: about 2 sqrt(L) parses, not one per line
-    before it.
+    strict check.  The body is first streamed from the file into one
+    ``np.loadtxt`` call, which keeps no line: a body of exactly
+    ``n_entries`` entries with no fault, blank lines among them, parses so
+    in the time and memory of the parse alone.  Any other body, one with a
+    comment line among the entries included (the streamed parse takes
+    none), is read again as lines with their line numbers.  Comment lines
+    among the entries are skipped, the L lines left are parsed in one
+    call, and a fault raises at the first offending line.  When the lines
+    do not parse as a whole, the first one that does not is found in
+    blocks of about sqrt(L) lines, and then line by line within the first
+    block that fails: about 2 sqrt(L) parses, not one per line before it.
     """
+    fh.seek(body)
+    try:
+        entries = _parse_entries(fh)
+    except ValueError:
+        entries = None
+    if entries is not None and entries.size == n_entries and not _entry_errors(entries, n):
+        return entries
+    fh.seek(body)
     linenos, lines = [], []
     for lineno, line in enumerate(fh, start=lineno + 1):
         if line.strip() and not line.lstrip().startswith("%"):
@@ -491,7 +547,7 @@ def _strict_read(fh, body: int, lines: int, n_entries: int, n: int, symmetric: b
         return None
     A = from_coordinates(rows, cols, values, n, validate=False)
     del coo, rows, cols, values  # validate with only the CSR arrays left
-    A._validate(A.nnz)
+    A._validate()
     return A
 
 
@@ -507,10 +563,10 @@ def read_matrix_market(path) -> SparseSymMatrix:
     ``scipy.io.mmread``'s compiled parser (``_strict_read``);
     ``write_matrix_market`` writes such files.  Any other file, or one
     whose parse holds an index out of range or a value that is not finite,
-    is parsed with its line numbers by ``_entries_by_line``: comment lines
-    among the entries are skipped, the rest go to one ``np.loadtxt`` call,
-    and a fault raises MatrixMarketParseError at the first offending
-    line.
+    is parsed by ``_entries_by_line``: one ``np.loadtxt`` call streamed
+    from the open file, and where that parse fails or shows a fault, a
+    line-numbered pass that skips comment lines among the entries and
+    raises MatrixMarketParseError at the first offending line.
     Both paths return the same arrays, bit for bit, on every file the
     first accepts.
     """
@@ -553,8 +609,7 @@ def read_matrix_market(path) -> SparseSymMatrix:
         A = _strict_read(fh, body, lineno, n_entries, n_rows, symmetric)
         if A is not None:
             return A
-        fh.seek(body)
-        entries = _entries_by_line(fh, lineno, n_entries, n_rows)
+        entries = _entries_by_line(fh, body, lineno, n_entries, n_rows)
     return from_coordinates(
         entries["row"] - 1, entries["col"] - 1, entries["value"], n_rows, symmetric
     )

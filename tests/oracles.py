@@ -354,8 +354,9 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
     from mpcg.errors import CgBreakdownError
     from mpcg.solver import SAMPLE_FACTOR as factor
     from mpcg.solver import TRUE_RESIDUAL_MARGIN as margin
+    from mpcg.sparse import _scipy_csr
 
-    A_csr, b = A._csr, np.asarray(b)
+    A_csr, b = _scipy_csr(A), np.asarray(b)
     dot = np.dot if block is None else functools.partial(blocked_dot, block=block)
 
     def norm(v):  # as np.linalg.norm computes it: sqrt(v'v)

@@ -228,6 +228,22 @@ EXIT_CODE_CASES = {
     "solve-auto-eps2-before-matrix": (
         ["solve", "{missing}", "--eps1", "auto", "--model", "{model}", "--eps2", "inf"], 2,
         "tolerance must be positive and finite"),
+    # and each of label and train before its input is read
+    "label-mu-before-specs": (
+        ["label", "--specs", "{missing}", "--out", "{out}", "--mu", "2"], 2,
+        "mu must lie in (0, 1)"),
+    "label-eps2-before-specs": (
+        ["label", "--specs", "{missing}", "--out", "{out}", "--eps2", "0"], 2,
+        "epsilon2 must be positive and finite, got 0.0"),
+    "label-grid-before-specs": (
+        ["label", "--specs", "{missing}", "--out", "{out}", "--grid", "0.1,x"], 2,
+        "cannot parse grid '0.1,x'"),
+    "train-k-zero-before-sample": (
+        ["train", "--sample", "{missing}", "--out", "{out}", "--k", "0"], 2,
+        "k must be an integer in 1..len(points)"),
+    "train-test-fraction-before-sample": (
+        ["train", "--sample", "{missing}", "--out", "{out}", "--test-fraction", "1"], 2,
+        "test_fraction must lie in (0, 1)"),
     "generate-variants-minus-one": (
         ["generate", "--out", "{out}", "--count", "30", "--variants", "-1"], 2,
         "variants must be nonnegative"),

@@ -20,7 +20,7 @@ from mpcg.features import (
     pseudo_diameter,
     spread,
 )
-from mpcg.sparse import SparseSymMatrix
+from mpcg.sparse import SparseSymMatrix, _scipy_csr
 
 from oracles import (
     dd_spd_triplets,
@@ -165,9 +165,9 @@ class TestStrongComponents:
     @settings(max_examples=200, deadline=None)
     @given(multi_component_graphs())
     def test_partition_and_diameter(self, A):
-        count, labels = csgraph.connected_components(A._csr, directed=False)
+        count, labels = csgraph.connected_components(_scipy_csr(A), directed=False)
         strong, strong_labels = csgraph.connected_components(
-            A._csr, directed=True, connection="strong")
+            _scipy_csr(A), directed=True, connection="strong")
         assert strong == count >= 2
         # equal up to relabelling: the label pairs are a one-to-one map
         assert len(set(zip(labels.tolist(), strong_labels.tolist()))) == count
@@ -176,7 +176,7 @@ class TestStrongComponents:
 
 def union(*blocks):
     """Block-diagonal union of matrices: one component or more per block."""
-    csr = scipy.sparse.block_diag([B._csr for B in blocks], format="csr")
+    csr = scipy.sparse.block_diag([_scipy_csr(B) for B in blocks], format="csr")
     csr.sort_indices()
     return SparseSymMatrix(csr.indptr, csr.indices, csr.data)
 
@@ -201,26 +201,26 @@ class TestBreadthFirstSweeps:
 
     @pytest.mark.parametrize("name, A", list(sweep_graphs()))
     def test_double_sweep_matches_reference_helpers(self, name, A):
-        count, labels = csgraph.connected_components(A._csr, directed=False)
+        count, labels = csgraph.connected_components(_scipy_csr(A), directed=False)
         degrees = A.row_lengths() - 1
         start = _first_per_component(labels, count, degrees)
         np.testing.assert_array_equal(start, first_per_component_reference(labels, count, degrees))
         dist = _hop_distances(_virtual_graph(A, start))
-        np.testing.assert_array_equal(dist, hop_distances_reference(A._csr, start))
+        np.testing.assert_array_equal(dist, hop_distances_reference(_scipy_csr(A), start))
         far = _first_per_component(labels, count, -dist)
         np.testing.assert_array_equal(far, first_per_component_reference(labels, count, -dist))
         last = _hop_distances(_virtual_graph(A, far))
-        np.testing.assert_array_equal(last, hop_distances_reference(A._csr, far))
+        np.testing.assert_array_equal(last, hop_distances_reference(_scipy_csr(A), far))
         assert pseudo_diameter(A) == int(last.max())
 
     @pytest.mark.parametrize("name, A", list(sweep_graphs()))
     def test_several_sources_per_component(self, name, A):
-        count, labels = csgraph.connected_components(A._csr, directed=False)
+        count, labels = csgraph.connected_components(_scipy_csr(A), directed=False)
         rng = np.random.default_rng(A.n)
         first = first_per_component_reference(labels, count, np.zeros(A.n))
         sources = np.union1d(first, rng.choice(A.n, size=1 + A.n // 10, replace=False))
         dist = _hop_distances(_virtual_graph(A, sources))
-        np.testing.assert_array_equal(dist, hop_distances_reference(A._csr, sources))
+        np.testing.assert_array_equal(dist, hop_distances_reference(_scipy_csr(A), sources))
 
     @pytest.mark.parametrize("ties", [1, 2, 5, 1000])
     def test_first_per_component_with_ties(self, ties):

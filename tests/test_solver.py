@@ -7,7 +7,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg.blas
 from scipy.linalg.blas import get_blas_funcs
 from scipy.sparse import _sparsetools
 
@@ -33,6 +32,7 @@ from mpcg.solver import (
 from mpcg.sparse import (
     SparseSymMatrix,
     _accumulate_product,
+    _scipy_csr,
     downcast,
     downcast_vector,
     upcast_vector,
@@ -47,6 +47,11 @@ from oracles import (
     true_residuals_of,
     two_stage_reference,
 )
+
+
+def run_cg(A, b, x0, config, inv_diag, tolerances):
+    """``_run_cg`` on the operands ``cg`` checks, x0 copied or zeros for None."""
+    return _run_cg(A, *solver._check_operands(A, b, x0), config, inv_diag, tolerances)
 
 
 def diag_matrix(values):
@@ -524,7 +529,7 @@ class TestLeanKernel:
         inv_diag = TestLeanKernel._inv(A, config)
         want = cg_reference(A, b, x0, config, inv_diag, tolerances)
         if solve is None:
-            got = list(_run_cg(A, b, x0, config, inv_diag, tolerances))
+            got = list(run_cg(A, b, x0, config, inv_diag, tolerances))
         else:
             got = [solve(A, b, x0, config)]
         assert len(got) == len(want) == len(tolerances)
@@ -552,7 +557,7 @@ class TestLeanKernel:
 
     def test_stagnating_case_stagnates(self):
         A, b, x0, config, tolerances = KERNEL_CASES["b32-none-stagnating"]
-        statuses = [r.status for r in _run_cg(A, b, x0, config, None, tolerances)]
+        statuses = [r.status for r in run_cg(A, b, x0, config, None, tolerances)]
         assert statuses[0] == "converged" and statuses[-1] == "stagnated"
 
     def test_breakdown_matches_reference(self):
@@ -591,7 +596,7 @@ class TestLeanKernel:
 class TestKernelAliasing:
     def test_multi_tolerance_results_are_distinct_and_frozen(self):
         A, b, x0, config, tolerances = KERNEL_CASES["b64-none-relative"]
-        run = _run_cg(A, b, x0, config, None, tolerances)
+        run = run_cg(A, b, x0, config, None, tolerances)
         results, snapshots = [], []
         for result in run:  # snapshot each x before the run moves on
             results.append(result)
@@ -604,7 +609,7 @@ class TestKernelAliasing:
 
     def test_stagnated_results_are_distinct(self):
         A, b, x0, config, tolerances = KERNEL_CASES["b32-none-stagnating"]
-        results = list(_run_cg(A, b, x0, config, None, tolerances))
+        results = list(run_cg(A, b, x0, config, None, tolerances))
         tail = [r for r in results if r.status == "stagnated"]
         assert len(tail) >= 2
         assert not np.shares_memory(tail[0].x, tail[1].x)
@@ -759,7 +764,7 @@ class TestLazyTrueResidual:
         A, b, config = SWEEP_CASES[name]
         A32, b32 = downcast(A), downcast_vector(b)
         inv_diag = TestLeanKernel._inv(A32, config)
-        stage1 = _run_cg(A32, b32, None, config, inv_diag, DEFAULT_GRID)
+        stage1 = run_cg(A32, b32, None, config, inv_diag, DEFAULT_GRID)
         for eps1, result in zip(DEFAULT_GRID, stage1, strict=True):
             alone = cg(A32, b32, None, replace(config, tolerance=eps1))
             assert result.true_residuals == alone.true_residuals
@@ -793,7 +798,7 @@ class TestLazyTrueResidual:
         capped = replace(lazy_cfg, tolerance=1e-30, max_iterations=4)
         (ref,) = cg_reference(A32, b, None, capped, inv_diag, (1e-30,), eager=True)
         assert np.array_equal(bits(lazy.x), bits(ref[0]))
-        true = float(np.linalg.norm(b - A32._csr @ lazy.x))
+        true = float(np.linalg.norm(b - _scipy_csr(A32) @ lazy.x))
         assert true <= 2e-6 * float(np.linalg.norm(b))
 
     @pytest.mark.parametrize("family, iterations", [("grid2d", 188), ("tree_random", 401)])
@@ -823,7 +828,7 @@ class TestLazyTrueResidual:
                 inv_diag = TestLeanKernel._inv(M, lazy_cfg)
                 # The oracle's schedule that tests every iteration.
                 eager = cg_reference(M, v, None, lazy_cfg, inv_diag, tolerances, eager=True)
-                lazy = list(_run_cg(M, v, None, lazy_cfg, inv_diag, tolerances))
+                lazy = list(run_cg(M, v, None, lazy_cfg, inv_diag, tolerances))
                 assert len(lazy) == len(eager) == len(tolerances)
                 scale = float(np.linalg.norm(v))
                 for tol, result, (x, iterations, *_) in zip(tolerances, lazy, eager):
@@ -831,7 +836,7 @@ class TestLazyTrueResidual:
                     if result.iterations == iterations:
                         assert np.array_equal(bits(result.x), bits(x))
                     if result.status == "converged":
-                        true = float(np.linalg.norm(v - M._csr @ result.x))
+                        true = float(np.linalg.norm(v - _scipy_csr(M) @ result.x))
                         assert true <= tol * scale
 
 
@@ -873,7 +878,7 @@ def _sampled_run(name):
     is 0 counts as drift."""
     A, b, x0, config, tolerances = SAMPLED_CASES[name]
     inv_diag = TestLeanKernel._inv(A, config)
-    results = list(_run_cg(A, b, x0, config, inv_diag, tolerances))
+    results = list(run_cg(A, b, x0, config, inv_diag, tolerances))
     norms = []
     cg_reference(A, b, x0, config, inv_diag, tolerances, norms=norms)
     tested = [k for k, _ in results[-1].true_residuals]
@@ -926,7 +931,7 @@ class TestSampledGuard:
         assert (result.iterations, result.status) == (drift, "stagnated") == (18, "stagnated")
         A, b, x0, _, tolerances = SAMPLED_CASES["b32-jacobi-stagnating"]
         inv_diag, norms = TestLeanKernel._inv(A, config), []
-        lazy = list(_run_cg(A, b, x0, no_stagnation(config), inv_diag, tolerances))
+        lazy = list(run_cg(A, b, x0, no_stagnation(config), inv_diag, tolerances))
         assert [(r.iterations, r.status) for r in lazy] == [(7, "converged"), (41, "underflow")]
         assert lazy[-1].true_residuals[-1] == (41, lazy[-1].final_residual_norm)
         cg_reference(A, b, x0, no_stagnation(config), inv_diag, tolerances, norms=norms)
@@ -938,10 +943,10 @@ class TestSampledGuard:
         cases = SAMPLED_CASES if name in SAMPLED_CASES else LAZY_CASES
         A, b, x0, config, tolerances = cases[name]
         inv_diag = TestLeanKernel._inv(A, config)
-        grid = list(_run_cg(A, b, x0, config, inv_diag, tolerances))
+        grid = list(run_cg(A, b, x0, config, inv_diag, tolerances))
         assert len(grid) == len(tolerances)
         for tol, result in zip(tolerances, grid):
-            (alone,) = _run_cg(A, b, x0, config, inv_diag, (tol,))
+            (alone,) = run_cg(A, b, x0, config, inv_diag, (tol,))
             assert (alone.iterations, alone.status) == (result.iterations, result.status)
             assert alone.final_residual_norm == result.final_residual_norm
             assert np.array_equal(bits(alone.x), bits(result.x))
@@ -971,15 +976,15 @@ class TestSampledGuard:
         A32, b = downcast(A), downcast_vector(ones_rhs(A))
         config = SolveConfig(tolerance=1e-10)
         grid = tuple(10.0 ** -e for e in range(1, 8))
-        results = list(_run_cg(A32, b, None, config, None, grid))
+        results = list(run_cg(A32, b, None, config, None, grid))
         assert (results[4].iterations, results[4].status) == (133, "converged")
         assert (results[6].iterations, results[6].status) == (275, "stagnated")
-        true = float(np.linalg.norm(b - A32._csr @ results[4].x))
+        true = float(np.linalg.norm(b - _scipy_csr(A32) @ results[4].x))
         assert true <= 1e-5 * float(np.linalg.norm(b))
         # Without drift a plateau is no stagnation: capped short of 1e-5,
         # the run ends on max_iterations, not on the guard.
         capped = replace(config, max_iterations=120)
-        (result,) = _run_cg(A32, b, None, capped, None, (1e-5,))
+        (result,) = run_cg(A32, b, None, capped, None, (1e-5,))
         assert (result.iterations, result.status) == (120, "max_iterations")
 
 
@@ -999,7 +1004,7 @@ def test_tests_sit_at_samples_or_at_or_below_the_threshold(name):
     scale = float(np.linalg.norm(b)) if config.residual_mode == "relative" else 1.0
     last = config.max_iterations or 10 * A.n
     tiny = np.finfo(A.dtype).tiny
-    results = _run_cg(A, b, x0, config, inv_diag, tolerances)
+    results = run_cg(A, b, x0, config, inv_diag, tolerances)
     for tol, result in zip(tolerances, results, strict=True):
         threshold = tol * scale
         tested = [k for k, _ in result.true_residuals[1:]]
@@ -1130,7 +1135,7 @@ class TestBlockedDot:
         monkeypatch.setattr(solver, "_blocked_dot", counting)
         A, b = self.system(n)
         inv_diag = _inverse_diagonal(A) if precondition else None
-        (result,) = _run_cg(A, b, None, config, inv_diag, (config.tolerance,))
+        (result,) = run_cg(A, b, None, config, inv_diag, (config.tolerance,))
         return result, calls
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -1141,7 +1146,7 @@ class TestBlockedDot:
         # every-iteration schedule tests; no sample shows drift.
         A, b = self.system(3 * self.B + 5, dtype)
         config = SolveConfig(tolerance=1e-30, max_iterations=10, stagnation_window=1)
-        (result,) = _run_cg(A, b, None, config, None, (1e-30,))
+        (result,) = run_cg(A, b, None, config, None, (1e-30,))
         ((x, iterations, _, status, history),) = cg_reference(
             A, b, None, config, None, (1e-30,), eager=True)
         assert (result.iterations, result.status) == (iterations, status) == (10, "max_iterations")
@@ -1316,24 +1321,34 @@ class TestBlasUpdates:
                     assert axpy(x, y, n, a) is y  # a after n, positionally, as the solver calls it
                     assert np.array_equal(bits(y), bits(want)), (n, a)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_table_holds_the_routines_of_the_operands(self, dtype):
+        # Looked up once per precision: the routines get_blas_funcs picks
+        # for a vector at that precision, and its smallest normal.
+        *routines, tiny = solver._level1(np.dtype(dtype))
+        assert routines == self.blas(np.zeros(3, dtype))
+        assert solver._level1(np.dtype(dtype))[0] is routines[0]
+        assert tiny == np.finfo(dtype).tiny
+
     @staticmethod
     def counted_run(monkeypatch, n):
         """A four-iteration run on n unknowns and the (routine, length) of
-        each call it makes to the BLAS routines ``get_blas_funcs`` gives."""
-        calls, lookup = [], scipy.linalg.blas.get_blas_funcs
+        each call it makes to the BLAS routines of ``solver._level1``."""
+        calls, lookup = [], solver._level1
 
-        def counting(names, arrays):
+        def counting(dtype):
             def wrap(name, f):
                 def counted(*args, **kwargs):
                     calls.append((name, max(np.size(a) for a in args)))
                     return f(*args, **kwargs)
                 return counted
-            return [wrap(*pair) for pair in zip(names, lookup(names, arrays))]
+            *routines, tiny = lookup(dtype)
+            return (*map(wrap, ("axpy", "scal", "copy", "dot"), routines), tiny)
 
-        monkeypatch.setattr(scipy.linalg.blas, "get_blas_funcs", counting)
+        monkeypatch.setattr(solver, "_level1", counting)
         A, b = TestBlockedDot.system(n)
         config = SolveConfig(tolerance=1e-30, max_iterations=4)
-        (result,) = _run_cg(A, b, None, config, None, (1e-30,))
+        (result,) = run_cg(A, b, None, config, None, (1e-30,))
         return A, b, config, result, calls
 
     def test_desk_size_run_updates_through_blas(self, monkeypatch):
@@ -1426,6 +1441,38 @@ class TestProductSetUp:
         result = two_stage_solve(A, b, 1e-3, 1e-10)
         assert result.n1 > 1 and result.n2 > 1
         assert setups == ["binary32", "binary64"]
+
+
+class TestSweepSetUp:
+    """What a sweep checks and builds once: b in sweep, each cg its own
+    operands, stage 1 none; the stage configs once per config and eps2."""
+
+    def test_b_checked_once_and_each_cg_its_operands(self, monkeypatch):
+        A = random_dd(30, np.random.default_rng(49))
+        checked, check = [], solver._check_vector
+
+        def counting(M, name, v):
+            checked.append((M.precision, name))
+            return check(M, name, v)
+
+        monkeypatch.setattr(solver, "_check_vector", counting)
+        results, failure = sweep(A, A @ np.ones(30), (1e-1, 1e-3, None), 1e-10)
+        assert failure is None and len({r.n1 for r in results}) == 3
+        # sweep's b; then b and x0 of the two refinements, b of the baseline
+        refinement = [("binary64", "b"), ("binary64", "x0")]
+        assert checked == [("binary64", "b"), *refinement * 2, ("binary64", "b")]
+
+    def test_b_of_another_length_raises(self):
+        A = random_dd(30, np.random.default_rng(49))
+        with pytest.raises(DimensionMismatchError, match="b must have length 30"):
+            sweep(A, np.ones(31), (1e-3, None), 1e-10)
+
+    def test_stage_configs_built_once_per_config(self):
+        for config in (None, CFG, JACOBI):
+            first, refine = solver._stage_configs(config, 1e-9)
+            assert first == (config or SolveConfig(tolerance=1e-9))
+            assert refine == no_stagnation(replace(first, tolerance=1e-9))
+            assert solver._stage_configs(config, 1e-9)[1] is refine
 
 
 class TestStageSeconds:

@@ -1,9 +1,11 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.io
+import scipy.sparse
 from scipy.sparse import _sparsetools
 
 import mpcg.sparse as sparse_module
@@ -27,6 +30,7 @@ from mpcg.errors import (
 )
 from mpcg.sparse import (
     SparseSymMatrix,
+    _scipy_csr,
     downcast,
     downcast_vector,
     from_coordinates,
@@ -92,6 +96,7 @@ STRICTNESS_CASES = [
     pytest.param(mm_text(entry_at(1, "2 1 -1.5 ")), None, id="trailing space"),
     pytest.param(mm_text(MM_BODY, end=""), None, id="no final newline"),
     pytest.param(mm_text(MM_BODY[:2] + ["% note"] + MM_BODY[2:]), None, id="body comment"),
+    pytest.param(mm_text(MM_BODY[:2] + ["", " \t "] + MM_BODY[2:]), None, id="blank lines"),
     pytest.param(mm_text(MM_BODY[:-1]), ("line 7: expected 5 entries, found 4", 7),
                  id="one entry fewer"),
     pytest.param(mm_text(MM_BODY + ["3 1 2.0"]),
@@ -288,18 +293,32 @@ class TestOneCopy:
 
     def test_attributes_are_the_csr_arrays(self):
         A = self.matrix()
-        assert A.row_starts is A._csr.indptr
-        assert A.col_indices is A._csr.indices
-        assert A.values is A._csr.data
+        assert SparseSymMatrix.__slots__ == ("row_starts", "col_indices", "values")
         assert A.row_starts.dtype == A.col_indices.dtype == np.int32
-        assert SparseSymMatrix.__slots__ == ("_csr",)
+        csr = _scipy_csr(A)  # scipy's view of the same arrays
+        owned = (A.row_starts, A.col_indices, A.values)
+        for got, own in zip((csr.indptr, csr.indices, csr.data), owned):
+            assert np.shares_memory(got, own) and same_bytes(got, own)
 
     def test_downcast_shares_the_structure(self):
         A = self.matrix()
         R = downcast(A)
-        assert np.shares_memory(R._csr.indptr, A._csr.indptr)
-        assert np.shares_memory(R._csr.indices, A._csr.indices)
-        assert not np.shares_memory(R._csr.data, A._csr.data)
+        assert R.row_starts is A.row_starts
+        assert R.col_indices is A.col_indices
+        assert not np.shares_memory(R.values, A.values)
+
+    def test_downcast_builds_no_scipy_matrix(self, monkeypatch):
+        A = self.matrix()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.sparse.csr_matrix built")
+
+        monkeypatch.setattr(scipy.sparse.csr_matrix, "__init__", refuse)
+        R = downcast(A)
+        assert R.row_starts is A.row_starts and R.col_indices is A.col_indices
+        assert same_bytes(R.values, A.values.astype(np.float32))
+        with pytest.raises(AssertionError, match="csr_matrix built"):
+            _scipy_csr(A)  # the patch holds
 
     def test_entries_past_the_last_row_start_are_rejected(self):
         # scipy alone would drop the trailing entry without a word
@@ -422,7 +441,7 @@ class TestSpmvInto:
         assert np.any(A.values == 0)
         x = rng.standard_normal(n).astype(dtype)
         x[::7] = -0.0
-        want = A._csr @ x
+        want = _scipy_csr(A) @ x
         width = f"u{np.dtype(dtype).itemsize}"
         assert np.array_equal(spmv(A, x).view(width), want.view(width))
         assert np.array_equal((A @ x).view(width), want.view(width))
@@ -436,11 +455,11 @@ def family_matrix(family, n, seed=1):
 
 def kernel_products(A, x):
     """A x by scipy's csr_matvec and by its coo_matvec, each on a zeroed y."""
-    csr, n = A._csr, A.n
+    n = A.n
     y_csr, y_coo = np.zeros(n, dtype=A.dtype), np.zeros(n, dtype=A.dtype)
-    _sparsetools.csr_matvec(n, n, csr.indptr, csr.indices, csr.data, x, y_csr)
+    _sparsetools.csr_matvec(n, n, A.row_starts, A.col_indices, A.values, x, y_csr)
     rows = sparse_module._entry_rows(A)
-    _sparsetools.coo_matvec(A.nnz, rows, csr.indices, csr.data, x, y_coo)
+    _sparsetools.coo_matvec(A.nnz, rows, A.col_indices, A.values, x, y_coo)
     return y_csr, y_coo
 
 
@@ -684,6 +703,35 @@ class TestPrecisionConversion:
         with pytest.raises(SinglePrecisionOverflowError):
             downcast_vector(np.array([1e39]))
 
+    # Just above the largest binary32 and still rounding to it, the
+    # midpoint to 2**128 (rounds to even: infinity), and 2**128.
+    BIG = float(np.finfo(np.float32).max)
+    ROUNDS_DOWN, MIDPOINT = BIG + 2.0**102, 2.0**128 - 2.0**103
+
+    @pytest.mark.parametrize("values, overflow", [
+        ([BIG, -BIG, 0.0], None),
+        ([ROUNDS_DOWN, -ROUNDS_DOWN], None),
+        ([np.inf, -np.inf, np.nan, 1.0], None),
+        ([1.0, MIDPOINT], MIDPOINT),
+        ([np.nan, -MIDPOINT], -MIDPOINT),
+        ([np.inf, 2.0**128, 1e300], 2.0**128),
+        ([], None),
+    ])
+    def test_downcast_vector_at_the_range_edge(self, values, overflow):
+        # Either path of downcast_vector, with no warning: the rounding of
+        # an overflow-silenced cast, or the first finite value beyond it.
+        x = np.array(values, dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if overflow is None:
+                with np.errstate(over="ignore"):
+                    want = x.astype(np.float32)
+                assert same_bytes(downcast_vector(x), want)
+            else:
+                message = re.escape(f"value {overflow:g} ")
+                with pytest.raises(SinglePrecisionOverflowError, match=message):
+                    downcast_vector(x)
+
 
 class TestMatrixMarket:
     def test_one_by_one(self, tmp_path):
@@ -845,27 +893,31 @@ class TestMatrixMarket:
         assert read_outcome(p) == (MatrixMarketParseError, f"line {L + 2}: malformed entry", L + 2)
         assert len(calls) <= 2 * math.isqrt(L) + 3
 
-    @pytest.mark.parametrize("body", [
-        [line.replace(" ", "\t") for line in MM_BODY],
-        MM_BODY[:2] + ["% note"] + MM_BODY[2:],
-    ], ids=["tabs", "body comment"])
-    def test_file_without_a_fault_is_parsed_once(self, tmp_path, body, monkeypatch):
-        # Neither file passes the strict check; each goes straight to the
-        # line-numbered path, whose first parse takes every entry.
+    @pytest.mark.parametrize("text, parses", [
+        (mm_text([line.replace(" ", "\t") for line in MM_BODY]), 1),
+        (mm_text(MM_BODY, sep="\r\n", end="\r\n"), 1),
+        (mm_text(MM_BODY[:2] + ["", " \t "] + MM_BODY[2:]), 1),
+        (mm_text(MM_BODY[:2] + ["% note"] + MM_BODY[2:]), 2),
+    ], ids=["tabs", "crlf", "blank lines", "body comment"])
+    def test_file_without_a_fault_is_parsed_once(self, tmp_path, text, parses, monkeypatch):
+        # None of the files passes the strict check.  The parse streamed
+        # from the open file takes every entry of the first three; it stops
+        # at the comment of the last, whose lines are then parsed once,
+        # every entry in one call.
         clean, p = tmp_path / "clean.mtx", tmp_path / "lenient.mtx"
         clean.write_text(mm_text(MM_BODY))
-        p.write_text(mm_text(body))
+        p.write_bytes(text.encode("ascii"))
         want = read_outcome(clean)
-        calls = []
+        sources = []
         parse = sparse_module._parse_entries
 
-        def counting(lines):
-            calls.append(1)
-            return parse(lines)
+        def recording(source):
+            sources.append(type(source))
+            return parse(source)
 
-        monkeypatch.setattr(sparse_module, "_parse_entries", counting)
+        monkeypatch.setattr(sparse_module, "_parse_entries", recording)
         assert_same_outcome(read_outcome(p), want)
-        assert len(calls) == 1
+        assert len(sources) == parses and list not in sources[:1]
 
     def test_float_index_rejected(self, tmp_path):
         p = tmp_path / "floatidx.mtx"
