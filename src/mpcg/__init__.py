@@ -40,7 +40,6 @@ from .solver import (
     SolveResult,
     TwoStageResult,
     cg,
-    cost,
     two_stage_solve,
 )
 from .sparse import (

@@ -89,9 +89,15 @@ def _load_rhs(args, A) -> np.ndarray:
     if args.b == "random":
         rng = np.random.default_rng(args.seed)
         return rng.standard_normal(A.n)
-    with warnings.catch_warnings():  # an empty file is reported below
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        b = np.loadtxt(args.b, dtype=np.float64).ravel()
+    try:
+        with warnings.catch_warnings():  # an empty file is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            b = np.loadtxt(args.b, dtype=np.float64, ndmin=2)
+    except ValueError as exc:  # a token that is no number, or lines of unequal length
+        raise ValueError(f"--b {args.b}: {exc}") from None
+    if b.shape[1] != 1:  # one value per line, as --write-x writes it
+        raise ValueError(f"--b {args.b}: the file must hold one value per line")
+    b = b.ravel()
     if not b.size:
         raise ValueError(f"--b {args.b}: the file holds no values")
     bad = np.flatnonzero(~np.isfinite(b))
@@ -316,6 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # numpy would reject a negative seed only after the inputs are read
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except ValueError as exc:
         return _fail(EXIT_CONFIG, str(exc))

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ._fileio import read_json_lines, write_json, write_json_lines
-from .errors import GraphFullError, InvalidSpecError, check_fields
+from .errors import GraphFullError, InvalidSpecError, _finite_real, check_fields
 from .features import FeatureVector, extract_features
 from .solver import SolveConfig, sweep
 from .sparse import SparseSymMatrix, _entry_rows, from_coordinates
@@ -101,7 +101,8 @@ class GraphSpec:
 
     A spec checks itself when it is built, by any route: an inconsistent
     one raises InvalidSpecError, so every spec in hand can be generated.
-    ``delta_range`` is stored as a tuple, whatever sequence it was given as.
+    ``delta_range`` is a list or tuple of two finite numbers under either
+    diagonal strategy, stored as a tuple.
     """
 
     family: str
@@ -116,7 +117,11 @@ class GraphSpec:
     edges_to_add: int | None = None  # None: 1% of base edges, at least 1
 
     def __post_init__(self):
-        object.__setattr__(self, "delta_range", tuple(self.delta_range))
+        delta = self.delta_range
+        if not (isinstance(delta, (list, tuple)) and len(delta) == 2
+                and all(map(_finite_real, delta))):
+            raise InvalidSpecError(f"delta_range must be a pair of finite numbers, got {delta!r}")
+        object.__setattr__(self, "delta_range", tuple(delta))
         if self.family not in FAMILIES:
             raise InvalidSpecError(f"unknown family '{self.family}'")
         optional = ("degree", "m_target", "edges_to_add")

@@ -81,10 +81,13 @@ Subprograms for Fortran usage", ACM Trans. Math. Softw. 5, 1979), each
 call about half the cost of the numpy call it replaces: at these sizes an
 iteration costs mostly call overhead.  ``dot`` makes every inner product,
 with numpy's bits on the pinned wheels (a test checks it), and ``copy``
-from a zero vector clears a product's buffer.  ``x + alpha d`` is
-``scal(alpha, copy(d, t))``, then ``axpy`` onto x; ``r - alpha Ad`` and a
-true residual ``A x - b``, of the norm of ``b - A x``, are ``axpy`` with
-``a = -1``; ``z + beta d`` is ``axpy`` of z onto ``scal(beta, d)``.
+from a zero vector clears the buffer of ``A d``.  ``x + alpha d`` is
+``scal(alpha, copy(d, t))``, then ``axpy`` onto x; ``r - alpha Ad`` is
+``axpy`` with ``a = -1``; ``z + beta d`` is ``axpy`` of z onto
+``scal(beta, d)``.  A true residual ``b - A x``, the initial one and each
+test, is at every size numpy's ``fill`` of its buffer, the product and
+``subtract``: a test is rare enough that its call overhead does not
+count.
 ``scal`` rounds one IEEE product per entry, and ``axpy`` with ``a = +-1``
 one sum or difference, since ``1 x`` is exact.  ``dot`` returns a Python
 float, so a binary32 run divides alpha and beta in binary64 and ``scal``
@@ -106,12 +109,16 @@ A solve's set-up, which ``mu * N1 + N2`` does not charge, is paid as
 rarely as it can be.  Per precision, once per process: the four BLAS
 routines and the smallest normal (``_level1``).  Per stage-1 config and
 eps2: the stage-1 config and the ``no_stagnation`` stage-2 one
-(``_stage_configs``, a small cache of frozen values).  Per sweep: the
-check of ``b``, the binary32 copies of A (``downcast``, which shares A's
-index arrays and builds no scipy object) and of b, and one stage-1 run,
-which takes those operands unchecked.  Per ``cg`` call, each stage 2 and
-the baseline among them: the check of its operands.  Per run: the
-product ``_accumulate_product`` binds and the run's buffers.
+(``_stage_configs``, a small cache of frozen values).  Per sweep, which
+prepares both stages itself: the check of ``b``, Jacobi's inverse
+diagonal once per precision, the binary32 copies of A (``downcast``,
+which shares A's index arrays and builds no scipy object) and of b, and
+one stage-1 run.  Every run of a sweep, each stage 2 and the baseline
+among them, takes those operands unchecked; a stage 2 checks only that
+its upcast start is finite, so a binary32 overflow fails its eps1 as an
+input error, not as a breakdown.  Per ``cg`` call: the check of its
+operands.  Per run: the product ``_accumulate_product`` binds and the
+run's buffers.
 """
 
 from __future__ import annotations
@@ -160,7 +167,6 @@ __all__ = [
     "two_stage_solve",
     "sweep",
     "no_stagnation",
-    "cost",
 ]
 
 
@@ -247,14 +253,6 @@ class TwoStageResult:
     stage2_seconds: float
 
 
-def _check_operands(A: SparseSymMatrix, b, x0):
-    """b and a fresh copy of x0 (zeros for None), the operands ``_run_cg``
-    takes; ``_check_vector`` checks each one."""
-    b = _check_vector(A, "b", b)
-    x = np.zeros(A.n, dtype=A.dtype) if x0 is None else _check_vector(A, "x0", x0).copy()
-    return b, x
-
-
 def _check_vector(A: SparseSymMatrix, name: str, v) -> np.ndarray:
     """v as a contiguous vector of length n at A's dtype and finite, else
     an error naming it."""
@@ -300,8 +298,9 @@ def _run_cg(A, b, x, config: SolveConfig, inv_diag, tolerances):
     iterate if the run ends first.  Each result equals a separate run to
     its tolerance alone.
 
-    ``b`` and ``x``, the start, are operands as ``_check_operands`` gives
-    them, unchecked here; x is updated in place.
+    ``b`` and ``x``, the start, are checked operands, as ``cg`` or
+    ``sweep`` gives them: b contiguous and finite at A's precision, x a
+    fresh finite vector, updated in place.
     ``inv_diag`` is None for plain CG and 1/diag for Jacobi.  Every vector
     operation runs at the matrix's storage precision.  The update order per
     iteration is alpha, x, r, beta, d.  The vectors live in buffers
@@ -311,11 +310,13 @@ def _run_cg(A, b, x, config: SolveConfig, inv_diag, tolerances):
     module notes).  Every product (the initial residual, each ``A d`` and
     each true residual) zeroes its buffer and calls the one product
     ``_accumulate_product`` gives for A, the kernel ``spmv`` runs too, so it
-    holds the same bits.  ``history`` holds the ``(k, norm)`` pair of every
-    test, and ``made_at`` the recursive norm it was made at, 0 where it
-    counts for every threshold; an untested iteration records nothing.  A
-    yielded result holds a copy of x and the tests of ``history`` that a
-    run to its tolerance alone makes: those made at or below it.
+    holds the same bits.  One local routine, ``true_residual``, computes
+    ``b - A x`` and its norm for the initial residual and every test.
+    ``history`` holds the ``(k, norm)`` pair of every test, and ``made_at``
+    the recursive norm it was made at, 0 where it counts for every
+    threshold; an untested iteration records nothing.  A yielded result
+    holds a copy of x and the tests of ``history`` that a run to its
+    tolerance alone makes: those made at or below it.
 
     The module notes give the policy for testing the true residual.  Its
     names here: ``recursive`` is ``sqrt(r'r)``, ``target`` is the next
@@ -332,7 +333,7 @@ def _run_cg(A, b, x, config: SolveConfig, inv_diag, tolerances):
     small = n <= _DOT_BLOCK
     axpy, scal, copy, blas_dot, tiny = _level1(x.dtype)  # tiny: a smaller r'z has underflowed
     dot = blas_dot if small else _blocked_dot
-    zeros = np.zeros_like(x) if small else None  # copied to clear a buffer
+    zeros = np.zeros_like(x) if small else None  # copied to clear A d's buffer
     product = _accumulate_product(A)  # product(v, out): out += A v, unchecked
     add, subtract, multiply = np.add, np.subtract, np.multiply
     sqrt, inf = math.sqrt, math.inf
@@ -347,10 +348,14 @@ def _run_cg(A, b, x, config: SolveConfig, inv_diag, tolerances):
 
     r, d, Ad, t = (np.empty_like(x) for _ in range(4))  # t: scratch
     z = r if plain else np.empty_like(x)
-    t.fill(0)
-    product(x, t)
-    subtract(b, t, r)  # r = b - A x
-    res = float(np.sqrt(storage(dot(r, r))))
+
+    def true_residual(out):  # out = b - A x; returns ||b - A x||
+        out.fill(0)
+        product(x, out)
+        subtract(b, out, out)
+        return float(np.sqrt(storage(dot(out, out))))
+
+    res = true_residual(r)
     if not plain:
         multiply(inv_diag, r, z)
     np.copyto(d, z)
@@ -406,14 +411,7 @@ def _run_cg(A, b, x, config: SolveConfig, inv_diag, tolerances):
                     sampled_at, anchor = k, recursive
                 elif recursive > target:
                     continue
-            if small:
-                product(x, copy(zeros, t))
-                axpy(b, t, n, -1.0)  # A x - b, of the same norm as b - A x
-            else:
-                t.fill(0)
-                product(x, t)
-                subtract(b, t, t)  # b - A x
-            res = float(np.sqrt(storage(dot(t, t))))
+            res = true_residual(t)
             history.append((k, res))
             made_at.append(0.0 if sampled else recursive)
         # A threshold counts this test only where a run to it alone tests.
@@ -453,7 +451,8 @@ def cg(A: SparseSymMatrix, b, x0=None, config: SolveConfig | None = None) -> Sol
     """
     if config is None:
         raise ValueError("config with a tolerance is required")
-    b, x = _check_operands(A, b, x0)
+    b = _check_vector(A, "b", b)
+    x = np.zeros(A.n, dtype=A.dtype) if x0 is None else _check_vector(A, "x0", x0).copy()
     inv_diag = _inverse_diagonal(A) if config.preconditioner == "jacobi" else None
     return next(_run_cg(A, b, x, config, inv_diag, (config.tolerance,)))
 
@@ -493,7 +492,11 @@ def sweep(
     N1 = 0, stage-1 status "skipped".  Returns the results and None, or
     the results before the first failing eps1 and the exception that
     failed it; invalid arguments, a non-finite eps1 or a b that is not a
-    finite vector of length n among them, raise.
+    finite vector of length n among them, raise.  The sweep prepares both
+    stages itself (see the module notes on set-up): it checks b once and
+    runs stage 1, each stage 2 and the baseline on ``_run_cg``; a start
+    that is not finite fails its eps1 with ValueError.  Each result costs
+    ``mu * N1 + N2``.
     """
     tolerances = sorted({e for e in epsilons if e is not None}, reverse=True)
     if not all(math.isfinite(e) for e in tolerances):
@@ -523,6 +526,7 @@ def sweep(
 
     stage2, results = {}, []
     try:
+        inv_diag = _inverse_diagonal(A) if jacobi else None
         for eps1 in epsilons:
             first, seconds1 = stage1.get(eps1, (None, 0.0))
             if first is None and eps1 is not None:
@@ -530,8 +534,9 @@ def sweep(
             n1 = first.iterations if first else 0
             if n1 not in stage2:
                 start = time.perf_counter()
-                x0 = upcast_vector(first.x) if first else None
-                second = cg(A, b, x0, refine)
+                x = upcast_vector(first.x) if first else np.zeros(A.n)
+                _check_finite("x0", x)  # a binary32 overflow is no breakdown
+                second = next(_run_cg(A, b, x, refine, inv_diag, (epsilon2,)))
                 stage2[n1] = second, time.perf_counter() - start
             second, seconds2 = stage2[n1]
             if second.status != "converged":
@@ -540,7 +545,7 @@ def sweep(
                     f" iterations (residual {second.final_residual_norm:.3e})")
             n2, status1 = second.iterations, first.status if first else "skipped"
             results.append(TwoStageResult(  # eps1 with one N1 share a stage 2
-                second.x.copy(), n1, n2, eps1, epsilon2, mu, cost(n1, n2, mu), status1,
+                second.x.copy(), n1, n2, eps1, epsilon2, mu, mu * n1 + n2, status1,
                 second.status, second.final_residual_norm,
                 first.spmv_calls if first else 0, second.spmv_calls, seconds1, seconds2))
     except Exception as exc:  # noqa: BLE001 - reported like a stage-1 failure
@@ -568,11 +573,4 @@ def two_stage_solve(
     if failure is not None:
         raise failure
     return results[0]
-
-
-def cost(n1: int, n2: int, mu: float) -> float:
-    """Weighted iteration count of a two-stage run: mu * n1 + n2."""
-    if n1 < 0 or n2 < 0:
-        raise ValueError("iteration counts must be nonnegative")
-    return mu * n1 + n2
 

@@ -19,7 +19,7 @@ LAYERS = ("sparse", "solver", "features", "dataset", "regression")
 RETIRED = ("pcg_jacobi", "iteration_bound", "grid_cost", "value_of_class", "read_manifest",
            "gershgorin_basic", "gershgorin_scaled", "stagnation_factor", "_from_arrays",
            "_check_numbers", "NormalizationParams", "minimax_fit", "minimax_apply",
-           "_feature_matrix", "_read_json_lines", "_cost_of_class")
+           "_feature_matrix", "_read_json_lines", "_cost_of_class", "cost", "_check_operands")
 
 
 def _package_modules():

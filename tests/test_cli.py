@@ -139,6 +139,11 @@ EXIT_CODE_CASES = {
     "solve-unreadable-matrix": (["solve", "{missing}", "--eps1", "0.1"], 5, "{missing}"),
     "solve-unreadable-rhs": (
         ["solve", "{identity}", "--eps1", "0.1", "--b", "{missing}"], 5, "{missing}"),
+    # numpy rejects a negative seed only where it is used, after the read
+    "train-negative-seed": (
+        ["train", "--sample", "{missing}", "--out", "{out}", "--seed", "-1"], 2, "--seed"),
+    "solve-negative-seed": (
+        ["solve", "{missing}", "--eps1", "0.1", "--b", "random", "--seed", "-1"], 2, "--seed"),
     "label-unreadable-specs": (["label", "--specs", "{missing}", "--out", "{out}"], 5,
                                "{missing}"),
     "train-unreadable-sample": (["train", "--sample", "{missing}", "--out", "{out}"], 5,
@@ -386,6 +391,14 @@ class TestSolveCommand:
         b.write_text("")
         assert main(["solve", str(identity_file), "--eps1", "0.1", "--b", str(b)]) == 2
         assert f"--b {b}: the file holds no values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1 2\n3 4\n", "1\n2\n3\n4 5\n", "1\n2\nx\n4\n"],
+                             ids=["two-columns", "ragged", "no-number"])
+    def test_rhs_file_not_one_value_per_line_exits_2(self, identity_file, tmp_path, capsys, text):
+        b = tmp_path / "b.txt"
+        b.write_text(text)
+        assert main(["solve", str(identity_file), "--eps1", "0.1", "--b", str(b)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --b {b}: ")
 
     def test_non_finite_rhs_exits_2(self, identity_file, tmp_path, capsys):
         b = tmp_path / "b.txt"

@@ -129,6 +129,17 @@ BAD_SPECS = {
     "constant-str": ({"family": "random_gnm", "n": 10, "m_target": 9, "constant": "5",
                       "diagonal_strategy": "uniform_constant"}, "needs a finite constant"),
     "delta-inf": ({"family": "path", "n": 10, "delta_range": (0.1, math.inf)}, "delta_range"),
+    "delta-triple": ({"family": "path", "n": 10, "delta_range": (1, 2, 3)},
+                     "delta_range must be a pair of finite numbers"),
+    "delta-bool": ({"family": "path", "n": 10, "delta_range": (True, 2)},
+                   "delta_range must be a pair of finite numbers"),
+    "delta-str-pair": ({"family": "path", "n": 10, "delta_range": ("a", "b")},
+                       "delta_range must be a pair of finite numbers"),
+    "delta-number": ({"family": "path", "n": 10, "delta_range": 0.5},
+                     "delta_range must be a pair of finite numbers, got 0.5"),
+    "delta-str-constant": ({"family": "path", "n": 10, "diagonal_strategy": "uniform_constant",
+                            "constant": 3.0, "delta_range": "xyz"},
+                           "delta_range must be a pair of finite numbers, got 'xyz'"),
     "grid2d-constant": ({"family": "grid2d", "n": 12, "diagonal_strategy": "uniform_constant",
                          "constant": 3.0}, "maximum degree 4"),
     "random_regular-constant": ({"family": "random_regular", "n": 10, "degree": 4,

@@ -24,7 +24,6 @@ from mpcg.solver import (
     _inverse_diagonal,
     _run_cg,
     cg,
-    cost,
     no_stagnation,
     sweep,
     two_stage_solve,
@@ -51,7 +50,9 @@ from oracles import (
 
 def run_cg(A, b, x0, config, inv_diag, tolerances):
     """``_run_cg`` on the operands ``cg`` checks, x0 copied or zeros for None."""
-    return _run_cg(A, *solver._check_operands(A, b, x0), config, inv_diag, tolerances)
+    b = solver._check_vector(A, "b", b)
+    x = np.zeros(A.n, dtype=A.dtype) if x0 is None else solver._check_vector(A, "x0", x0).copy()
+    return _run_cg(A, b, x, config, inv_diag, tolerances)
 
 
 def diag_matrix(values):
@@ -265,10 +266,14 @@ class TestTwoStage:
         A = random_dd(40, np.random.default_rng(6))
         failure = CgBreakdownError("stage 2 fails")
 
-        def failing_cg(*args):
-            raise failure
+        run = solver._run_cg
 
-        monkeypatch.setattr(solver, "cg", failing_cg)
+        def failing_stage2(A, *args):
+            if A.precision == "binary64":
+                raise failure
+            return run(A, *args)
+
+        monkeypatch.setattr(solver, "_run_cg", failing_stage2)
         assert sweep(A, A @ np.ones(40), (1e-3, None), 1e-10) == ([], failure)
 
     def test_validates_tolerances(self):
@@ -306,23 +311,6 @@ class TestTwoStage:
 
 
 class TestCostAndBound:
-    def test_cost_examples(self):
-        assert cost(0, 7, 0.5) == 7
-        assert cost(10, 4, 0.5) == 9
-        assert cost(6, 0, 0.25) == 1.5
-
-    def test_cost_monotone(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            n1, n2 = (int(v) for v in rng.integers(0, 100, 2))
-            mu = float(rng.uniform(0.05, 0.95))
-            assert cost(n1 + 1, n2, mu) > cost(n1, n2, mu)
-            assert cost(n1, n2 + 1, mu) > cost(n1, n2, mu)
-
-    def test_cost_rejects_negative(self):
-        with pytest.raises(ValueError):
-            cost(-1, 0, 0.5)
-
     def test_bound_trivial_case(self):
         assert iteration_bound(1.0, 1.0) == 1
 
@@ -1356,9 +1344,9 @@ class TestBlasUpdates:
         A, b, config, result, calls = self.counted_run(monkeypatch, n)
         assert result.iterations == 4
         # Per iteration two copy, two dot, three scal and three axpy calls;
-        # three dots before the loop (b'b, r'r and r'd) and one copy, axpy
-        # and dot for the true residual of the last iteration; each over n.
-        want = {"axpy": 4 * 3 + 1, "copy": 4 * 2 + 1, "dot": 3 + 4 * 2 + 1, "scal": 4 * 3}
+        # three dots before the loop (b'b, r'r and r'd) and one dot for the
+        # true residual of the last iteration, cleared by fill; each over n.
+        want = {"axpy": 4 * 3, "copy": 4 * 2, "dot": 3 + 4 * 2 + 1, "scal": 4 * 3}
         assert sorted(calls) == [(name, n) for name, k in want.items() for _ in range(k)]
         (ref,) = cg_reference(A, b, None, config, None, (1e-30,))
         assert_same_run(result, ref)
@@ -1444,10 +1432,11 @@ class TestProductSetUp:
 
 
 class TestSweepSetUp:
-    """What a sweep checks and builds once: b in sweep, each cg its own
-    operands, stage 1 none; the stage configs once per config and eps2."""
+    """What a sweep checks and builds once: b, checked once for both
+    stages; Jacobi's inverse diagonal once per precision; the stage configs
+    once per config and eps2."""
 
-    def test_b_checked_once_and_each_cg_its_operands(self, monkeypatch):
+    def test_sweep_checks_only_b(self, monkeypatch):
         A = random_dd(30, np.random.default_rng(49))
         checked, check = [], solver._check_vector
 
@@ -1458,9 +1447,28 @@ class TestSweepSetUp:
         monkeypatch.setattr(solver, "_check_vector", counting)
         results, failure = sweep(A, A @ np.ones(30), (1e-1, 1e-3, None), 1e-10)
         assert failure is None and len({r.n1 for r in results}) == 3
-        # sweep's b; then b and x0 of the two refinements, b of the baseline
-        refinement = [("binary64", "b"), ("binary64", "x0")]
-        assert checked == [("binary64", "b"), *refinement * 2, ("binary64", "b")]
+        assert checked == [("binary64", "b")]
+
+    def test_jacobi_inverse_built_once_per_precision(self, monkeypatch):
+        A = random_dd(30, np.random.default_rng(49))
+        built = []
+
+        def counting(M):
+            built.append(M.precision)
+            return _inverse_diagonal(M)
+
+        monkeypatch.setattr(solver, "_inverse_diagonal", counting)
+        results, failure = sweep(A, A @ np.ones(30), (1e-1, 1e-2, 1e-3, None), 1e-10, config=JACOBI)
+        assert failure is None and len({r.n1 for r in results}) == 4
+        assert built == ["binary32", "binary64"]
+
+    def test_non_finite_stage1_iterate_fails_its_eps1_as_input(self):
+        # x = b / a = 1e40 overflows binary32; the guard samples it at once
+        A = diag_matrix([1e-30])
+        config = SolveConfig(tolerance=1e-10, stagnation_window=1)
+        results, failure = sweep(A, np.array([1e10]), (1e-3, None), 1e-10, config=config)
+        assert results == []
+        assert type(failure) is ValueError and str(failure) == "x0[0] = inf is not finite"
 
     def test_b_of_another_length_raises(self):
         A = random_dd(30, np.random.default_rng(49))
