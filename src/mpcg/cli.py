@@ -12,7 +12,6 @@ a missing or malformed model as 4.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import warnings
 
@@ -27,7 +26,7 @@ from .errors import (
     Stage2NotConvergedError,
 )
 from .features import eigen_estimates, extract_features, pseudo_diameter, spread
-from .solver import SolveConfig, two_stage_solve
+from .solver import SolveConfig, _check_two_stage, two_stage_solve
 from .sparse import read_matrix_market
 
 EXIT_CONFIG = 2
@@ -41,18 +40,13 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ValueError(f"cannot parse grid '{text}'") from None
-    if not values:
-        raise ValueError("grid is empty")
-    return values
-
-
 def _grid_from_args(args) -> dataset.EpsilonGrid:
-    values = _parse_grid(args.grid) if args.grid else dataset.DEFAULT_GRID
+    values = dataset.DEFAULT_GRID
+    if args.grid:
+        try:
+            values = tuple(float(tok) for tok in args.grid.split(",") if tok.strip())
+        except ValueError:
+            raise ValueError(f"cannot parse grid '{args.grid}'") from None
     return dataset.EpsilonGrid(values=values, epsilon2=args.eps2, mu=args.mu)
 
 
@@ -106,41 +100,31 @@ def _load_rhs(args, A) -> np.ndarray:
     return b
 
 
-def _check_eps1(eps1: float, eps2: float) -> None:
-    if eps1 < eps2:
-        raise ValueError(f"eps1={eps1:g} must be >= eps2={eps2:g}")
-
-
 def cmd_solve(args) -> int:
-    # Every flag before the matrix, so no bad one waits for a large read:
-    # the solve configuration checks --eps2, and a grid of eps2 alone --mu.
+    # Every flag before the matrix, so no bad one waits for a large read,
+    # in the words sweep and label use; a predicted eps1 once predicted.
+    auto = args.eps1 == "auto"
+    if not auto:
+        try:
+            eps1 = float(args.eps1)
+        except ValueError:
+            return _fail(EXIT_CONFIG, f"--eps1 must be a number or 'auto', got '{args.eps1}'")
+    _check_two_stage(() if auto else (eps1,), args.eps2, args.mu)
     config = _config_from_args(args)
-    dataset.EpsilonGrid((args.eps2,), args.eps2, args.mu)
-    if args.eps1 == "auto":
+    if auto:
         if not args.model:
             return _fail(EXIT_NO_MODEL, "--eps1 auto requires --model")
         try:
             model = regression.load_model(args.model)
         except (OSError, ValueError) as exc:
             return _fail(EXIT_NO_MODEL, f"cannot read model: {exc}")
-    else:
-        try:
-            eps1 = float(args.eps1)
-        except ValueError:
-            eps1 = math.nan
-        if not (math.isfinite(eps1) and eps1 > 0):
-            return _fail(
-                EXIT_CONFIG,
-                f"--eps1 must be a finite positive number or 'auto', got '{args.eps1}'",
-            )
-        _check_eps1(eps1, args.eps2)
     A = read_matrix_market(args.matrix)
     b = _load_rhs(args, A)
-    if args.eps1 == "auto":
+    if auto:
         label = regression.knn_predict(model, extract_features(A))
         eps1 = model.grid_values[label - 1]
         print(f"predicted class = {label} (eps1 = {eps1:g})")
-        _check_eps1(eps1, args.eps2)
+        _check_two_stage((eps1,), args.eps2, args.mu)
 
     result = two_stage_solve(A, b, eps1, args.eps2, args.mu, config)
     print(f"N1             = {result.n1} ({result.stage1_status})")

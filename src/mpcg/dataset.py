@@ -21,7 +21,7 @@ import numpy as np
 from ._fileio import read_json_lines, write_json, write_json_lines
 from .errors import GraphFullError, InvalidSpecError, _finite_real, check_fields
 from .features import FeatureVector, extract_features
-from .solver import SolveConfig, sweep
+from .solver import SolveConfig, _check_two_stage, sweep
 from .sparse import SparseSymMatrix, _entry_rows, from_coordinates
 
 __all__ = [
@@ -71,7 +71,9 @@ class EpsilonGrid:
     """Stage-1 tolerance grid, canonically stored in descending order.
 
     Class label i corresponds to values[i - 1]; with the default grid that
-    is eps1 = 0.1**i for i = 1..7.
+    is eps1 = 0.1**i for i = 1..7.  The values, epsilon2 and mu obey the
+    rules of a two-stage problem (``solver._check_two_stage``); the grid
+    itself must be non-empty and its values distinct.
     """
 
     values: tuple[float, ...] = DEFAULT_GRID
@@ -80,18 +82,11 @@ class EpsilonGrid:
 
     def __post_init__(self):
         vals = tuple(sorted((float(v) for v in self.values), reverse=True))
-        if not all(map(math.isfinite, vals)):
-            raise ValueError("grid values must be finite")
+        _check_two_stage(vals, self.epsilon2, self.mu)
+        if not vals:
+            raise ValueError("grid is empty")
         if len(set(vals)) != len(vals):
             raise ValueError("grid values must be distinct")
-        if not vals or vals[-1] <= 0:
-            raise ValueError("grid values must be positive")
-        if not 0 < self.epsilon2 < math.inf:  # also rejects NaN
-            raise ValueError(f"epsilon2 must be positive and finite, got {self.epsilon2!r}")
-        if vals[-1] < self.epsilon2:
-            raise ValueError("smallest grid value must be >= epsilon2")
-        if not 0 < self.mu < 1:
-            raise ValueError("mu must lie in (0, 1)")
         object.__setattr__(self, "values", vals)
 
 

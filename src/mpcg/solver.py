@@ -19,7 +19,12 @@ last iteration, and where ``r'z`` underflows,
 below the smallest normal of the storage precision (``np.finfo(dtype).tiny``).
 There it ends "underflow": a subnormal ``r'z`` has lost its relative
 precision, the next ``d'Ad``, of its order, may underflow to 0, and that
-would be no sign of an operand that is not SPD.  A run
+would be no sign of an operand that is not SPD.  A normal ``r'z`` can
+still meet a ``d'Ad`` that underflows to exactly 0 while ``A d`` is not
+0 (an SPD matrix whose entries lie near the smallest normal); such a run
+also ends "underflow", at the previous iterate, which it tests there
+unless it already has.  An ``A d`` that is 0, a negative, infinite or
+NaN ``d'Ad`` still raises ``CgBreakdownError``.  A run
 whose stagnation guard can never fire, ``stagnation_window >
 max_iterations``, tests it nowhere else: every ``no_stagnation`` run
 (binary64 stage 2 and the pure binary64 baseline), and any run whose
@@ -44,8 +49,9 @@ at drift or underflow only after the thresholds its test there meets.
 So each result of a run to several thresholds equals a run to its own
 threshold alone, its history and product count included, since it keeps
 only the tests that run makes: the stage 1 of every eps1 of a sweep is
-the stage 1 ``two_stage_solve`` runs to it.  A run pays one
-matrix-vector product per untested iteration instead of two, and records
+the stage 1 ``two_stage_solve`` runs to it.  The test of a run that
+ends at a ``d'Ad`` underflow counts for every threshold too.  A run pays
+one matrix-vector product per untested iteration instead of two, and records
 nothing for it: its history, ``SolveResult.true_residuals``, is the true
 residuals it computed, each with its iteration, and its product count
 follows from that.  No recursive norm stands in for an untested one, since the two
@@ -114,11 +120,11 @@ prepares both stages itself: the check of ``b``, Jacobi's inverse
 diagonal once per precision, the binary32 copies of A (``downcast``,
 which shares A's index arrays and builds no scipy object) and of b, and
 one stage-1 run.  Every run of a sweep, each stage 2 and the baseline
-among them, takes those operands unchecked; a stage 2 checks only that
-its upcast start is finite, so a binary32 overflow fails its eps1 as an
-input error, not as a breakdown.  Per ``cg`` call: the check of its
-operands.  Per run: the product ``_accumulate_product`` binds and the
-run's buffers.
+among them, takes those operands unchecked; a stage-1 iterate is checked
+only to be finite before its stage 2, so a binary32 overflow fails its
+eps1 as ``SinglePrecisionOverflowError``, not as a breakdown or an input
+error.  Per ``cg`` call: the check of its operands.  Per run: the
+product ``_accumulate_product`` binds and the run's buffers.
 """
 
 from __future__ import annotations
@@ -135,6 +141,7 @@ from .errors import (
     DimensionMismatchError,
     NonpositiveDiagonalError,
     PrecisionMismatchError,
+    SinglePrecisionOverflowError,
     Stage2NotConvergedError,
     check_fields,
 )
@@ -214,13 +221,15 @@ class SolveResult:
     on when a run tests).  An untested iteration has no entry.  The last
     entry is always at ``iterations``, and its norm is
     ``final_residual_norm``.  ``spmv_calls`` counts the matrix-vector
-    products up to this result: one per iteration and one per entry.
+    products up to this result: one per iteration and one per entry.  A
+    run that ends "underflow" at a ``d'Ad`` of 0 made one more, the ``A d``
+    of the iteration it gave up, which is not counted.
     """
 
     x: np.ndarray
     iterations: int
     final_residual_norm: float
-    status: str  # converged | max_iterations | stagnated | underflow (r'z below tiny)
+    status: str  # converged | max_iterations | stagnated | underflow (r'z below tiny, d'Ad 0)
     true_residuals: tuple[tuple[int, float], ...]
 
     @property
@@ -231,9 +240,11 @@ class SolveResult:
 
 @dataclass
 class TwoStageResult:
-    """One two-stage solve.  ``stage1_seconds`` is the wall time of the
-    binary32 operands and of stage 1 up to this eps1, the time a run to
-    this eps1 alone would take; ``stage2_seconds`` is the wall time of
+    """One two-stage solve.  ``epsilon1`` is its eps1, None for the pure
+    binary64 baseline, and ``cost`` is ``mu * N1 + N2``; eps2 and mu are
+    the caller's own and not echoed.  ``stage1_seconds`` is the wall time
+    of the binary32 operands and of stage 1 up to this eps1, the time a
+    run to this eps1 alone would take; ``stage2_seconds`` is the wall time of
     this result's stage 2, shared with every eps1 of the same N1.  The
     pure binary64 baseline spends 0 seconds in stage 1."""
 
@@ -241,8 +252,6 @@ class TwoStageResult:
     n1: int
     n2: int
     epsilon1: float
-    epsilon2: float
-    mu: float
     cost: float
     stage1_status: str
     stage2_status: str
@@ -253,6 +262,22 @@ class TwoStageResult:
     stage2_seconds: float
 
 
+def _check_two_stage(epsilons, epsilon2: float, mu: float) -> None:
+    """Raise ValueError unless every eps1 of the sequence ``epsilons`` is
+    finite, eps2 is positive, finite and at most every eps1, and mu lies
+    in (0, 1): the rules of a two-stage problem, one message each, that
+    ``sweep``, ``EpsilonGrid`` and ``mpcg solve`` share."""
+    for eps1 in epsilons:
+        if not math.isfinite(eps1):
+            raise ValueError(f"eps1 must be finite, got {eps1:g}")
+    if not 0 < epsilon2 < math.inf:  # also rejects NaN
+        raise ValueError(f"eps2 must be positive and finite, got {epsilon2:g}")
+    if epsilons and min(epsilons) < epsilon2:
+        raise ValueError(f"eps1={min(epsilons):g} must be >= eps2={epsilon2:g}")
+    if not 0 < mu < 1:
+        raise ValueError(f"mu must lie in (0, 1), got {mu:g}")
+
+
 def _check_vector(A: SparseSymMatrix, name: str, v) -> np.ndarray:
     """v as a contiguous vector of length n at A's dtype and finite, else
     an error naming it."""
@@ -261,16 +286,11 @@ def _check_vector(A: SparseSymMatrix, name: str, v) -> np.ndarray:
         raise DimensionMismatchError(f"{name} must have length {A.n}")
     if v.dtype != A.dtype:
         raise PrecisionMismatchError(f"{name} is {v.dtype}, matrix stores {A.dtype}")
-    _check_finite(name, v)
-    return v
-
-
-def _check_finite(name: str, v: np.ndarray) -> None:
-    """A NaN or Inf operand is an input error, not a breakdown of CG."""
-    finite = np.isfinite(v)
+    finite = np.isfinite(v)  # a NaN or Inf operand is an input error, not a breakdown
     if not finite.all():
         k = int(finite.argmin())
         raise ValueError(f"{name}[{k}] = {v[k]} is not finite")
+    return v
 
 
 def _blocked_dot(u: np.ndarray, v: np.ndarray):
@@ -327,7 +347,9 @@ def _run_cg(A, b, x, config: SolveConfig, inv_diag, tolerances):
     no recursive norm (``inf``).  A test at a sample, on the last
     iteration or where ``r'z`` underflows counts for every threshold, one
     made at or below a threshold only for those its recursive norm has
-    reached.
+    reached.  Where ``d'Ad`` underflows to 0 on a nonzero ``A d``, the
+    run ends "underflow" at x_{k-1}: it tests that iterate unless
+    ``history`` already holds it, and the test counts for every threshold.
     """
     n, storage = A.n, x.dtype.type
     small = n <= _DOT_BLOCK
@@ -379,9 +401,18 @@ def _run_cg(A, b, x, config: SolveConfig, inv_diag, tolerances):
             product(d, Ad)  # A d
             dAd = dot(d, Ad)
             if not 0 < dAd < inf:  # also rejects NaN
-                raise CgBreakdownError(
-                    f"d'Ad = {storage(dAd)} at iteration {k}: operand not SPD at {A.precision}"
-                )
+                if dAd != 0 or not Ad.any():
+                    raise CgBreakdownError(
+                        f"d'Ad = {storage(dAd)} at iteration {k}: operand not SPD at {A.precision}"
+                    )
+                # d'Ad underflowed on a nonzero A d: x_{k-1}, tested once,
+                # counts for every threshold, as where r'z underflows
+                k, status = k - 1, "underflow"
+                if history[-1][0] < k:
+                    history.append((k, true_residual(t)))
+                    made_at.append(0.0)
+                res, made_at[-1] = history[-1][1], 0.0
+                break
             alpha = rz / dAd
             if small:
                 axpy(scal(alpha, copy(d, t)), x)  # x + alpha * d
@@ -427,8 +458,9 @@ def _run_cg(A, b, x, config: SolveConfig, inv_diag, tolerances):
         if sampled and res > TRUE_RESIDUAL_MARGIN * recursive:  # drift
             status = "stagnated"
             break
-    for threshold in thresholds[met:]:
-        yield SolveResult(x.copy(), k, res, status, tests_for(threshold))
+    for threshold in thresholds[met:]:  # only a d'Ad underflow leaves one met here
+        yield SolveResult(x.copy(), k, res, "converged" if res <= threshold else status,
+                          tests_for(threshold))
 
 
 def _inverse_diagonal(A: SparseSymMatrix) -> np.ndarray:
@@ -446,8 +478,9 @@ def cg(A: SparseSymMatrix, b, x0=None, config: SolveConfig | None = None) -> Sol
     Stops when the true residual ``||b - A x||`` (divided by ``||b||`` in
     relative mode) falls to the configured tolerance, when max_iterations
     is reached, when a sample of the true residual has drifted from the
-    recursive one, or when ``r'z`` underflows (below the smallest normal).
-    The module notes say where a run recomputes the true residual.
+    recursive one, or when ``r'z`` underflows (below the smallest normal)
+    or ``d'Ad`` underflows to 0.  The module notes say where a run
+    recomputes the true residual.
     """
     if config is None:
         raise ValueError("config with a tolerance is required")
@@ -468,14 +501,16 @@ def no_stagnation(config: SolveConfig) -> SolveConfig:
 @lru_cache(maxsize=32)
 def _stage_configs(config: SolveConfig | None, epsilon2: float) -> tuple[SolveConfig, SolveConfig]:
     """The config of a sweep's binary32 stage 1 (``config``, or the default
-    one at eps2) and of its binary64 stage 2, built once per pair.
+    one at eps2) and of its binary64 stage 2, its ``no_stagnation`` copy,
+    built once per pair.  Neither run reads the config's tolerance:
+    ``_run_cg`` takes its thresholds as an argument.
 
     The stagnation guard exists for the binary32 stage, whose residual can
     floor out far above the target.  Refinement in binary64 is bounded by
     max_iterations alone; its long plateaus are ordinary CG behavior.
     """
     config = config or SolveConfig(tolerance=epsilon2)
-    return config, no_stagnation(replace(config, tolerance=epsilon2))
+    return config, no_stagnation(config)
 
 
 def sweep(
@@ -491,20 +526,16 @@ def sweep(
     ``None`` stands for the pure binary64 baseline: stage 2 from zero,
     N1 = 0, stage-1 status "skipped".  Returns the results and None, or
     the results before the first failing eps1 and the exception that
-    failed it; invalid arguments, a non-finite eps1 or a b that is not a
-    finite vector of length n among them, raise.  The sweep prepares both
+    failed it.  Invalid arguments raise: numbers that break a rule of
+    ``_check_two_stage`` (a baseline-only sweep has no eps1 to check) and
+    a b that is not a finite vector of length n.  The sweep prepares both
     stages itself (see the module notes on set-up): it checks b once and
-    runs stage 1, each stage 2 and the baseline on ``_run_cg``; a start
-    that is not finite fails its eps1 with ValueError.  Each result costs
-    ``mu * N1 + N2``.
+    runs stage 1, each stage 2 and the baseline on ``_run_cg``; a stage-1
+    iterate that overflowed binary32 fails its eps1 with
+    SinglePrecisionOverflowError.  Each result costs ``mu * N1 + N2``.
     """
     tolerances = sorted({e for e in epsilons if e is not None}, reverse=True)
-    if not all(math.isfinite(e) for e in tolerances):
-        raise ValueError("epsilon1 values must be finite")
-    if not 0 < epsilon2 <= (tolerances[-1] if tolerances else epsilon2):
-        raise ValueError("epsilon2 must be positive and not exceed epsilon1")
-    if not 0 < mu < 1:
-        raise ValueError("mu must lie in (0, 1)")
+    _check_two_stage(tolerances, epsilon2, mu)
     config, refine = _stage_configs(config, epsilon2)
     if A.dtype != np.float64:
         raise PrecisionMismatchError("two-stage solve expects a binary64 matrix")
@@ -533,9 +564,11 @@ def sweep(
                 return results, stage1_failure
             n1 = first.iterations if first else 0
             if n1 not in stage2:
+                if first and not np.isfinite(first.x).all():  # no breakdown, no input error
+                    raise SinglePrecisionOverflowError(
+                        f"stage 1 iterate overflows binary32 at iteration {n1} (eps1={eps1:g})")
                 start = time.perf_counter()
                 x = upcast_vector(first.x) if first else np.zeros(A.n)
-                _check_finite("x0", x)  # a binary32 overflow is no breakdown
                 second = next(_run_cg(A, b, x, refine, inv_diag, (epsilon2,)))
                 stage2[n1] = second, time.perf_counter() - start
             second, seconds2 = stage2[n1]
@@ -545,7 +578,7 @@ def sweep(
                     f" iterations (residual {second.final_residual_norm:.3e})")
             n2, status1 = second.iterations, first.status if first else "skipped"
             results.append(TwoStageResult(  # eps1 with one N1 share a stage 2
-                second.x.copy(), n1, n2, eps1, epsilon2, mu, mu * n1 + n2, status1,
+                second.x.copy(), n1, n2, eps1, mu * n1 + n2, status1,
                 second.status, second.final_residual_norm,
                 first.spmv_calls if first else 0, second.spmv_calls, seconds1, seconds2))
     except Exception as exc:  # noqa: BLE001 - reported like a stage-1 failure
@@ -565,9 +598,11 @@ def two_stage_solve(
 
     Stage 1 starts from zero on the rounded system; its last iterate is
     upcast and used as the starting point of stage 2 even when stage 1
-    stagnated or underflowed short of eps1.  The returned cost is
-    ``mu * N1 + N2``.  This is ``sweep`` over the one value eps1; a failed
-    solve raises.
+    stagnated or underflowed short of eps1, but not when it overflowed
+    binary32.  The returned cost is ``mu * N1 + N2``.  This is ``sweep``
+    over the one value eps1, with its checks; a failed solve raises its
+    failure: a ``CgBreakdownError``, a ``SinglePrecisionOverflowError``
+    from an overflowed stage-1 iterate, or a ``Stage2NotConvergedError``.
     """
     results, failure = sweep(A, b, (epsilon1,), epsilon2, mu, config)
     if failure is not None:

@@ -344,7 +344,10 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
 
     Either way the run ends "underflow" at the first iteration whose r'z
     is below the smallest normal of the storage precision, and both stops
-    come after the tolerances met there.
+    come after the tolerances met there.  It also ends "underflow" where
+    d'Ad is 0 but A d is not: at the iterate before, whose true residual
+    every tolerance then sees, after the tolerances that residual meets.
+    An A d of 0 and any other d'Ad that is not positive and finite raise.
 
     ``norms``, a list, receives (true, recursive, r'z, sample) of every
     iteration.  Inner products and norms are plain dots, or with an int
@@ -387,7 +390,16 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
             Ad = A_csr @ d
             dAd = dot(d, Ad)
             if not np.isfinite(dAd) or dAd <= 0:
-                raise CgBreakdownError(f"d'Ad = {dAd} at iteration {k}")
+                if dAd != 0 or not Ad.any():
+                    raise CgBreakdownError(f"d'Ad = {dAd} at iteration {k}")
+                k, status = k - 1, "underflow"  # d'Ad underflowed: stop at x_{k-1}
+                if steps:
+                    res = steps[-1][0]
+                    steps[-1] = (res, steps[-1][1], True)  # seen by every tolerance
+                while met < len(thresholds) and res <= thresholds[met]:
+                    out.append((x, k, res, "converged", history(thresholds[met])))
+                    met += 1
+                break
             alpha = rz / dAd
             x = x + alpha * d
             r = r - alpha * Ad

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mpcg.cli import main
-from mpcg.dataset import GraphSpec, generate, manifest_path
-from mpcg.sparse import write_matrix_market
+from mpcg.dataset import EpsilonGrid, GraphSpec, generate, manifest_path
+from mpcg.solver import sweep
+from mpcg.sparse import from_coordinates, write_matrix_market
 
 
 @pytest.fixture
@@ -51,8 +52,8 @@ BAD_GRIDS = {"string": ["a", "b"], "ascending": [0.01, 0.1], "repeated": [0.1, 0
 
 # ``label --grid`` values that fail, and what the error says
 BAD_LABEL_GRIDS = {
-    "1e-2,nan": "grid values must be finite",
-    "1e-2,inf": "grid values must be finite",
+    "1e-2,nan": "eps1 must be finite, got nan",
+    "1e-2,inf": "eps1 must be finite, got inf",
     "1e-2,x": "cannot parse grid '1e-2,x'",
     ",": "grid is empty",
 }
@@ -221,10 +222,10 @@ EXIT_CODE_CASES = {
         ["solve", "{missing}", "--eps1", "1e-3", "--mu", "nan"], 2, "mu must lie in (0, 1)"),
     "solve-eps2-negative-before-matrix": (
         ["solve", "{missing}", "--eps1", "1e-3", "--eps2", "-1"], 2,
-        "tolerance must be positive and finite"),
+        "eps2 must be positive and finite, got -1"),
     "solve-eps2-nan-before-matrix": (
         ["solve", "{missing}", "--eps1", "1e-3", "--eps2", "nan"], 2,
-        "tolerance must be positive and finite"),
+        "eps2 must be positive and finite, got nan"),
     "solve-eps1-below-eps2-before-matrix": (
         ["solve", "{missing}", "--eps1", "1e-12"], 2, "eps1=1e-12 must be >= eps2=1e-10"),
     "solve-auto-mu-before-matrix": (
@@ -232,14 +233,14 @@ EXIT_CODE_CASES = {
         "mu must lie in (0, 1)"),
     "solve-auto-eps2-before-matrix": (
         ["solve", "{missing}", "--eps1", "auto", "--model", "{model}", "--eps2", "inf"], 2,
-        "tolerance must be positive and finite"),
+        "eps2 must be positive and finite, got inf"),
     # and each of label and train before its input is read
     "label-mu-before-specs": (
         ["label", "--specs", "{missing}", "--out", "{out}", "--mu", "2"], 2,
         "mu must lie in (0, 1)"),
     "label-eps2-before-specs": (
         ["label", "--specs", "{missing}", "--out", "{out}", "--eps2", "0"], 2,
-        "epsilon2 must be positive and finite, got 0.0"),
+        "eps2 must be positive and finite, got 0"),
     "label-grid-before-specs": (
         ["label", "--specs", "{missing}", "--out", "{out}", "--grid", "0.1,x"], 2,
         "cannot parse grid '0.1,x'"),
@@ -451,11 +452,18 @@ class TestSolveCommand:
         fields = {key.strip(): value for key, value in (line.split("=") for line in out)}
         assert float(fields["seconds_stage1"]) > 0 and float(fields["seconds_stage2"]) > 0
 
-    @pytest.mark.parametrize("eps1", ["nan", "inf", "-inf", "0", "-0.1", "abc"])
-    def test_eps1_not_finite_positive_exits_2(self, identity_file, capsys, eps1):
+    @pytest.mark.parametrize("eps1, message", [
+        ("nan", "eps1 must be finite, got nan"),
+        ("inf", "eps1 must be finite, got inf"),
+        ("-inf", "eps1 must be finite, got -inf"),
+        ("0", "eps1=0 must be >= eps2=1e-10"),
+        ("-0.1", "eps1=-0.1 must be >= eps2=1e-10"),
+        ("abc", "--eps1 must be a number or 'auto', got 'abc'"),
+    ], ids=["nan", "inf", "-inf", "0", "-0.1", "abc"])
+    def test_eps1_not_finite_positive_exits_2(self, identity_file, capsys, eps1, message):
         assert main(["solve", str(identity_file), f"--eps1={eps1}"]) == 2
         captured = capsys.readouterr()
-        assert "--eps1" in captured.err and "epsilon2" not in captured.err
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
     def test_grid_is_not_a_solve_flag(self, identity_file, capsys):
@@ -579,6 +587,94 @@ class TestBadInputFiles:
         argv += ["--out", str(model)] if command == "train" else ["--model", str(model)]
         assert main(argv) == 2
         assert f"{sample}:2" in capsys.readouterr().err
+
+
+# (eps1, eps2, mu) triples that break a rule of a two-stage problem, and
+# the one message each gets wherever it is checked
+BAD_PROBLEMS = {
+    "eps1-nan": (math.nan, 1e-10, 0.5, "eps1 must be finite, got nan"),
+    "eps1-inf": (math.inf, 1e-10, 0.5, "eps1 must be finite, got inf"),
+    "eps1-nan-and-mu": (math.nan, 1e-10, 2.0, "eps1 must be finite, got nan"),
+    "eps1-below-eps2": (1e-12, 1e-10, 0.5, "eps1=1e-12 must be >= eps2=1e-10"),
+    "eps1-zero": (0.0, 1e-10, 0.5, "eps1=0 must be >= eps2=1e-10"),
+    "eps1-negative": (-0.1, 1e-10, 0.5, "eps1=-0.1 must be >= eps2=1e-10"),
+    "eps2-zero": (1e-3, 0.0, 0.5, "eps2 must be positive and finite, got 0"),
+    "eps2-negative": (1e-3, -1.0, 0.5, "eps2 must be positive and finite, got -1"),
+    "eps2-nan": (1e-3, math.nan, 0.5, "eps2 must be positive and finite, got nan"),
+    "eps2-inf": (1e-3, math.inf, 0.5, "eps2 must be positive and finite, got inf"),
+    "mu-zero": (1e-3, 1e-10, 0.0, "mu must lie in (0, 1), got 0"),
+    "mu-one": (1e-3, 1e-10, 1.0, "mu must lie in (0, 1), got 1"),
+    "mu-negative": (1e-3, 1e-10, -0.5, "mu must lie in (0, 1), got -0.5"),
+    "mu-nan": (1e-3, 1e-10, math.nan, "mu must lie in (0, 1), got nan"),
+}
+
+
+class TestTwoStageRules:
+    """``sweep``, ``EpsilonGrid``, ``solve`` before the matrix and ``label``
+    before the specs reject a bad (eps1, eps2, mu) in the same words."""
+
+    @pytest.mark.parametrize(
+        "eps1, eps2, mu, message", BAD_PROBLEMS.values(), ids=BAD_PROBLEMS.keys())
+    def test_every_check_says_the_same(self, tmp_path, capsys, eps1, eps2, mu, message):
+        A = from_coordinates(range(3), range(3), [1.0, 2.0, 3.0], 3)
+        with pytest.raises(ValueError) as swept:
+            sweep(A, np.ones(3), (eps1, None), eps2, mu)
+        with pytest.raises(ValueError) as grid:
+            EpsilonGrid((eps1,), eps2, mu)
+        assert str(swept.value) == str(grid.value) == message
+        missing, out = tmp_path / "missing", tmp_path / "sample.jsonl"
+        numbers = [f"--eps2={eps2}", f"--mu={mu}"]
+        for argv in (["solve", str(missing), f"--eps1={eps1}", *numbers],
+                     ["label", "--specs", str(missing), "--out", str(out),
+                      f"--grid={eps1}", *numbers]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n", argv[0]
+
+    def test_solve_and_label_reject_eps2_zero_alike(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        assert main(["solve", missing, "--eps1", "1e-3", "--eps2", "0"]) == 2
+        solved = capsys.readouterr().err
+        assert main(["label", "--specs", missing, "--out", missing, "--eps2", "0"]) == 2
+        labelled = capsys.readouterr().err
+        assert solved == labelled == "error: eps2 must be positive and finite, got 0\n"
+
+    def test_baseline_only_sweep_checks_eps2_and_mu(self):
+        A = from_coordinates(range(3), range(3), [1.0, 2.0, 3.0], 3)
+        with pytest.raises(ValueError, match=r"mu must lie in \(0, 1\), got 2"):
+            sweep(A, np.ones(3), (None,), 1e-10, 2.0)
+        results, failure = sweep(A, np.ones(3), (None,), 1e-10)
+        assert failure is None and results[0].n1 == 0
+
+
+class TestBinary32Range:
+    """Diagonal SPD systems near the ends of the binary32 range: a ``d'Ad``
+    that underflows to 0 is no breakdown, and an overflowed stage-1 iterate
+    is a runtime failure (exit 3), not a configuration error."""
+
+    @staticmethod
+    def _files(tmp_path, diagonal, rhs):
+        n, matrix, b = len(diagonal), tmp_path / "D.mtx", tmp_path / "b.txt"
+        write_matrix_market(from_coordinates(range(n), range(n), diagonal, n), matrix)
+        np.savetxt(b, np.full(n, rhs))
+        return str(matrix), str(b)
+
+    def test_product_underflow_solves(self, tmp_path, capsys):
+        matrix, b = self._files(tmp_path, 1e-33 * np.arange(1, 41), 1e-3)
+        assert main(["solve", matrix, "--eps1", "1e-5", "--b", b]) == 0
+        out = capsys.readouterr().out
+        assert "N1             = 23 (underflow)\nN2             = 28 (converged)\n" in out
+
+    @pytest.mark.parametrize("diagonal, rhs, eps1, iteration", [
+        (1e-30 * np.arange(1, 41), 1e-3, "1e-6", 127),
+        ([1e-30], 1e10, "1e-3", 3),  # the solution, 1e40, lies beyond binary32
+    ], ids=["ramp", "solution-beyond-binary32"])
+    def test_overflowed_stage1_iterate_exits_3(self, tmp_path, capsys, diagonal, rhs, eps1,
+                                               iteration):
+        matrix, b = self._files(tmp_path, diagonal, rhs)
+        assert main(["solve", matrix, "--eps1", eps1, "--b", b]) == 3
+        assert capsys.readouterr().err == (
+            f"error: stage 1 iterate overflows binary32 at iteration {iteration}"
+            f" (eps1={float(eps1):g})\n")
 
 
 class TestExitCodes:

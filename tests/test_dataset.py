@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -82,17 +83,19 @@ class TestEpsilonGrid:
             EpsilonGrid(values=(0.1, 1e-12), epsilon2=1e-10)
         with pytest.raises(ValueError):
             EpsilonGrid(mu=1.0)
-        with pytest.raises(ValueError, match="grid values must be positive"):
+        with pytest.raises(ValueError, match=re.escape("eps1=0 must be >= eps2=1e-10")):
             EpsilonGrid(values=(0.1, 0.0))
+        with pytest.raises(ValueError, match="grid is empty"):
+            EpsilonGrid(values=())
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_values(self, value):
-        with pytest.raises(ValueError, match="grid values must be finite"):
+        with pytest.raises(ValueError, match=f"eps1 must be finite, got {value}"):
             EpsilonGrid(values=(1e-2, value))
 
     @pytest.mark.parametrize("epsilon2", [float("nan"), 0.0, -1.0, float("inf")])
     def test_rejects_epsilon2_outside_zero_to_infinity(self, epsilon2):
-        with pytest.raises(ValueError, match="epsilon2 must be positive and finite"):
+        with pytest.raises(ValueError, match=f"eps2 must be positive and finite, got {epsilon2:g}"):
             EpsilonGrid(epsilon2=epsilon2)
 
 

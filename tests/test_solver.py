@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -17,6 +18,7 @@ from mpcg.errors import (
     DimensionMismatchError,
     NonpositiveDiagonalError,
     PrecisionMismatchError,
+    SinglePrecisionOverflowError,
     Stage2NotConvergedError,
 )
 from mpcg.solver import (
@@ -34,6 +36,7 @@ from mpcg.sparse import (
     _scipy_csr,
     downcast,
     downcast_vector,
+    from_coordinates,
     upcast_vector,
 )
 
@@ -407,9 +410,9 @@ class TestNonFiniteOperands:
     @pytest.mark.parametrize("eps1", [math.nan, math.inf])
     def test_sweep_rejects_non_finite_epsilon1(self, eps1):
         A, b = self._system(np.float64)
-        with pytest.raises(ValueError, match="epsilon1 values must be finite"):
+        with pytest.raises(ValueError, match=f"eps1 must be finite, got {eps1}"):
             sweep(A, b, (1e-2, eps1, None), 1e-10)
-        with pytest.raises(ValueError, match="epsilon1 values must be finite"):
+        with pytest.raises(ValueError, match=f"eps1 must be finite, got {eps1}"):
             two_stage_solve(A, b, eps1, 1e-10)
 
 
@@ -1074,6 +1077,58 @@ class TestUnderflow:
         assert (n1, n2) == (result.n1, result.n2) and np.array_equal(bits(x), bits(result.x))
 
 
+def tiny_diagonal_system():
+    """diag(1e-33 * (1..40)), SPD, with b = 1e-3: binary32 CG meets a
+    ``d'Ad`` that underflows to 0 at iteration 24, where ``A d`` is not 0
+    and ``r'z`` (3.9e-13 before it) is normal."""
+    D = from_coordinates(range(40), range(40), 1e-33 * np.arange(1, 41), 40)
+    return D, np.full(40, 1e-3)
+
+
+class TestProductUnderflow:
+    """A run whose ``d'Ad`` underflows to 0 on a nonzero ``A d`` ends
+    "underflow" at the previous iterate, tested once and counted for every
+    threshold; an ``A d`` of 0 is still a breakdown."""
+
+    def test_run_ends_at_the_previous_iterate(self):
+        D, b = tiny_diagonal_system()
+        A32, b32 = downcast(D), downcast_vector(b)
+        config = SolveConfig(1e-5)
+        result = cg(A32, b32, None, config)
+        assert (result.iterations, result.status) == (23, "underflow")
+        tested = [k for k, _ in result.true_residuals]
+        assert tested == [0, 8, 15, 20, 23]  # x_23 once
+        assert result.spmv_calls == 28  # the abandoned A d of iteration 24 uncounted
+        (ref,) = cg_reference(A32, b32, None, config, None, (1e-5,))
+        assert_same_run(result, ref)
+
+    def test_test_there_counts_for_every_threshold(self):
+        # At x_23 the true residual, 6.2362e-7, lies below the recursive one,
+        # 6.2384e-7: 6.3e-7 is met by the test made at iteration 23,
+        # 6.237e-7 only by the test that the stop at 24 counts for all.
+        D, b = tiny_diagonal_system()
+        A32, b32 = downcast(D), downcast_vector(b)
+        config = SolveConfig(1e-5, residual_mode="absolute")
+        tolerances = (6.3e-7, 6.237e-7, 1e-9)
+        results = list(run_cg(A32, b32, None, config, None, tolerances))
+        assert [(r.iterations, r.status) for r in results] == [
+            (23, "converged"), (23, "converged"), (23, "underflow")]
+        want = cg_reference(A32, b32, None, config, None, tolerances)
+        for tol, result, ref in zip(tolerances, results, want):
+            assert_same_run(result, ref)
+            assert_same_run(cg(A32, b32, None, replace(config, tolerance=tol)), ref)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_zero_product_still_raises(self, dtype):
+        A = diag_matrix([0.0, 1.0])
+        A = A if dtype == np.float64 else downcast(A)
+        b = np.array([1.0, 0.0], dtype=dtype)
+        with pytest.raises(CgBreakdownError, match="d'Ad = 0.0 at iteration 1"):
+            cg(A, b, None, CFG)
+        with pytest.raises(CgBreakdownError):
+            cg_reference(A, b, None, CFG, None, (1e-12,))
+
+
 class TestBlockedDot:
     """Above _DOT_BLOCK unknowns every inner product of a run is the
     in-order sum of per-block BLAS dots, whatever the BLAS thread count."""
@@ -1462,13 +1517,14 @@ class TestSweepSetUp:
         assert failure is None and len({r.n1 for r in results}) == 4
         assert built == ["binary32", "binary64"]
 
-    def test_non_finite_stage1_iterate_fails_its_eps1_as_input(self):
+    def test_non_finite_stage1_iterate_fails_its_eps1_as_overflow(self):
         # x = b / a = 1e40 overflows binary32; the guard samples it at once
         A = diag_matrix([1e-30])
         config = SolveConfig(tolerance=1e-10, stagnation_window=1)
         results, failure = sweep(A, np.array([1e10]), (1e-3, None), 1e-10, config=config)
         assert results == []
-        assert type(failure) is ValueError and str(failure) == "x0[0] = inf is not finite"
+        assert type(failure) is SinglePrecisionOverflowError
+        assert str(failure) == "stage 1 iterate overflows binary32 at iteration 1 (eps1=0.001)"
 
     def test_b_of_another_length_raises(self):
         A = random_dd(30, np.random.default_rng(49))
@@ -1479,8 +1535,13 @@ class TestSweepSetUp:
         for config in (None, CFG, JACOBI):
             first, refine = solver._stage_configs(config, 1e-9)
             assert first == (config or SolveConfig(tolerance=1e-9))
-            assert refine == no_stagnation(replace(first, tolerance=1e-9))
+            assert refine == no_stagnation(first)
             assert solver._stage_configs(config, 1e-9)[1] is refine
+
+
+def test_two_stage_result_echoes_no_eps2_or_mu():
+    names = {field.name for field in dataclasses.fields(solver.TwoStageResult)}
+    assert {"epsilon1", "cost"} <= names and not names & {"epsilon2", "mu"}
 
 
 class TestStageSeconds:
