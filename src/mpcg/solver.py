@@ -23,8 +23,11 @@ would be no sign of an operand that is not SPD.  A normal ``r'z`` can
 still meet a ``d'Ad`` that underflows to exactly 0 while ``A d`` is not
 0 (an SPD matrix whose entries lie near the smallest normal); such a run
 also ends "underflow", at the previous iterate, which it tests there
-unless it already has.  An ``A d`` that is 0, a negative, infinite or
-NaN ``d'Ad`` still raises ``CgBreakdownError``.  A run
+unless it already has.  The sum of the magnitudes ``|d|'|A d|`` tells
+that underflow from a ``d'Ad`` that cancels to 0 on an operand that is
+not SPD: only below the smallest normal has it underflowed.  An ``A d``
+that is 0, a ``d'Ad`` of 0 whose magnitudes do not underflow, and a
+negative, infinite or NaN ``d'Ad`` raise ``CgBreakdownError``.  A run
 whose stagnation guard can never fire, ``stagnation_window >
 max_iterations``, tests it nowhere else: every ``no_stagnation`` run
 (binary64 stage 2 and the pure binary64 baseline), and any run whose
@@ -54,8 +57,9 @@ ends at a ``d'Ad`` underflow counts for every threshold too.  A run pays
 one matrix-vector product per untested iteration instead of two, and records
 nothing for it: its history, ``SolveResult.true_residuals``, is the true
 residuals it computed, each with its iteration, and its product count
-follows from that.  No recursive norm stands in for an untested one, since the two
-part ways (above).  Its iterates are those of an
+follows from that, plus the ``A d`` a ``d'Ad`` underflow gave up.  No
+recursive norm stands in for an untested one, since the two part ways
+(above).  Its iterates are those of an
 every-iteration test, so an unguarded run stops where that test would,
 unless the true residual meets the threshold while the recursive one is
 above it; then it stops later, never earlier.  A test above a threshold
@@ -221,9 +225,9 @@ class SolveResult:
     on when a run tests).  An untested iteration has no entry.  The last
     entry is always at ``iterations``, and its norm is
     ``final_residual_norm``.  ``spmv_calls`` counts the matrix-vector
-    products up to this result: one per iteration and one per entry.  A
-    run that ends "underflow" at a ``d'Ad`` of 0 made one more, the ``A d``
-    of the iteration it gave up, which is not counted.
+    products the run made up to this result: one per iteration and one per
+    entry, and one more, the ``A d`` of the iteration it gave up, where it
+    ends at a ``d'Ad`` that underflowed to 0.
     """
 
     x: np.ndarray
@@ -231,11 +235,7 @@ class SolveResult:
     final_residual_norm: float
     status: str  # converged | max_iterations | stagnated | underflow (r'z below tiny, d'Ad 0)
     true_residuals: tuple[tuple[int, float], ...]
-
-    @property
-    def spmv_calls(self) -> int:
-        # One A d per iteration, one b - A x per test, b - A x0 included.
-        return self.iterations + len(self.true_residuals)
+    spmv_calls: int
 
 
 @dataclass
@@ -347,9 +347,12 @@ def _run_cg(A, b, x, config: SolveConfig, inv_diag, tolerances):
     no recursive norm (``inf``).  A test at a sample, on the last
     iteration or where ``r'z`` underflows counts for every threshold, one
     made at or below a threshold only for those its recursive norm has
-    reached.  Where ``d'Ad`` underflows to 0 on a nonzero ``A d``, the
-    run ends "underflow" at x_{k-1}: it tests that iterate unless
-    ``history`` already holds it, and the test counts for every threshold.
+    reached.  Where ``d'Ad`` underflows to 0, the run ends "underflow" at
+    x_{k-1}: it tests that iterate unless ``history`` already holds it,
+    the test counts for every threshold, and ``abandoned`` counts the
+    ``A d`` it gave up.  ``d'Ad`` has underflowed where it is 0, ``A d``
+    is not, and ``|d|'|A d|`` is below ``tiny`` too; a 0 from
+    cancellation, on an operand that is not SPD, raises.
     """
     n, storage = A.n, x.dtype.type
     small = n <= _DOT_BLOCK
@@ -388,7 +391,7 @@ def _run_cg(A, b, x, config: SolveConfig, inv_diag, tolerances):
     def tests_for(threshold):  # the tests a run to threshold alone makes
         return tuple(test for test, at in zip(history, made_at) if at <= threshold)
 
-    met, status = 0, "max_iterations"
+    met, status, abandoned = 0, "max_iterations", 0
     target = thresholds[0] if count else -inf  # the next unmet threshold; -inf once all are met
     sampled_at, anchor = 0, res  # iteration and recursive norm of the last sample
     sampled, recursive = True, inf  # of the initial residual
@@ -401,13 +404,13 @@ def _run_cg(A, b, x, config: SolveConfig, inv_diag, tolerances):
             product(d, Ad)  # A d
             dAd = dot(d, Ad)
             if not 0 < dAd < inf:  # also rejects NaN
-                if dAd != 0 or not Ad.any():
+                if dAd != 0 or not Ad.any() or dot(np.abs(d), np.abs(Ad)) >= tiny:
                     raise CgBreakdownError(
                         f"d'Ad = {storage(dAd)} at iteration {k}: operand not SPD at {A.precision}"
                     )
-                # d'Ad underflowed on a nonzero A d: x_{k-1}, tested once,
-                # counts for every threshold, as where r'z underflows
-                k, status = k - 1, "underflow"
+                # d'Ad underflowed: x_{k-1}, tested once, counts for every
+                # threshold, as where r'z underflows
+                k, status, abandoned = k - 1, "underflow", 1
                 if history[-1][0] < k:
                     history.append((k, true_residual(t)))
                     made_at.append(0.0)
@@ -447,7 +450,8 @@ def _run_cg(A, b, x, config: SolveConfig, inv_diag, tolerances):
             made_at.append(0.0 if sampled else recursive)
         # A threshold counts this test only where a run to it alone tests.
         while res <= target and (sampled or recursive <= target):
-            yield SolveResult(x.copy(), k, res, "converged", tests_for(target))
+            tests = tests_for(target)
+            yield SolveResult(x.copy(), k, res, "converged", tests, k + len(tests))
             met += 1
             target = thresholds[met] if met < count else -inf
         if met == count:
@@ -459,8 +463,9 @@ def _run_cg(A, b, x, config: SolveConfig, inv_diag, tolerances):
             status = "stagnated"
             break
     for threshold in thresholds[met:]:  # only a d'Ad underflow leaves one met here
+        tests = tests_for(threshold)
         yield SolveResult(x.copy(), k, res, "converged" if res <= threshold else status,
-                          tests_for(threshold))
+                          tests, k + abandoned + len(tests))
 
 
 def _inverse_diagonal(A: SparseSymMatrix) -> np.ndarray:

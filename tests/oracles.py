@@ -210,7 +210,8 @@ def two_stage_reference(A, b, epsilon1, epsilon2, mu, config, block=None):
     """(n1, n2, x, p1, p2) of a two-stage solve with its own stage 1 from
     zero, both stages run by ``cg_reference`` (with ``block`` as there);
     p1 and p2 count each stage's products: one per iteration, one for the
-    initial residual and one per true residual its history holds."""
+    initial residual and one per true residual its history holds, and in
+    stage 1 the ``A d`` a ``d'Ad`` underflow gave up."""
     from mpcg.errors import Stage2NotConvergedError
     from mpcg.solver import _inverse_diagonal, no_stagnation
     from mpcg.sparse import downcast, downcast_vector, upcast_vector
@@ -220,15 +221,17 @@ def two_stage_reference(A, b, epsilon1, epsilon2, mu, config, block=None):
 
     b = np.asarray(b, dtype=np.float64)
     A32 = downcast(A)
+    abandoned = []
     ((x1, n1, _, _, history1),) = cg_reference(
-        A32, downcast_vector(b), None, config, inv_diag(A32), (epsilon1,), block=block)
+        A32, downcast_vector(b), None, config, inv_diag(A32), (epsilon1,), block=block,
+        abandoned=abandoned)
     refine = no_stagnation(config)
     ((x, n2, _, status, history2),) = cg_reference(
         A, b, upcast_vector(x1), refine, inv_diag(A), (epsilon2,), block=block)
     if status != "converged":
         raise Stage2NotConvergedError(status)
     p1, p2 = (1 + n + len(true_residuals_of(h)) for n, h in ((n1, history1), (n2, history2)))
-    return n1, n2, x, p1, p2
+    return n1, n2, x, p1 + len(abandoned), p2
 
 
 def label_matrix_reference(A, b, grid, config, matrix_id="", group_id="", spec=None):
@@ -318,7 +321,7 @@ def true_residuals_of(history) -> tuple:
 
 
 def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None,
-                 block=None):
+                 block=None, abandoned=None):
     """The allocating CG loop that ``solver._run_cg`` replaced, one list
     entry per tolerance as (x, iterations, residual, status, history).
 
@@ -345,12 +348,16 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
     Either way the run ends "underflow" at the first iteration whose r'z
     is below the smallest normal of the storage precision, and both stops
     come after the tolerances met there.  It also ends "underflow" where
-    d'Ad is 0 but A d is not: at the iterate before, whose true residual
-    every tolerance then sees, after the tolerances that residual meets.
-    An A d of 0 and any other d'Ad that is not positive and finite raise.
+    d'Ad is 0 but A d is not and the magnitudes |d|'|A d| lie below the
+    smallest normal too: at the iterate before, whose true residual every
+    tolerance then sees, after the tolerances that residual meets.  An A d
+    of 0, a d'Ad of 0 from cancellation (magnitudes at or above the
+    smallest normal) and any other d'Ad that is not positive and finite
+    raise.
 
     ``norms``, a list, receives (true, recursive, r'z, sample) of every
-    iteration.  Inner products and norms are plain dots, or with an int
+    iteration, and ``abandoned``, a list, the iteration whose A d a d'Ad
+    underflow gave up.  Inner products and norms are plain dots, or with an int
     ``block`` the ``blocked_dot`` sums the solver makes above its
     ``_DOT_BLOCK`` unknowns.
     """
@@ -390,8 +397,10 @@ def cg_reference(A, b, x0, config, inv_diag, tolerances, eager=False, norms=None
             Ad = A_csr @ d
             dAd = dot(d, Ad)
             if not np.isfinite(dAd) or dAd <= 0:
-                if dAd != 0 or not Ad.any():
+                if dAd != 0 or not Ad.any() or dot(np.abs(d), np.abs(Ad)) >= tiny:
                     raise CgBreakdownError(f"d'Ad = {dAd} at iteration {k}")
+                if abandoned is not None:
+                    abandoned.append(k)
                 k, status = k - 1, "underflow"  # d'Ad underflowed: stop at x_{k-1}
                 if steps:
                     res = steps[-1][0]

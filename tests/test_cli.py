@@ -649,7 +649,8 @@ class TestTwoStageRules:
 class TestBinary32Range:
     """Diagonal SPD systems near the ends of the binary32 range: a ``d'Ad``
     that underflows to 0 is no breakdown, and an overflowed stage-1 iterate
-    is a runtime failure (exit 3), not a configuration error."""
+    is a runtime failure (exit 3), not a configuration error.  A ``d'Ad``
+    that cancels to 0 on an indefinite diagonal is still a breakdown."""
 
     @staticmethod
     def _files(tmp_path, diagonal, rhs):
@@ -663,6 +664,13 @@ class TestBinary32Range:
         assert main(["solve", matrix, "--eps1", "1e-5", "--b", b]) == 0
         out = capsys.readouterr().out
         assert "N1             = 23 (underflow)\nN2             = 28 (converged)\n" in out
+
+    def test_cancelled_product_exits_3(self, tmp_path, capsys):
+        # b = A 1 = (1, -1) by default, so d'Ad = 0 exactly at iteration 1
+        matrix, _ = self._files(tmp_path, [1.0, -1.0], 1.0)
+        assert main(["solve", matrix, "--eps1", "1e-5"]) == 3
+        assert capsys.readouterr().err == (
+            "error: d'Ad = 0.0 at iteration 1: operand not SPD at binary32\n")
 
     @pytest.mark.parametrize("diagonal, rhs, eps1, iteration", [
         (1e-30 * np.arange(1, 41), 1e-3, "1e-6", 127),

@@ -1088,19 +1088,36 @@ def tiny_diagonal_system():
 class TestProductUnderflow:
     """A run whose ``d'Ad`` underflows to 0 on a nonzero ``A d`` ends
     "underflow" at the previous iterate, tested once and counted for every
-    threshold; an ``A d`` of 0 is still a breakdown."""
+    threshold, its abandoned product counted; an ``A d`` of 0 and a
+    ``d'Ad`` that cancels to 0 are still breakdowns."""
 
-    def test_run_ends_at_the_previous_iterate(self):
+    def test_run_ends_at_the_previous_iterate(self, monkeypatch):
         D, b = tiny_diagonal_system()
         A32, b32 = downcast(D), downcast_vector(b)
         config = SolveConfig(1e-5)
+        products, counted = [], _sparsetools.csr_matvec
+
+        def csr_matvec(*args):
+            products.append(1)
+            return counted(*args)
+
+        monkeypatch.setattr(_sparsetools, "csr_matvec", csr_matvec)
         result = cg(A32, b32, None, config)
         assert (result.iterations, result.status) == (23, "underflow")
         tested = [k for k, _ in result.true_residuals]
         assert tested == [0, 8, 15, 20, 23]  # x_23 once
-        assert result.spmv_calls == 28  # the abandoned A d of iteration 24 uncounted
+        assert result.spmv_calls == len(products) == 29  # the abandoned A d of iteration 24
         (ref,) = cg_reference(A32, b32, None, config, None, (1e-5,))
         assert_same_run(result, ref)
+
+    def test_two_stage_counts_the_abandoned_product(self):
+        D, b = tiny_diagonal_system()
+        result = two_stage_solve(D, b, 1e-5, 1e-10)
+        assert (result.n1, result.stage1_status, result.n2) == (23, "underflow", 28)
+        n1, n2, x, p1, p2 = two_stage_reference(D, b, 1e-5, 1e-10, 0.5, SolveConfig(1e-10))
+        assert (n1, n2, p1, p2) == (
+            result.n1, result.n2, result.stage1_spmv_calls, result.stage2_spmv_calls)
+        assert p1 == 29 and np.array_equal(bits(x), bits(result.x))
 
     def test_test_there_counts_for_every_threshold(self):
         # At x_23 the true residual, 6.2362e-7, lies below the recursive one,
@@ -1114,9 +1131,25 @@ class TestProductUnderflow:
         assert [(r.iterations, r.status) for r in results] == [
             (23, "converged"), (23, "converged"), (23, "underflow")]
         want = cg_reference(A32, b32, None, config, None, tolerances)
-        for tol, result, ref in zip(tolerances, results, want):
+        # The run to 6.3e-7 stops at 23 and never makes the A d of 24.
+        for tol, result, ref, products in zip(tolerances, results, want, (28, 29, 29)):
             assert_same_run(result, ref)
-            assert_same_run(cg(A32, b32, None, replace(config, tolerance=tol)), ref)
+            alone = cg(A32, b32, None, replace(config, tolerance=tol))
+            assert_same_run(alone, ref)
+            assert result.spmv_calls == alone.spmv_calls == products
+
+    @pytest.mark.parametrize("rhs", [[1.0, 1.0], [1.0, -1.0]], ids=["ones", "A-ones"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_cancelled_product_raises(self, dtype, rhs):
+        # diag(1, -1) is indefinite: d = b gives A d = (1, -1) or (1, 1) and
+        # d'Ad = 0 exactly, with magnitudes |d|'|A d| = 2 far from underflow.
+        A = diag_matrix([1.0, -1.0])
+        A = A if dtype == np.float64 else downcast(A)
+        b = np.array(rhs, dtype=dtype)
+        with pytest.raises(CgBreakdownError, match="d'Ad = 0.0 at iteration 1: operand not SPD"):
+            cg(A, b, None, CFG)
+        with pytest.raises(CgBreakdownError):
+            cg_reference(A, b, None, CFG, None, (1e-12,))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_zero_product_still_raises(self, dtype):
